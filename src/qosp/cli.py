@@ -69,8 +69,8 @@ def _parse_bindings(pairs):
 
 def _matrix_csv(m):
     lines = []
-    for row in m.rows:
-        lines.append(",".join('"%s"' % format_scalar(v) for v in row))
+    for i in range(m.dim):
+        lines.append(",".join('"%s"' % format_scalar(m[i, j]) for j in range(m.dim)))
     return "\n".join(lines) + "\n"
 
 
@@ -83,8 +83,8 @@ def _latex_scalar(v):
 def _matrix_latex(m):
     cols = "c" * m.dim
     lines = [r"\left(\begin{array}{%s}" % cols]
-    for row in m.rows:
-        lines.append(" & ".join(_latex_scalar(v) for v in row) + r" \\")
+    for i in range(m.dim):
+        lines.append(" & ".join(_latex_scalar(m[i, j]) for j in range(m.dim)) + r" \\")
     lines.append(r"\end{array}\right)")
     return "\n".join(lines) + "\n"
 

@@ -155,14 +155,11 @@ def _bracket(a, b, pa, pb):
 
 
 def _diag_integer_entries(m):
-    out = []
-    for i in range(m.dim):
-        for j in range(m.dim):
-            v = m.rows[i][j]
-            if i == j:
-                out.append(int(v.as_fraction()) if not v.is_zero() else 0)
-            elif not v.is_zero():
-                raise ValueError("matrix is not diagonal")
+    out = [0] * m.dim
+    for i, j, v in m.entries():
+        if i != j:
+            raise ValueError("matrix is not diagonal")
+        out[i] = int(v.as_fraction())
     return out
 
 
@@ -393,12 +390,14 @@ def lplus_matrix(r):
         (1, 2): w,
         (2, 2): e,
     }
-    parity = kron_parity(_FUND_PARITY, r.parity)
-    out = GradedMatrix.zeros(parity)
-    for (bi, bj), blk in blocks.items():
-        for a, b, val in blk.entries():
-            out.rows[bi * r.dim + a][bj * r.dim + b] = val
-    return out
+    return GradedMatrix.from_entries(
+        kron_parity(_FUND_PARITY, r.parity),
+        {
+            (bi * r.dim + a, bj * r.dim + b): val
+            for (bi, bj), blk in blocks.items()
+            for a, b, val in blk.entries()
+        },
+    )
 
 
 def frt_check(r):
@@ -501,7 +500,7 @@ def check_qcoproduct_xplus(r1, r2):
     coeff = None
     ok = True
     for i, j, v in pattern.entries():
-        ratio_num = residual.rows[i][j]
+        ratio_num = residual[i, j]
         c = ratio_num * sc.inv(v) if v.num.is_s_only() else None
         if c is None:
             ok = False

@@ -1,7 +1,15 @@
 """Parity-aware linear algebra over the exact scalar field.
 
-Matrices carry a parity vector (one Z2 bit per basis vector).  Graded
-Kronecker products insert Koszul signs; the sign convention used
+A GradedMatrix is square, carries a parity vector (one Z2 bit per basis
+vector) and stores only its nonzero entries, in one private map
+{(i, j): Scalar} with 0-based indices.  No zero is ever stored, so
+every operation -- sums, products, Kronecker products, leg embeddings,
+inversion, exponentials -- walks the nonzeros alone; the product groups
+the right factor's nonzeros by row.  Matrices are immutable: operations
+return new matrices, ``m[i, j]`` reads an entry (ZERO where none is
+stored) and ``entries()`` yields the nonzeros in row-major order.
+
+Graded Kronecker products insert Koszul signs; the sign convention used
 throughout the package is
 
     gkron(A, B)[(i,a),(j,b)] = A[i,j] * B[a,b] * (-1)**(p(j)*(p(a)+p(b)))
@@ -19,6 +27,7 @@ only combination that reproduces them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalar import ONE, ZERO, Scalar, format_scalar, parse_scalar, substitute
@@ -29,97 +38,97 @@ class MatrixError(ArithmeticError):
 
 
 class GradedMatrix:
-    __slots__ = ("dim", "parity", "rows")
+    """Immutable square graded matrix holding only its nonzero entries.
 
-    def __init__(self, dim, parity, rows):
-        if len(parity) != dim or len(rows) != dim:
-            raise MatrixError("parity/row length mismatch")
-        self.dim = dim
-        self.parity = tuple(parity)
-        self.rows = rows
+    Build one with from_entries, zeros or identity.  The constructor
+    itself trusts its map: nonzero Scalars under in-range (i, j) keys.
+    """
+
+    __slots__ = ("dim", "parity", "_nz")
+
+    def __init__(self, parity, nz):
+        parity = tuple(parity)
+        object.__setattr__(self, "dim", len(parity))
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "_nz", nz)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GradedMatrix is immutable")
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zeros(parity):
-        n = len(parity)
-        return GradedMatrix(n, parity, [[ZERO] * n for _ in range(n)])
+        return GradedMatrix(parity, {})
 
     @staticmethod
     def identity(parity):
-        n = len(parity)
-        rows = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = ONE
-        return GradedMatrix(n, parity, rows)
+        return GradedMatrix(parity, {(i, i): ONE for i in range(len(parity))})
 
     @staticmethod
     def from_entries(parity, entries):
-        """entries: {(i, j): Scalar} with 0-based indices."""
-        m = GradedMatrix.zeros(parity)
+        """entries: {(i, j): Scalar} with 0-based indices; zeros are dropped."""
+        n = len(parity)
+        nz = {}
         for (i, j), v in entries.items():
-            m.rows[i][j] = v
-        return m
+            if not (0 <= i < n and 0 <= j < n):
+                raise MatrixError("entry (%r, %r) outside a %dx%d matrix" % (i, j, n, n))
+            if not v.is_zero():
+                nz[(i, j)] = v
+        return GradedMatrix(parity, nz)
 
-    def copy(self):
-        return GradedMatrix(self.dim, self.parity, [row[:] for row in self.rows])
+    def __getitem__(self, key):
+        i, j = key
+        n = self.dim
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError("entry (%r, %r) outside a %dx%d matrix" % (i, j, n, n))
+        return self._nz.get(key, ZERO)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         self._check_compatible(other)
-        return GradedMatrix(
-            self.dim,
-            self.parity,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        return GradedMatrix(self.parity, _accumulate(dict(self._nz), other._nz.items()))
 
     def __sub__(self, other):
         self._check_compatible(other)
         return GradedMatrix(
-            self.dim,
             self.parity,
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
+            _accumulate(dict(self._nz), ((k, -v) for k, v in other._nz.items())),
         )
 
     def __neg__(self):
-        return GradedMatrix(
-            self.dim, self.parity, [[-a for a in row] for row in self.rows]
-        )
+        return GradedMatrix(self.parity, {k: -v for k, v in self._nz.items()})
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check_compatible(other)
-        n = self.dim
-        out = [[ZERO] * n for _ in range(n)]
-        brows = other.rows
-        for i in range(n):
-            arow = self.rows[i]
-            orow = out[i]
-            for k in range(n):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = brows[k]
-                for j in range(n):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return GradedMatrix(n, self.parity, out)
+        brows = {}
+        for (k, j), b in other._nz.items():
+            brows.setdefault(k, []).append((j, b))
+        out = {}
+        get = out.get
+        for (i, k), a in self._nz.items():
+            brow = brows.get(k)
+            if brow is None:
+                continue
+            for j, b in brow:
+                key = (i, j)
+                c = get(key)
+                out[key] = a * b if c is None else c + a * b
+        return GradedMatrix(self.parity, {k: v for k, v in out.items() if not v.is_zero()})
 
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
             c = Scalar.from_fraction(c)
-        return GradedMatrix(
-            self.dim, self.parity, [[a * c for a in row] for row in self.rows]
-        )
+        if c.is_zero():
+            return GradedMatrix(self.parity, {})
+        # a product of nonzero scalars is nonzero
+        return GradedMatrix(self.parity, {k: v * c for k, v in self._nz.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -136,31 +145,29 @@ class GradedMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, GradedMatrix)
-            and self.dim == other.dim
             and self.parity == other.parity
-            and self.rows == other.rows
+            and self._nz == other._nz
         )
 
     def is_zero(self):
-        return all(a.is_zero() for row in self.rows for a in row)
+        return not self._nz
 
     def is_identity(self):
         return self == GradedMatrix.identity(self.parity)
 
     def _check_compatible(self, other):
-        if self.dim != other.dim or self.parity != other.parity:
+        if self.parity != other.parity:
             raise MatrixError("dimension or parity mismatch")
 
     # -- structure -----------------------------------------------------------
 
     def entries(self):
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    yield i, j, v
+        """(i, j, value) for every nonzero entry, in row-major order."""
+        for (i, j), v in sorted(self._nz.items(), key=lambda kv: kv[0]):
+            yield i, j, v
 
     def nonzero_count(self):
-        return sum(1 for _ in self.entries())
+        return len(self._nz)
 
     def homogeneous_parity(self):
         """0 or 1 if every nonzero entry has fixed p(i)+p(j); else None."""
@@ -174,15 +181,16 @@ class GradedMatrix:
         return 0 if par is None else par
 
     def transpose(self):
-        n = self.dim
-        return GradedMatrix(
-            n, self.parity, [[self.rows[j][i] for j in range(n)] for i in range(n)]
-        )
+        return GradedMatrix(self.parity, {(j, i): v for (i, j), v in self._nz.items()})
 
     def map_entries(self, fn):
-        return GradedMatrix(
-            self.dim, self.parity, [[fn(a) for a in row] for row in self.rows]
-        )
+        """Apply fn to every nonzero entry; fn must send zero to zero."""
+        out = {}
+        for k, v in self._nz.items():
+            w = fn(v)
+            if not w.is_zero():
+                out[k] = w
+        return GradedMatrix(self.parity, out)
 
     def substitute(self, bindings):
         return self.map_entries(lambda a: substitute(a, bindings))
@@ -203,6 +211,21 @@ class GradedMatrix:
         return "\n".join(lines)
 
 
+def _accumulate(out, items):
+    """Add (key, value) pairs into the nonzero map out; drop cancelled keys."""
+    for k, b in items:
+        a = out.get(k)
+        if a is None:
+            out[k] = b
+        else:
+            s = a + b
+            if s.is_zero():
+                del out[k]
+            else:
+                out[k] = s
+    return out
+
+
 # ---------------------------------------------------------------------------
 # graded tensor products
 
@@ -211,52 +234,29 @@ def kron_parity(p1, p2):
     return tuple((a + b) % 2 for a in p1 for b in p2)
 
 
-def gkron(a, b, convention="first_col"):
+def gkron(a, b):
     """Graded Kronecker product; composite index (i,x) -> i*dim(b) + x."""
-    n1, n2 = a.dim, b.dim
-    parity = kron_parity(a.parity, b.parity)
-    out = GradedMatrix.zeros(parity)
+    n2 = b.dim
     p1, p2 = a.parity, b.parity
-    for i, j, av in a.entries():
-        for x, y, bv in b.entries():
-            if convention == "first_col":
-                sgn = p1[j] * (p2[x] + p2[y])
-            elif convention == "first_row":
-                sgn = p1[i] * (p2[x] + p2[y])
-            elif convention == "second_row":
-                sgn = p2[x] * (p1[i] + p1[j])
-            elif convention == "second_col":
-                sgn = p2[y] * (p1[i] + p1[j])
-            else:
-                raise MatrixError("unknown convention %r" % convention)
+    bitems = [(x, y, (p2[x] + p2[y]) % 2, bv) for (x, y), bv in b._nz.items()]
+    out = {}
+    for (i, j), av in a._nz.items():
+        odd_col = p1[j]
+        ri, cj = i * n2, j * n2
+        for x, y, odd_entry, bv in bitems:
             v = av * bv
-            if sgn % 2:
-                v = -v
-            out.rows[i * n2 + x][j * n2 + y] = v
-    return out
+            out[(ri + x, cj + y)] = -v if odd_col and odd_entry else v
+    return GradedMatrix(kron_parity(p1, p2), out)
 
 
 def gflip(parity):
     """Graded permutation P(e_i (x) e_j) = (-1)**(p(i)p(j)) e_j (x) e_i."""
     n = len(parity)
-    comp = kron_parity(parity, parity)
-    out = GradedMatrix.zeros(comp)
+    out = {}
     for i in range(n):
         for j in range(n):
-            v = ONE if (parity[i] * parity[j]) % 2 == 0 else -ONE
-            out.rows[j * n + i][i * n + j] = v
-    return out
-
-
-def gflip_rect(parity1, parity2):
-    """Flip V (x) W -> W (x) V as a square matrix on mixed composite bases."""
-    n1, n2 = len(parity1), len(parity2)
-    rows = [[ZERO] * (n1 * n2) for _ in range(n1 * n2)]
-    for i in range(n1):
-        for j in range(n2):
-            v = ONE if (parity1[i] * parity2[j]) % 2 == 0 else -ONE
-            rows[j * n1 + i][i * n2 + j] = v
-    return rows  # raw rows; row space W(x)V, column space V(x)W
+            out[(j * n + i, i * n + j)] = -ONE if parity[i] and parity[j] else ONE
+    return GradedMatrix(kron_parity(parity, parity), out)
 
 
 def _base_parity(r, base=None):
@@ -267,7 +267,7 @@ def _base_parity(r, base=None):
     every space constructed in this package.
     """
     n2 = r.dim
-    n = int(round(n2 ** 0.5))
+    n = math.isqrt(n2)
     if n * n != n2:
         raise MatrixError("matrix does not act on V (x) V")
     if base is None:
@@ -306,51 +306,39 @@ def place_two_leg(x, legs, spaces):
     parity = spaces[0]
     for p in spaces[1:]:
         parity = kron_parity(parity, p)
-    out = GradedMatrix.zeros(parity)
-
-    mids = list(range(i + 1, j))
-    pres = list(range(0, i))
 
     # strides for composite row-major index
     strides = [1] * len(spaces)
     for k in range(len(spaces) - 2, -1, -1):
         strides[k] = strides[k + 1] * dims[k + 1]
 
-    def iter_assign(fixed):
-        """All composite indices with the given {leg: basis-index}."""
-        free = [k for k in range(len(spaces)) if k not in fixed]
-        idx = [0] * len(spaces)
-        for k, v in fixed.items():
-            idx[k] = v
-
-        def rec(pos):
-            if pos == len(free):
-                yield sum(idx[k] * strides[k] for k in range(len(spaces))), list(idx)
-                return
-            k = free[pos]
-            for v in range(dims[k]):
-                idx[k] = v
-                yield from rec(pos + 1)
-
-        yield from rec(0)
+    # every basis assignment of the other legs, as (offset, parity of the
+    # legs between i and j, parity of the legs before i)
+    others = [(0, 0, 0)]
+    for k in range(len(spaces)):
+        if k in (i, j):
+            continue
+        others = [
+            (off + v * strides[k], mid + (pk if i < k < j else 0), pre + (pk if k < i else 0))
+            for off, mid, pre in others
+            for v, pk in enumerate(spaces[k])
+        ]
 
     pi, pj = spaces[i], spaces[j]
     dj = dims[j]
-    for r, c, v in x.entries():
+    out = {}
+    for (r, c), v in x._nz.items():
         ri, rj = divmod(r, dj)
         ci, cj = divmod(c, dj)
         second_par = (pj[rj] + pj[cj]) % 2
         entry_par = (pi[ri] + pi[ci] + second_par) % 2
-        for flat_diag, idx in iter_assign({i: 0, j: 0}):
-            sgn = 0
-            if second_par:
-                sgn += sum(spaces[k][idx[k]] for k in mids)
-            if entry_par:
-                sgn += sum(spaces[k][idx[k]] for k in pres)
-            row = flat_diag + ri * strides[i] + rj * strides[j]
-            col = flat_diag + ci * strides[i] + cj * strides[j]
-            out.rows[row][col] = v if sgn % 2 == 0 else -v
-    return out
+        row0 = ri * strides[i] + rj * strides[j]
+        col0 = ci * strides[i] + cj * strides[j]
+        neg_v = -v
+        for off, mid, pre in others:
+            sgn = (mid if second_par else 0) + (pre if entry_par else 0)
+            out[(off + row0, off + col0)] = neg_v if sgn % 2 else v
+    return GradedMatrix(parity, out)
 
 
 def embed(r, legs, p3=None, base=None):
@@ -389,29 +377,29 @@ def check_gybe(r, name="gybe", base=None):
 
 def _field_inverse(a):
     """Gauss-Jordan inverse for matrices whose entries are free of theta, xi."""
-    n = a.dim
-    aug = [row[:] + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a.rows)]
     from .scalar import inv as scalar_inv
 
+    n = a.dim
+    # row r of [a | I] as {column: nonzero value}; columns n.. hold the inverse
+    aug = [{n + r: ONE} for r in range(n)]
+    for (i, j), v in a._nz.items():
+        aug[i][j] = v
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if col in aug[r]), None)
         if piv is None:
             raise MatrixError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
         pinv = scalar_inv(aug[col][col])
-        aug[col] = [v * pinv for v in aug[col]]
+        prow = {c: v * pinv for c, v in aug[col].items()}
+        aug[col] = prow
         for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f.is_zero():
-                continue
-            aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return GradedMatrix(n, a.parity, [row[n:] for row in aug])
+            f = aug[r].get(col) if r != col else None
+            if f is not None:
+                aug[r] = _accumulate(aug[r], ((c, -(f * w)) for c, w in prow.items()))
+    return GradedMatrix(
+        a.parity,
+        {(r, c - n): v for r, row in enumerate(aug) for c, v in row.items() if c >= n},
+    )
 
 
 def inverse(a, verify=True):
@@ -485,16 +473,23 @@ def to_json_dict(m):
     return {
         "dim": m.dim,
         "parities": list(m.parity),
-        "entries": [
-            [i + 1, j + 1, format_scalar(v)] for i, j, v in sorted(m.entries(), key=lambda t: (t[0], t[1]))
-        ],
+        "entries": [[i + 1, j + 1, format_scalar(v)] for i, j, v in m.entries()],
     }
 
 
 def from_json_dict(d):
-    out = GradedMatrix.zeros(tuple(d["parities"]))
-    if d["dim"] != len(d["parities"]):
-        raise MatrixError("dim does not match parity length")
+    """Parse to_json_dict output; reject bad parities, dims and indices."""
+    parity = tuple(d["parities"])
+    n = len(parity)
+    if d["dim"] != n:
+        raise MatrixError("dim %r does not match %d parities" % (d["dim"], n))
+    if any(type(p) is not int or p not in (0, 1) for p in parity):
+        raise MatrixError("parities must be 0 or 1, got %r" % (list(parity),))
+    entries = {}
     for i, j, text in d["entries"]:
-        out.rows[i - 1][j - 1] = parse_scalar(text)
-    return out
+        if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= n):
+            raise MatrixError("entry index (%r, %r) outside 1..%d" % (i, j, n))
+        if (i - 1, j - 1) in entries:
+            raise MatrixError("entry (%d, %d) given twice" % (i, j))
+        entries[(i - 1, j - 1)] = parse_scalar(text)
+    return GradedMatrix.from_entries(parity, entries)

@@ -51,22 +51,20 @@ def kr_rmatrix():
     qi = sc.q_var(-1)
     w = sc.omega()
     b = -w / sc.s_var()
-    m = GradedMatrix.zeros(_PAIR_PARITY)
-    for i, v in enumerate([q, ONE, qi, ONE, ONE, ONE, qi, ONE, q]):
-        m.rows[i][i] = v
-    m.rows[1][3] = w           # a
-    m.rows[2][4] = b           # b
-    m.rows[2][6] = w * (ONE + qi)  # e
-    m.rows[4][6] = b           # c
-    m.rows[5][7] = w           # d
-    return m
+    entries = {(i, i): v for i, v in enumerate([q, ONE, qi, ONE, ONE, ONE, qi, ONE, q])}
+    entries[(1, 3)] = w              # a
+    entries[(2, 4)] = b              # b
+    entries[(2, 6)] = w * (ONE + qi)  # e
+    entries[(4, 6)] = b              # c
+    entries[(5, 7)] = w              # d
+    return GradedMatrix.from_entries(_PAIR_PARITY, entries)
 
 
 def m_matrix():
     """M = I + theta X+ in the fundamental: unipotent with theta at (1,3)."""
-    m = GradedMatrix.identity(_FUND_PARITY)
-    m.rows[0][2] = sc.theta_var()
-    return m
+    entries = {(i, i): ONE for i in range(3)}
+    entries[(0, 2)] = sc.theta_var()
+    return GradedMatrix.from_entries(_FUND_PARITY, entries)
 
 
 def x_entries():
@@ -133,13 +131,13 @@ def f_super_fund():
     """
     xi = sc.xi_var()
     half_xi = xi.scale(Fraction(1, 2))
-    m = GradedMatrix.identity(_PAIR_PARITY)
-    m.rows[0][4] = half_xi
-    m.rows[0][8] = -(xi * xi).scale(Fraction(1, 8))
-    m.rows[1][5] = half_xi
-    m.rows[3][7] = -half_xi
-    m.rows[4][8] = -half_xi
-    return m
+    entries = {(i, i): ONE for i in range(9)}
+    entries[(0, 4)] = half_xi
+    entries[(0, 8)] = -(xi * xi).scale(Fraction(1, 8))
+    entries[(1, 5)] = half_xi
+    entries[(3, 7)] = -half_xi
+    entries[(4, 8)] = -half_xi
+    return GradedMatrix.from_entries(_PAIR_PARITY, entries)
 
 
 class NamedMatrix:
@@ -303,10 +301,10 @@ def check_lplus_slices():
     ok = True
     for bi in range(3):
         for bj in range(3):
-            block = GradedMatrix.zeros(_FUND_PARITY)
-            for a in range(3):
-                for b in range(3):
-                    block.rows[a][b] = r.rows[3 * bi + a][3 * bj + b]
+            block = GradedMatrix.from_entries(
+                _FUND_PARITY,
+                {(a, b): r[3 * bi + a, 3 * bj + b] for a in range(3) for b in range(3)},
+            )
             want = expected.get((bi, bj), GradedMatrix.zeros(_FUND_PARITY))
             if block != want:
                 ok = False

@@ -373,18 +373,10 @@ def _shell_equations_sym(known_bilinear, shell, r1, r2, order):
 
     base = residual_with({})
     columns = [residual_with({key: Fraction(1)}) - base for key in shell]
-    rows, rhs = [], []
-    n = base.dim
-    for i in range(n):
-        for j in range(n):
-            coeffs = [col.rows[i][j] for col in columns]
-            b = base.rows[i][j]
-            if b.is_zero() and all(c.is_zero() for c in coeffs):
-                continue
-            rows.append(
-                [c.as_fraction() if not c.is_zero() else Fraction(0) for c in coeffs]
-            )
-            rhs.append(-(b.as_fraction() if not b.is_zero() else Fraction(0)))
+    # one equation per entry that is nonzero in base or any column, row-major
+    positions = sorted({(i, j) for m in (base, *columns) for i, j, _ in m.entries()})
+    rows = [[col[i, j].as_fraction() for col in columns] for i, j in positions]
+    rhs = [-base[i, j].as_fraction() for i, j in positions]
     return rows, rhs
 
 

@@ -41,7 +41,7 @@ class Report:
         return {
             "suite": self.name,
             "checks": [
-                {"name": c.name, "pass": c.passed, "residual_summary": c.detail}
+                {"name": c.name, "pass": c.passed, "residual_summary": c.detail, "data": c.data}
                 for c in self.checks
             ],
         }

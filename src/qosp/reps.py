@@ -113,7 +113,7 @@ class Representation:
         return self._cache[key]
 
     def h_weights(self):
-        return [self.h.rows[i][i].as_fraction() for i in range(self.dim)]
+        return [self.h[i, i].as_fraction() for i in range(self.dim)]
 
     def s_power_h(self, mult=1):
         """Diagonal matrix s**(mult*h); q**(h/2) is s_power_h(1)."""

@@ -91,11 +91,13 @@ class Poly:
         for (a1, b1, c1), u in self.terms.items():
             for (a2, b2, c2), v in other.terms.items():
                 k = (a1 + a2, b1 + b2, c1 + c2)
-                w = out.get(k, _FR0) + u * v
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
+                w = u * v  # nonzero: u and v are
+                if k in out:
+                    w += out[k]
+                    if not w:
+                        del out[k]
+                        continue
+                out[k] = w
         return Poly(out)
 
     def scale(self, c):
@@ -234,7 +236,7 @@ class Scalar:
 
     def __init__(self, num, den=None, _normalized=False):
         if den is None:
-            den = Poly.const(1)
+            den = _P_ONE
         if _normalized:
             self.num = num
             self.den = den
@@ -248,7 +250,7 @@ class Scalar:
     @staticmethod
     def from_fraction(c):
         c = Fraction(c)
-        return Scalar(Poly.const(c), Poly.const(1), _normalized=True)
+        return Scalar(Poly.const(c), _P_ONE, _normalized=True)
 
     @staticmethod
     def var(name, power=1):
@@ -257,7 +259,7 @@ class Scalar:
         if power >= 0:
             exps = [0, 0, 0]
             exps[idx] = power
-            return Scalar(Poly.monomial(1, *exps), Poly.const(1), _normalized=True)
+            return Scalar(Poly.monomial(1, *exps), _P_ONE, _normalized=True)
         if name != "s":
             raise ScalarError("only s admits negative powers")
         return Scalar(Poly.const(1), Poly.monomial(1, es=-power))
@@ -287,12 +289,18 @@ class Scalar:
         return hash((self.num, self.den))
 
     # -- field operations ----------------------------------------------------
+    #
+    # Fast path: every denominator equal to 1 is the shared _P_ONE (see
+    # _normalize), and over denominator 1 a sum or product of reduced
+    # scalars is already reduced, so both skip _normalize.
 
     def __add__(self, other):
         if self.num.is_zero():
             return other
         if other.num.is_zero():
             return self
+        if self.den is _P_ONE and other.den is _P_ONE:
+            return Scalar(self.num + other.num, _P_ONE, _normalized=True)
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(
@@ -308,6 +316,8 @@ class Scalar:
     def __mul__(self, other):
         if self.num.is_zero() or other.num.is_zero():
             return ZERO
+        if self.den is _P_ONE and other.den is _P_ONE:
+            return Scalar(self.num * other.num, _P_ONE, _normalized=True)
         return Scalar(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
@@ -356,7 +366,7 @@ def _normalize(num, den):
     if not den.is_s_only():
         raise ScalarError("denominator must be univariate in s")
     if num.is_zero():
-        return Poly(), Poly.const(1)
+        return Poly(), _P_ONE
     dden = den.to_dense_s()
     # pull the s-content of the denominator against the numerator first
     low = next(i for i, c in enumerate(dden) if c)
@@ -381,6 +391,8 @@ def _normalize(num, den):
     if lead != 1:
         dden = [c / lead for c in dden]
         num = num.scale(_FR1 / lead)
+    if len(dden) == 1:
+        return num, _P_ONE
     return num, Poly.from_dense_s(dden)
 
 

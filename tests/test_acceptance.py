@@ -75,7 +75,7 @@ def test_criterion_1_golden_reconstruction():
         "x7": w * th, "x8": -(c * th), "x9": w * th,
     }
     for name, (i, j) in positions.items():
-        ok = ok and tr.rows[i][j] == xs[name] == explicit[name]
+        ok = ok and tr[i, j] == xs[name] == explicit[name]
     _criterion("1 golden reconstruction", ok, t0, 1)
 
 
@@ -174,15 +174,15 @@ def test_criterion_10_property_meta_suites():
     fund_parity = (0, 1, 0)
 
     def rand_matrix(parity, homogeneous=None, density=0.5):
-        m = GradedMatrix.zeros(parity)
+        entries = {}
         n = len(parity)
         for i in range(n):
             for j in range(n):
                 if homogeneous is not None and (parity[i] + parity[j]) % 2 != homogeneous:
                     continue
                 if rng.random() < density:
-                    m.rows[i][j] = rational(Fraction(rng.randint(-4, 4)))
-        return m
+                    entries[(i, j)] = rational(Fraction(rng.randint(-4, 4)))
+        return GradedMatrix.from_entries(parity, entries)
 
     ok = True
     # gkron associativity

@@ -95,6 +95,18 @@ def test_verify_json_shape(capsys):
     assert all({"name", "pass", "residual_summary"} <= set(c) for c in payload[0]["checks"])
 
 
+def test_verify_json_carries_check_data(capsys):
+    from qosp.report import Check, Report
+
+    rep = Report("r")
+    rep.add(Check("c", False, "first failing xi order 2", data={"first_failing_order": 2}))
+    assert rep.to_json()["checks"][0]["data"] == {"first_failing_order": 2}
+    rc, out, _ = run_cli(["verify", "--suite", "ybe", "--json"], capsys)
+    assert rc == 0
+    checks = json.loads(out)[0]["checks"]
+    assert [c["data"] for c in checks] == [{"nonzero": []}] * 3
+
+
 def test_verify_deterministic(capsys):
     rc1, out1, _ = run_cli(["verify", "--suite", "frt", "--spins", "1/2"], capsys)
     rc2, out2, _ = run_cli(["verify", "--suite", "frt", "--spins", "1/2"], capsys)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszul_rules import gkron_rule
 from qosp import scalar as sc
 from qosp.coproducts import (
     CLASSICAL,
@@ -84,8 +85,6 @@ def test_composed_twist_row_rule_fails_on_h(fund):
     term of the twisted coproduct of h flips sign, so the conjugation
     check must fail; this pins the column rule.
     """
-    from qosp.gmatrix import gkron as gk
-
     k = f_super_fund() * f_jordanian(fund, fund)
     k_inv = inverse(k)
     dh = k * evaluate_terms(CLASSICAL.rules["h"], fund, fund) * k_inv
@@ -94,9 +93,9 @@ def test_composed_twist_row_rule_fails_on_h(fund):
     e_inv2 = fund.e_power(-2)
     for conv, expect_match in (("first_col", True), ("first_row", False)):
         rule = (
-            gk(fund.h, e_inv2, conv)
-            + gk(fund.identity, fund.h, conv)
-            + gk(fund.v_plus * e_inv, fund.v_plus * e_inv2, conv)
+            gkron_rule(fund.h, e_inv2, conv)
+            + gkron_rule(fund.identity, fund.h, conv)
+            + gkron_rule(fund.v_plus * e_inv, fund.v_plus * e_inv2, conv)
             .scale(4)
             .map_entries(lambda a: a * xi)
         )
@@ -141,11 +140,12 @@ def test_conjugation_preserves_relations_meta(fund, spin1):
     for r2 in (fund, spin1):
         parity = kron_parity(fund.parity, r2.parity)
         n = len(parity)
-        f = GradedMatrix.identity(parity)
+        entries = {(i, i): ONE for i in range(n)}
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.4:
-                    f.rows[i][j] = xi.scale(rng.randint(-2, 2))
+                    entries[(i, j)] = xi.scale(rng.randint(-2, 2))
+        f = GradedMatrix.from_entries(parity, entries)
         conj = twist_conjugate(f, CLASSICAL, fund, r2)
         dh, dvp, dvm = conj["h"], conj["v+"], conj["v-"]
         assert (dh * dvp - dvp * dh - dvp).is_zero()

@@ -8,10 +8,13 @@ combination (column rule, parity (0,1,0), exponent -2 xi (v x v) Phi)
 is the one that reproduces the fixed matrices.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qosp import scalar as sc
 from qosp.gmatrix import (
@@ -30,6 +33,7 @@ from qosp.gmatrix import (
     place_two_leg,
     to_json_dict,
 )
+from koszul_rules import gkron_rule
 from qosp.matrices import f_jordanian, f_super_fund, kr_rmatrix, m_matrix
 from qosp.reps import fundamental_rep
 from qosp.scalar import ONE, ZERO, rational
@@ -38,15 +42,15 @@ FUND = (0, 1, 0)
 
 
 def _rand_matrix(rng, parity, density=0.5, homogeneous=None):
-    m = GradedMatrix.zeros(parity)
+    entries = {}
     n = len(parity)
     for i in range(n):
         for j in range(n):
             if homogeneous is not None and (parity[i] + parity[j]) % 2 != homogeneous:
                 continue
             if rng.random() < density:
-                m.rows[i][j] = rational(Fraction(rng.randint(-4, 4)))
-    return m
+                entries[(i, j)] = rational(Fraction(rng.randint(-4, 4)))
+    return GradedMatrix.from_entries(parity, entries)
 
 
 def test_gkron_identities():
@@ -63,7 +67,7 @@ def test_gkron_m_squared_pattern():
         (0, 8): th * th,
     }
     for (i, j), v in expected.items():
-        assert mm.rows[i][j] == v
+        assert mm[i, j] == v
     assert mm.nonzero_count() == 9 + 7
 
 
@@ -73,18 +77,18 @@ def test_gkron_vv_signs():
     f = fundamental_rep()
     g = gkron(f.v_plus, f.v_plus)
     quarter = Fraction(1, 4)
-    assert g.rows[0][4] == rational(-quarter)
-    assert g.rows[1][5] == rational(-quarter)
-    assert g.rows[3][7] == rational(quarter)
-    assert g.rows[4][8] == rational(quarter)
+    assert g[0, 4] == rational(-quarter)
+    assert g[1, 5] == rational(-quarter)
+    assert g[3, 7] == rational(quarter)
+    assert g[4, 8] == rational(quarter)
     assert g.nonzero_count() == 4
 
 
 def test_gflip_entries_and_involution():
     p = gflip(FUND)
     # odd-odd pair picks up the Koszul minus
-    assert p.rows[4][4] == -ONE
-    assert p.rows[3][1] == ONE
+    assert p[4, 4] == -ONE
+    assert p[3, 1] == ONE
     assert (p * p).is_identity()
 
 
@@ -189,8 +193,9 @@ def test_embed_matches_flip_conjugation():
 
 def test_check_gybe_detects_failure():
     rng = random.Random(16)
-    bad = kr_rmatrix()
-    bad.rows[1][3] = ONE  # break the a-entry
+    entries = {(i, j): v for i, j, v in kr_rmatrix().entries()}
+    entries[(1, 3)] = ONE  # break the a-entry
+    bad = GradedMatrix.from_entries(kron_parity(FUND, FUND), entries)
     assert not check_gybe(bad).passed
 
 
@@ -198,7 +203,7 @@ def test_inverse_unipotent_and_diagonal():
     m = m_matrix()
     m_inv = inverse(m)
     th = sc.theta_var()
-    assert m_inv.rows[0][2] == -th
+    assert m_inv[0, 2] == -th
     assert (m * m_inv).is_identity()
     i9 = GradedMatrix.identity(kron_parity(FUND, FUND))
     assert inverse(i9) == i9
@@ -208,8 +213,8 @@ def test_inverse_jordanian_block_swap():
     fj = f_jordanian()
     fj_inv = inverse(fj)
     xi = sc.xi_var()
-    assert fj_inv.rows[0][2] == -xi
-    assert fj_inv.rows[6][8] == xi
+    assert fj_inv[0, 2] == -xi
+    assert fj_inv[6, 8] == xi
     assert (fj * fj_inv).is_identity()
 
 
@@ -225,11 +230,12 @@ def test_inverse_random_unipotent():
     for _ in range(25):
         parity = FUND
         n = len(parity)
-        u = GradedMatrix.identity(parity)
+        entries = {(i, i): ONE for i in range(n)}
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.7:
-                    u.rows[i][j] = xi.scale(rng.randint(-3, 3))
+                    entries[(i, j)] = xi.scale(rng.randint(-3, 3))
+        u = GradedMatrix.from_entries(parity, entries)
         u_inv = inverse(u)
         assert (u * u_inv).is_identity()
         assert (u_inv * u).is_identity()
@@ -239,16 +245,16 @@ def test_exp_log_round_trip():
     z = GradedMatrix.zeros(FUND)
     assert exp_nilpotent(z).is_identity()
     xi = sc.xi_var()
-    n = GradedMatrix.zeros(FUND)
-    n.rows[0][2] = xi.scale(2)
+    n = GradedMatrix.from_entries(FUND, {(0, 2): xi.scale(2)})
     u = GradedMatrix.identity(FUND) + n
     assert log_unipotent(u) == n
     rng = random.Random(18)
     for _ in range(25):
-        m = GradedMatrix.zeros(FUND)
+        entries = {}
         for i in range(3):
             for j in range(i + 1, 3):
-                m.rows[i][j] = xi.scale(rng.randint(-3, 3))
+                entries[(i, j)] = xi.scale(rng.randint(-3, 3))
+        m = GradedMatrix.from_entries(FUND, entries)
         assert log_unipotent(exp_nilpotent(m)) == m
 
 
@@ -284,14 +290,17 @@ def test_json_round_trip():
 # the sign-convention enumeration, shipped rather than hidden
 
 
+def _with_parity(base, parity):
+    entries = {(i, j): v for i, j, v in base.entries()}
+    return GradedMatrix.from_entries(kron_parity(parity, parity), entries)
+
+
 def _kr_with_parity(parity):
-    base = kr_rmatrix()
-    return GradedMatrix(9, kron_parity(parity, parity), [row[:] for row in base.rows])
+    return _with_parity(kr_rmatrix(), parity)
 
 
 def _fs_golden(parity):
-    base = f_super_fund()
-    return GradedMatrix(9, kron_parity(parity, parity), [row[:] for row in base.rows])
+    return _with_parity(f_super_fund(), parity)
 
 
 ALL_PARITIES = [
@@ -331,8 +340,8 @@ def test_sign_convention_enumeration():
             lambda a: a * xi
         ).scale(Fraction(1, 2))
         for conv in CONVENTIONS:
-            gv = gkron(v, v, conv)
-            phi_im = gkron(f1, f1, conv)
+            gv = gkron_rule(v, v, conv)
+            phi_im = gkron_rule(f1, f1, conv)
             for sign in (1, -1):
                 t = (gv * phi_im).scale(2 * sign).map_entries(lambda a: a * xi)
                 if exp_nilpotent(t) == _fs_golden(parity):
@@ -342,3 +351,155 @@ def test_sign_convention_enumeration():
         ((0, 1, 0), "first_row", 1),
         ((0, 1, 0), "first_col", -1),
     }
+
+
+# ---------------------------------------------------------------------------
+# sparse, immutable storage
+
+
+def test_json_rejects_bad_indices_and_parities():
+    def doc(entries, parities=(0, 1, 0), dim=3):
+        return {"dim": dim, "parities": list(parities), "entries": entries}
+
+    bad = [
+        doc([[0, 1, "1"]]),  # index 0 used to write the last row
+        doc([[1, 0, "1"]]),
+        doc([[4, 1, "1"]]),
+        doc([[1, -1, "1"]]),
+        doc([[1, 1, "1"], [1, 1, "2"]]),
+        doc([], parities=(0, 2, 0)),
+        doc([], parities=(0, -1, 0)),
+        doc([], dim=2),
+    ]
+    for d in bad:
+        with pytest.raises(MatrixError):
+            from_json_dict(d)
+    assert from_json_dict(doc([[3, 3, "1"]])) == GradedMatrix.from_entries(FUND, {(2, 2): ONE})
+
+
+def test_no_zero_entry_is_stored():
+    r = kr_rmatrix()
+    xi = sc.xi_var()
+    n = GradedMatrix.from_entries(FUND, {(0, 2): xi})
+    cancelled = [
+        r - r,
+        r + (-r),
+        r.scale(0),
+        r.xi_coefficient(1),
+        r.map_entries(lambda a: a - a),
+        n * n,
+        GradedMatrix.from_entries(FUND, {(0, 0): ZERO, (1, 1): ONE - ONE}),
+    ]
+    for m in cancelled:
+        assert m.nonzero_count() == 0
+        assert list(m.entries()) == []
+        assert m == GradedMatrix.zeros(m.parity)
+    partial = r - GradedMatrix.identity(r.parity)
+    assert all(not v.is_zero() for _, _, v in partial.entries())
+    assert partial.nonzero_count() == r.nonzero_count() - 5  # the five unit diagonal entries
+    assert partial[1, 1] == ZERO
+
+
+def test_matrices_are_immutable():
+    r = kr_rmatrix()
+    before = to_json_dict(r)
+    assert not hasattr(r, "rows")
+    with pytest.raises(TypeError):
+        r[0, 0] = ONE
+    for name in ("dim", "parity", "rows", "_nz"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+    with pytest.raises(AttributeError):
+        del r.dim
+    with pytest.raises(IndexError):
+        r[9, 0]
+    entries = {(0, 0): ONE}
+    m = GradedMatrix.from_entries(FUND, entries)
+    entries[(0, 0)] = ZERO
+    assert m[0, 0] == ONE
+    for _ in (r + r, r - r, -r, r * r, r.scale(2), r.transpose(), gkron(m, m), conjugate_flip(r)):
+        pass
+    assert to_json_dict(r) == before
+
+
+_SCALARS = st.sampled_from(
+    [ZERO, ZERO, ONE, -ONE, rational(2), rational(Fraction(-1, 2)), sc.xi_var(), -sc.xi_var()]
+)
+_PARITIES = st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _graded_matrices(draw, parity):
+    n = len(parity)
+    values = draw(st.lists(_SCALARS, min_size=n * n, max_size=n * n))
+    return GradedMatrix.from_entries(
+        parity, {(i, j): values[i * n + j] for i in range(n) for j in range(n)}
+    )
+
+
+def _dense(m):
+    return [[m[i, j] for j in range(m.dim)] for i in range(m.dim)]
+
+
+def _assert_matches(m, dense):
+    """m equals the dense reference and stores exactly its nonzeros."""
+    assert _dense(m) == dense
+    assert all(not v.is_zero() for _, _, v in m.entries())
+    assert m.nonzero_count() == sum(not v.is_zero() for row in dense for v in row)
+
+
+def _dense_gkron(a, b):
+    pa, pb = a.parity, b.parity
+    n1, n2 = a.dim, b.dim
+    da, db = _dense(a), _dense(b)
+    out = [[ZERO] * (n1 * n2) for _ in range(n1 * n2)]
+    for i, j, x, y in itertools.product(range(n1), range(n1), range(n2), range(n2)):
+        v = da[i][j] * db[x][y]
+        out[i * n2 + x][j * n2 + y] = -v if pa[j] * (pb[x] + pb[y]) % 2 else v
+    return out
+
+
+def _dense_place_two_leg(x, legs, spaces):
+    """Every (row, column) pair of the product basis, straight from the sign rule."""
+    i, j = legs
+    dims = [len(p) for p in spaces]
+    dx = _dense(x)
+    basis = list(itertools.product(*(range(d) for d in dims)))
+    out = []
+    for r in basis:
+        row = []
+        for c in basis:
+            if any(r[k] != c[k] for k in range(len(dims)) if k not in legs):
+                row.append(ZERO)
+                continue
+            v = dx[r[i] * dims[j] + r[j]][c[i] * dims[j] + c[j]]
+            second = (spaces[j][r[j]] + spaces[j][c[j]]) % 2
+            entry = (spaces[i][r[i]] + spaces[i][c[i]] + second) % 2
+            sgn = second * sum(spaces[k][r[k]] for k in range(i + 1, j))
+            sgn += entry * sum(spaces[k][r[k]] for k in range(i))
+            row.append(-v if sgn % 2 else v)
+        out.append(row)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_operations_match_dense_reference(data):
+    parity = data.draw(_PARITIES)
+    a = data.draw(_graded_matrices(parity))
+    b = data.draw(_graded_matrices(parity))
+    da, db = _dense(a), _dense(b)
+    n = len(parity)
+    _assert_matches(
+        a * b,
+        [[sum((da[i][k] * db[k][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)],
+    )
+    _assert_matches(a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)])
+    _assert_matches(a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)])
+    c = data.draw(_PARITIES.flatmap(_graded_matrices))
+    _assert_matches(gkron(a, c), _dense_gkron(a, c))
+
+    spaces = [data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=2).map(tuple)) for _ in range(3)]
+    legs = data.draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    x = data.draw(_graded_matrices(kron_parity(spaces[legs[0]], spaces[legs[1]])))
+    _assert_matches(place_two_leg(x, legs, spaces), _dense_place_two_leg(x, legs, spaces))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszul_rules import gkron_rule
 from qosp import scalar as sc
 from qosp.gmatrix import check_gybe, conjugate_flip, gkron, inverse, to_json_dict
 from qosp.matrices import (
@@ -30,9 +31,9 @@ from qosp.scalar import ONE, ZERO, rational
 
 def test_kr_entries():
     r = kr_rmatrix()
-    assert r.rows[0][0] == sc.q_var()
-    assert r.rows[2][6] == sc.omega() * (ONE + sc.q_var(-1))
-    assert r.rows[2][4] == -(sc.omega() / sc.s_var())
+    assert r[0, 0] == sc.q_var()
+    assert r[2, 6] == sc.omega() * (ONE + sc.q_var(-1))
+    assert r[2, 4] == -(sc.omega() / sc.s_var())
     assert r.substitute({"s": ONE}).is_identity()
 
 
@@ -54,7 +55,7 @@ def test_transform_entries():
     tr = transform_r()
     xs = x_entries()
     for name, (i, j) in X_POSITIONS.items():
-        assert tr.rows[i][j] == xs[name], name
+        assert tr[i, j] == xs[name], name
     assert tr.substitute({"theta": ZERO}) == kr_rmatrix()
     assert tr.nonzero_count() == kr_rmatrix().nonzero_count() + 9
 
@@ -62,7 +63,7 @@ def test_transform_entries():
 def test_transform_orientation_negative_control():
     reversed_tr = transform_r("reversed")
     xs = x_entries()
-    assert reversed_tr.rows[0][2] != xs["x1"]
+    assert reversed_tr[0, 2] != xs["x1"]
     assert reversed_tr != transform_r()
 
 
@@ -72,11 +73,9 @@ def test_new_entries_divisible_by_omega_theta():
 
 def test_transform_conjugator_sign_indifferent():
     # M is parity-even, so every Koszul rule gives the same M (x) M
-    from qosp.gmatrix import gkron
-
     m = m_matrix()
     images = {
-        conv: gkron(m, m, conv)
+        conv: gkron_rule(m, m, conv)
         for conv in ("first_col", "first_row", "second_row", "second_col")
     }
     assert all(img == images["first_col"] for img in images.values())
@@ -85,9 +84,9 @@ def test_transform_conjugator_sign_indifferent():
 def test_contracted_matrix():
     r = contract_r()
     xi = sc.xi_var()
-    assert r.rows[0][8] == (xi * xi).scale(Fraction(1, 2))
-    assert r.rows[1][5] == -xi
-    assert r.rows[0][2] == -xi
+    assert r[0, 8] == (xi * xi).scale(Fraction(1, 2))
+    assert r[1, 5] == -xi
+    assert r[0, 2] == -xi
     assert r.substitute({"xi": ZERO}).is_identity()
     # already s-free: a second limit pass changes nothing
     again = r.map_entries(sc.limit_at_one)
@@ -97,8 +96,8 @@ def test_contracted_matrix():
 def test_even_twist_matrix():
     fj = f_jordanian()
     xi = sc.xi_var()
-    assert fj.rows[0][2] == xi
-    assert fj.rows[6][8] == -xi
+    assert fj[0, 2] == xi
+    assert fj[6, 8] == -xi
     assert fj.nonzero_count() == 11
     assert fj.substitute({"xi": ZERO}).is_identity()
 
@@ -120,8 +119,8 @@ def test_even_twist_mixed_pair_unipotent():
 def test_odd_twist_matrix():
     fs = f_super_fund()
     xi = sc.xi_var()
-    assert fs.rows[0][4] == xi.scale(Fraction(1, 2))
-    assert fs.rows[0][8] == -(xi * xi).scale(Fraction(1, 8))
+    assert fs[0, 4] == xi.scale(Fraction(1, 2))
+    assert fs[0, 8] == -(xi * xi).scale(Fraction(1, 8))
     assert conjugate_flip(fs) * fs == gkron(
         fundamental_rep().identity, fundamental_rep().identity
     )

@@ -21,7 +21,7 @@ def test_fundamental_matrices():
     half = rational(Fraction(1, 2))
     assert f.dim == 3
     assert f.parity == (0, 1, 0)
-    assert [f.h.rows[i][i] for i in range(3)] == [ONE, ZERO, -ONE]
+    assert [f.h[i, i] for i in range(3)] == [ONE, ZERO, -ONE]
     assert f.v_plus == GradedMatrix.from_entries(f.parity, {(0, 1): half, (1, 2): half})
     assert f.v_minus == GradedMatrix.from_entries(
         f.parity, {(1, 0): -half, (2, 1): half}

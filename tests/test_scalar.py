@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qosp import scalar as sc
 from qosp.scalar import ONE, ZERO, Scalar, ScalarError, rational
@@ -171,3 +173,28 @@ def test_xi_coefficient_and_truncation():
     assert a.xi_coefficient(1) == rational(3)
     assert a.xi_coefficient(2) == sc.q_var()
     assert a.drop_xi_above(1) == ONE + xi.scale(3)
+
+
+_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    max_size=4,
+).map(lambda terms: sc.Poly({k: v for k, v in terms.items() if v}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POLYS, _POLYS)
+def test_denominator_one_fast_path_matches_normalize(p, q):
+    """Sums and products of denominator-1 scalars skip _normalize.
+
+    Scalar(num, den) with a freshly built den = 1 always runs the general
+    _normalize, so it is the reference for the fast path; the results keep
+    the shared unit denominator, so the fast path applies to them again.
+    """
+    a, b = Scalar(p), Scalar(q)
+    assert a.den is b.den
+    for fast, num in ((a * b, p * q), (a + b, p + q), (a - b, p - q)):
+        general = Scalar(num, sc.Poly.const(1))
+        assert fast == general
+        assert sc.format_scalar(fast) == sc.format_scalar(general)
+        assert fast.den is a.den
