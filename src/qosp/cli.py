@@ -1,8 +1,9 @@
 """Command-line front end: emit matrices, run suites, solve the series.
 
 Exit codes: 0 all requested checks pass, 1 at least one failed,
-2 usage error.  All variable bindings are exact rationals; output is
-deterministic for identical invocations.
+2 usage error (bad arguments, an unsupported spin, a missing or
+malformed golden fixture).  All variable bindings are exact rationals;
+output is deterministic for identical invocations.
 """
 
 from __future__ import annotations
@@ -29,15 +30,16 @@ from .coproducts import (
 from .gmatrix import to_json_dict
 from .matrices import (
     FIXTURE_NAMES,
+    FixtureError,
     contract_r,
     kr_rmatrix,
     matrix_suite,
     named_matrix,
     ybe_suite,
 )
-from .phi import PhiSeries, check_intertwining_s, solve_phi
+from .phi import MAX_ORDER, PhiSeries, check_intertwining_s, solve_phi
 from .report import Report
-from .reps import check_lt_relations, fundamental_rep, irrep
+from .reps import SUPPORTED_SPINS, check_lt_relations, fundamental_rep, irrep
 from .scalar import format_scalar, rational
 
 
@@ -47,9 +49,15 @@ class UsageError(Exception):
 
 def _parse_spin(text):
     try:
-        return Fraction(text)
+        spin = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError("bad spin %r" % text)
+    if spin not in SUPPORTED_SPINS:
+        raise UsageError(
+            "unsupported spin %s (supported: %s)"
+            % (spin, ", ".join(str(s) for s in SUPPORTED_SPINS))
+        )
+    return spin
 
 
 def _parse_bindings(pairs):
@@ -272,7 +280,7 @@ def cmd_solve_phi(args):
         if not b:
             raise UsageError("bad --pairs entry %r (expected spin:spin)" % spec_item)
         pairs.append((irrep(_parse_spin(a)), irrep(_parse_spin(b))))
-    order = args.order or 2
+    order = args.order
     phi, rep = solve_phi(order, pairs)
     payload = {
         "order": order,
@@ -326,7 +334,13 @@ def build_parser():
     p_verify.set_defaults(func=cmd_verify)
 
     p_solve = sub.add_parser("solve-phi", help="solve the odd twist series")
-    p_solve.add_argument("--order", type=int, default=2, help="max series term index")
+    p_solve.add_argument(
+        "--order",
+        type=int,
+        default=2,
+        choices=range(1, MAX_ORDER + 1),
+        help="max series term index",
+    )
     p_solve.add_argument("--pairs", help="spin pairs a:b,c:d (default 1:1/2,1:1)")
     p_solve.add_argument("--out")
     p_solve.set_defaults(func=cmd_solve_phi)
@@ -341,7 +355,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, FixtureError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -478,15 +478,21 @@ def to_json_dict(m):
 
 
 def from_json_dict(d):
-    """Parse to_json_dict output; reject bad parities, dims and indices."""
-    parity = tuple(d["parities"])
+    """Parse to_json_dict output; reject bad structure, parities, dims and indices."""
+    try:
+        parity, dim, raw = tuple(d["parities"]), d["dim"], list(d["entries"])
+    except (KeyError, TypeError):
+        raise MatrixError("matrix JSON needs dim, parities and entries")
     n = len(parity)
-    if d["dim"] != n:
-        raise MatrixError("dim %r does not match %d parities" % (d["dim"], n))
+    if dim != n:
+        raise MatrixError("dim %r does not match %d parities" % (dim, n))
     if any(type(p) is not int or p not in (0, 1) for p in parity):
         raise MatrixError("parities must be 0 or 1, got %r" % (list(parity),))
     entries = {}
-    for i, j, text in d["entries"]:
+    for entry in raw:
+        if type(entry) is not list or len(entry) != 3 or type(entry[2]) is not str:
+            raise MatrixError("entry %r is not [i, j, scalar text]" % (entry,))
+        i, j, text = entry
         if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= n):
             raise MatrixError("entry index (%r, %r) outside 1..%d" % (i, j, n))
         if (i - 1, j - 1) in entries:

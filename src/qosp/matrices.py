@@ -22,6 +22,7 @@ from fractions import Fraction
 from . import scalar as sc
 from .gmatrix import (
     GradedMatrix,
+    MatrixError,
     check_gybe,
     conjugate_flip,
     exp_nilpotent,
@@ -36,6 +37,11 @@ from .reps import fundamental_rep
 from .scalar import ONE, ZERO, divide_exact, limit_at_one, substitute
 
 FIXTURE_NAMES = ("kr", "transformed", "sjr", "fj", "fs")
+
+
+class FixtureError(Exception):
+    """A golden fixture that is missing or cannot be parsed."""
+
 
 _FUND_PARITY = (0, 1, 0)
 _PAIR_PARITY = kron_parity(_FUND_PARITY, _FUND_PARITY)
@@ -188,8 +194,12 @@ def fixture_path(name):
 
 
 def load_fixture(name):
-    with open(fixture_path(name)) as fh:
-        return from_json_dict(json.load(fh))
+    path = fixture_path(name)
+    try:
+        with open(path) as fh:
+            return from_json_dict(json.load(fh))
+    except (OSError, ValueError, MatrixError, sc.ScalarError) as exc:
+        raise FixtureError("cannot load golden fixture %s: %s" % (path, exc))
 
 
 def write_fixture(name, matrix, directory=None):

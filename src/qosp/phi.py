@@ -20,6 +20,23 @@ m + n = t - 1 first contribute at xi**t, and lower shells are already
 known when shell t is processed.  Solutions are reported per module
 pair; agreement across pairs is the strongest consistency statement
 available, since no closed form beyond f_1 is known.
+
+The shell residual is affine in the shell unknowns, exactly.  Shell t
+is matched at xi**(t+1).  Its unknown d = D[m, n] = D[n, m] enters the
+exponent as d B with
+
+    B = -2 xi**(t+1) (v u**m (x) v u**n + v u**n (x) v u**m),
+
+while every known term T starts at xi**1.  Products of d B with T or
+with itself start at xi**(t+2), so exp(T + d B) = exp(T) + d B through
+xi**(t+1).  The residual R(F) = F Dj(v+) - (v+ (x) 1 + E (x) v+) F is
+linear in F, so its slice is
+
+    R(exp(T))[xi**(t+1)] + sum_d d R(B)[xi**(t+1)],
+
+one exponential per shell for the constant part and one closed-form
+column R(B)[xi**(t+1)] per unknown.  Known terms with m + n > t start above the slice
+and are left out of T.
 """
 
 from __future__ import annotations
@@ -29,7 +46,9 @@ from fractions import Fraction
 from . import scalar as sc
 from .gmatrix import GradedMatrix, exp_nilpotent, gkron, inverse, kron_parity
 from .report import Check, Report
-from .scalar import ONE
+
+
+MAX_ORDER = 4  # highest series term index solve_phi accepts
 
 
 def f1_series_coeffs(order):
@@ -118,13 +137,6 @@ class PhiSeries:
 # evaluation on a module pair
 
 
-def _vu_power(r, m):
-    """Image of v * (xi X+)**m with the xi power kept symbolic."""
-    xi_m = sc.xi_var(m) if m else ONE
-    mat = r.v_plus * (r.x_plus ** m) if m else r.v_plus
-    return mat.map_entries(lambda a: a * xi_m)
-
-
 def exponent_from_bilinear(bilinear, r1, r2):
     """-2 xi sum D[m,n] (v u**m) (x) (v u**n) as one graded matrix."""
     xi = sc.xi_var()
@@ -132,7 +144,7 @@ def exponent_from_bilinear(bilinear, r1, r2):
     for (m, n), c in bilinear.items():
         if not c:
             continue
-        blk = gkron(_vu_power(r1, m), _vu_power(r2, n))
+        blk = gkron(r1.vu_power(m), r2.vu_power(n))
         total = total + blk.map_entries(lambda a: a * xi).scale(-2 * c)
     return total
 
@@ -201,9 +213,10 @@ def solve_linear_system(rows, rhs, ncols=None):
     """Exact Gaussian elimination.
 
     rows: list of coefficient lists; rhs: list of Fractions.  Returns
-    (solution dict, free columns, inconsistent rows); a solution maps
-    determined columns to values, with free columns reported rather
-    than silently pinned.
+    (solution dict, free columns, inconsistent rows).  The solution
+    maps determined columns to values; free columns, and pivot columns
+    whose value depends on them, are left out of it.  solve_phi holds
+    those unknowns at 0 in later shells and lists them as pinned.
     """
     m = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
     if ncols is None:
@@ -249,9 +262,14 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
     are restricted to m, n >= 1; without it the solver re-derives the
     f_1 expansion itself.  Returns the PhiSeries of the pooled
     solution plus a report with a per-pair consistency statement.
+
+    Evidence in the check data: each pair check lists under "pinned"
+    the unknowns it left undetermined (held at 0 from then on), and the
+    cross-pair check lists under "determined_by" the pairs that
+    determined each coefficient.
     """
-    if order > 4:
-        raise ValueError("series order capped at 4")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError("series order must be between 1 and %d" % MAX_ORDER)
     rep = Report("odd-twist series solve, order %d" % order)
     if include_f1:
         f1 = f1_series_coeffs(max(2 * (order - 1), 2))
@@ -274,6 +292,7 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
         solved = dict(known)
         findings = {}
         statuses = []
+        pinned = []
         for t in shells:
             shell = [
                 (m, t - m)
@@ -296,23 +315,27 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
                     if m != n:
                         solved[(n, m)] = solved.get((n, m), Fraction(0)) + solution[idx]
                     findings[key] = solution[idx]
+                else:
+                    pinned.append(key)
             if free:
                 statuses.append(
                     ("shell %d" % t, "underdetermined", [shell[c] for c in free])
                 )
             else:
                 statuses.append(("shell %d" % t, "unique", None))
-        per_pair.append(((r1.spin, r2.spin), findings, statuses, solved))
+        per_pair.append(((r1.spin, r2.spin), findings, statuses, pinned))
 
     # cross-pair consistency on shared determined coefficients
     consistent = True
     reference = {}
-    for (_, findings, _, _) in per_pair:
+    determined_by = {}
+    for (spins, findings, _, _) in per_pair:
         for key, val in findings.items():
             if key in reference and reference[key] != val:
                 consistent = False
             reference.setdefault(key, val)
-    for (spins, findings, statuses, _) in per_pair:
+            determined_by.setdefault(str(key), []).append([str(a) for a in spins])
+    for (spins, findings, statuses, pinned) in per_pair:
         detail = "; ".join(
             "%s %s%s" % (name, state, "" if extra is None else " " + str(extra))
             for name, state, extra in statuses
@@ -322,7 +345,10 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
                 "pair (%s, %s) solve" % (spins[0], spins[1]),
                 all(state != "inconsistent" for _, state, _ in statuses),
                 detail + " -> " + str({str(k): str(v) for k, v in findings.items()}),
-                data={"solved": {str(k): str(v) for k, v in findings.items()}},
+                data={
+                    "solved": {str(k): str(v) for k, v in findings.items()},
+                    "pinned": [str(k) for k in pinned],
+                },
             )
         )
     rep.add(
@@ -330,7 +356,10 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
             "cross-pair consistency",
             consistent,
             str({str(k): str(v) for k, v in reference.items()}),
-            data={"solved": {str(k): str(v) for k, v in reference.items()}},
+            data={
+                "solved": {str(k): str(v) for k, v in reference.items()},
+                "determined_by": determined_by,
+            },
         )
     )
 
@@ -357,22 +386,27 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
 
 
 def _shell_equations_sym(known_bilinear, shell, r1, r2, order):
-    """Shell equations with (m,n) and (n,m) tied to one unknown."""
+    """Shell equations with (m,n) and (n,m) tied to one unknown.
+
+    order is the matched xi power t + 1.  The residual is affine in the
+    shell unknowns (module docstring), so the base residual needs one
+    exponential of the known terms below the slice, and the column of
+    (m, n) is the xi**order slice of B Dj(v+) - target B, with B the
+    exponent of the unit form on (m, n) and (n, m).
+    """
     dj = _delta_j_vplus(r1, r2)
     target = _delta_sj_vplus(r1, r2)
 
-    def residual_with(extra):
-        bil = dict(known_bilinear)
-        for (m, n), val in extra.items():
-            bil[(m, n)] = bil.get((m, n), Fraction(0)) + val
-            if m != n:
-                bil[(n, m)] = bil.get((n, m), Fraction(0)) + val
-        t = exponent_from_bilinear(bil, r1, r2).drop_xi_above(order)
-        f = exp_nilpotent(t).drop_xi_above(order)
+    def slice_of(f):
         return ((f * dj) - (target * f)).xi_coefficient(order)
 
-    base = residual_with({})
-    columns = [residual_with({key: Fraction(1)}) - base for key in shell]
+    below = {(m, n): c for (m, n), c in known_bilinear.items() if m + n < order}
+    f = exp_nilpotent(exponent_from_bilinear(below, r1, r2)).drop_xi_above(order)
+    base = slice_of(f)
+    columns = [
+        slice_of(exponent_from_bilinear({(m, n): 1, (n, m): 1}, r1, r2))
+        for m, n in shell
+    ]
     # one equation per entry that is nonzero in base or any column, row-major
     positions = sorted({(i, j) for m in (base, *columns) for i, j, _ in m.entries()})
     rows = [[col[i, j].as_fraction() for col in columns] for i, j in positions]

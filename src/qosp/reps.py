@@ -112,6 +112,17 @@ class Representation:
             self._cache[key] = exp_nilpotent(self.sigma.scale(k))
         return self._cache[key]
 
+    def vu_power(self, m):
+        """Image of v+ (xi X+)**m, with the xi power kept symbolic."""
+        key = ("vu", m)
+        if key not in self._cache:
+            mat = self.v_plus
+            if m:
+                xi_m = sc.xi_var(m)
+                mat = (mat * self.x_plus ** m).map_entries(lambda a: a * xi_m)
+            self._cache[key] = mat
+        return self._cache[key]
+
     def h_weights(self):
         return [self.h[i, i].as_fraction() for i in range(self.dim)]
 

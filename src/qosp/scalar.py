@@ -598,14 +598,16 @@ def parse_poly(text):
             factor = factor.strip()
             if not factor:
                 raise ScalarError("malformed monomial in %r" % text)
-            if factor[0].isdigit():
-                coeff *= Fraction(factor)
-                continue
-            if "^" in factor:
-                name, _, e = factor.partition("^")
-                exps[name] += int(e)
-            else:
-                exps[factor] += 1
+            name, caret, e = factor.partition("^")
+            try:
+                if factor[0].isdigit():
+                    coeff *= Fraction(factor)
+                elif name in exps:
+                    exps[name] += int(e) if caret else 1
+                else:
+                    raise ScalarError("unknown variable %r in %r" % (name, text))
+            except (ValueError, ZeroDivisionError):
+                raise ScalarError("malformed factor %r in %r" % (factor, text))
         if negate:
             coeff = -coeff
         total = total + Poly.monomial(coeff, exps["s"], exps["theta"], exps["xi"])

@@ -130,6 +130,48 @@ def test_solve_phi_bad_pairs(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("order", ["0", "5", "-1"])
+def test_solve_phi_order_out_of_range(order, capsys):
+    rc, out, err = run_cli(["solve-phi", "--order", order], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err and "--order" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve-phi", "--pairs", "7/3:1"],
+        ["verify", "--suite", "frt", "--spins", "1/2,7/3"],
+        ["emit", "--rep", "7/3"],
+    ],
+)
+def test_unsupported_spin_is_usage_error(args, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "7/3" in err
+
+
+@pytest.mark.parametrize("content", [None, "{", '{"dim": 1}'])
+def test_bad_fixture_is_usage_error(content, tmp_path, monkeypatch, capsys):
+    """A missing or unreadable fixture is bad input, not a failed check."""
+    import qosp.matrices as mats
+
+    for name in mats.FIXTURE_NAMES:
+        mats.write_fixture(name, mats.named_matrix(name), directory=str(tmp_path))
+    path = tmp_path / "sjr.json"
+    if content is None:
+        path.unlink()
+    else:
+        path.write_text(content)
+    monkeypatch.setenv("QOSP_FIXTURES", str(tmp_path))
+    rc, out, err = run_cli(["verify", "--suite", "all"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+
+
 def test_verify_exit_one_on_failure(tmp_path, monkeypatch, capsys):
     """A corrupted golden fixture must drive the all-suite to exit 1."""
     import json as _json

@@ -370,6 +370,10 @@ def test_json_rejects_bad_indices_and_parities():
         doc([], parities=(0, 2, 0)),
         doc([], parities=(0, -1, 0)),
         doc([], dim=2),
+        {"dim": 1},
+        [],
+        doc([[1, 1]]),
+        doc([[1, 1, 1]]),
     ]
     for d in bad:
         with pytest.raises(MatrixError):

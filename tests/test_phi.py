@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from qosp import phi as phi_mod
 from qosp import scalar as sc
 from qosp.coproducts import CLASSICAL, evaluate_terms
-from qosp.gmatrix import inverse
+from qosp.gmatrix import exp_nilpotent, inverse
 from qosp.matrices import f_jordanian, f_super_fund
 from qosp.phi import (
     PhiSeries,
+    _delta_j_vplus,
+    _delta_sj_vplus,
     build_f_super,
     check_intertwining_s,
     compute_dsj_vminus,
+    exponent_from_bilinear,
     f1_series_coeffs,
     solve_phi,
 )
@@ -124,6 +128,100 @@ def test_solver_reports_inconsistency(spin1):
     rows, rhs = _shell_equations_sym(bad_known, [(1, 1)], spin1, spin1, 3)
     solution, free, inconsistent = solve_linear_system(rows, rhs, ncols=1)
     assert inconsistent
+
+
+def _finite_difference_shell_equations(known_bilinear, shell, r1, r2, order):
+    """Reference shell system: unit-step differences of the full residual.
+
+    Every column re-evaluates the truncated exponential of the whole
+    series with one unknown raised by 1.  The residual is affine in the
+    unknowns, so the unit step is exact.
+    """
+    dj = _delta_j_vplus(r1, r2)
+    target = _delta_sj_vplus(r1, r2)
+
+    def residual_with(extra):
+        bil = dict(known_bilinear)
+        for (m, n), val in extra.items():
+            bil[(m, n)] = bil.get((m, n), Fraction(0)) + val
+            if m != n:
+                bil[(n, m)] = bil.get((n, m), Fraction(0)) + val
+        t = exponent_from_bilinear(bil, r1, r2).drop_xi_above(order)
+        f = exp_nilpotent(t).drop_xi_above(order)
+        return ((f * dj) - (target * f)).xi_coefficient(order)
+
+    base = residual_with({})
+    columns = [residual_with({key: Fraction(1)}) - base for key in shell]
+    positions = sorted({(i, j) for m in (base, *columns) for i, j, _ in m.entries()})
+    rows = [[col[i, j].as_fraction() for col in columns] for i, j in positions]
+    rhs = [-base[i, j].as_fraction() for i, j in positions]
+    return rows, rhs
+
+
+def _record_shells(monkeypatch, *solve_args, **solve_kwargs):
+    """Run solve_phi and record every shell system with its exp count."""
+    calls = []
+    exp_count = [0]
+    shell_equations = phi_mod._shell_equations_sym
+
+    def counting_exp(t):
+        exp_count[0] += 1
+        return exp_nilpotent(t)
+
+    def recording(known, shell, r1, r2, order):
+        before = exp_count[0]
+        rows, rhs = shell_equations(known, shell, r1, r2, order)
+        calls.append((dict(known), list(shell), r1, r2, order, rows, rhs, exp_count[0] - before))
+        return rows, rhs
+
+    monkeypatch.setattr(phi_mod, "exp_nilpotent", counting_exp)
+    monkeypatch.setattr(phi_mod, "_shell_equations_sym", recording)
+    _, rep = solve_phi(*solve_args, **solve_kwargs)
+    assert rep.passed
+    return calls
+
+
+@pytest.mark.parametrize(
+    "order, spins, include_f1, nshells",
+    [
+        (4, [(Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True, 10),
+        (2, [(Fraction(1, 2), Fraction(1, 2))], False, 3),
+    ],
+)
+def test_shell_equations_match_finite_differences(
+    monkeypatch, order, spins, include_f1, nshells
+):
+    pairs = [(irrep(a), irrep(b)) for a, b in spins]
+    calls = _record_shells(monkeypatch, order, pairs, include_f1=include_f1)
+    assert len(calls) == nshells
+    for known, shell, r1, r2, xi_order, rows, rhs, _ in calls:
+        assert (rows, rhs) == _finite_difference_shell_equations(
+            known, shell, r1, r2, xi_order
+        ), (shell, r1.spin, r2.spin)
+
+
+def test_one_exponential_per_shell(monkeypatch):
+    r32 = irrep(Fraction(3, 2))
+    calls = _record_shells(monkeypatch, 4, [(r32, irrep(1)), (r32, r32)])
+    # shells 2..6 on each of the two pairs
+    assert [c[-1] for c in calls] == [1] * 10
+
+
+def test_solver_evidence_in_check_data(spin1):
+    r32 = irrep(Fraction(3, 2))
+    _, rep = solve_phi(4, [(r32, spin1), (r32, r32)])
+    by_name = {c.name: c.data for c in rep.checks}
+    assert by_name["cross-pair consistency"]["determined_by"] == {
+        "(1, 1)": [["3/2", "1"], ["3/2", "3/2"]],
+        "(1, 2)": [["3/2", "1"], ["3/2", "3/2"]],
+        "(2, 2)": [["3/2", "3/2"]],
+    }
+    assert by_name["pair (3/2, 1) solve"]["pinned"] == [
+        "(1, 3)", "(2, 2)", "(1, 4)", "(2, 3)", "(1, 5)", "(2, 4)", "(3, 3)",
+    ]
+    assert by_name["pair (3/2, 3/2) solve"]["pinned"] == [
+        "(1, 3)", "(1, 4)", "(2, 3)", "(1, 5)", "(2, 4)", "(3, 3)",
+    ]
 
 
 def test_dsj_vminus_exact_fundamental(fund):

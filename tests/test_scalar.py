@@ -157,6 +157,12 @@ def test_format_parse_round_trip():
         assert sc.parse_scalar(sc.format_scalar(a)) == a
 
 
+@pytest.mark.parametrize("text", ["zeta+1", "2*zeta", "s^x", "2x*s"])
+def test_parse_rejects_malformed_scalar(text):
+    with pytest.raises(ScalarError):
+        sc.parse_scalar(text)
+
+
 def test_divide_exact():
     w = sc.omega()
     th = sc.theta_var()
