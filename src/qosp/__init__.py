@@ -16,11 +16,8 @@ from .scalar import (
     ZERO,
     Scalar,
     ScalarError,
-    add,
     inv,
     limit_at_one,
-    mul,
-    neg,
     omega,
     q_var,
     rational,
@@ -50,8 +47,6 @@ from .reps import (
     check_lt_relations,
     fundamental_rep,
     irrep,
-    lt_generators,
-    sigma_in_rep,
 )
 from .matrices import (
     check_factorization,

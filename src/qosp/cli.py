@@ -60,6 +60,16 @@ def _parse_spin(text):
     return spin
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %d" % value)
+    return value
+
+
 def _parse_bindings(pairs):
     bindings = {}
     for item in pairs or []:
@@ -275,11 +285,16 @@ def cmd_verify(args):
 def cmd_solve_phi(args):
     pair_specs = (args.pairs or "1:1/2,1:1").split(",")
     pairs = []
+    seen = set()
     for spec_item in pair_specs:
         a, _, b = spec_item.partition(":")
         if not b:
             raise UsageError("bad --pairs entry %r (expected spin:spin)" % spec_item)
-        pairs.append((irrep(_parse_spin(a)), irrep(_parse_spin(b))))
+        spins = (_parse_spin(a), _parse_spin(b))
+        if spins in seen:
+            raise UsageError("repeated module pair %s:%s" % spins)
+        seen.add(spins)
+        pairs.append((irrep(spins[0]), irrep(spins[1])))
     order = args.order
     phi, rep = solve_phi(order, pairs)
     payload = {
@@ -328,7 +343,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--spins", help="comma-separated spins, default 1/2,1")
-    p_verify.add_argument("--order", type=int, help="xi truncation order")
+    p_verify.add_argument("--order", type=_positive_int, help="xi truncation order")
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)

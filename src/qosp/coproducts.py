@@ -26,7 +26,7 @@ from .gmatrix import (
     place_two_leg,
 )
 from .report import Check, Report
-from .reps import fundamental_rep
+from .reps import _graded_bracket, fundamental_rep
 from .scalar import rational
 
 _PARITY = {"1": 0, "h": 0, "v+": 1, "v-": 1, "X+": 0, "s^h": 0, "s^-h": 0}
@@ -148,12 +148,6 @@ COPRODUCTS = {
 # defining-relation checks under a coproduct
 
 
-def _bracket(a, b, pa, pb):
-    if (pa * pb) % 2:
-        return a * b + b * a
-    return a * b - b * a
-
-
 def _diag_integer_entries(m):
     out = [0] * m.dim
     for i, j, v in m.entries():
@@ -177,7 +171,7 @@ def check_homomorphism(cp, r1, r2):
     rep.add(
         Check(
             "[h, v+] = v+",
-            (_bracket(dh, dvp, 0, 1) - dvp).is_zero(),
+            (_graded_bracket(dh, dvp, 0, 1) - dvp).is_zero(),
         )
     )
     if "v-" not in cp.rules:
@@ -186,7 +180,7 @@ def check_homomorphism(cp, r1, r2):
     rep.add(
         Check(
             "[h, v-] = -v-",
-            (_bracket(dh, dvm, 0, 1) + dvm).is_zero(),
+            (_graded_bracket(dh, dvm, 0, 1) + dvm).is_zero(),
         )
     )
     anti = dvp * dvm + dvm * dvp

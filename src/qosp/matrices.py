@@ -10,7 +10,8 @@ Everything is built over the exact scalar field with q = s**2:
 
 together with the triangularity and twist-factorization checks.  Each
 named matrix is also frozen as a JSON fixture; constructions are
-diffed against the fixtures entry by entry.
+diffed against the fixtures entry by entry.  The parameterless builders
+are memoized (a GradedMatrix is immutable, so one build serves all callers).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from functools import cache
 
 from . import scalar as sc
 from .gmatrix import (
@@ -47,6 +49,7 @@ _FUND_PARITY = (0, 1, 0)
 _PAIR_PARITY = kron_parity(_FUND_PARITY, _FUND_PARITY)
 
 
+@cache
 def kr_rmatrix():
     """9x9 R-matrix of the q-deformed algebra on the 3-dim module.
 
@@ -93,6 +96,7 @@ def x_entries():
     }
 
 
+@cache
 def transform_r(orientation="standard"):
     """Conjugate the R-matrix by M (x) M.
 
@@ -110,6 +114,7 @@ def transform_r(orientation="standard"):
     raise ValueError("unknown orientation %r" % orientation)
 
 
+@cache
 def contract_r():
     """theta = xi/omega followed by the exact limit s -> 1, entrywise."""
     w = sc.omega()
@@ -129,6 +134,7 @@ def f_jordanian(r1=None, r2=None):
     return exp_nilpotent(gkron(r1.h, r2.sigma))
 
 
+@cache
 def f_super_fund():
     """The odd twist matrix on the fundamental pair.
 
@@ -144,25 +150,6 @@ def f_super_fund():
     entries[(3, 7)] = -half_xi
     entries[(4, 8)] = -half_xi
     return GradedMatrix.from_entries(_PAIR_PARITY, entries)
-
-
-class NamedMatrix:
-    """A fixed matrix with its name and the variables it depends on."""
-
-    __slots__ = ("name", "value", "variables")
-
-    _VARIABLES = {
-        "kr": frozenset({"s"}),
-        "transformed": frozenset({"s", "theta"}),
-        "sjr": frozenset({"xi"}),
-        "fj": frozenset({"xi"}),
-        "fs": frozenset({"xi"}),
-    }
-
-    def __init__(self, name):
-        self.name = name
-        self.value = named_matrix(name)
-        self.variables = self._VARIABLES[name]
 
 
 def named_matrix(name):

@@ -270,6 +270,10 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError("series order must be between 1 and %d" % MAX_ORDER)
+    spins = [(r1.spin, r2.spin) for r1, r2 in pairs]
+    for k, pair in enumerate(spins):
+        if pair in spins[:k]:
+            raise ValueError("repeated module pair %s:%s" % pair)
     rep = Report("odd-twist series solve, order %d" % order)
     if include_f1:
         f1 = f1_series_coeffs(max(2 * (order - 1), 2))

@@ -229,14 +229,6 @@ def fundamental_rep():
     return irrep(Fraction(1, 2))
 
 
-def sigma_in_rep(r):
-    return r.sigma
-
-
-def lt_generators(r):
-    return r.lt_generators()
-
-
 def check_lt_relations(r):
     """All defining relations of the FRT generator algebra, in module r."""
     xi = sc.xi_var()

@@ -430,18 +430,6 @@ def omega():
 # -- field operations as free functions --------------------------------------
 
 
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
-def neg(a):
-    return -a
-
-
 def inv(a):
     """Multiplicative inverse.
 

@@ -8,7 +8,15 @@ import pytest
 
 from qosp.cli import main
 from qosp.gmatrix import from_json_dict
-from qosp.matrices import contract_r, named_matrix
+from qosp.matrices import (
+    FIXTURE_NAMES,
+    contract_r,
+    f_super_fund,
+    kr_rmatrix,
+    load_fixture,
+    named_matrix,
+    transform_r,
+)
 
 
 def run_cli(args, capsys):
@@ -113,6 +121,36 @@ def test_verify_deterministic(capsys):
     assert (rc1, out1) == (rc2, out2)
 
 
+def test_verify_all_builds_each_matrix_once(capsys):
+    builders = (kr_rmatrix, transform_r, contract_r, f_super_fund)
+    for build in builders:
+        build.cache_clear()
+    rc1, out1, _ = run_cli(["verify", "--suite", "all", "--json"], capsys)
+    assert [b.cache_info().misses for b in builders] == [1, 1, 1, 1]
+    rc2, out2, _ = run_cli(["verify", "--suite", "all", "--json"], capsys)
+    assert [b.cache_info().misses for b in builders] == [1, 1, 1, 1]
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+    # nothing a run does may alter the shared matrices
+    for name in FIXTURE_NAMES:
+        assert named_matrix(name) == load_fixture(name)
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_verify_order_must_be_positive(order, capsys):
+    rc, out, err = run_cli(["verify", "--suite", "intertwine", "--order", order], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err and "--order" in err
+
+
+def test_solve_phi_repeated_pair(capsys):
+    rc, out, err = run_cli(["solve-phi", "--pairs", "1:1,1:1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: repeated module pair 1:1\n"
+
+
 def test_solve_phi_output(tmp_path, capsys):
     out_file = tmp_path / "phi.json"
     rc = main(["solve-phi", "--order", "2", "--pairs", "1:1/2,1:1", "--out", str(out_file)])
@@ -160,12 +198,14 @@ def test_bad_fixture_is_usage_error(content, tmp_path, monkeypatch, capsys):
 
     for name in mats.FIXTURE_NAMES:
         mats.write_fixture(name, mats.named_matrix(name), directory=str(tmp_path))
+    monkeypatch.setenv("QOSP_FIXTURES", str(tmp_path))
+    # a passing run first: the fixtures must be read again on every run
+    assert run_cli(["verify", "--suite", "all"], capsys)[0] == 0
     path = tmp_path / "sjr.json"
     if content is None:
         path.unlink()
     else:
         path.write_text(content)
-    monkeypatch.setenv("QOSP_FIXTURES", str(tmp_path))
     rc, out, err = run_cli(["verify", "--suite", "all"], capsys)
     assert rc == 2
     assert out == ""

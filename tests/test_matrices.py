@@ -172,21 +172,21 @@ def test_fixture_json_shape():
 
 
 def test_named_matrix_records():
-    from qosp.matrices import NamedMatrix
-
-    for name, variables in (
-        ("kr", {"s"}),
-        ("transformed", {"s", "theta"}),
-        ("sjr", {"xi"}),
-        ("fj", {"xi"}),
-        ("fs", {"xi"}),
-    ):
-        nm = NamedMatrix(name)
-        assert nm.value == named_matrix(name)
-        assert nm.variables == frozenset(variables)
+    # the variables each named matrix depends on
+    variables = {
+        "kr": frozenset({"s"}),
+        "transformed": frozenset({"s", "theta"}),
+        "sjr": frozenset({"xi"}),
+        "fj": frozenset({"xi"}),
+        "fs": frozenset({"xi"}),
+    }
+    assert set(variables) == set(FIXTURE_NAMES)
+    for name in FIXTURE_NAMES:
+        value = named_matrix(name)
+        assert value == named_matrix(name)
         # declared variables are exactly the ones that occur
         seen = set()
-        for _, _, v in nm.value.entries():
+        for _, _, v in value.entries():
             for (es, eth, exi) in v.num.terms:
                 if eth:
                     seen.add("theta")
@@ -197,7 +197,19 @@ def test_named_matrix_records():
             for (es, _, _) in v.num.terms:
                 if es:
                     seen.add("s")
-        assert seen <= nm.variables
+        assert seen <= variables[name]
+
+
+def test_parameterless_builders_are_memoized():
+    for build in (kr_rmatrix, transform_r, contract_r, f_super_fund):
+        assert build() is build()
+    assert transform_r("reversed") is transform_r("reversed")
+    assert transform_r("reversed") is not transform_r()
+    assert named_matrix("sjr") is contract_r()
+    # module-keyed builds stay uncached
+    fund = fundamental_rep()
+    assert f_jordanian(fund, fund) is not f_jordanian(fund, fund)
+    assert irrep(1) is not irrep(1)
 
 
 def test_fixture_directory_override(tmp_path, monkeypatch):

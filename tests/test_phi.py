@@ -110,6 +110,11 @@ def test_phi_symmetry_enforced():
         PhiSeries(1, [({0: Fraction(1)}, {1: Fraction(1)})])
 
 
+def test_solve_phi_rejects_repeated_pair(fund, spin1):
+    with pytest.raises(ValueError, match="repeated module pair 1:1"):
+        solve_phi(1, [(spin1, spin1), (fund, spin1), (irrep(1), irrep(1))])
+
+
 def test_solver_reports_inconsistency(spin1):
     """A deliberately corrupted known part makes the shells unsolvable.
 

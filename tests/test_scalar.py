@@ -13,17 +13,17 @@ from qosp.scalar import ONE, ZERO, Scalar, ScalarError, rational
 
 def test_omega_times_inverse_is_one():
     w = sc.omega()
-    assert sc.mul(w, sc.inv(w)) == ONE
+    assert w * sc.inv(w) == ONE
 
 
 def test_q_plus_qinv():
-    got = sc.add(sc.q_var(), sc.q_var(-1))
+    got = sc.q_var() + sc.q_var(-1)
     assert sc.format_scalar(got) == "(1*s^4 + 1) / (1*s^2)"
 
 
 def test_b_times_theta():
     b = -sc.omega() / sc.s_var()
-    got = sc.mul(b, sc.theta_var())
+    got = b * sc.theta_var()
     assert sc.format_scalar(got) == "(-1*s^4*theta + 1*theta) / (1*s^3)"
 
 
