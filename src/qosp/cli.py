@@ -13,7 +13,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import scalar as sc
 from .coproducts import (
     CLASSICAL,
     JORDANIAN,
@@ -31,14 +30,17 @@ from .gmatrix import to_json_dict
 from .matrices import (
     FIXTURE_NAMES,
     FixtureError,
+    check_factorization,
     contract_r,
+    f_super_fund,
     kr_rmatrix,
     matrix_suite,
     named_matrix,
+    triangular_suite,
     ybe_suite,
 )
-from .phi import MAX_ORDER, PhiSeries, check_intertwining_s, solve_phi
-from .report import Report
+from .phi import MAX_ORDER, PhiSeries, build_f_super, check_intertwining_s, solve_phi
+from .report import Check, Report
 from .reps import SUPPORTED_SPINS, check_lt_relations, fundamental_rep, irrep
 from .scalar import format_scalar, rational
 
@@ -148,61 +150,25 @@ def cmd_emit(args):
     return 0
 
 
-SUITES = (
-    "all",
-    "ybe",
-    "triangular",
-    "factorization",
-    "frt",
-    "cocycle",
-    "hopf",
-    "intertwine",
-)
-
-
-def _suite_triangular():
-    from .matrices import check_triangular
-    from .report import Check
-
-    rep = Report("triangularity")
-    rep.add(check_triangular())
-    kr_fail = check_triangular(kr_rmatrix(), name="kr")
-    rep.add(
-        Check("q-deformed R-matrix is not triangular", not kr_fail.passed, "")
-    )
-    return rep
-
-
-def _suite_factorization():
-    from .matrices import check_factorization
-
-    return check_factorization()
-
-
-def _suite_frt(spins):
-    rep = Report("FRT relations")
+def _frt(spins, order):
     for spin in spins:
         r = irrep(spin)
-        sub = check_lt_relations(r)
-        rep.extend(sub.checks)
-        rep.add(frt_check(r))
-    return rep
+        yield check_lt_relations(r)
+        yield Report("FRT relation spin %s" % spin, [frt_check(r)])
 
 
-def _suite_cocycle():
+def _cocycle(spins, order):
+    f = fundamental_rep()
+    yield Report(
+        "cocycle of the even twist",
+        [check_cocycle_jordanian(f, f, f), check_cocycle_jordanian(f, f, irrep(1))],
+    )
+    yield check_coassociativity_jordanian(f, f, f)
+
+
+def _hopf(spins, order):
     f = fundamental_rep()
     r1 = irrep(1)
-    rep = Report("cocycle and coassociativity")
-    rep.add(check_cocycle_jordanian(f, f, f))
-    rep.add(check_cocycle_jordanian(f, f, r1))
-    rep.extend(check_coassociativity_jordanian(f, f, f).checks)
-    return rep
-
-
-def _suite_hopf():
-    f = fundamental_rep()
-    r1 = irrep(1)
-    rep = Report("coproduct homomorphisms and intertwining")
     for cp, pairs in (
         (CLASSICAL, [(f, f), (f, r1)]),
         (JORDANIAN, [(f, f), (f, r1)]),
@@ -210,76 +176,47 @@ def _suite_hopf():
         (SUPER_JORDANIAN, [(f, f)]),
     ):
         for a, b in pairs:
-            sub = check_homomorphism(cp, a, b)
-            for c in sub.checks:
-                c.name = "%s (%s,%s) %s" % (cp.name, a.spin, b.spin, c.name)
-            rep.extend(sub.checks)
-    sub = check_r_intertwines(kr_rmatrix(), Q_DEFORMED, f)
-    for c in sub.checks:
-        c.name = "kr " + c.name
-    rep.extend(sub.checks)
-    sub = check_r_intertwines(contract_r(), SUPER_JORDANIAN, f, gens=["h", "v+"])
-    for c in sub.checks:
-        c.name = "sjr " + c.name
-    rep.extend(sub.checks)
-    rep.extend(check_l_coproducts().checks)
-    rep.extend(check_qcoproduct_xplus(f, f).checks)
-    return rep
+            yield check_homomorphism(cp, a, b)
+    yield check_r_intertwines(kr_rmatrix(), Q_DEFORMED, f)
+    yield check_r_intertwines(contract_r(), SUPER_JORDANIAN, f, gens=["h", "v+"])
+    yield check_l_coproducts()
+    yield check_qcoproduct_xplus(f, f)
 
 
-def _suite_intertwine(order):
+def _intertwine(spins, order):
     f = fundamental_rep()
-    rep = Report("odd-twist intertwining")
     phi = PhiSeries.f1_only()
-    rep.extend(check_intertwining_s(phi, f, f, order).checks)
-    from .matrices import f_super_fund
-    from .phi import build_f_super
-    from .report import Check
-
-    rep.add(
-        Check(
-            "f1 alone reconstructs the odd twist matrix",
-            build_f_super(phi, f, f) == f_super_fund(),
-            "",
-        )
+    yield check_intertwining_s(phi, f, f, order)
+    same = build_f_super(phi, f, f) == f_super_fund()
+    yield Report(
+        "odd twist matrix from f1",
+        [Check("f1 alone reconstructs the odd twist matrix", same, "")],
     )
-    return rep
+
+
+# suite name -> (spins, order) -> reports; `all` runs every suite in this order
+SUITES = {
+    "ybe": lambda spins, order: [ybe_suite()],
+    "triangular": lambda spins, order: [triangular_suite()],
+    "factorization": lambda spins, order: [check_factorization()],
+    "matrix": lambda spins, order: [matrix_suite()],
+    "frt": _frt,
+    "cocycle": _cocycle,
+    "hopf": _hopf,
+    "intertwine": _intertwine,
+}
 
 
 def cmd_verify(args):
-    spins = [
-        _parse_spin(s) for s in (args.spins.split(",") if args.spins else ["1/2", "1"])
-    ]
-    order = args.order if args.order is not None else 3
-    suites = []
-    wanted = args.suite
-    if wanted in ("all", "ybe"):
-        suites.append(ybe_suite())
-    if wanted in ("all", "triangular"):
-        suites.append(_suite_triangular())
-    if wanted in ("all", "factorization"):
-        suites.append(_suite_factorization())
-    if wanted == "all":
-        suites.append(matrix_suite())
-    if wanted in ("all", "frt"):
-        suites.append(_suite_frt(spins))
-    if wanted in ("all", "cocycle"):
-        suites.append(_suite_cocycle())
-    if wanted in ("all", "hopf"):
-        suites.append(_suite_hopf())
-    if wanted in ("all", "intertwine"):
-        suites.append(_suite_intertwine(order))
-    all_pass = all(s.passed for s in suites)
-    lines = []
-    payload = []
-    for s in suites:
-        lines.append(s.summary())
-        payload.append(s.to_json())
-    text = "\n".join(lines) + "\n"
+    spins = [_parse_spin(s) for s in args.spins.split(",")]
+    names = SUITES if args.suite == "all" else [args.suite]
+    reports = [rep for name in names for rep in SUITES[name](spins, args.order)]
     if args.json:
-        text = json.dumps(payload, indent=1) + "\n"
+        text = json.dumps([rep.to_json() for rep in reports], indent=1) + "\n"
+    else:
+        text = "\n".join(rep.summary() for rep in reports) + "\n"
     _write_out(args.out, text)
-    return 0 if all_pass else 1
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def cmd_solve_phi(args):
@@ -341,9 +278,9 @@ def build_parser():
     p_emit.set_defaults(func=cmd_emit)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument("--spins", help="comma-separated spins, default 1/2,1")
-    p_verify.add_argument("--order", type=_positive_int, help="xi truncation order")
+    p_verify.add_argument("--suite", choices=("all", *SUITES), default="all")
+    p_verify.add_argument("--spins", default="1/2,1", help="comma-separated spins, default 1/2,1")
+    p_verify.add_argument("--order", type=_positive_int, default=3, help="xi truncation order")
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)

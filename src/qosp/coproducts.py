@@ -292,14 +292,8 @@ def check_cocycle_jordanian(r1, r2, r3):
 
 # formal rules for the deformed coproduct on atoms; E^k is grouplike
 _JORDANIAN_ATOM_RULES = {
+    **JORDANIAN.rules,
     "1": [_t(1, ["1"], ["1"])],
-    "h": [_t(1, ["h"], ["E^-2"]), _t(1, ["1"], ["h"])],
-    "v+": [_t(1, ["v+"], ["E^1"]), _t(1, ["1"], ["v+"])],
-    "v-": [
-        _t(1, ["v-"], ["E^-1"]),
-        _t(1, ["1"], ["v-"]),
-        _t(_xi(), ["h"], ["v+", "E^-2"]),
-    ],
     "X+": [_t(1, ["X+"], ["E^2"]), _t(1, ["1"], ["X+"])],
 }
 

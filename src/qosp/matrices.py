@@ -282,32 +282,12 @@ def check_new_entries_proportional():
 
 
 def check_lplus_slices():
-    """Block slices of the contracted R-matrix against the FRT generators."""
-    r = contract_r()
-    fund = fundamental_rep()
-    cap_h, e, v, w = fund.lt_generators()
-    e_inv = inverse(e)
-    expected = {
-        (0, 0): e_inv,
-        (0, 1): v,
-        (0, 2): cap_h,
-        (1, 1): fund.identity,
-        (1, 2): w,
-        (2, 2): e,
-    }
-    ok = True
-    for bi in range(3):
-        for bj in range(3):
-            block = GradedMatrix.from_entries(
-                _FUND_PARITY,
-                {(a, b): r[3 * bi + a, 3 * bj + b] for a in range(3) for b in range(3)},
-            )
-            want = expected.get((bi, bj), GradedMatrix.zeros(_FUND_PARITY))
-            if block != want:
-                ok = False
+    """The contracted R-matrix is the L+ generator matrix of the fundamental."""
+    from .coproducts import lplus_matrix
+
     return Check(
         "L+ block pattern ((E^-1,V,H),(0,1,W),(0,0,E))",
-        ok,
+        lplus_matrix(fundamental_rep()) == contract_r(),
         "",
     )
 
@@ -318,18 +298,16 @@ def matrix_suite():
         rep.add(check_golden(name))
     rep.add(check_new_entries_proportional())
     rep.add(check_lplus_slices())
-    rep.add(check_triangular())
-    kr_fail = check_triangular(kr_rmatrix(), name="kr")
-    rep.add(
-        Check(
-            "q-deformed R-matrix is not triangular",
-            not kr_fail.passed,
-            "",
-        )
-    )
-    fact = check_factorization()
-    rep.extend(fact.checks)
     return rep
+
+
+def triangular_suite():
+    """The contracted R-matrix is triangular; the q-deformed one is not."""
+    kr = check_triangular(kr_rmatrix(), name="kr")
+    return Report(
+        "triangularity",
+        [check_triangular(), Check("q-deformed R-matrix is not triangular", not kr.passed, "")],
+    )
 
 
 def ybe_suite():

@@ -25,9 +25,6 @@ class Report:
         self.checks.append(check)
         return check
 
-    def extend(self, checks):
-        self.checks.extend(checks)
-
     @property
     def passed(self):
         return all(c.passed for c in self.checks)

@@ -1,12 +1,13 @@
 """Command-line behavior: emission formats, suites, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from qosp.cli import main
+from qosp.cli import SUITES, build_parser, main
 from qosp.gmatrix import from_json_dict
 from qosp.matrices import (
     FIXTURE_NAMES,
@@ -89,10 +90,38 @@ def test_unknown_flag_rejected(capsys):
 
 
 def test_verify_suites_exit_zero(capsys):
-    for suite in ("ybe", "triangular", "factorization", "hopf", "intertwine"):
+    for suite in SUITES:
         rc, out, _ = run_cli(["verify", "--suite", suite], capsys)
         assert rc == 0, suite
         assert "FAIL" not in out
+
+
+def test_verify_suite_choices_come_from_the_registry():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == ("all", *SUITES)
+
+
+def test_verify_all_is_each_suite_once_in_registry_order(capsys):
+    rc, out, _ = run_cli(["verify", "--suite", "all", "--json"], capsys)
+    assert rc == 0
+    parts = []
+    for suite in SUITES:
+        rc, one, _ = run_cli(["verify", "--suite", suite, "--json"], capsys)
+        assert rc == 0, suite
+        parts += json.loads(one)
+    assert json.loads(out) == parts
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--suite", "all"], ["--suite", "frt", "--spins", "1/2,1,3/2,2"]],
+)
+def test_verify_check_names_are_unique(args, capsys):
+    rc, out, _ = run_cli(["verify", *args, "--json"], capsys)
+    assert rc == 0
+    pairs = [(s["suite"], c["name"]) for s in json.loads(out) for c in s["checks"]]
+    assert len(pairs) == len(set(pairs))
 
 
 def test_verify_json_shape(capsys):
