@@ -42,7 +42,7 @@ from .matrices import (
 from .phi import MAX_ORDER, PhiSeries, build_f_super, check_intertwining_s, solve_phi
 from .report import Check, Report
 from .reps import SUPPORTED_SPINS, check_lt_relations, fundamental_rep, irrep
-from .scalar import format_scalar, rational
+from .scalar import ScalarError, format_scalar, rational
 
 
 class UsageError(Exception):
@@ -87,6 +87,14 @@ def _parse_bindings(pairs):
     return bindings
 
 
+def _substitute(m, bindings, pairs):
+    """m with the --set bindings applied; a binding at a pole is bad input."""
+    try:
+        return m.substitute(bindings)
+    except ScalarError as exc:
+        raise UsageError("cannot evaluate at --set %s: %s" % (" ".join(pairs), exc))
+
+
 def _matrix_csv(m):
     lines = []
     for i in range(m.dim):
@@ -116,7 +124,7 @@ def cmd_emit(args):
     if args.matrix:
         m = named_matrix(args.matrix)
         if bindings:
-            m = m.substitute(bindings)
+            m = _substitute(m, bindings, args.set)
         if args.format == "json":
             text = json.dumps(to_json_dict(m), indent=1, sort_keys=True) + "\n"
         elif args.format == "csv":
@@ -137,7 +145,7 @@ def cmd_emit(args):
             "W": w_mat,
         }
         if bindings:
-            mats = {k: m.substitute(bindings) for k, m in mats.items()}
+            mats = {k: _substitute(m, bindings, args.set) for k, m in mats.items()}
         if args.format != "json":
             raise UsageError("--rep output is JSON only")
         payload = {

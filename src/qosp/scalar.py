@@ -4,11 +4,19 @@ Ground rules for every value handled by this package:
 
 * q is represented as s**2 throughout, so square roots of q stay
   polynomial;
-* numerators are polynomials in (s, theta, xi) over the rationals;
-* denominators are monic polynomials in s alone -- theta and xi never
-  occur in a denominator of any construction built downstream;
+* numerators are Laurent polynomials in s and polynomials in theta and
+  xi, over the rationals -- a power of s, negative or not, is a
+  numerator monomial, never a denominator;
+* denominators are monic polynomials in s alone with a nonzero constant
+  term, i.e. coprime to s -- theta and xi never occur in a denominator
+  of any construction built downstream;
 * values are kept reduced: the gcd of numerator and denominator, taken
   as univariate polynomials in s, is 1.
+
+So ``omega() = s**2 - s**-2`` and ``s**-k`` have denominator 1, and sums
+and products of them skip the Euclidean gcd.  The printed form clears
+negative powers of s into the denominator (``format_scalar``), so it is
+the plain reduced fraction of polynomials.
 
 The q -> 1 contraction is exposed as ``limit_at_one``, which cancels
 common (s - 1) factors exactly rather than expanding a series.
@@ -34,7 +42,7 @@ VARS = ("s", "theta", "xi")
 
 
 class Poly:
-    """Polynomial in (s, theta, xi); no zero coefficients are stored."""
+    """Laurent in s, polynomial in (theta, xi); no zero coefficients are stored."""
 
     __slots__ = ("terms",)
 
@@ -49,8 +57,8 @@ class Poly:
     @staticmethod
     def monomial(c, es=0, eth=0, exi=0):
         c = Fraction(c)
-        if es < 0 or eth < 0 or exi < 0:
-            raise ScalarError("Poly stores nonnegative exponents only")
+        if eth < 0 or exi < 0:
+            raise ScalarError("Poly stores nonnegative theta and xi exponents only")
         return Poly({(es, eth, exi): c} if c else {})
 
     def is_zero(self):
@@ -107,15 +115,10 @@ class Poly:
         return Poly({k: v * c for k, v in self.terms.items()})
 
     def shift_s(self, n):
-        """Multiply by s**n (n may be negative if every term allows it)."""
+        """Multiply by s**n (n may be negative)."""
         if n == 0:
             return self
-        out = {}
-        for (a, b, c), v in self.terms.items():
-            if a + n < 0:
-                raise ScalarError("negative s power in Poly")
-            out[(a + n, b, c)] = v
-        return Poly(out)
+        return Poly({(a + n, b, c): v for (a, b, c), v in self.terms.items()})
 
     def min_s_power(self):
         return min((k[0] for k in self.terms), default=0)
@@ -151,7 +154,10 @@ class Poly:
     # -- univariate-in-s helpers (used for gcd with denominators) ---------
 
     def s_groups(self):
-        """Group terms by (e_theta, e_xi); each value is a dense s-list."""
+        """Group terms by (e_theta, e_xi); each value is a dense s-list.
+
+        Needs nonnegative s exponents.
+        """
         groups = {}
         for (a, b, c), v in self.terms.items():
             groups.setdefault((b, c), {})[a] = v
@@ -162,6 +168,7 @@ class Poly:
         return out
 
     def to_dense_s(self):
+        """Dense s-list of a univariate polynomial; needs s exponents >= 0."""
         if not self.is_s_only():
             raise ScalarError("polynomial is not univariate in s")
         if not self.terms:
@@ -211,17 +218,18 @@ def _dense_gcd(u, v):
 
 
 def _poly_divexact_s(p, dense):
-    """Divide p by a univariate s-polynomial; raise if not exact."""
+    """Divide p by a univariate s-polynomial coprime to s; raise if not exact."""
     if len(dense) == 1:
         return p.scale(_FR1 / dense[0])
+    low = p.min_s_power()
     out = {}
-    for (b, c), u in p.s_groups().items():
+    for (b, c), u in p.shift_s(-low).s_groups().items():
         q, r = _dense_divmod(u, dense)
         if _dense_trim(r):
             raise ScalarError("inexact division by s-polynomial")
         for i, coeff in enumerate(q):
             if coeff:
-                out[(i, b, c)] = coeff
+                out[(i + low, b, c)] = coeff
     return Poly(out)
 
 
@@ -230,7 +238,7 @@ def _poly_divexact_s(p, dense):
 
 
 class Scalar:
-    """Reduced fraction num/den with den a monic polynomial in s only."""
+    """Reduced fraction num/den: num Laurent in s, den monic in s and coprime to s."""
 
     __slots__ = ("num", "den")
 
@@ -256,19 +264,12 @@ class Scalar:
     def var(name, power=1):
         """s, theta or xi to an integer power (s may be negative)."""
         idx = VARS.index(name)
-        if power >= 0:
-            exps = [0, 0, 0]
-            exps[idx] = power
-            return Scalar(Poly.monomial(1, *exps), _P_ONE, _normalized=True)
-        if name != "s":
-            raise ScalarError("only s admits negative powers")
-        return Scalar(Poly.const(1), Poly.monomial(1, es=-power))
+        exps = [0, 0, 0]
+        exps[idx] = power
+        return Scalar(Poly.monomial(1, *exps), _P_ONE, _normalized=True)
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_one(self):
-        return self.num == _P_ONE and self.den == _P_ONE
 
     def is_rational(self):
         return self.num.is_const() and self.den == _P_ONE
@@ -292,7 +293,8 @@ class Scalar:
     #
     # Fast path: every denominator equal to 1 is the shared _P_ONE (see
     # _normalize), and over denominator 1 a sum or product of reduced
-    # scalars is already reduced, so both skip _normalize.
+    # scalars is already reduced, so both skip _normalize.  Powers of s
+    # live in the numerator, so this covers omega and s**-k too.
 
     def __add__(self, other):
         if self.num.is_zero():
@@ -351,10 +353,11 @@ class Scalar:
 
     def xi_coefficient(self, r):
         """Coefficient of xi**r, itself a Scalar in s (and theta)."""
-        return Scalar(self.num.xi_slice(r), self.den)
+        # a slice of a reduced denominator-1 numerator is reduced
+        return Scalar(self.num.xi_slice(r), self.den, _normalized=self.den is _P_ONE)
 
     def drop_xi_above(self, n):
-        return Scalar(self.num.drop_xi_above(n), self.den)
+        return Scalar(self.num.drop_xi_above(n), self.den, _normalized=self.den is _P_ONE)
 
     def __repr__(self):
         return format_scalar(self)
@@ -367,18 +370,16 @@ def _normalize(num, den):
         raise ScalarError("denominator must be univariate in s")
     if num.is_zero():
         return Poly(), _P_ONE
-    dden = den.to_dense_s()
-    # pull the s-content of the denominator against the numerator first
-    low = next(i for i, c in enumerate(dden) if c)
+    # move the s-content of the denominator into the numerator
+    low = den.min_s_power()
     if low:
-        nlow = num.min_s_power()
-        k = min(low, nlow)
-        if k:
-            num = num.shift_s(-k)
-            dden = dden[k:]
+        num = num.shift_s(-low)
+        den = den.shift_s(-low)
+    dden = den.to_dense_s()
     if len(dden) > 1:
+        # dden is coprime to s, so the numerator's own s-content is inert
         g = dden
-        for u in num.s_groups().values():
+        for u in num.shift_s(-num.min_s_power()).s_groups().values():
             g = _dense_gcd(g, u)
             if len(g) == 1:
                 break
@@ -539,7 +540,7 @@ def _format_monomial(key, coeff):
     for name, e in zip(VARS, key):
         if e == 1:
             parts.append(name)
-        elif e > 1:
+        elif e:
             parts.append("%s^%d" % (name, e))
     return "*".join(parts)
 
@@ -559,9 +560,13 @@ def format_poly(p):
 
 
 def format_scalar(a):
-    if a.den == _P_ONE:
-        return format_poly(a.num)
-    return "(%s) / (%s)" % (format_poly(a.num), format_poly(a.den))
+    """Text of the reduced fraction of polynomials: negative powers of s
+    in the numerator are cleared into the denominator."""
+    k = max(0, -a.num.min_s_power())
+    num, den = a.num.shift_s(k), a.den.shift_s(k)
+    if den == _P_ONE:
+        return format_poly(num)
+    return "(%s) / (%s)" % (format_poly(num), format_poly(den))
 
 
 def parse_poly(text):

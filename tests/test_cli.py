@@ -83,6 +83,15 @@ def test_emit_usage_errors(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("name", ["kr", "transformed"])
+def test_emit_at_a_pole_is_usage_error(name, capsys):
+    """s = 0 is a pole of both matrices: exit 2 with a message, no traceback."""
+    rc, out, err = run_cli(["emit", "--matrix", name, "--set", "s=0"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "s=0" in err
+
+
 def test_unknown_flag_rejected(capsys):
     rc = main(["verify", "--bogus"])
     capsys.readouterr()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qosp import scalar as sc
 from qosp.scalar import ONE, ZERO, Scalar, ScalarError, rational
+from scalar_oracle import format_fraction
 
 
 def test_omega_times_inverse_is_one():
@@ -130,6 +131,7 @@ def test_denominator_stays_monic_univariate():
         assert prod.den.is_s_only()
         dense = prod.den.to_dense_s()
         assert dense[-1] == 1
+        assert dense[0] != 0  # coprime to s: powers of s live in the numerator
 
 
 def test_limit_is_multiplicative_and_additive():
@@ -182,7 +184,7 @@ def test_xi_coefficient_and_truncation():
 
 
 _POLYS = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)),
     st.fractions(min_value=-5, max_value=5, max_denominator=4),
     max_size=4,
 ).map(lambda terms: sc.Poly({k: v for k, v in terms.items() if v}))
@@ -204,3 +206,55 @@ def test_denominator_one_fast_path_matches_normalize(p, q):
         assert fast == general
         assert sc.format_scalar(fast) == sc.format_scalar(general)
         assert fast.den is a.den
+
+
+def test_powers_of_s_need_no_euclid(monkeypatch):
+    """omega and s**-k have denominator 1, so their sums and products skip the gcd."""
+    calls = []
+    gcd = sc._dense_gcd
+    monkeypatch.setattr(sc, "_dense_gcd", lambda u, v: calls.append(1) or gcd(u, v))
+    th = sc.theta_var()
+    values = [
+        sc.omega() * th,
+        sc.omega() + sc.s_var(-1),
+        sc.s_var(-3) * (sc.s_var() + th),
+    ]
+    assert calls == []
+    assert [sc.format_scalar(v) for v in values] == [
+        "(1*s^4*theta - 1*theta) / (1*s^2)",
+        "(1*s^4 + 1*s - 1) / (1*s^2)",
+        "(1*s + 1*theta) / (1*s^3)",
+    ]
+
+
+def _s_poly(coeffs):
+    return sc.Poly.from_dense_s([Fraction(c) for c in coeffs])
+
+
+# the factors of omega = (s^4 - 1)/s^2, and one arbitrary factor
+_OMEGA_FACTORS = ([0, 1], [-1, 1], [1, 1], [1, 0, 1])
+_OTHER_FACTORS = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _POLYS,
+    st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    _OTHER_FACTORS,
+)
+def test_canonical_text_matches_polynomial_reduction(num, powers, other):
+    """Laurent numerators print as the reduced fraction of polynomials.
+
+    The reference clears negative powers of s from the numerator into the
+    denominator and reduces the polynomial fraction with its s-content step
+    and Euclid (tests/scalar_oracle.py).
+    """
+    den = _s_poly(other)
+    for factor, n in zip(_OMEGA_FACTORS, powers):
+        for _ in range(n):
+            den = den * _s_poly(factor)
+    k = max(0, -num.min_s_power())
+    a = Scalar(num, den)
+    text = sc.format_scalar(a)
+    assert text == format_fraction(num.shift_s(k), den.shift_s(k))
+    assert sc.parse_scalar(text) == a
