@@ -78,6 +78,8 @@ def _parse_bindings(pairs):
         name, _, value = item.partition("=")
         if name not in ("s", "theta", "xi") or not value:
             raise UsageError("bad --set binding %r (expected var=rational)" % item)
+        if name in bindings:
+            raise UsageError("repeated --set binding %s" % name)
         if "." in value:
             raise UsageError("binding %r must be an exact rational like 1/2" % item)
         try:

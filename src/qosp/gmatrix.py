@@ -201,9 +201,6 @@ class GradedMatrix:
     def xi_coefficient(self, r):
         return self.map_entries(lambda a: a.xi_coefficient(r))
 
-    def max_xi_power(self):
-        return max((a.max_xi_power() for _, _, a in self.entries()), default=0)
-
     def __repr__(self):
         lines = ["GradedMatrix(dim=%d, parity=%s)" % (self.dim, list(self.parity))]
         for i, j, v in self.entries():

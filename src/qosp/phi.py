@@ -44,6 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalar as sc
+from .coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN
 from .gmatrix import GradedMatrix, exp_nilpotent, gkron, inverse, kron_parity
 from .report import Check, Report
 
@@ -145,7 +146,7 @@ def exponent_from_bilinear(bilinear, r1, r2):
         if not c:
             continue
         blk = gkron(r1.vu_power(m), r2.vu_power(n))
-        total = total + blk.map_entries(lambda a: a * xi).scale(-2 * c)
+        total = total + blk.scale(xi.scale(-2 * c))
     return total
 
 
@@ -156,14 +157,6 @@ def build_f_super(phi, r1, r2, xi_order=None):
     if xi_order is not None:
         f = f.drop_xi_above(xi_order)
     return f
-
-
-def _delta_j_vplus(r1, r2):
-    return gkron(r1.v_plus, r2.e_power(1)) + gkron(r1.identity, r2.v_plus)
-
-
-def _delta_sj_vplus(r1, r2):
-    return gkron(r1.v_plus, r2.identity) + gkron(r1.e_power(1), r2.v_plus)
 
 
 def _first_failing_order(residual, xi_order):
@@ -180,8 +173,8 @@ def check_intertwining_s(phi, r1, r2, order):
     )
     f = build_f_super(phi, r1, r2, xi_order=order)
     f_inv = inverse(f).drop_xi_above(order)
-    dj = _delta_j_vplus(r1, r2)
-    target = _delta_sj_vplus(r1, r2)
+    dj = JORDANIAN.evaluate("v+", r1, r2)
+    target = SUPER_JORDANIAN.evaluate("v+", r1, r2)
     main = (f * dj * f_inv - target).drop_xi_above(order)
     bad = _first_failing_order(main, order)
     rep.add(
@@ -293,6 +286,8 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
 
     per_pair = []
     for r1, r2 in pairs:
+        dj = JORDANIAN.evaluate("v+", r1, r2)
+        target = SUPER_JORDANIAN.evaluate("v+", r1, r2)
         solved = dict(known)
         findings = {}
         statuses = []
@@ -305,7 +300,7 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
             ]
             if not shell:
                 continue
-            rows, rhs = _shell_equations_sym(solved, shell, r1, r2, t + 1)
+            rows, rhs = _shell_equations_sym(solved, shell, r1, r2, t + 1, dj, target)
             solution, free, inconsistent = solve_linear_system(
                 rows, rhs, ncols=len(shell)
             )
@@ -389,18 +384,16 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
     return phi, rep
 
 
-def _shell_equations_sym(known_bilinear, shell, r1, r2, order):
+def _shell_equations_sym(known_bilinear, shell, r1, r2, order, dj, target):
     """Shell equations with (m,n) and (n,m) tied to one unknown.
 
-    order is the matched xi power t + 1.  The residual is affine in the
-    shell unknowns (module docstring), so the base residual needs one
-    exponential of the known terms below the slice, and the column of
-    (m, n) is the xi**order slice of B Dj(v+) - target B, with B the
-    exponent of the unit form on (m, n) and (n, m).
+    order is the matched xi power t + 1; dj and target are Dj(v+) and
+    Dsj(v+) on (r1, r2).  The residual is affine in the shell unknowns
+    (module docstring), so the base residual needs one exponential of
+    the known terms below the slice, and the column of (m, n) is the
+    xi**order slice of B dj - target B, with B the exponent of the unit
+    form on (m, n) and (n, m).
     """
-    dj = _delta_j_vplus(r1, r2)
-    target = _delta_sj_vplus(r1, r2)
-
     def slice_of(f):
         return ((f * dj) - (target * f)).xi_coefficient(order)
 
@@ -428,18 +421,11 @@ def compute_dsj_vminus(phi, r1, r2, order):
     Returns the truncated image together with homomorphism residual
     checks carried out modulo xi**(order+1).
     """
-    xi = sc.xi_var()
     f = build_f_super(phi, r1, r2, xi_order=order)
     f_inv = inverse(f).drop_xi_above(order)
-    inner = (
-        gkron(r1.v_minus, r2.e_power(-1))
-        + gkron(r1.identity, r2.v_minus)
-        + gkron(r1.h, r2.v_plus * r2.e_power(-2)).map_entries(lambda a: a * xi)
-    )
+    inner = JORDANIAN.evaluate("v-", r1, r2)
     dvm = (f * inner * f_inv).drop_xi_above(order)
-    dvp = _delta_sj_vplus(r1, r2)
-    from .coproducts import SUPER_JORDANIAN
-
+    dvp = SUPER_JORDANIAN.evaluate("v+", r1, r2)
     dh = SUPER_JORDANIAN.evaluate("h", r1, r2)
     rep = Report("reconstructed Delta(v-) on (%s, %s)" % (r1.spin, r2.spin))
     anti = (dvp * dvm + dvm * dvp + dh.scale(Fraction(1, 4))).drop_xi_above(order)
@@ -457,6 +443,6 @@ def compute_dsj_vminus(phi, r1, r2, order):
         )
     )
     zero_order = dvm.xi_coefficient(0)
-    prim = gkron(r1.v_minus, r2.identity) + gkron(r1.identity, r2.v_minus)
+    prim = CLASSICAL.evaluate("v-", r1, r2)
     rep.add(Check("xi^0 term is primitive", (zero_order - prim).is_zero()))
     return dvm, rep

@@ -23,7 +23,9 @@ demanded by the anticommutation recursion all sit in v-.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from . import scalar as sc
 from .gmatrix import GradedMatrix, exp_nilpotent, inverse, log_unipotent
@@ -40,6 +42,28 @@ def _graded_bracket(a, b, pa, pb):
     if (pa * pb) % 2:
         return a * b + b * a
     return a * b - b * a
+
+
+def sigma_of(x_plus):
+    """sigma = (1/2) log(1 + 2 xi X+) from the image of X+.
+
+    X+ is nilpotent in any finite module, so the logarithm of the
+    unipotent matrix is an exact finite sum.
+    """
+    u = GradedMatrix.identity(x_plus.parity) + x_plus.scale(sc.xi_var().scale(2))
+    return log_unipotent(u).scale(Fraction(1, 2))
+
+
+def frt_generators(h, v, e, e_inv):
+    """The FRT generators (H, E, V, W) from images of h, v+ and E^+-1.
+
+    H = xi h E - 2 xi^2 v+^2 E^-1,  V = -2 xi v+ E^-1,  W = 2 xi v+.
+    """
+    xi = sc.xi_var()
+    cap_h = (h * e).scale(xi) - (v * v * e_inv).scale((xi * xi).scale(2))
+    cap_v = (v * e_inv).scale(xi.scale(-2))
+    cap_w = v.scale(xi.scale(2))
+    return cap_h, e, cap_v, cap_w
 
 
 class Representation:
@@ -100,9 +124,7 @@ class Representation:
     def sigma(self):
         """sigma = (1/2) log(1 + 2 xi X+), nilpotent in any finite module."""
         if "sigma" not in self._cache:
-            xi = sc.xi_var()
-            u = self.identity + self.x_plus.scale(2).map_entries(lambda a: a * xi)
-            self._cache["sigma"] = log_unipotent(u).scale(Fraction(1, 2))
+            self._cache["sigma"] = sigma_of(self.x_plus)
         return self._cache["sigma"]
 
     def e_power(self, k):
@@ -118,8 +140,7 @@ class Representation:
         if key not in self._cache:
             mat = self.v_plus
             if m:
-                xi_m = sc.xi_var(m)
-                mat = (mat * self.x_plus ** m).map_entries(lambda a: a * xi_m)
+                mat = (mat * self.x_plus ** m).scale(sc.xi_var(m))
             self._cache[key] = mat
         return self._cache[key]
 
@@ -142,17 +163,9 @@ class Representation:
     def lt_generators(self):
         """Images of the FRT generators (H, E, V, W) built from h and v+."""
         if "lt" not in self._cache:
-            xi = sc.xi_var()
-            v = self.v_plus
-            e = self.e_power(1)
-            e_inv = self.e_power(-1)
-            h_mat = self.h
-            cap_h = (h_mat * e).map_entries(lambda a: a * xi) - (
-                v * v * e_inv
-            ).scale(2).map_entries(lambda a: a * xi * xi)
-            cap_v = (v * e_inv).scale(-2).map_entries(lambda a: a * xi)
-            cap_w = v.scale(2).map_entries(lambda a: a * xi)
-            self._cache["lt"] = (cap_h, e, cap_v, cap_w)
+            self._cache["lt"] = frt_generators(
+                self.h, self.v_plus, self.e_power(1), self.e_power(-1)
+            )
         return self._cache["lt"]
 
     # -- atom images for coproduct evaluation ------------------------------
@@ -160,10 +173,9 @@ class Representation:
     def image(self, atom):
         """Matrix image of a named element or a product list of them."""
         if isinstance(atom, (list, tuple)):
-            out = self.identity
-            for a in atom:
-                out = out * self.image(a)
-            return out
+            if not atom:
+                return self.identity
+            return reduce(operator.mul, map(self.image, atom))
         if atom == "1":
             return self.identity
         if atom == "h":
@@ -238,26 +250,23 @@ def check_lt_relations(r):
     e2 = e * e
     e_inv2 = e_inv * e_inv
 
-    def xs(m):
-        return m.map_entries(lambda a: a * xi)
-
     rel = [
         ("[E, V] = 0", e * v - v * e),
         ("[E, W] = 0", e * w - w * e),
-        ("[H, E] = xi (E^2 - 1)", cap_h * e - e * cap_h - xs(e2 - ident)),
+        ("[H, E] = xi (E^2 - 1)", cap_h * e - e * cap_h - (e2 - ident).scale(xi)),
         (
             "[H, V] = xi (V (E^-1 - E) - W)",
-            cap_h * v - v * cap_h - xs(v * (e_inv - e) - w),
+            cap_h * v - v * cap_h - (v * (e_inv - e) - w).scale(xi),
         ),
-        ("[V, V] = xi (1 - E^-2)", (v * v).scale(2) - xs(ident - e_inv2)),
-        ("[W, W] = xi (E^2 - 1)", (w * w).scale(2) - xs(e2 - ident)),
-        ("V W + W V = -xi (E - E^-1)", v * w + w * v + xs(e - e_inv)),
+        ("[V, V] = xi (1 - E^-2)", (v * v).scale(2) - (ident - e_inv2).scale(xi)),
+        ("[W, W] = xi (E^2 - 1)", (w * w).scale(2) - (e2 - ident).scale(xi)),
+        ("V W + W V = -xi (E - E^-1)", v * w + w * v + (e - e_inv).scale(xi)),
         (
             "V^2 + W^2 = (xi/2) (E^2 - E^-2)",
-            v * v + w * w - xs(e2 - e_inv2).scale(Fraction(1, 2)),
+            v * v + w * w - (e2 - e_inv2).scale(xi.scale(Fraction(1, 2))),
         ),
         ("V = -W E^-1", v + w * e_inv),
-        ("xi (E^2 - 1) = 2 W^2", xs(e2 - ident) - (w * w).scale(2)),
+        ("xi (E^2 - 1) = 2 W^2", (e2 - ident).scale(xi) - (w * w).scale(2)),
     ]
     rep = Report("lt-relations spin %s" % r.spin)
     for name, residual in rel:

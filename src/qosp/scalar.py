@@ -129,9 +129,6 @@ class Poly:
     def theta_free(self):
         return all(k[1] == 0 for k in self.terms)
 
-    def max_xi_power(self):
-        return max((k[2] for k in self.terms), default=0)
-
     def xi_slice(self, r):
         """Terms with xi-power exactly r, with that power removed."""
         return Poly({(a, b, 0): v for (a, b, c), v in self.terms.items() if c == r})
@@ -347,9 +344,6 @@ class Scalar:
 
     def theta_free(self):
         return self.num.theta_free()
-
-    def max_xi_power(self):
-        return self.num.max_xi_power()
 
     def xi_coefficient(self, r):
         """Coefficient of xi**r, itself a Scalar in s (and theta)."""

@@ -83,6 +83,15 @@ def test_emit_usage_errors(capsys):
     assert rc == 2
 
 
+def test_emit_repeated_set_binding(capsys):
+    """A variable bound twice is a usage error, not a silent override."""
+    args = ["emit", "--matrix", "sjr", "--format", "csv", "--set", "xi=1", "--set", "xi=0"]
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: repeated --set binding xi\n"
+
+
 @pytest.mark.parametrize("name", ["kr", "transformed"])
 def test_emit_at_a_pole_is_usage_error(name, capsys):
     """s = 0 is a pole of both matrices: exit 2 with a message, no traceback."""

@@ -6,13 +6,11 @@ import pytest
 
 from qosp import phi as phi_mod
 from qosp import scalar as sc
-from qosp.coproducts import CLASSICAL, evaluate_terms
-from qosp.gmatrix import exp_nilpotent, inverse
+from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, evaluate_terms
+from qosp.gmatrix import exp_nilpotent, gkron, inverse
 from qosp.matrices import f_jordanian, f_super_fund
 from qosp.phi import (
     PhiSeries,
-    _delta_j_vplus,
-    _delta_sj_vplus,
     build_f_super,
     check_intertwining_s,
     compute_dsj_vminus,
@@ -59,6 +57,45 @@ def test_zero_series_passes_at_order_zero(fund):
     phi = PhiSeries(1, [])
     rep = check_intertwining_s(phi, fund, fund, 0)
     assert rep.passed
+
+
+SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+def test_coproduct_tables_match_hand_written_formulas():
+    """The tables the solver evaluates equal the paper's formulas, written out.
+
+    Dj(v+) = v+ (x) E + 1 (x) v+,  Dsj(v+) = v+ (x) 1 + E (x) v+ and
+    Dj(v-) = v- (x) E^-1 + 1 (x) v- + xi h (x) v+ E^-2, E = exp(sigma).
+    """
+    xi = sc.xi_var()
+    for a in SPINS:
+        for b in SPINS:
+            r1, r2 = irrep(a), irrep(b)
+            dj_vplus = gkron(r1.v_plus, r2.e_power(1)) + gkron(r1.identity, r2.v_plus)
+            dsj_vplus = gkron(r1.v_plus, r2.identity) + gkron(r1.e_power(1), r2.v_plus)
+            dj_vminus = (
+                gkron(r1.v_minus, r2.e_power(-1))
+                + gkron(r1.identity, r2.v_minus)
+                + gkron(r1.h, r2.v_plus * r2.e_power(-2)).scale(xi)
+            )
+            assert JORDANIAN.evaluate("v+", r1, r2) == dj_vplus, (a, b)
+            assert SUPER_JORDANIAN.evaluate("v+", r1, r2) == dsj_vplus, (a, b)
+            assert JORDANIAN.evaluate("v-", r1, r2) == dj_vminus, (a, b)
+
+
+def test_solver_reads_the_coproduct_table(monkeypatch, fund, spin1):
+    """Dropping 1 (x) v+ from the JORDANIAN v+ rule reaches the solver and its check."""
+    phi = PhiSeries.f1_only()
+    assert check_intertwining_s(phi, fund, fund, 4).passed
+    _, rep = solve_phi(2, [(spin1, spin1)])
+    assert rep.passed
+
+    monkeypatch.setitem(JORDANIAN.rules, "v+", JORDANIAN.rules["v+"][:1])
+    bad = check_intertwining_s(phi, fund, fund, 4)
+    assert bad.checks[0].data["first_failing_order"] == 0
+    _, rep = solve_phi(2, [(spin1, spin1)])
+    assert not rep.passed
 
 
 def test_f1_only_fails_on_spin_one_at_order_three(spin1):
@@ -130,7 +167,9 @@ def test_solver_reports_inconsistency(spin1):
         for n, c2 in enumerate(f1_series_coeffs(2))
     }
     bad_known[(0, 1)] += Fraction(1, 3)  # break the symmetry of the known part
-    rows, rhs = _shell_equations_sym(bad_known, [(1, 1)], spin1, spin1, 3)
+    dj = JORDANIAN.evaluate("v+", spin1, spin1)
+    target = SUPER_JORDANIAN.evaluate("v+", spin1, spin1)
+    rows, rhs = _shell_equations_sym(bad_known, [(1, 1)], spin1, spin1, 3, dj, target)
     solution, free, inconsistent = solve_linear_system(rows, rhs, ncols=1)
     assert inconsistent
 
@@ -142,8 +181,8 @@ def _finite_difference_shell_equations(known_bilinear, shell, r1, r2, order):
     series with one unknown raised by 1.  The residual is affine in the
     unknowns, so the unit step is exact.
     """
-    dj = _delta_j_vplus(r1, r2)
-    target = _delta_sj_vplus(r1, r2)
+    dj = JORDANIAN.evaluate("v+", r1, r2)
+    target = SUPER_JORDANIAN.evaluate("v+", r1, r2)
 
     def residual_with(extra):
         bil = dict(known_bilinear)
@@ -173,9 +212,9 @@ def _record_shells(monkeypatch, *solve_args, **solve_kwargs):
         exp_count[0] += 1
         return exp_nilpotent(t)
 
-    def recording(known, shell, r1, r2, order):
+    def recording(known, shell, r1, r2, order, dj, target):
         before = exp_count[0]
-        rows, rhs = shell_equations(known, shell, r1, r2, order)
+        rows, rhs = shell_equations(known, shell, r1, r2, order, dj, target)
         calls.append((dict(known), list(shell), r1, r2, order, rows, rhs, exp_count[0] - before))
         return rows, rhs
 
@@ -244,8 +283,6 @@ def test_dsj_vminus_order_one_structure(fund):
     Dropping that term from the inner expression changes the slice, so
     its presence in the reconstruction is observable.
     """
-    from qosp.gmatrix import gkron
-
     phi = PhiSeries.f1_only()
     dvm, _ = compute_dsj_vminus(phi, fund, fund, 4)
     xi = sc.xi_var()

@@ -82,6 +82,15 @@ def test_vplus_cube_rank_spin_one():
     assert (v4 * r.v_plus).is_zero()
 
 
+def test_image_of_a_word_is_the_product_of_its_atoms():
+    r = irrep(1)
+    assert r.image([]) == r.identity
+    assert r.image(()) == r.identity
+    assert r.image(["v+"]) == r.v_plus
+    assert r.image(["h", "v+", "E^-2"]) == r.h * r.v_plus * r.e_power(-2)
+    assert r.image(("v-", "s^h", "X+")) == r.v_minus * r.s_power_h(1) * r.x_plus
+
+
 def test_sigma_and_exponentials():
     xi = sc.xi_var()
     for spin in (Fraction(1, 2), 1):
