@@ -252,22 +252,14 @@ def check_cocycle_jordanian(r1, r2, r3):
     )
 
 
-# formal rules for the deformed coproduct on atoms; E^k is grouplike
-_JORDANIAN_ATOM_RULES = {
-    **JORDANIAN.rules,
-    "1": [_t(1, ["1"], ["1"])],
-    "X+": [_t(1, ["X+"], ["E^2"]), _t(1, ["1"], ["X+"])],
-}
-
-
 def _delta_j_word(word):
-    """Formal deformed coproduct of a product of atoms."""
+    """Formal deformed coproduct of a product of atoms; 1 and E^k are grouplike."""
     terms = [_t(1, [], [])]
     for atom in word:
-        if atom.startswith("E^"):
+        if atom == "1" or atom.startswith("E^"):
             rule = [_t(1, [atom], [atom])]
         else:
-            rule = _JORDANIAN_ATOM_RULES[atom]
+            rule = JORDANIAN.rules[atom]
         terms = tensor_product(terms, rule)
     return terms
 
@@ -300,7 +292,7 @@ def check_coassociativity_jordanian(r1, r2, r3):
 def lplus_matrix(r):
     """The upper-triangular generator matrix on C3 (x) V as one operator."""
     cap_h, e, v, w = r.lt_generators()
-    e_inv = inverse(e)
+    e_inv = r.e_power(-1)
     blocks = {
         (0, 0): e_inv,
         (0, 1): v,
@@ -351,7 +343,7 @@ def check_l_coproducts():
     r1 = fundamental_rep()
     r2 = fundamental_rep()
     cap_h, e, v, w = r1.lt_generators()
-    e_inv = inverse(e)
+    e_inv = r1.e_power(-1)
     k_mat = f_super_fund() * f_jordanian(r1, r2)
     k_inv = inverse(k_mat)
     dh = CLASSICAL.evaluate("h", r1, r2)

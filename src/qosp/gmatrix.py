@@ -369,97 +369,45 @@ def check_gybe(r, name="gybe", base=None):
 
 
 # ---------------------------------------------------------------------------
-# inversion, exponentials, logarithms
+# inverse, exp and log as one finite series
 
 
-def _field_inverse(a):
-    """Gauss-Jordan inverse for matrices whose entries are free of theta, xi."""
-    from .scalar import inv as scalar_inv
-
-    n = a.dim
-    # row r of [a | I] as {column: nonzero value}; columns n.. hold the inverse
-    aug = [{n + r: ONE} for r in range(n)]
-    for (i, j), v in a._nz.items():
-        aug[i][j] = v
-    for col in range(n):
-        piv = next((r for r in range(col, n) if col in aug[r]), None)
-        if piv is None:
-            raise MatrixError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pinv = scalar_inv(aug[col][col])
-        prow = {c: v * pinv for c, v in aug[col].items()}
-        aug[col] = prow
-        for r in range(n):
-            f = aug[r].get(col) if r != col else None
-            if f is not None:
-                aug[r] = _accumulate(aug[r], ((c, -(f * w)) for c, w in prow.items()))
-    return GradedMatrix(
-        a.parity,
-        {(r, c - n): v for r, row in enumerate(aug) for c, v in row.items() if c >= n},
-    )
+def _nilpotent_series(n, coeff, kind):
+    """sum_k coeff(k) N**k for nilpotent N; MatrixError naming kind unless N**dim == 0."""
+    acc = GradedMatrix.identity(n.parity).scale(coeff(0))
+    power, k = n, 1
+    while not power.is_zero():
+        if k >= n.dim:
+            raise MatrixError("matrix is not %s" % kind)
+        c = coeff(k)
+        acc = acc + (power if c == 1 else -power if c == -1 else power.scale(c))
+        power = power * n
+        k += 1
+    return acc
 
 
-def inverse(a, verify=True):
-    """Exact inverse over the scalar field.
+def inverse(a):
+    """Inverse of a unipotent a = I + N as the finite series sum_k (-N)**k.
 
-    Splits off the theta = xi = 0 part, inverts it by elimination, and
-    resums the remaining (nilpotent) correction.  Raises for matrices
-    that are singular or whose inverse would leave the coefficient
-    ring.
+    Every matrix the package inverts is unipotent (the twists, E = e^sigma,
+    M = I + theta X+); any other matrix, singular or not, raises MatrixError.
     """
-    zero_bind = {"theta": ZERO, "xi": ZERO}
-    a0 = a.substitute(zero_bind)
-    a0_inv = _field_inverse(a0)
-    m = a0_inv * a - GradedMatrix.identity(a.parity)
-    if m.is_zero():
-        result = a0_inv
-    else:
-        acc = GradedMatrix.identity(a.parity)
-        power = m
-        k = 1
-        cap = 4 * a.dim + 4
-        while not power.is_zero():
-            acc = acc + power if k % 2 == 0 else acc - power
-            power = power * m
-            k += 1
-            if k > cap:
-                raise MatrixError("inverse is not polynomial in theta, xi")
-        result = acc * a0_inv
-    if verify and not (a * result).is_identity():
+    n = a - GradedMatrix.identity(a.parity)
+    result = _nilpotent_series(n, lambda k: (-1) ** k, "unipotent")
+    if not (a * result).is_identity():
         raise MatrixError("inverse verification failed")
     return result
 
 
 def exp_nilpotent(n):
     """exp of a nilpotent matrix, as a finite exact sum."""
-    acc = GradedMatrix.identity(n.parity)
-    power = n
-    k = 1
-    fact = Fraction(1)
-    while not power.is_zero():
-        if k > n.dim:
-            raise MatrixError("matrix is not nilpotent")
-        fact *= k
-        acc = acc + power.scale(Fraction(1, 1) / fact)
-        power = power * n
-        k += 1
-    return acc
+    return _nilpotent_series(n, lambda k: Fraction(1, math.factorial(k)), "nilpotent")
 
 
 def log_unipotent(u):
     """log of I + N with N nilpotent; exp_nilpotent(log_unipotent(u)) == u."""
     n = u - GradedMatrix.identity(u.parity)
-    acc = GradedMatrix.zeros(u.parity)
-    power = n
-    k = 1
-    while not power.is_zero():
-        if k > u.dim:
-            raise MatrixError("matrix is not unipotent")
-        term = power.scale(Fraction((-1) ** (k + 1), k))
-        acc = acc + term
-        power = power * n
-        k += 1
-    return acc
+    return _nilpotent_series(n, lambda k: Fraction((-1) ** (k + 1), k) if k else 0, "unipotent")
 
 
 # ---------------------------------------------------------------------------

@@ -270,15 +270,23 @@ def check_factorization():
 
 
 def check_new_entries_proportional():
-    """Every transform-only entry divides exactly by omega*theta."""
+    """Every transform-only entry is omega*theta times a scalar regular at s = 1.
+
+    omega is a unit of the field, so the division alone only tests the
+    theta factor; the contraction theta = xi/omega also needs each
+    quotient free of a pole at s = 1 (its reduced denominator nonzero
+    there).
+    """
     diff = transform_r() - kr_rmatrix()
     w_th = sc.omega() * sc.theta_var()
+    name = "new entries proportional to omega*theta"
     try:
-        for _, _, v in diff.entries():
-            divide_exact(v, w_th)
+        quotients = [divide_exact(v, w_th) for _, _, v in diff.entries()]
     except sc.ScalarError:
-        return Check("new entries proportional to omega*theta", False, "inexact division")
-    return Check("new entries proportional to omega*theta", True, "")
+        return Check(name, False, "inexact division")
+    if any(q.den.eval_s_one().is_zero() for q in quotients):
+        return Check(name, False, "quotient has a pole at s = 1")
+    return Check(name, True, "")
 
 
 def check_lplus_slices():

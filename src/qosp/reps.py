@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import scalar as sc
-from .gmatrix import GradedMatrix, exp_nilpotent, inverse, log_unipotent
+from .gmatrix import GradedMatrix, exp_nilpotent, log_unipotent
 from .report import Check, Report
 
 SUPPORTED_SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -246,7 +246,7 @@ def check_lt_relations(r):
     xi = sc.xi_var()
     cap_h, e, v, w = r.lt_generators()
     ident = r.identity
-    e_inv = inverse(e)
+    e_inv = r.e_power(-1)
     e2 = e * e
     e_inv2 = e_inv * e_inv
 

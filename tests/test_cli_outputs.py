@@ -1,0 +1,35 @@
+"""Recorded CLI outputs, compared byte for byte.
+
+tests/cli_outputs holds the stdout, stderr and exit code of each command
+below.  A change that is meant to keep the outputs byte-identical must
+pass here unchanged; a change that alters an output on purpose records
+the new files and says so in CHANGES.md.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).resolve().parent
+RECORDED = HERE / "cli_outputs"
+SRC = HERE.parent / "src"
+
+COMMANDS = {
+    "verify_all_json": ["verify", "--suite", "all", "--json"],
+    "solve_phi_order4": ["solve-phi", "--order", "4", "--pairs", "3/2:1,3/2:3/2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_recording(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qosp.cli", *COMMANDS[name]], capture_output=True, env=env
+    )
+    assert proc.stdout == (RECORDED / (name + ".stdout")).read_bytes()
+    assert proc.stderr == (RECORDED / (name + ".stderr")).read_bytes()
+    assert proc.returncode == int((RECORDED / (name + ".exit_code")).read_text())

@@ -169,6 +169,16 @@ def test_coassociativity(fund):
     assert check_coassociativity_jordanian(fund, fund, fund).passed
 
 
+def test_coassociativity_reads_the_coproduct_table(monkeypatch, fund):
+    """With the JORDANIAN rules replaced by the primitive ones, both the
+    outer sum and the inner coproducts must see the primitive coproduct,
+    which is coassociative."""
+    for g in JORDANIAN.rules:
+        monkeypatch.setitem(JORDANIAN.rules, g, CLASSICAL.rules[g])
+    rep = check_coassociativity_jordanian(fund, fund, fund)
+    assert [c.passed for c in rep.checks] == [True, True, True]
+
+
 def test_unknown_generator_atom_rejected(fund):
     from qosp.reps import RepresentationError
 

@@ -224,6 +224,14 @@ def test_inverse_singular_raises():
         inverse(z)
 
 
+def test_inverse_rejects_non_unipotent():
+    """inverse covers I + nilpotent only, even where a field inverse exists."""
+    two = GradedMatrix.identity(FUND).scale(2)
+    for m in (two, kr_rmatrix()):
+        with pytest.raises(MatrixError, match="unipotent"):
+            inverse(m)
+
+
 def test_inverse_random_unipotent():
     rng = random.Random(17)
     xi = sc.xi_var()

@@ -7,7 +7,7 @@ import pytest
 
 from koszul_rules import gkron_rule
 from qosp import scalar as sc
-from qosp.gmatrix import check_gybe, conjugate_flip, gkron, inverse, to_json_dict
+from qosp.gmatrix import GradedMatrix, check_gybe, conjugate_flip, gkron, inverse, to_json_dict
 from qosp.matrices import (
     FIXTURE_NAMES,
     check_factorization,
@@ -69,6 +69,19 @@ def test_transform_orientation_negative_control():
 
 def test_new_entries_divisible_by_omega_theta():
     assert check_new_entries_proportional().passed
+
+
+def test_new_entries_check_rejects_a_pole_at_s_one(monkeypatch):
+    """theta/omega^2 divides by omega*theta, but the quotient has a pole at s = 1."""
+    import qosp.matrices as matrices_mod
+
+    tr = transform_r()
+    extra = sc.theta_var() * sc.inv(sc.omega() * sc.omega())
+    bad = tr + GradedMatrix.from_entries(tr.parity, {(0, 1): extra})
+    monkeypatch.setattr(matrices_mod, "transform_r", lambda: bad)
+    chk = check_new_entries_proportional()
+    assert not chk.passed
+    assert chk.detail == "quotient has a pole at s = 1"
 
 
 def test_transform_conjugator_sign_indifferent():
