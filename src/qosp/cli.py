@@ -219,6 +219,9 @@ SUITES = {
 
 def cmd_verify(args):
     spins = [_parse_spin(s) for s in args.spins.split(",")]
+    for k, spin in enumerate(spins):
+        if spin in spins[:k]:
+            raise UsageError("repeated spin %s" % spin)
     names = SUITES if args.suite == "all" else [args.suite]
     reports = [rep for name in names for rep in SUITES[name](spins, args.order)]
     if args.json:
@@ -230,10 +233,9 @@ def cmd_verify(args):
 
 
 def cmd_solve_phi(args):
-    pair_specs = (args.pairs or "1:1/2,1:1").split(",")
     pairs = []
     seen = set()
-    for spec_item in pair_specs:
+    for spec_item in args.pairs.split(","):
         a, _, b = spec_item.partition(":")
         if not b:
             raise UsageError("bad --pairs entry %r (expected spin:spin)" % spec_item)
@@ -265,11 +267,13 @@ def cmd_solve_phi(args):
 
 
 def _write_out(path, text):
-    if path:
+    if not path:
+        return sys.stdout.write(text)
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror))
 
 
 def build_parser():
@@ -303,7 +307,7 @@ def build_parser():
         choices=range(1, MAX_ORDER + 1),
         help="max series term index",
     )
-    p_solve.add_argument("--pairs", help="spin pairs a:b,c:d (default 1:1/2,1:1)")
+    p_solve.add_argument("--pairs", default="1:1/2,1:1", help="spin pairs a:b,c:d, default %(default)s")
     p_solve.add_argument("--out")
     p_solve.set_defaults(func=cmd_solve_phi)
     return parser

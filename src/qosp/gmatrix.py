@@ -195,12 +195,6 @@ class GradedMatrix:
     def substitute(self, bindings):
         return self.map_entries(lambda a: substitute(a, bindings))
 
-    def drop_xi_above(self, n):
-        return self.map_entries(lambda a: a.drop_xi_above(n))
-
-    def xi_coefficient(self, r):
-        return self.map_entries(lambda a: a.xi_coefficient(r))
-
     def __repr__(self):
         lines = ["GradedMatrix(dim=%d, parity=%s)" % (self.dim, list(self.parity))]
         for i, j, v in self.entries():

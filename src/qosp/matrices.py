@@ -32,7 +32,6 @@ from .gmatrix import (
     gkron,
     inverse,
     kron_parity,
-    to_json_dict,
 )
 from .report import Check, Report
 from .reps import fundamental_rep
@@ -187,14 +186,6 @@ def load_fixture(name):
             return from_json_dict(json.load(fh))
     except (OSError, ValueError, MatrixError, sc.ScalarError) as exc:
         raise FixtureError("cannot load golden fixture %s: %s" % (path, exc))
-
-
-def write_fixture(name, matrix, directory=None):
-    path = os.path.join(directory or fixture_dir(), "%s.json" % name)
-    with open(path, "w") as fh:
-        json.dump(to_json_dict(matrix), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def check_golden(name):

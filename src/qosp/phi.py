@@ -36,16 +36,21 @@ linear in F, so its slice is
 
 one exponential per shell for the constant part and one closed-form
 column R(B)[xi**(t+1)] per unknown.  Known terms with m + n > t start above the slice
-and are left out of T.
+and are left out of T.  B is homogeneous of degree t + 1, so only the
+xi**0 slices of Dj(v+) and Dsj(v+) reach its column.
+
+Every truncated computation runs on the series of _xiseries; F^-1 = exp(-T)
+is checked by F F^-1 = I, and each unit exponent B is built once per pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _xiseries as xs
 from . import scalar as sc
 from .coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN
-from .gmatrix import GradedMatrix, exp_nilpotent, gkron, inverse, kron_parity
+from .gmatrix import GradedMatrix, MatrixError, exp_nilpotent, gkron, kron_parity
 from .report import Check, Report
 
 
@@ -79,9 +84,14 @@ class PhiSeries:
     def __init__(self, max_order, terms):
         self.max_order = max_order
         self.terms = terms
-        for m, n in self.support():
-            if self.bilinear(m, n) != self.bilinear(n, m):
-                raise ValueError("bilinear form is not symmetric")
+        total = {}
+        for left, right in terms:
+            for m, a in left.items():
+                for n, b in right.items():
+                    total[m, n] = total.get((m, n), Fraction(0)) + a * b
+        if any(c != total.get((n, m), 0) for (m, n), c in total.items()):
+            raise ValueError("bilinear form is not symmetric")
+        self._bilinear = {key: c for key, c in total.items() if c}
 
     @staticmethod
     def f1_only(u_order=8):
@@ -116,22 +126,11 @@ class PhiSeries:
             terms.append((left, right))
         return PhiSeries(max(len(terms), 1), terms)
 
-    def support(self):
-        keys = set()
-        for left, right in self.terms:
-            for m in left:
-                for n in right:
-                    keys.add((m, n))
-        return keys
-
     def bilinear(self, m, n):
-        total = Fraction(0)
-        for left, right in self.terms:
-            total += left.get(m, Fraction(0)) * right.get(n, Fraction(0))
-        return total
+        return self._bilinear.get((m, n), Fraction(0))
 
     def bilinear_dict(self):
-        return {(m, n): self.bilinear(m, n) for m, n in self.support() if self.bilinear(m, n)}
+        return dict(self._bilinear)
 
 
 # ---------------------------------------------------------------------------
@@ -150,55 +149,62 @@ def exponent_from_bilinear(bilinear, r1, r2):
     return total
 
 
-def build_f_super(phi, r1, r2, xi_order=None):
-    """The odd twist factor on a module pair, optionally xi-truncated."""
-    t = exponent_from_bilinear(phi.bilinear_dict(), r1, r2)
-    f = exp_nilpotent(t)
-    if xi_order is not None:
-        f = f.drop_xi_above(xi_order)
-    return f
+def build_f_super(phi, r1, r2):
+    """The odd twist factor on a module pair."""
+    return exp_nilpotent(exponent_from_bilinear(phi.bilinear_dict(), r1, r2))
 
 
-def _first_failing_order(residual, xi_order):
-    for r in range(xi_order + 1):
-        if not residual.xi_coefficient(r).is_zero():
-            return r
-    return None
+def _order_check(name, lhs, target, order):
+    """Check lhs = target through xi**order, naming the first failing order."""
+    bad = min((k for k, _, _ in xs.add(lhs, target, -1) if k <= order), default=None)
+    detail = "" if bad is None else "first failing xi order %d" % bad
+    return Check(name, bad is None, detail, data={"first_failing_order": bad})
 
 
-def _check_main_intertwining(phi, r1, r2, order, dj, target):
+class _PairSeries:
+    """Dj(v+), Dsj(v+) and the unit exponents of one module pair, through xi**order."""
+
+    def __init__(self, r1, r2, order):
+        self.reps, self.dim, self._units = (r1, r2), r1.dim * r2.dim, {}
+        self.dj = xs.from_matrix(JORDANIAN.evaluate("v+", r1, r2), order)
+        self.target = xs.from_matrix(SUPER_JORDANIAN.evaluate("v+", r1, r2), order)
+
+    def exponent(self, bilinear, order):
+        """exponent_from_bilinear through xi**order, from units cached per (m, n)."""
+        t = {}
+        for (m, n), c in bilinear.items():
+            if c and m + n < order:
+                if (m, n) not in self._units:
+                    unit = exponent_from_bilinear({(m, n): 1}, *self.reps)
+                    self._units[m, n] = xs.from_matrix(unit, m + n + 1)
+                t = xs.add(t, self._units[m, n], c)
+        return t
+
+    def twist(self, bilinear, order):
+        """F = exp(T) and F^-1 = exp(-T) through xi**order, checked by F F^-1 = I."""
+        t = self.exponent(bilinear, order)
+        f = xs.exp(t, self.dim, order)
+        f_inv = xs.exp({k: -v for k, v in t.items()}, self.dim, order)
+        if xs.mul(f, f_inv, order) != {(0, i, i): 1 for i in range(self.dim)}:
+            raise MatrixError("inverse verification failed")
+        return f, f_inv
+
+
+def _check_main_intertwining(bilinear, pair, order):
     """F^-1 and the check F Dj(v+) F^-1 = Dsj(v+) modulo xi**(order+1)."""
-    f = build_f_super(phi, r1, r2, xi_order=order)
-    f_inv = inverse(f).drop_xi_above(order)
-    bad = _first_failing_order((f * dj * f_inv - target).drop_xi_above(order), order)
-    return f_inv, Check(
-        "F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+",
-        bad is None,
-        "" if bad is None else "first failing xi order %d" % bad,
-        data={"first_failing_order": bad},
-    )
+    f, f_inv = pair.twist(bilinear, order)
+    lhs = xs.mul(xs.mul(f, pair.dj, order), f_inv, order)
+    return f_inv, _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", lhs, pair.target, order)
 
 
 def check_intertwining_s(phi, r1, r2, order):
     """Both forms of the intertwining identity, modulo xi**(order+1)."""
-    rep = Report(
-        "odd-twist intertwining (%s, %s) through xi^%d" % (r1.spin, r2.spin, order)
-    )
-    dj = JORDANIAN.evaluate("v+", r1, r2)
-    target = SUPER_JORDANIAN.evaluate("v+", r1, r2)
-    f_inv, main = _check_main_intertwining(phi, r1, r2, order, dj, target)
-    rep.add(main)
-    aux = (dj * (f_inv * f_inv) - target).drop_xi_above(order)
-    bad_aux = _first_failing_order(aux, order)
-    rep.add(
-        Check(
-            "Dj(v+) F^-2 = v+ (x) 1 + E (x) v+",
-            bad_aux is None,
-            "" if bad_aux is None else "first failing xi order %d" % bad_aux,
-            data={"first_failing_order": bad_aux},
-        )
-    )
-    return rep
+    pair = _PairSeries(r1, r2, order)
+    f_inv, main = _check_main_intertwining(phi.bilinear_dict(), pair, order)
+    lhs = xs.mul(pair.dj, xs.mul(f_inv, f_inv, order), order)
+    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", lhs, pair.target, order)
+    name = "odd-twist intertwining (%s, %s) through xi^%d" % (r1.spin, r2.spin, order)
+    return Report(name, [main, aux])
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +279,7 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
     rep = Report("odd-twist series solve, order %d" % order)
     if include_f1:
         f1 = f1_series_coeffs(max(2 * (order - 1), 2))
-        known = {
-            (m, n): f1[m] * f1[n]
-            for m in range(len(f1))
-            for n in range(len(f1))
-        }
+        known = {(m, n): a * b for m, a in enumerate(f1) for n, b in enumerate(f1)}
         min_power = 1
         if shells is None:
             shells = range(2, 2 * (order - 1) + 1)
@@ -287,25 +289,19 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
         if shells is None:
             shells = range(0, 2 * order - 1)
 
-    images = [
-        (JORDANIAN.evaluate("v+", r1, r2), SUPER_JORDANIAN.evaluate("v+", r1, r2))
-        for r1, r2 in pairs
-    ]
+    top = max([2 * order - 1, *(t + 1 for t in shells)])
+    pair_series = [_PairSeries(r1, r2, top) for r1, r2 in pairs]
     per_pair = []
-    for (r1, r2), (dj, target) in zip(pairs, images):
+    for pair in pair_series:
         solved = dict(known)
         findings = {}
         statuses = []
         pinned = []
         for t in shells:
-            shell = [
-                (m, t - m)
-                for m in range(min_power, t - min_power + 1)
-                if t - m >= min_power and m <= t - m
-            ]
+            shell = [(m, t - m) for m in range(min_power, t // 2 + 1)]
             if not shell:
                 continue
-            rows, rhs = _shell_equations_sym(solved, shell, r1, r2, t + 1, dj, target)
+            rows, rhs = _shell_equations_sym(solved, shell, pair, t + 1)
             solution, free, inconsistent = solve_linear_system(
                 rows, rhs, ncols=len(shell)
             )
@@ -327,7 +323,7 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
                 )
             else:
                 statuses.append(("shell %d" % t, "unique", None))
-        per_pair.append(((r1.spin, r2.spin), findings, statuses, pinned))
+        per_pair.append((tuple(r.spin for r in pair.reps), findings, statuses, pinned))
 
     # cross-pair consistency on shared determined coefficients
     consistent = True
@@ -377,42 +373,30 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
     max_xi = (max(m + n for m, n in pooled) + 1) if pooled else 1
     phi = PhiSeries.from_bilinear(pooled) if pooled else PhiSeries(order, [])
     xi_order = min(max_xi, 2 * order - 1)
-    for (r1, r2), (dj, target) in zip(pairs, images):
-        _, chk = _check_main_intertwining(phi, r1, r2, xi_order, dj, target)
-        rep.add(
-            Check(
-                "residual zero on (%s, %s) through xi^%d" % (r1.spin, r2.spin, xi_order),
-                chk.passed,
-                chk.detail,
-            )
-        )
+    for pair, (spins, _, _, _) in zip(pair_series, per_pair):
+        _, chk = _check_main_intertwining(phi.bilinear_dict(), pair, xi_order)
+        name = "residual zero on (%s, %s) through xi^%d" % (*spins, xi_order)
+        rep.add(Check(name, chk.passed, chk.detail))
     return phi, rep
 
 
-def _shell_equations_sym(known_bilinear, shell, r1, r2, order, dj, target):
+def _shell_equations_sym(known_bilinear, shell, pair, order):
     """Shell equations with (m,n) and (n,m) tied to one unknown.
 
-    order is the matched xi power t + 1; dj and target are Dj(v+) and
-    Dsj(v+) on (r1, r2).  The residual is affine in the shell unknowns
-    (module docstring), so the base residual needs one exponential of
-    the known terms below the slice, and the column of (m, n) is the
-    xi**order slice of B dj - target B, with B the exponent of the unit
-    form on (m, n) and (n, m).
+    order is the matched xi power t + 1.  The base is the xi**order slice
+    of the residual of exp(known terms below the slice), and the column
+    of (m, n) that of the unit exponent B on (m, n) and (n, m) (module
+    docstring).
     """
     def slice_of(f):
-        return ((f * dj) - (target * f)).xi_coefficient(order)
+        return xs.add(xs.mul(f, pair.dj, order, order), xs.mul(pair.target, f, order, order), -1)
 
-    below = {(m, n): c for (m, n), c in known_bilinear.items() if m + n < order}
-    f = exp_nilpotent(exponent_from_bilinear(below, r1, r2)).drop_xi_above(order)
-    base = slice_of(f)
-    columns = [
-        slice_of(exponent_from_bilinear({(m, n): 1, (n, m): 1}, r1, r2))
-        for m, n in shell
-    ]
+    base = slice_of(xs.exp(pair.exponent(known_bilinear, order), pair.dim, order))
+    columns = [slice_of(pair.exponent({(m, n): 1, (n, m): 1}, order)) for m, n in shell]
     # one equation per entry that is nonzero in base or any column, row-major
-    positions = sorted({(i, j) for m in (base, *columns) for i, j, _ in m.entries()})
-    rows = [[col[i, j].as_fraction() for col in columns] for i, j in positions]
-    rhs = [-base[i, j].as_fraction() for i, j in positions]
+    positions = sorted({key for col in (base, *columns) for key in col})
+    rows = [[col.get(key, 0) for col in columns] for key in positions]
+    rhs = [-base.get(key, 0) for key in positions]
     return rows, rhs
 
 
@@ -426,28 +410,18 @@ def compute_dsj_vminus(phi, r1, r2, order):
     Returns the truncated image together with homomorphism residual
     checks carried out modulo xi**(order+1).
     """
-    f = build_f_super(phi, r1, r2, xi_order=order)
-    f_inv = inverse(f).drop_xi_above(order)
-    inner = JORDANIAN.evaluate("v-", r1, r2)
-    dvm = (f * inner * f_inv).drop_xi_above(order)
-    dvp = SUPER_JORDANIAN.evaluate("v+", r1, r2)
-    dh = SUPER_JORDANIAN.evaluate("h", r1, r2)
-    rep = Report("reconstructed Delta(v-) on (%s, %s)" % (r1.spin, r2.spin))
-    anti = (dvp * dvm + dvm * dvp + dh.scale(Fraction(1, 4))).drop_xi_above(order)
-    rep.add(
-        Check(
-            "{Delta(v+), Delta(v-)} = -Delta(h)/4 mod xi^%d" % (order + 1),
-            anti.is_zero(),
-        )
-    )
-    comm = (dh * dvm - dvm * dh + dvm).drop_xi_above(order)
-    rep.add(
-        Check(
-            "[Delta(h), Delta(v-)] = -Delta(v-) mod xi^%d" % (order + 1),
-            comm.is_zero(),
-        )
-    )
-    zero_order = dvm.xi_coefficient(0)
-    prim = CLASSICAL.evaluate("v-", r1, r2)
-    rep.add(Check("xi^0 term is primitive", (zero_order - prim).is_zero()))
-    return dvm, rep
+    pair = _PairSeries(r1, r2, order)
+    f, f_inv = pair.twist(phi.bilinear_dict(), order)
+    inner = xs.from_matrix(JORDANIAN.evaluate("v-", r1, r2), order)
+    dvm = xs.mul(xs.mul(f, inner, order), f_inv, order)
+    dvp, dh = pair.target, xs.from_matrix(SUPER_JORDANIAN.evaluate("h", r1, r2), order)
+    anti = xs.add(xs.add(xs.mul(dvp, dvm, order), xs.mul(dvm, dvp, order)), dh, Fraction(1, 4))
+    comm = xs.add(xs.add(xs.mul(dh, dvm, order), xs.mul(dvm, dh, order), -1), dvm)
+    prim = xs.from_matrix(CLASSICAL.evaluate("v-", r1, r2), 0)
+    checks = [
+        Check("{Delta(v+), Delta(v-)} = -Delta(h)/4 mod xi^%d" % (order + 1), not anti),
+        Check("[Delta(h), Delta(v-)] = -Delta(v-) mod xi^%d" % (order + 1), not comm),
+        Check("xi^0 term is primitive", {k: v for k, v in dvm.items() if not k[0]} == prim),
+    ]
+    name = "reconstructed Delta(v-) on (%s, %s)" % (r1.spin, r2.spin)
+    return xs.to_matrix(dvm, kron_parity(r1.parity, r2.parity)), Report(name, checks)

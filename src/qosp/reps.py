@@ -194,17 +194,6 @@ class Representation:
             return self.e_power(int(atom[2:]))
         raise RepresentationError("unknown atom %r" % (atom,))
 
-    def rescaled(self, lam):
-        """Gauge transform v+ -> v+/lam, v- -> lam v-; same module."""
-        lam = Fraction(lam)
-        return Representation(
-            self.spin,
-            self.h,
-            self.v_plus.scale(1 / lam),
-            self.v_minus.scale(lam),
-            self.parity,
-        )
-
     def __repr__(self):
         return "Representation(spin=%s, dim=%d)" % (self.spin, self.dim)
 

@@ -129,13 +129,6 @@ class Poly:
     def theta_free(self):
         return all(k[1] == 0 for k in self.terms)
 
-    def xi_slice(self, r):
-        """Terms with xi-power exactly r, with that power removed."""
-        return Poly({(a, b, 0): v for (a, b, c), v in self.terms.items() if c == r})
-
-    def drop_xi_above(self, n):
-        return Poly({k: v for k, v in self.terms.items() if k[2] <= n})
-
     def eval_s_one(self):
         """Collapse s := 1; result is a Poly in (theta, xi)."""
         out = {}
@@ -344,14 +337,6 @@ class Scalar:
 
     def theta_free(self):
         return self.num.theta_free()
-
-    def xi_coefficient(self, r):
-        """Coefficient of xi**r, itself a Scalar in s (and theta)."""
-        # a slice of a reduced denominator-1 numerator is reduced
-        return Scalar(self.num.xi_slice(r), self.den, _normalized=self.den is _P_ONE)
-
-    def drop_xi_above(self, n):
-        return Scalar(self.num.drop_xi_above(n), self.den, _normalized=self.den is _P_ONE)
 
     def __repr__(self):
         return format_scalar(self)

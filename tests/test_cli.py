@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from fixture_files import write_fixture
 from qosp.cli import SUITES, build_parser, main
 from qosp.gmatrix import from_json_dict
 from qosp.matrices import (
@@ -198,6 +199,38 @@ def test_solve_phi_repeated_pair(capsys):
     assert err == "error: repeated module pair 1:1\n"
 
 
+def test_verify_repeated_spin(capsys):
+    """Spins are compared after parsing: 1/2 and 0.5 are the same spin."""
+    rc, out, err = run_cli(["verify", "--suite", "frt", "--spins", "1/2,0.5"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: repeated spin 1/2\n"
+
+
+def test_solve_phi_empty_pairs(capsys):
+    """An empty --pairs is bad input, not a request for the default pairs."""
+    rc, out, err = run_cli(["solve-phi", "--pairs", ""], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: bad --pairs entry ''")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["emit", "--matrix", "kr"],
+        ["verify", "--suite", "ybe"],
+        ["solve-phi", "--order", "1"],
+    ],
+)
+def test_unwritable_out_is_usage_error(args, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    rc, out, err = run_cli([*args, "--out", str(path)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %s: " % path)
+
+
 def test_solve_phi_output(tmp_path, capsys):
     out_file = tmp_path / "phi.json"
     rc = main(["solve-phi", "--order", "2", "--pairs", "1:1/2,1:1", "--out", str(out_file)])
@@ -244,7 +277,7 @@ def test_bad_fixture_is_usage_error(content, tmp_path, monkeypatch, capsys):
     import qosp.matrices as mats
 
     for name in mats.FIXTURE_NAMES:
-        mats.write_fixture(name, mats.named_matrix(name), directory=str(tmp_path))
+        write_fixture(name, mats.named_matrix(name), directory=str(tmp_path))
     monkeypatch.setenv("QOSP_FIXTURES", str(tmp_path))
     # a passing run first: the fixtures must be read again on every run
     assert run_cli(["verify", "--suite", "all"], capsys)[0] == 0
@@ -266,7 +299,7 @@ def test_verify_exit_one_on_failure(tmp_path, monkeypatch, capsys):
     import qosp.matrices as mats
 
     for name in mats.FIXTURE_NAMES:
-        mats.write_fixture(name, mats.named_matrix(name), directory=str(tmp_path))
+        write_fixture(name, mats.named_matrix(name), directory=str(tmp_path))
     bad = _json.loads((tmp_path / "sjr.json").read_text())
     bad["entries"][0][2] = "7"
     (tmp_path / "sjr.json").write_text(_json.dumps(bad))

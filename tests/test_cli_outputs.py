@@ -20,6 +20,7 @@ SRC = HERE.parent / "src"
 COMMANDS = {
     "verify_all_json": ["verify", "--suite", "all", "--json"],
     "solve_phi_order4": ["solve-phi", "--order", "4", "--pairs", "3/2:1,3/2:3/2"],
+    "solve_phi_spin2_order4": ["solve-phi", "--order", "4", "--pairs", "2:3/2,2:2"],
 }
 
 

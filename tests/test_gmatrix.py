@@ -34,6 +34,7 @@ from qosp.gmatrix import (
     to_json_dict,
 )
 from koszul_rules import gkron_rule
+from xi_oracle import xi_coefficient
 from qosp.matrices import f_jordanian, f_super_fund, kr_rmatrix, m_matrix
 from qosp.reps import fundamental_rep
 from qosp.scalar import ONE, ZERO, rational
@@ -397,7 +398,7 @@ def test_no_zero_entry_is_stored():
         r - r,
         r + (-r),
         r.scale(0),
-        r.xi_coefficient(1),
+        xi_coefficient(r, 1),
         r.map_entries(lambda a: a - a),
         n * n,
         GradedMatrix.from_entries(FUND, {(0, 0): ZERO, (1, 1): ONE - ONE}),

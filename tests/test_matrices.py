@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fixture_files import write_fixture
 from koszul_rules import gkron_rule
 from qosp import scalar as sc
 from qosp.gmatrix import GradedMatrix, check_gybe, conjugate_flip, gkron, inverse, to_json_dict
@@ -228,7 +229,7 @@ def test_parameterless_builders_are_memoized():
 def test_fixture_directory_override(tmp_path, monkeypatch):
     import qosp.matrices as mats
 
-    path = mats.write_fixture("kr", kr_rmatrix(), directory=str(tmp_path))
+    path = write_fixture("kr", kr_rmatrix(), directory=str(tmp_path))
     monkeypatch.setenv("QOSP_FIXTURES", str(tmp_path))
     assert mats.fixture_dir() == str(tmp_path)
     assert mats.load_fixture("kr") == kr_rmatrix()

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qosp import _xiseries as xs
 from qosp import phi as phi_mod
 from qosp import scalar as sc
 from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, evaluate_terms
-from qosp.gmatrix import exp_nilpotent, gkron, inverse
+from qosp.gmatrix import GradedMatrix, MatrixError, exp_nilpotent, gkron, inverse
 from qosp.matrices import f_jordanian, f_super_fund
 from qosp.phi import (
     PhiSeries,
@@ -19,6 +22,7 @@ from qosp.phi import (
     solve_phi,
 )
 from qosp.reps import fundamental_rep, irrep
+from xi_oracle import drop_xi_above, xi_coefficient
 
 
 @pytest.fixture(scope="module")
@@ -167,9 +171,8 @@ def test_solver_reports_inconsistency(spin1):
         for n, c2 in enumerate(f1_series_coeffs(2))
     }
     bad_known[(0, 1)] += Fraction(1, 3)  # break the symmetry of the known part
-    dj = JORDANIAN.evaluate("v+", spin1, spin1)
-    target = SUPER_JORDANIAN.evaluate("v+", spin1, spin1)
-    rows, rhs = _shell_equations_sym(bad_known, [(1, 1)], spin1, spin1, 3, dj, target)
+    pair = phi_mod._PairSeries(spin1, spin1, 3)
+    rows, rhs = _shell_equations_sym(bad_known, [(1, 1)], pair, 3)
     solution, free, inconsistent = solve_linear_system(rows, rhs, ncols=1)
     assert inconsistent
 
@@ -190,9 +193,9 @@ def _finite_difference_shell_equations(known_bilinear, shell, r1, r2, order):
             bil[(m, n)] = bil.get((m, n), Fraction(0)) + val
             if m != n:
                 bil[(n, m)] = bil.get((n, m), Fraction(0)) + val
-        t = exponent_from_bilinear(bil, r1, r2).drop_xi_above(order)
-        f = exp_nilpotent(t).drop_xi_above(order)
-        return ((f * dj) - (target * f)).xi_coefficient(order)
+        t = drop_xi_above(exponent_from_bilinear(bil, r1, r2), order)
+        f = drop_xi_above(exp_nilpotent(t), order)
+        return xi_coefficient((f * dj) - (target * f), order)
 
     base = residual_with({})
     columns = [residual_with({key: Fraction(1)}) - base for key in shell]
@@ -207,18 +210,19 @@ def _record_shells(monkeypatch, *solve_args, **solve_kwargs):
     calls = []
     exp_count = [0]
     shell_equations = phi_mod._shell_equations_sym
+    series_exp = xs.exp
 
-    def counting_exp(t):
+    def counting_exp(*args):
         exp_count[0] += 1
-        return exp_nilpotent(t)
+        return series_exp(*args)
 
-    def recording(known, shell, r1, r2, order, dj, target):
+    def recording(known, shell, pair, order):
         before = exp_count[0]
-        rows, rhs = shell_equations(known, shell, r1, r2, order, dj, target)
-        calls.append((dict(known), list(shell), r1, r2, order, rows, rhs, exp_count[0] - before))
+        rows, rhs = shell_equations(known, shell, pair, order)
+        calls.append((dict(known), list(shell), *pair.reps, order, rows, rhs, exp_count[0] - before))
         return rows, rhs
 
-    monkeypatch.setattr(phi_mod, "exp_nilpotent", counting_exp)
+    monkeypatch.setattr(xs, "exp", counting_exp)
     monkeypatch.setattr(phi_mod, "_shell_equations_sym", recording)
     _, rep = solve_phi(*solve_args, **solve_kwargs)
     assert rep.passed
@@ -286,14 +290,14 @@ def test_dsj_vminus_order_one_structure(fund):
     phi = PhiSeries.f1_only()
     dvm, _ = compute_dsj_vminus(phi, fund, fund, 4)
     xi = sc.xi_var()
-    f = build_f_super(phi, fund, fund, xi_order=4)
-    f_inv = inverse(f).drop_xi_above(4)
+    f = drop_xi_above(build_f_super(phi, fund, fund), 4)
+    f_inv = drop_xi_above(inverse(f), 4)
     inner_without = gkron(fund.v_minus, fund.e_power(-1)) + gkron(
         fund.identity, fund.v_minus
     )
-    without = (f * inner_without * f_inv).drop_xi_above(4)
-    diff = (dvm - without).xi_coefficient(1)
-    expected = gkron(fund.h, fund.v_plus * fund.e_power(-2)).xi_coefficient(0)
+    without = drop_xi_above(f * inner_without * f_inv, 4)
+    diff = xi_coefficient(dvm - without, 1)
+    expected = xi_coefficient(gkron(fund.h, fund.v_plus * fund.e_power(-2)), 0)
     assert diff == expected
 
 
@@ -302,3 +306,63 @@ def test_dsj_vminus_truncated_spin1(fund, spin1):
     assert rep.passed
     dvm, rep2 = compute_dsj_vminus(phi, spin1, spin1, 3)
     assert rep2.passed
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_series_kernel_matches_truncated_graded_matrices(data):
+    """Truncated product, slice, exp and inverse equal GradedMatrix results truncated.
+
+    a and b are any matrices polynomial in xi over the rationals; t is
+    strictly upper triangular after a random relabelling of the basis and
+    starts at xi**1, like the exponent of the twist, so F = exp(t) is
+    unipotent and its inverse is exp(-t).  Every entry of t above the
+    diagonal is nonzero, so its powers reach t**(dim-1).
+    """
+    dim = data.draw(st.integers(1, 5))
+    parity = data.draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
+    label = data.draw(st.permutations(range(dim)))
+    order = data.draw(st.integers(0, 5))
+
+    def matrix(lowest, strictly_upper):
+        entries = {}
+        for i in range(dim):
+            for j in range(i + 1 if strictly_upper else 0, dim):
+                nonzero = _COEFF.filter(bool) if strictly_upper else _COEFF
+                coeffs = data.draw(st.lists(nonzero, min_size=int(strictly_upper), max_size=3))
+                terms = [sc.xi_var(lowest + k).scale(c) for k, c in enumerate(coeffs)]
+                entries[label[i], label[j]] = sum(terms, sc.ZERO)
+        return GradedMatrix.from_entries(parity, entries)
+
+    def series(m):
+        return xs.from_matrix(m, order)
+
+    a, b, t = matrix(0, False), matrix(0, False), matrix(1, True)
+    product = xs.mul(series(a), series(b), order)
+    assert product == series(drop_xi_above(a * b, order))
+    assert xs.mul(series(a), series(b), order, order) == {
+        key: v for key, v in product.items() if key[0] == order
+    }
+    f = xs.exp(series(t), dim, order)
+    assert f == series(exp_nilpotent(t))
+    assert xs.exp(series(-t), dim, order) == series(inverse(exp_nilpotent(t)))
+    assert xs.to_matrix(f, parity) == drop_xi_above(exp_nilpotent(t), order)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        sc.s_var(),
+        sc.s_var(-1),
+        sc.theta_var(),
+        sc.xi_var() * sc.theta_var(),
+        sc.inv(sc.s_var() + sc.ONE),
+    ],
+)
+def test_series_conversion_rejects_s_theta_and_denominators(entry):
+    m = GradedMatrix.from_entries((0, 1), {(0, 0): sc.ONE, (0, 1): entry})
+    with pytest.raises(MatrixError, match="entry \\(1, 2\\) is not rational in xi"):
+        xs.from_matrix(m, 3)
