@@ -44,11 +44,15 @@ def mul(a, b, order, low=0):
     """The terms of the product a b from xi**low through xi**order."""
     rows = {}
     for (q, k, j), d in b.items():
-        rows.setdefault((k, q), []).append((j, d))
+        rows.setdefault(k, []).append((q, j, d))
+    for row in rows.values():  # by power, so a row's walk can stop at the order
+        row.sort(key=lambda e: e[0])
     out = {}
     for (p, i, k), c in a.items():
-        for q in range(max(low - p, 0), order - p + 1):
-            for j, d in rows.get((k, q), ()):
+        for q, j, d in rows.get(k, ()):
+            if p + q > order:
+                break
+            if p + q >= low:
                 key = (p + q, i, j)
                 out[key] = out[key] + c * d if key in out else c * d
     return {key: v for key, v in out.items() if v}
@@ -56,8 +60,9 @@ def mul(a, b, order, low=0):
 
 def exp(t, dim, order):
     """exp(t) through xi**order as the finite series sum_k t**k/k!; t starts at xi**1."""
-    acc, power = {(0, i, i): Fraction(1) for i in range(dim)}, t
-    for k in range(1, order + 1):
+    acc, power, k = {(0, i, i): Fraction(1) for i in range(dim)}, t, 1
+    while power:
         acc = add(acc, power, Fraction(1, math.factorial(k)))
         power = mul(power, t, order)
+        k += 1
     return acc

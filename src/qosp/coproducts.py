@@ -3,44 +3,36 @@
 A coproduct rule assigns to each generator a formal sum of tensor
 terms coeff * (left atoms) (x) (right atoms); evaluation on a pair of
 modules replaces every tensor symbol by the graded Kronecker product.
-Formal products of tensor terms follow the graded rule
+No sign is chosen here: gkron images multiply by the graded rule
 
-    (a (x) b)(c (x) d) = (-1)**(p(b)p(c)) (ac (x) bd),
+    gkron(a, b) gkron(c, d) = (-1)**(p(b)p(c)) gkron(ac, bd),
 
-which is exactly the multiplication satisfied by gkron images.
+so the coproduct of a word is the matrix product of its atoms'
+coproduct images, and leg placements on triple products are gkron with
+an identity, conjugated by a graded flip for legs 1 and 3.  Every
+Koszul sign is decided in gmatrix.gkron and gmatrix.gflip.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from . import scalar as sc
 from .gmatrix import (
     GradedMatrix,
+    conjugate_by_flip,
     exp_nilpotent,
     gflip,
     gkron,
     inverse,
     kron_parity,
-    place_two_leg,
 )
 from .matrices import _FUND_PARITY, contract_r, f_jordanian, f_super_fund
 from .report import Check, Report
 from .reps import _graded_bracket, frt_generators, fundamental_rep, sigma_of
 from .scalar import rational
-
-_PARITY = {"1": 0, "h": 0, "v+": 1, "v-": 1, "X+": 0, "s^h": 0, "s^-h": 0}
-
-
-def atom_parity(atom):
-    if atom.startswith("E^"):
-        return 0
-    return _PARITY[atom]
-
-
-def word_parity(word):
-    return sum(atom_parity(a) for a in word) % 2
-
 
 class TensorTerm:
     """coeff * (left word) (x) (right word)."""
@@ -51,19 +43,6 @@ class TensorTerm:
         self.coeff = coeff
         self.left = tuple(left)
         self.right = tuple(right)
-
-
-def tensor_product(terms1, terms2):
-    """Graded product of two formal sums of tensor terms."""
-    out = []
-    for t1 in terms1:
-        for t2 in terms2:
-            sgn = word_parity(t1.right) * word_parity(t2.left)
-            coeff = t1.coeff * t2.coeff
-            if sgn % 2:
-                coeff = -coeff
-            out.append(TensorTerm(coeff, t1.left + t2.left, t1.right + t2.right))
-    return out
 
 
 def evaluate_terms(terms, r1, r2):
@@ -77,9 +56,6 @@ class CoproductMap:
     def __init__(self, name, rules):
         self.name = name
         self.rules = rules  # generator -> list[TensorTerm]
-
-    def generators(self):
-        return list(self.rules)
 
     def evaluate(self, gen, r1, r2):
         return evaluate_terms(self.rules[gen], r1, r2)
@@ -180,8 +156,8 @@ def opposite_images(cp, r, gens=None):
     """Delta^op computed as P Delta P on an equal-module pair."""
     p = gflip(r.parity)
     out = {}
-    for g in gens or cp.generators():
-        out[g] = p * cp.evaluate(g, r, r) * p
+    for g in gens or cp.rules:
+        out[g] = conjugate_by_flip(p, cp.evaluate(g, r, r))
     return out
 
 
@@ -189,7 +165,7 @@ def check_r_intertwines(r_matrix, cp, r, gens=None):
     """R Delta(x) = Delta^op(x) R for every generator in scope."""
     rep = Report("intertwining %s" % cp.name)
     opp = opposite_images(cp, r, gens)
-    for g in gens or cp.generators():
+    for g in gens or cp.rules:
         lhs = r_matrix * cp.evaluate(g, r, r)
         rhs = opp[g] * r_matrix
         rep.add(Check("R Delta(%s) = Delta_op(%s) R" % (g, g), (lhs - rhs).is_zero()))
@@ -204,7 +180,7 @@ def twist_conjugate(f, cp, r1, r2, gens=None):
     """Conjugated coproduct images F Delta(x) F^-1."""
     f_inv = inverse(f)
     out = {}
-    for g in gens or cp.generators():
+    for g in gens or cp.rules:
         out[g] = f * cp.evaluate(g, r1, r2) * f_inv
     return out
 
@@ -212,8 +188,9 @@ def twist_conjugate(f, cp, r1, r2, gens=None):
 def check_twist_produces(f, base, target, r1, r2, gens=None):
     """F-conjugation of base coproduct equals target coproduct."""
     rep = Report("twist %s -> %s on (%s, %s)" % (base.name, target.name, r1.spin, r2.spin))
-    conj = twist_conjugate(f, base, r1, r2, gens or target.generators())
-    for g in gens or target.generators():
+    gens = gens or list(target.rules)
+    conj = twist_conjugate(f, base, r1, r2, gens)
+    for g in gens:
         rep.add(
             Check(
                 "F Delta(%s) F^-1 matches %s" % (g, target.name),
@@ -234,9 +211,8 @@ def check_cocycle_jordanian(r1, r2, r3):
     coproduct of the undeformed algebra, the one the twist equation is
     stated against.
     """
-    spaces = [r1.parity, r2.parity, r3.parity]
-    f12 = place_two_leg(f_jordanian(r1, r2), (0, 1), spaces)
-    f23 = place_two_leg(f_jordanian(r2, r3), (1, 2), spaces)
+    f12 = gkron(f_jordanian(r1, r2), r3.identity)
+    f23 = gkron(r1.identity, f_jordanian(r2, r3))
     dh12 = CLASSICAL.evaluate("h", r1, r2)
     left_co = exp_nilpotent(gkron(dh12, r3.sigma))
     dv23 = CLASSICAL.evaluate("v+", r2, r3)
@@ -252,16 +228,17 @@ def check_cocycle_jordanian(r1, r2, r3):
     )
 
 
-def _delta_j_word(word):
-    """Formal deformed coproduct of a product of atoms; 1 and E^k are grouplike."""
-    terms = [_t(1, [], [])]
-    for atom in word:
-        if atom == "1" or atom.startswith("E^"):
-            rule = [_t(1, [atom], [atom])]
-        else:
-            rule = JORDANIAN.rules[atom]
-        terms = tensor_product(terms, rule)
-    return terms
+def _delta_j_word(word, r1, r2):
+    """Deformed coproduct of a product of atoms on (r1, r2); 1 and E^k are grouplike."""
+    return reduce(
+        operator.mul,
+        (
+            gkron(r1.image(atom), r2.image(atom))
+            if atom == "1" or atom.startswith("E^")
+            else JORDANIAN.evaluate(atom, r1, r2)
+            for atom in word
+        ),
+    )
 
 
 def check_coassociativity_jordanian(r1, r2, r3):
@@ -277,9 +254,9 @@ def check_coassociativity_jordanian(r1, r2, r3):
     for g in ("h", "v+", "v-"):
         lhs = rhs = GradedMatrix.zeros(parity)
         for t in JORDANIAN.rules[g]:
-            left = evaluate_terms(_delta_j_word(t.left), r1, r2)
+            left = _delta_j_word(t.left, r1, r2)
             lhs = lhs + gkron(left, r3.image(t.right)).scale(t.coeff)
-            right = evaluate_terms(_delta_j_word(t.right), r2, r3)
+            right = _delta_j_word(t.right, r2, r3)
             rhs = rhs + gkron(r1.image(t.left), right).scale(t.coeff)
         rep.add(Check("generator %s" % g, (lhs - rhs).is_zero()))
     return rep
@@ -313,11 +290,9 @@ def lplus_matrix(r):
 
 def frt_check(r):
     """R L1 L2 = L2 L1 R on C3 (x) C3 (x) V with graded embeddings."""
-    l_mat = lplus_matrix(r)
-    spaces = [_FUND_PARITY, _FUND_PARITY, r.parity]
-    l1 = place_two_leg(l_mat, (0, 2), spaces)
-    l2 = place_two_leg(l_mat, (1, 2), spaces)
-    r12 = place_two_leg(contract_r(), (0, 1), spaces)
+    l2 = gkron(GradedMatrix.identity(_FUND_PARITY), lplus_matrix(r))
+    l1 = conjugate_by_flip(gkron(gflip(_FUND_PARITY), r.identity), l2)
+    r12 = gkron(contract_r(), r.identity)
     lhs = r12 * l1 * l2
     rhs = l2 * l1 * r12
     ok = (lhs - rhs).is_zero()
@@ -390,23 +365,10 @@ def check_qcoproduct_xplus(r1, r2):
     qh2b = gkron(r1.s_power_h(-2), vsq2)
     residual = square - qh2 - qh2b
     pattern = gkron(r1.v_plus * r1.s_power_h(-1), r2.v_plus * r2.s_power_h(1))
-    coeff = None
-    ok = True
-    for i, j, v in pattern.entries():
-        ratio_num = residual[i, j]
-        c = ratio_num * sc.inv(v) if v.num.is_s_only() else None
-        if c is None:
-            ok = False
-            break
-        if coeff is None:
-            coeff = c
-        elif coeff != c:
-            ok = False
-            break
-    if coeff is None:
-        ok = False
-    if ok:
-        ok = (residual - pattern.scale(coeff)).is_zero()
+    # pattern entries are s-monomials, so the first one fixes the coefficient
+    first = next(pattern.entries(), None)
+    coeff = None if first is None else residual[first[0], first[1]] * sc.inv(first[2])
+    ok = coeff is not None and (residual - pattern.scale(coeff)).is_zero()
     rep.add(
         Check(
             "residual is proportional to (v+ q^-h/2) (x) (v+ q^h/2)",

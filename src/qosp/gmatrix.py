@@ -3,7 +3,7 @@
 A GradedMatrix is square, carries a parity vector (one Z2 bit per basis
 vector) and stores only its nonzero entries, in one private map
 {(i, j): Scalar} with 0-based indices.  No zero is ever stored, so
-every operation -- sums, products, Kronecker products, leg embeddings,
+every operation -- sums, products, Kronecker products, flips,
 inversion, exponentials -- walks the nonzeros alone; the product groups
 the right factor's nonzeros by row.  Matrices are immutable: operations
 return new matrices, ``m[i, j]`` reads an entry (ZERO where none is
@@ -23,6 +23,14 @@ for homogeneous B, C, which is the multiplication rule of the graded
 tensor-product algebra.  A test enumerates the candidate conventions
 and parity vectors against the fixed 9x9 matrices to show this is the
 only combination that reproduces them.
+
+gkron and gflip are the only code in the package that picks a Koszul
+sign.  An operator on two adjacent legs of a triple product is gkron
+with an identity; on legs 1 and 3 it is the legs-2-3 placement
+conjugated by the flip of the two equal first legs, which
+conjugate_by_flip does by relabelling indices, reading the flip's own
+signs.  Coproduct words are products of gkron images (coproducts.py),
+so their signs come from the same rule.
 """
 
 from __future__ import annotations
@@ -235,7 +243,8 @@ def gkron(a, b):
         odd_col = p1[j]
         ri, cj = i * n2, j * n2
         for x, y, odd_entry, bv in bitems:
-            v = av * bv
+            # Scalars are immutable, so a factor ONE lets the other be shared
+            v = bv if av is ONE else av if bv is ONE else av * bv
             out[(ri + x, cj + y)] = -v if odd_col and odd_entry else v
     return GradedMatrix(kron_parity(p1, p2), out)
 
@@ -268,88 +277,36 @@ def _base_parity(r, base=None):
     return base
 
 
+def conjugate_by_flip(p, m):
+    """p . m . p for a symmetric signed permutation p, such as a graded flip.
+
+    p[k, i] = s_i is the one nonzero of column i, so the product only
+    relabels m: (p m p)[k_i, k_j] = s_i s_j m[i, j].
+    """
+    m._check_compatible(p)
+    to = {i: (k, s == ONE) for (k, i), s in p._nz.items()}
+    out = {}
+    for (i, j), v in m._nz.items():
+        ki, plus_i = to[i]
+        kj, plus_j = to[j]
+        out[(ki, kj)] = v if plus_i == plus_j else -v
+    return GradedMatrix(m.parity, out)
+
+
 def conjugate_flip(r, base=None):
     """R21 = P . R . P for R acting on V (x) V."""
-    p = gflip(_base_parity(r, base))
-    return p * r * p
-
-
-# ---------------------------------------------------------------------------
-# leg embeddings on triple tensor products
-
-
-def place_two_leg(x, legs, spaces):
-    """Operator x on legs (i,j) of a tensor product of graded spaces.
-
-    spaces is a list of parity vectors; x acts on spaces[i] (x)
-    spaces[j] and is extended by the identity elsewhere, with Koszul
-    transport signs: an entry of x whose second-leg part has odd parity
-    picks up (-1)**p(k) for every basis index k of a leg strictly
-    between i and j, and for every leg before i the sign follows the
-    total entry parity of x.
-    """
-    i, j = legs
-    if not 0 <= i < j < len(spaces):
-        raise MatrixError("bad leg specification %r" % (legs,))
-    dims = [len(p) for p in spaces]
-    if x.dim != dims[i] * dims[j]:
-        raise MatrixError("operator does not match the selected legs")
-    parity = spaces[0]
-    for p in spaces[1:]:
-        parity = kron_parity(parity, p)
-
-    # strides for composite row-major index
-    strides = [1] * len(spaces)
-    for k in range(len(spaces) - 2, -1, -1):
-        strides[k] = strides[k + 1] * dims[k + 1]
-
-    # every basis assignment of the other legs, as (offset, parity of the
-    # legs between i and j, parity of the legs before i)
-    others = [(0, 0, 0)]
-    for k in range(len(spaces)):
-        if k in (i, j):
-            continue
-        others = [
-            (off + v * strides[k], mid + (pk if i < k < j else 0), pre + (pk if k < i else 0))
-            for off, mid, pre in others
-            for v, pk in enumerate(spaces[k])
-        ]
-
-    pi, pj = spaces[i], spaces[j]
-    dj = dims[j]
-    out = {}
-    for (r, c), v in x._nz.items():
-        ri, rj = divmod(r, dj)
-        ci, cj = divmod(c, dj)
-        second_par = (pj[rj] + pj[cj]) % 2
-        entry_par = (pi[ri] + pi[ci] + second_par) % 2
-        row0 = ri * strides[i] + rj * strides[j]
-        col0 = ci * strides[i] + cj * strides[j]
-        neg_v = -v
-        for off, mid, pre in others:
-            sgn = (mid if second_par else 0) + (pre if entry_par else 0)
-            out[(off + row0, off + col0)] = neg_v if sgn % 2 else v
-    return GradedMatrix(parity, out)
-
-
-def embed(r, legs, p3=None, base=None):
-    """Embed R on V (x) V into the stated legs of V (x) V (x) V."""
-    base = _base_parity(r, base)
-    if p3 is None:
-        p3 = base
-    order = {(1, 2): (0, 1), (1, 3): (0, 2), (2, 3): (1, 2)}
-    if legs not in order:
-        raise MatrixError("legs must be (1,2), (1,3) or (2,3)")
-    return place_two_leg(r, order[legs], [base, base, p3])
+    return conjugate_by_flip(gflip(_base_parity(r, base)), r)
 
 
 def check_gybe(r, name="gybe", base=None):
     """Graded Yang-Baxter residual R12 R13 R23 - R23 R13 R12."""
     from .report import Check
 
-    r12 = embed(r, (1, 2), base=base)
-    r13 = embed(r, (1, 3), base=base)
-    r23 = embed(r, (2, 3), base=base)
+    base = _base_parity(r, base)
+    ident = GradedMatrix.identity(base)
+    r12 = gkron(r, ident)
+    r23 = gkron(ident, r)
+    r13 = conjugate_by_flip(gkron(gflip(base), ident), r23)
     lhs = r12 * r13 * r23
     rhs = r23 * r13 * r12
     res = lhs - rhs

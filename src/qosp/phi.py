@@ -81,8 +81,7 @@ class PhiSeries:
     products of the pairs and must be symmetric.
     """
 
-    def __init__(self, max_order, terms):
-        self.max_order = max_order
+    def __init__(self, terms):
         self.terms = terms
         total = {}
         for left, right in terms:
@@ -96,7 +95,7 @@ class PhiSeries:
     @staticmethod
     def f1_only(u_order=8):
         coeffs = {m: c for m, c in enumerate(f1_series_coeffs(u_order))}
-        return PhiSeries(1, [(coeffs, dict(coeffs))])
+        return PhiSeries([(coeffs, dict(coeffs))])
 
     @staticmethod
     def from_bilinear(bilinear):
@@ -104,8 +103,7 @@ class PhiSeries:
 
         Pivots are taken along the leading powers m = k - 1, which
         realizes the expected structure where term k starts at
-        u**(k-1) on both legs; the realized number of terms becomes
-        the order of the series.
+        u**(k-1) on both legs.
         """
         work = {k: Fraction(v) for k, v in bilinear.items() if v}
         terms = []
@@ -124,7 +122,7 @@ class PhiSeries:
                     new[(a, b)] = c2
             work = new
             terms.append((left, right))
-        return PhiSeries(max(len(terms), 1), terms)
+        return PhiSeries(terms)
 
     def bilinear(self, m, n):
         return self._bilinear.get((m, n), Fraction(0))
@@ -371,7 +369,7 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
             pooled[(n, m)] = pooled.get((n, m), Fraction(0)) + val
     # verify residuals on every pair through the solved orders
     max_xi = (max(m + n for m, n in pooled) + 1) if pooled else 1
-    phi = PhiSeries.from_bilinear(pooled) if pooled else PhiSeries(order, [])
+    phi = PhiSeries.from_bilinear(pooled) if pooled else PhiSeries([])
     xi_order = min(max_xi, 2 * order - 1)
     for pair, (spins, _, _, _) in zip(pair_series, per_pair):
         _, chk = _check_main_intertwining(phi.bilinear_dict(), pair, xi_order)

@@ -1,11 +1,18 @@
-"""The four candidate Koszul sign rules for graded Kronecker products.
+"""Koszul sign rules written out independently of qosp.gmatrix.
 
-qosp.gmatrix.gkron implements only the package rule, "first_col"; the
-sign-enumeration tests build the other three here and show that they
-fail to reproduce the fixed matrices.
+The four candidate rules for graded Kronecker products: gkron implements
+only the package rule, "first_col"; the sign-enumeration tests build the
+other three here and show that they fail to reproduce the fixed
+matrices.
+
+The formal graded product of tensor terms, with the atom parities
+spelled out: the reference that the coproduct of a word, computed in
+qosp as a product of gkron images, is checked against.
 """
 
+from qosp.coproducts import JORDANIAN, TensorTerm
 from qosp.gmatrix import GradedMatrix, kron_parity
+from qosp.scalar import ONE
 
 # rule -> odd exponent of the sign for A[i,j] B[x,y], given the parities
 _SIGN = {
@@ -27,3 +34,34 @@ def gkron_rule(a, b, rule):
             v = av * bv
             out[(i * n2 + x, j * n2 + y)] = -v if sign(p1, p2, i, j, x, y) % 2 else v
     return GradedMatrix.from_entries(kron_parity(p1, p2), out)
+
+
+_ATOM_PARITY = {"1": 0, "h": 0, "v+": 1, "v-": 1, "X+": 0, "s^h": 0, "s^-h": 0}
+
+
+def word_parity(word):
+    return sum(0 if a.startswith("E^") else _ATOM_PARITY[a] for a in word) % 2
+
+
+def tensor_product(terms1, terms2):
+    """(a (x) b)(c (x) d) = (-1)**(p(b)p(c)) (ac (x) bd), term by term."""
+    out = []
+    for t1 in terms1:
+        for t2 in terms2:
+            coeff = t1.coeff * t2.coeff
+            if word_parity(t1.right) * word_parity(t2.left):
+                coeff = -coeff
+            out.append(TensorTerm(coeff, t1.left + t2.left, t1.right + t2.right))
+    return out
+
+
+def formal_delta_j_word(word):
+    """Formal JORDANIAN coproduct of a product of atoms; 1 and E^k are grouplike."""
+    terms = [TensorTerm(ONE, [], [])]
+    for atom in word:
+        if atom == "1" or atom.startswith("E^"):
+            rule = [TensorTerm(ONE, [atom], [atom])]
+        else:
+            rule = JORDANIAN.rules[atom]
+        terms = tensor_product(terms, rule)
+    return terms

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 from qosp import scalar as sc
 from qosp.coproducts import (
+    Q_DEFORMED,
+    TensorTerm,
     check_l_coproducts,
     check_qcoproduct_xplus,
     frt_check,
     lplus_matrix,
 )
-from qosp.gmatrix import place_two_leg
 from qosp.matrices import contract_r
 from qosp.reps import fundamental_rep, irrep
 from qosp.scalar import ZERO
@@ -50,3 +51,16 @@ def test_qcoproduct_cross_term():
 def test_qcoproduct_cross_term_spin1():
     rep = check_qcoproduct_xplus(irrep(1), irrep(1))
     assert rep.passed
+
+
+def test_qcoproduct_cross_term_rejects_non_proportional_residual(monkeypatch):
+    # with the s^-h (x) v+ term doubled, the residual carries 3 q^-h (x) v+^2
+    f = fundamental_rep()
+    monkeypatch.setitem(
+        Q_DEFORMED.rules,
+        "v+",
+        [TensorTerm(sc.ONE, ["v+"], ["s^h"]), TensorTerm(sc.rational(2), ["s^-h"], ["v+"])],
+    )
+    rep = check_qcoproduct_xplus(f, f)
+    assert not rep.passed
+    assert [c.detail for c in rep.checks] == ["no single coefficient"]

@@ -21,8 +21,8 @@ from qosp.gmatrix import (
     GradedMatrix,
     MatrixError,
     check_gybe,
+    conjugate_by_flip,
     conjugate_flip,
-    embed,
     exp_nilpotent,
     from_json_dict,
     gflip,
@@ -30,7 +30,6 @@ from qosp.gmatrix import (
     inverse,
     kron_parity,
     log_unipotent,
-    place_two_leg,
     to_json_dict,
 )
 from koszul_rules import gkron_rule
@@ -145,15 +144,24 @@ def test_gkron_functoriality():
         assert (lhs - rhs).is_zero()
 
 
+def _place13(r, parity):
+    """r on legs 1 and 3 by relabelling, checked against the product P12 R23 P12."""
+    i3 = GradedMatrix.identity(parity)
+    p12, r23 = gkron(gflip(parity), i3), gkron(i3, r)
+    r13 = conjugate_by_flip(p12, r23)
+    assert r13 == p12 * r23 * p12
+    return r13
+
+
 def test_embed_identity_and_xi_zero():
     i9 = GradedMatrix.identity(kron_parity(FUND, FUND))
-    for legs in ((1, 2), (1, 3), (2, 3)):
-        m = embed(i9, legs)
+    i3 = GradedMatrix.identity(FUND)
+    for m in (gkron(i9, i3), _place13(i9, FUND), gkron(i3, i9)):
         assert m.is_identity()
     from qosp.matrices import contract_r
 
     r0 = contract_r().substitute({"xi": ZERO})
-    assert embed(r0, (1, 2)).is_identity()
+    assert gkron(r0, i3).is_identity()
 
 
 def test_embed_even_factor_placement():
@@ -161,14 +169,14 @@ def test_embed_even_factor_placement():
     rng = random.Random(14)
     a = _rand_matrix(rng, FUND, homogeneous=0)
     b = _rand_matrix(rng, FUND, homogeneous=0)
-    r13 = embed(gkron(a, b), (1, 3))
+    r13 = _place13(gkron(a, b), FUND)
     i3 = GradedMatrix.identity(FUND)
     assert r13 == gkron(gkron(a, i3), b)
 
 
 def test_embed_matches_flip_conjugation():
-    # independent construction of the (1,3) embedding through flips,
-    # and the full YBE residual computed along both code paths
+    # independent construction of the (1,3) embedding through the flip of
+    # legs 2 and 3, and the full YBE residual against check_gybe
     rng = random.Random(15)
     for _ in range(5):
         parity = tuple(rng.randint(0, 1) for _ in range(3))
@@ -176,20 +184,18 @@ def test_embed_matches_flip_conjugation():
         i3 = GradedMatrix.identity(parity)
         swap23 = gkron(i3, gflip(parity))
         oracle13 = swap23 * gkron(r, i3) * swap23
-        assert embed(r, (1, 3), parity, base=parity) == oracle13
-        assert embed(r, (2, 3), parity, base=parity) == gkron(i3, r)
-        assert embed(r, (1, 2), parity, base=parity) == gkron(r, i3)
+        assert _place13(r, parity) == oracle13
+        assert conjugate_by_flip(swap23, gkron(r, i3)) == oracle13
+        assert conjugate_flip(r, parity) == gflip(parity) * r * gflip(parity)
         r12, r23 = gkron(r, i3), gkron(i3, r)
         explicit_residual = r12 * oracle13 * r23 - r23 * oracle13 * r12
-        via_embed = (
-            embed(r, (1, 2), base=parity)
-            * embed(r, (1, 3), base=parity)
-            * embed(r, (2, 3), base=parity)
-            - embed(r, (2, 3), base=parity)
-            * embed(r, (1, 3), base=parity)
-            * embed(r, (1, 2), base=parity)
+        check = check_gybe(r, base=parity)
+        nonzero = [(i + 1, j + 1, sc.format_scalar(v)) for i, j, v in explicit_residual.entries()]
+        assert check.passed == explicit_residual.is_zero()
+        assert check.data["nonzero"] == nonzero[:10]
+        assert check.detail == (
+            "residual has %d nonzero entries" % len(nonzero) if nonzero else "residual is zero"
         )
-        assert via_embed == explicit_residual
 
 
 def test_check_gybe_detects_failure():
@@ -472,6 +478,17 @@ def _dense_gkron(a, b):
     return out
 
 
+def _place_two_leg(x, legs, spaces):
+    """x on legs (0, 1), (1, 2), or (0, 2) with spaces[1] == spaces[0], via gkron."""
+    first, last = GradedMatrix.identity(spaces[0]), GradedMatrix.identity(spaces[2])
+    if legs == (0, 1):
+        return gkron(x, last)
+    l23 = gkron(first, x)
+    if legs == (1, 2):
+        return l23
+    return conjugate_by_flip(gkron(gflip(spaces[0]), last), l23)
+
+
 def _dense_place_two_leg(x, legs, spaces):
     """Every (row, column) pair of the product basis, straight from the sign rule."""
     i, j = legs
@@ -514,5 +531,7 @@ def test_sparse_operations_match_dense_reference(data):
 
     spaces = [data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=2).map(tuple)) for _ in range(3)]
     legs = data.draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    if legs == (0, 2):
+        spaces[1] = spaces[0]
     x = data.draw(_graded_matrices(kron_parity(spaces[legs[0]], spaces[legs[1]])))
-    _assert_matches(place_two_leg(x, legs, spaces), _dense_place_two_leg(x, legs, spaces))
+    _assert_matches(_place_two_leg(x, legs, spaces), _dense_place_two_leg(x, legs, spaces))

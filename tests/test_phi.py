@@ -58,7 +58,7 @@ def test_intertwining_exact_on_fundamental(fund):
 
 
 def test_zero_series_passes_at_order_zero(fund):
-    phi = PhiSeries(1, [])
+    phi = PhiSeries([])
     rep = check_intertwining_s(phi, fund, fund, 0)
     assert rep.passed
 
@@ -148,7 +148,7 @@ def test_solved_series_term_structure(spin1):
 
 def test_phi_symmetry_enforced():
     with pytest.raises(ValueError):
-        PhiSeries(1, [({0: Fraction(1)}, {1: Fraction(1)})])
+        PhiSeries([({0: Fraction(1)}, {1: Fraction(1)})])
 
 
 def test_solve_phi_rejects_repeated_pair(fund, spin1):
@@ -350,6 +350,26 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     assert f == series(exp_nilpotent(t))
     assert xs.exp(series(-t), dim, order) == series(inverse(exp_nilpotent(t)))
     assert xs.to_matrix(f, parity) == drop_xi_above(exp_nilpotent(t), order)
+
+
+def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
+    """exp forms t**2, t**3 = 0 and stops, whatever the order: the number
+    of products is bounded by the nilpotency index of t, not by the order."""
+    calls = []
+    mul = xs.mul
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 2, "exp kept multiplying after t**3 = 0"
+        return mul(*args)
+
+    monkeypatch.setattr(xs, "mul", counted)
+    t = {(1, 0, 1): Fraction(1), (1, 1, 2): Fraction(2)}
+    f = xs.exp(t, 3, 10**4)
+    assert len(calls) == 2
+    assert f == {
+        (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): 1, (1, 1, 2): 2, (2, 0, 2): 1,
+    }
 
 
 @pytest.mark.parametrize(
