@@ -1,9 +1,17 @@
 """Truncated xi series over the rationals, the kernel of the odd-twist solver.
 
-The solver's matrices carry no s and no theta.  A series is one sparse
-map {(k, i, j): Fraction} from a power k of xi and an entry (i, j) to
-its coefficient, with no zero stored and no k above the matched order.
-One product gives the truncated product and a single slice.
+The solver's matrices carry no s and no theta.  A series is a pair
+(nums, den): one sparse map {(k, i, j): int} from a power k of xi and an
+entry (i, j) to the numerator of its coefficient, over one positive
+common denominator den.  Every function returns it canonical: no zero
+numerator, gcd(den, *nums) == 1, and den == 1 when nums is empty.  Two
+series are then equal exactly when their values are, and a product
+multiplies integers and reduces once.  Fraction appears only where a
+series meets a GradedMatrix or the shell equations.
+
+A pair is truthy even when the series is zero, so emptiness and equality
+go through is_zero and equal.  One product gives the truncated product
+and a single slice.
 """
 
 import math
@@ -12,57 +20,112 @@ from fractions import Fraction
 from . import scalar as sc
 from .gmatrix import GradedMatrix, MatrixError
 
+ZERO = ({}, 1)
+
+
+def _canonical(nums, den):
+    """(nums, den) without zero numerators and with the common factor removed."""
+    nums = {key: v for key, v in nums.items() if v}
+    if not nums:
+        return ZERO
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {key: v // g for key, v in nums.items()}
+            den //= g
+    return nums, den
+
+
+def is_zero(a):
+    return not a[0]
+
+
+def equal(a, b):
+    return a == b  # canonical forms are unique
+
+
+def identity(dim):
+    return {(0, i, i): 1 for i in range(dim)}, 1
+
+
+def coefficient(a, key):
+    """The coefficient of xi**k at (i, j), key = (k, i, j), as a Fraction."""
+    return Fraction(a[0].get(key, 0), a[1])
+
 
 def from_matrix(m, order):
     """m through xi**order; an entry with s, theta or a denominator raises MatrixError."""
-    out = {}
+    coeffs = {}
     for i, j, v in m.entries():
         if not v.den.is_const() or any(es or eth for es, eth, _ in v.num.terms):
             raise MatrixError("entry (%d, %d) is not rational in xi: %s" % (i + 1, j + 1, v))
-        out.update(((k, i, j), c) for (_, _, k), c in v.num.terms.items() if k <= order)
-    return out
+        coeffs.update(((k, i, j), c) for (_, _, k), c in v.num.terms.items() if k <= order)
+    # canonical as built: the lcm of reduced denominators shares no factor with all numerators
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
 
 
 def to_matrix(a, parity):
     """The GradedMatrix of the series a."""
+    nums, den = a
     entries = {}
-    for (k, i, j), c in a.items():
-        entries[i, j] = entries.get((i, j), sc.ZERO) + sc.xi_var(k).scale(c)
+    for (k, i, j), c in nums.items():
+        entries[i, j] = entries.get((i, j), sc.ZERO) + sc.xi_var(k).scale(Fraction(c, den))
     return GradedMatrix.from_entries(parity, entries)
 
 
+def truncate(a, order):
+    """The terms of a through xi**order."""
+    return _canonical({key: v for key, v in a[0].items() if key[0] <= order}, a[1])
+
+
+def shift(a, by):
+    """xi**by a."""
+    return {(k + by, i, j): v for (k, i, j), v in a[0].items()}, a[1]
+
+
 def add(x, y, c=1):
-    """x + c y, without cancelled entries."""
-    out = dict(x)
-    for key, v in y.items():
-        v = v if c == 1 else c * v
-        out[key] = out[key] + v if key in out else v
-    return {key: v for key, v in out.items() if v}
+    """x + c y for a rational c."""
+    (xn, xd), (yn, yd) = x, y
+    yd *= c.denominator
+    den = xd * yd // math.gcd(xd, yd)
+    fx, fy = den // xd, den // yd * c.numerator
+    out = dict(xn) if fx == 1 else {key: v * fx for key, v in xn.items()}
+    for key, v in yn.items():
+        out[key] = out.get(key, 0) + v * fy
+    return _canonical(out, den)
 
 
 def mul(a, b, order, low=0):
     """The terms of the product a b from xi**low through xi**order."""
+    (an, ad), (bn, bd) = a, b
     rows = {}
-    for (q, k, j), d in b.items():
+    for (q, k, j), d in bn.items():
         rows.setdefault(k, []).append((q, j, d))
-    for row in rows.values():  # by power, so a row's walk can stop at the order
-        row.sort(key=lambda e: e[0])
+    for row in rows.values():  # by power first, so a row's walk can stop at the order
+        row.sort()
     out = {}
-    for (p, i, k), c in a.items():
+    for (p, i, k), c in an.items():
         for q, j, d in rows.get(k, ()):
             if p + q > order:
                 break
             if p + q >= low:
                 key = (p + q, i, j)
-                out[key] = out[key] + c * d if key in out else c * d
-    return {key: v for key, v in out.items() if v}
+                out[key] = out.get(key, 0) + c * d
+    return _canonical(out, ad * bd)
 
 
 def exp(t, dim, order):
-    """exp(t) through xi**order as the finite series sum_k t**k/k!; t starts at xi**1."""
-    acc, power, k = {(0, i, i): Fraction(1) for i in range(dim)}, t, 1
-    while power:
-        acc = add(acc, power, Fraction(1, math.factorial(k)))
+    """exp(t) and exp(-t) through xi**order; t starts at xi**1.
+
+    Both are finite sums over the same powers t**k/k!, which are formed
+    once: with E and O the sums over even and odd k, exp(t) = E + O and
+    exp(-t) = E - O.
+    """
+    parts, power, k = [identity(dim), ZERO], t, 1
+    while not is_zero(power):
+        parts[k % 2] = add(parts[k % 2], power, Fraction(1, math.factorial(k)))
         power = mul(power, t, order)
         k += 1
-    return acc
+    even, odd = parts
+    return add(even, odd), add(even, odd, -1)

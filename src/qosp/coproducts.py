@@ -152,22 +152,14 @@ def check_homomorphism(cp, r1, r2):
     return rep
 
 
-def opposite_images(cp, r, gens=None):
-    """Delta^op computed as P Delta P on an equal-module pair."""
-    p = gflip(r.parity)
-    out = {}
-    for g in gens or cp.rules:
-        out[g] = conjugate_by_flip(p, cp.evaluate(g, r, r))
-    return out
-
-
 def check_r_intertwines(r_matrix, cp, r, gens=None):
-    """R Delta(x) = Delta^op(x) R for every generator in scope."""
+    """R Delta(x) = Delta^op(x) R for every generator in scope, Delta^op = P Delta P."""
     rep = Report("intertwining %s" % cp.name)
-    opp = opposite_images(cp, r, gens)
+    p = gflip(r.parity)
     for g in gens or cp.rules:
-        lhs = r_matrix * cp.evaluate(g, r, r)
-        rhs = opp[g] * r_matrix
+        delta = cp.evaluate(g, r, r)
+        lhs = r_matrix * delta
+        rhs = conjugate_by_flip(p, delta) * r_matrix
         rep.add(Check("R Delta(%s) = Delta_op(%s) R" % (g, g), (lhs - rhs).is_zero()))
     return rep
 

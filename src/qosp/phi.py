@@ -39,8 +39,11 @@ column R(B)[xi**(t+1)] per unknown.  Known terms with m + n > t start above the 
 and are left out of T.  B is homogeneous of degree t + 1, so only the
 xi**0 slices of Dj(v+) and Dsj(v+) reach its column.
 
-Every truncated computation runs on the series of _xiseries; F^-1 = exp(-T)
-is checked by F F^-1 = I, and each unit exponent B is built once per pair.
+Every truncated computation runs on the integer series of _xiseries.  F
+and F^-1 = exp(-T) are summed from one pass over the powers of T and
+checked by F F^-1 = I.  Each unit exponent B is built once per pair, as
+the series of v u**m (x) v u**n shifted by one power of xi and scaled
+by -2 inside the kernel.
 """
 
 from __future__ import annotations
@@ -154,7 +157,8 @@ def build_f_super(phi, r1, r2):
 
 def _order_check(name, lhs, target, order):
     """Check lhs = target through xi**order, naming the first failing order."""
-    bad = min((k for k, _, _ in xs.add(lhs, target, -1) if k <= order), default=None)
+    diff, _ = xs.add(lhs, target, -1)
+    bad = min((k for k, _, _ in diff if k <= order), default=None)
     detail = "" if bad is None else "first failing xi order %d" % bad
     return Check(name, bad is None, detail, data={"first_failing_order": bad})
 
@@ -169,21 +173,20 @@ class _PairSeries:
 
     def exponent(self, bilinear, order):
         """exponent_from_bilinear through xi**order, from units cached per (m, n)."""
-        t = {}
+        t = xs.ZERO
         for (m, n), c in bilinear.items():
             if c and m + n < order:
                 if (m, n) not in self._units:
-                    unit = exponent_from_bilinear({(m, n): 1}, *self.reps)
-                    self._units[m, n] = xs.from_matrix(unit, m + n + 1)
-                t = xs.add(t, self._units[m, n], c)
+                    r1, r2 = self.reps
+                    blk = gkron(r1.vu_power(m), r2.vu_power(n))
+                    self._units[m, n] = xs.shift(xs.from_matrix(blk, m + n), 1)
+                t = xs.add(t, self._units[m, n], -2 * c)
         return t
 
     def twist(self, bilinear, order):
         """F = exp(T) and F^-1 = exp(-T) through xi**order, checked by F F^-1 = I."""
-        t = self.exponent(bilinear, order)
-        f = xs.exp(t, self.dim, order)
-        f_inv = xs.exp({k: -v for k, v in t.items()}, self.dim, order)
-        if xs.mul(f, f_inv, order) != {(0, i, i): 1 for i in range(self.dim)}:
+        f, f_inv = xs.exp(self.exponent(bilinear, order), self.dim, order)
+        if not xs.equal(xs.mul(f, f_inv, order), xs.identity(self.dim)):
             raise MatrixError("inverse verification failed")
         return f, f_inv
 
@@ -389,12 +392,12 @@ def _shell_equations_sym(known_bilinear, shell, pair, order):
     def slice_of(f):
         return xs.add(xs.mul(f, pair.dj, order, order), xs.mul(pair.target, f, order, order), -1)
 
-    base = slice_of(xs.exp(pair.exponent(known_bilinear, order), pair.dim, order))
+    base = slice_of(xs.exp(pair.exponent(known_bilinear, order), pair.dim, order)[0])
     columns = [slice_of(pair.exponent({(m, n): 1, (n, m): 1}, order)) for m, n in shell]
     # one equation per entry that is nonzero in base or any column, row-major
-    positions = sorted({key for col in (base, *columns) for key in col})
-    rows = [[col.get(key, 0) for col in columns] for key in positions]
-    rhs = [-base.get(key, 0) for key in positions]
+    positions = sorted({key for col in (base, *columns) for key in col[0]})
+    rows = [[xs.coefficient(col, key) for col in columns] for key in positions]
+    rhs = [-xs.coefficient(base, key) for key in positions]
     return rows, rhs
 
 
@@ -412,14 +415,19 @@ def compute_dsj_vminus(phi, r1, r2, order):
     f, f_inv = pair.twist(phi.bilinear_dict(), order)
     inner = xs.from_matrix(JORDANIAN.evaluate("v-", r1, r2), order)
     dvm = xs.mul(xs.mul(f, inner, order), f_inv, order)
-    dvp, dh = pair.target, xs.from_matrix(SUPER_JORDANIAN.evaluate("h", r1, r2), order)
+    name = "reconstructed Delta(v-) on (%s, %s)" % (r1.spin, r2.spin)
+    report = Report(name, _dsj_vminus_checks(dvm, pair.target, r1, r2, order))
+    return xs.to_matrix(dvm, kron_parity(r1.parity, r2.parity)), report
+
+
+def _dsj_vminus_checks(dvm, dvp, r1, r2, order):
+    """The homomorphism checks on the series dvm of Delta(v-), modulo xi**(order+1)."""
+    dh = xs.from_matrix(SUPER_JORDANIAN.evaluate("h", r1, r2), order)
     anti = xs.add(xs.add(xs.mul(dvp, dvm, order), xs.mul(dvm, dvp, order)), dh, Fraction(1, 4))
     comm = xs.add(xs.add(xs.mul(dh, dvm, order), xs.mul(dvm, dh, order), -1), dvm)
     prim = xs.from_matrix(CLASSICAL.evaluate("v-", r1, r2), 0)
-    checks = [
-        Check("{Delta(v+), Delta(v-)} = -Delta(h)/4 mod xi^%d" % (order + 1), not anti),
-        Check("[Delta(h), Delta(v-)] = -Delta(v-) mod xi^%d" % (order + 1), not comm),
-        Check("xi^0 term is primitive", {k: v for k, v in dvm.items() if not k[0]} == prim),
+    return [
+        Check("{Delta(v+), Delta(v-)} = -Delta(h)/4 mod xi^%d" % (order + 1), xs.is_zero(anti)),
+        Check("[Delta(h), Delta(v-)] = -Delta(v-) mod xi^%d" % (order + 1), xs.is_zero(comm)),
+        Check("xi^0 term is primitive", xs.equal(xs.truncate(dvm, 0), prim)),
     ]
-    name = "reconstructed Delta(v-) on (%s, %s)" % (r1.spin, r2.spin)
-    return xs.to_matrix(dvm, kron_parity(r1.parity, r2.parity)), Report(name, checks)

@@ -1,25 +1,23 @@
-"""Uniform pass/fail reporting for the verification suites."""
+"""Uniform pass/fail reporting for the verification suites.
 
-from __future__ import annotations
+Plain classes rather than dataclasses: importing dataclasses loads
+inspect, ast and dis, which every CLI start would pay for.
+"""
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    detail: str = ""
-    data: dict = field(default_factory=dict)
+    def __init__(self, name, passed, detail="", data=None):
+        self.name, self.passed, self.detail = name, passed, detail
+        self.data = {} if data is None else data
 
     def line(self):
         return "%-58s %s" % (self.name, "PASS" if self.passed else "FAIL")
 
 
-@dataclass
 class Report:
-    name: str
-    checks: list = field(default_factory=list)
+    def __init__(self, name, checks=None):
+        self.name = name
+        self.checks = [] if checks is None else checks
 
     def add(self, check):
         self.checks.append(check)

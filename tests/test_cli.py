@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -317,3 +318,14 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Every CLI start pays for its imports; dataclasses alone pulls in inspect, ast and dis."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, qosp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

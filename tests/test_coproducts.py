@@ -19,7 +19,6 @@ from qosp.coproducts import (
     check_r_intertwines,
     check_twist_produces,
     evaluate_terms,
-    opposite_images,
     twist_conjugate,
 )
 from qosp.gmatrix import GradedMatrix, gflip, gkron, inverse, kron_parity

@@ -22,7 +22,7 @@ from qosp.phi import (
     solve_phi,
 )
 from qosp.reps import fundamental_rep, irrep
-from xi_oracle import drop_xi_above, xi_coefficient
+from xi_oracle import assert_canonical, drop_xi_above, series_values, xi_coefficient
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +308,25 @@ def test_dsj_vminus_truncated_spin1(fund, spin1):
     assert rep2.passed
 
 
+@pytest.mark.parametrize("spins", [(Fraction(1, 2), Fraction(1, 2)), (1, Fraction(1, 2))])
+def test_dsj_vminus_checks_fail_on_a_perturbed_entry(spins):
+    """Raising one xi^0 entry of the conjugated Delta(v-) by 1 fails the
+    anticommutator and the primitivity check."""
+    r1, r2 = irrep(spins[0]), irrep(spins[1])
+    order = 4
+    dvm, rep = compute_dsj_vminus(PhiSeries.f1_only(), r1, r2, order)
+    assert rep.passed
+    dvm = xs.from_matrix(dvm, order)
+    dvp = xs.from_matrix(SUPER_JORDANIAN.evaluate("v+", r1, r2), order)
+    assert [c.passed for c in phi_mod._dsj_vminus_checks(dvm, dvp, r1, r2, order)] == [True] * 3
+    key = min(dvm[0])
+    assert key[0] == 0
+    bad = xs.add(dvm, ({key: 1}, 1))
+    anti, _, prim = phi_mod._dsj_vminus_checks(bad, dvp, r1, r2, order)
+    assert not anti.passed
+    assert not prim.passed
+
+
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -338,18 +357,21 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
         return GradedMatrix.from_entries(parity, entries)
 
     def series(m):
-        return xs.from_matrix(m, order)
+        return assert_canonical(xs.from_matrix(m, order))
 
     a, b, t = matrix(0, False), matrix(0, False), matrix(1, True)
-    product = xs.mul(series(a), series(b), order)
-    assert product == series(drop_xi_above(a * b, order))
-    assert xs.mul(series(a), series(b), order, order) == {
-        key: v for key, v in product.items() if key[0] == order
-    }
-    f = xs.exp(series(t), dim, order)
-    assert f == series(exp_nilpotent(t))
-    assert xs.exp(series(-t), dim, order) == series(inverse(exp_nilpotent(t)))
+    c = data.draw(_COEFF)
+    product = assert_canonical(xs.mul(series(a), series(b), order))
+    assert series_values(product) == series_values(series(drop_xi_above(a * b, order)))
+    top = assert_canonical(xs.mul(series(a), series(b), order, order))
+    assert series_values(top) == series_values(xs.shift(series(xi_coefficient(a * b, order)), order))
+    total = assert_canonical(xs.add(series(a), series(b), c))
+    assert series_values(total) == series_values(series(a + b.scale(c)))
+    f, f_inv = map(assert_canonical, xs.exp(series(t), dim, order))
+    assert series_values(f) == series_values(series(exp_nilpotent(t)))
+    assert series_values(f_inv) == series_values(series(inverse(exp_nilpotent(t))))
     assert xs.to_matrix(f, parity) == drop_xi_above(exp_nilpotent(t), order)
+    assert xs.to_matrix(f_inv, parity) == drop_xi_above(inverse(exp_nilpotent(t)), order)
 
 
 def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
@@ -364,12 +386,38 @@ def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
         return mul(*args)
 
     monkeypatch.setattr(xs, "mul", counted)
-    t = {(1, 0, 1): Fraction(1), (1, 1, 2): Fraction(2)}
-    f = xs.exp(t, 3, 10**4)
+    t = ({(1, 0, 1): 1, (1, 1, 2): 2}, 1)
+    f, f_inv = xs.exp(t, 3, 10**4)
     assert len(calls) == 2
-    assert f == {
+    assert series_values(f) == {
         (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): 1, (1, 1, 2): 2, (2, 0, 2): 1,
     }
+    assert series_values(f_inv) == {
+        (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): -1, (1, 1, 2): -2, (2, 0, 2): 1,
+    }
+
+
+def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
+    """F and F^-1 share the powers of T: one product per power of T, plus F F^-1."""
+    r32 = irrep(Fraction(3, 2))
+    pair = phi_mod._PairSeries(r32, r32, 5)
+    bilinear = PhiSeries.f1_only(4).bilinear_dict()
+    t = pair.exponent(bilinear, 5)
+    powers, power = 0, t
+    while not xs.is_zero(power):
+        powers += 1
+        power = xs.mul(power, t, 5)
+    assert powers > 2
+    calls = []
+    mul = xs.mul
+
+    def counted(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(xs, "mul", counted)
+    pair.twist(bilinear, 5)
+    assert len(calls) == powers + 1
 
 
 @pytest.mark.parametrize(

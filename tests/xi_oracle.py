@@ -3,7 +3,11 @@
 qosp.phi computes on truncated xi series of rational slices.  These
 helpers truncate the symbolic objects instead, so the tests can compare
 the kernel with GradedMatrix arithmetic followed by truncation.
+series_values and assert_canonical read the kernel's own (nums, den) form.
 """
+
+import math
+from fractions import Fraction
 
 from qosp.gmatrix import GradedMatrix
 from qosp.scalar import Poly, Scalar
@@ -26,3 +30,19 @@ def drop_xi_above(x, n):
     if isinstance(x, GradedMatrix):
         return x.map_entries(lambda a: drop_xi_above(a, n))
     return Scalar(poly_drop_xi_above(x.num, n), x.den)
+
+
+def series_values(a):
+    """The coefficients of a kernel series (nums, den) as {(k, i, j): Fraction}."""
+    nums, den = a
+    return {key: Fraction(v, den) for key, v in nums.items()}
+
+
+def assert_canonical(a):
+    """a is a canonical kernel series: integer numerators, none zero, over a positive
+    denominator coprime to them, which is 1 for the empty series.  Returns a."""
+    nums, den = a
+    assert type(den) is int and den > 0, a
+    assert all(type(v) is int and v for v in nums.values()), a
+    assert math.gcd(den, *nums.values()) == 1, a
+    return a
