@@ -9,8 +9,8 @@ series are then equal exactly when their values are, and a product
 multiplies integers and reduces once.  Fraction appears only where a
 series meets a GradedMatrix or the shell equations.
 
-A pair is truthy even when the series is zero, so emptiness and equality
-go through is_zero and equal.  One product gives the truncated product
+A pair is truthy even when the series is zero, so emptiness goes through
+is_zero; canonical pairs compare by value with ==.  One product gives the truncated product
 and a single slice.
 """
 
@@ -38,10 +38,6 @@ def _canonical(nums, den):
 
 def is_zero(a):
     return not a[0]
-
-
-def equal(a, b):
-    return a == b  # canonical forms are unique
 
 
 def identity(dim):
@@ -77,11 +73,6 @@ def to_matrix(a, parity):
 def truncate(a, order):
     """The terms of a through xi**order."""
     return _canonical({key: v for key, v in a[0].items() if key[0] <= order}, a[1])
-
-
-def shift(a, by):
-    """xi**by a."""
-    return {(k + by, i, j): v for (k, i, j), v in a[0].items()}, a[1]
 
 
 def add(x, y, c=1):

@@ -41,9 +41,8 @@ xi**0 slices of Dj(v+) and Dsj(v+) reach its column.
 
 Every truncated computation runs on the integer series of _xiseries.  F
 and F^-1 = exp(-T) are summed from one pass over the powers of T and
-checked by F F^-1 = I.  Each unit exponent B is built once per pair, as
-the series of v u**m (x) v u**n shifted by one power of xi and scaled
-by -2 inside the kernel.
+checked by F F^-1 = I.  Each unit exponent B is built once per pair,
+as the series of exponent_from_bilinear on that one coefficient.
 """
 
 from __future__ import annotations
@@ -177,16 +176,15 @@ class _PairSeries:
         for (m, n), c in bilinear.items():
             if c and m + n < order:
                 if (m, n) not in self._units:
-                    r1, r2 = self.reps
-                    blk = gkron(r1.vu_power(m), r2.vu_power(n))
-                    self._units[m, n] = xs.shift(xs.from_matrix(blk, m + n), 1)
-                t = xs.add(t, self._units[m, n], -2 * c)
+                    unit = exponent_from_bilinear({(m, n): 1}, *self.reps)
+                    self._units[m, n] = xs.from_matrix(unit, m + n + 1)
+                t = xs.add(t, self._units[m, n], c)
         return t
 
     def twist(self, bilinear, order):
         """F = exp(T) and F^-1 = exp(-T) through xi**order, checked by F F^-1 = I."""
         f, f_inv = xs.exp(self.exponent(bilinear, order), self.dim, order)
-        if not xs.equal(xs.mul(f, f_inv, order), xs.identity(self.dim)):
+        if xs.mul(f, f_inv, order) != xs.identity(self.dim):
             raise MatrixError("inverse verification failed")
         return f, f_inv
 
@@ -429,5 +427,5 @@ def _dsj_vminus_checks(dvm, dvp, r1, r2, order):
     return [
         Check("{Delta(v+), Delta(v-)} = -Delta(h)/4 mod xi^%d" % (order + 1), xs.is_zero(anti)),
         Check("[Delta(h), Delta(v-)] = -Delta(v-) mod xi^%d" % (order + 1), xs.is_zero(comm)),
-        Check("xi^0 term is primitive", xs.equal(xs.truncate(dvm, 0), prim)),
+        Check("xi^0 term is primitive", xs.truncate(dvm, 0) == prim),
     ]

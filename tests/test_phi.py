@@ -364,7 +364,8 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     product = assert_canonical(xs.mul(series(a), series(b), order))
     assert series_values(product) == series_values(series(drop_xi_above(a * b, order)))
     top = assert_canonical(xs.mul(series(a), series(b), order, order))
-    assert series_values(top) == series_values(xs.shift(series(xi_coefficient(a * b, order)), order))
+    top_slice = series_values(series(xi_coefficient(a * b, order)))
+    assert series_values(top) == {(order, i, j): v for (_, i, j), v in top_slice.items()}
     total = assert_canonical(xs.add(series(a), series(b), c))
     assert series_values(total) == series_values(series(a + b.scale(c)))
     f, f_inv = map(assert_canonical, xs.exp(series(t), dim, order))
