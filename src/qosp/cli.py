@@ -39,7 +39,14 @@ from .matrices import (
     triangular_suite,
     ybe_suite,
 )
-from .phi import MAX_ORDER, PhiSeries, build_f_super, check_intertwining_s, solve_phi
+from .phi import (
+    MAX_ORDER,
+    build_f_super,
+    check_intertwining_s,
+    f1_table,
+    rank_one_terms,
+    solve_phi,
+)
 from .report import Check, Report
 from .reps import SUPPORTED_SPINS, check_lt_relations, fundamental_rep, irrep
 from .scalar import ScalarError, format_scalar, rational
@@ -195,9 +202,9 @@ def _hopf(spins, order):
 
 def _intertwine(spins, order):
     f = fundamental_rep()
-    phi = PhiSeries.f1_only()
-    yield check_intertwining_s(phi, f, f, order)
-    same = build_f_super(phi, f, f) == f_super_fund()
+    table = f1_table()
+    yield check_intertwining_s(table, f, f, order)
+    same = build_f_super(table, f, f) == f_super_fund()
     yield Report(
         "odd twist matrix from f1",
         [Check("f1 alone reconstructs the odd twist matrix", same, "")],
@@ -245,19 +252,17 @@ def cmd_solve_phi(args):
         seen.add(spins)
         pairs.append((irrep(spins[0]), irrep(spins[1])))
     order = args.order
-    phi, rep = solve_phi(order, pairs)
+    table, rep = solve_phi(order, pairs)
     payload = {
         "order": order,
         "pairs": [[str(a.spin), str(b.spin)] for a, b in pairs],
-        "bilinear": {
-            "%d,%d" % key: str(val) for key, val in sorted(phi.bilinear_dict().items())
-        },
+        "bilinear": {"%d,%d" % key: str(val) for key, val in sorted(table.items())},
         "terms": [
             [
                 {str(m): str(c) for m, c in sorted(left.items())},
                 {str(m): str(c) for m, c in sorted(right.items())},
             ]
-            for left, right in phi.terms
+            for left, right in rank_one_terms(table)
         ],
         "report": rep.to_json(),
     }

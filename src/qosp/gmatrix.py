@@ -30,7 +30,9 @@ with an identity; on legs 1 and 3 it is the legs-2-3 placement
 conjugated by the flip of the two equal first legs, which
 conjugate_by_flip does by relabelling indices, reading the flip's own
 signs.  Coproduct words are products of gkron images (coproducts.py),
-so their signs come from the same rule.
+so their signs come from the same rule.  The brackets checked on one
+module or one coproduct image all have the even h as first operand, so
+they are plain commutators and pick no sign either.
 """
 
 from __future__ import annotations

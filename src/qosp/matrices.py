@@ -37,8 +37,6 @@ from .report import Check, Report
 from .reps import fundamental_rep
 from .scalar import ONE, ZERO, divide_exact, limit_at_one, substitute
 
-FIXTURE_NAMES = ("kr", "transformed", "sjr", "fj", "fs")
-
 
 class FixtureError(Exception):
     """A golden fixture that is missing or cannot be parsed."""
@@ -151,17 +149,21 @@ def f_super_fund():
     return GradedMatrix.from_entries(_PAIR_PARITY, entries)
 
 
+# fixture name -> builder; this order is that of --matrix and matrix_suite
+_BUILDERS = {
+    "kr": kr_rmatrix,
+    "transformed": transform_r,
+    "sjr": contract_r,
+    "fj": f_jordanian,
+    "fs": f_super_fund,
+}
+FIXTURE_NAMES = tuple(_BUILDERS)
+
+
 def named_matrix(name):
-    builders = {
-        "kr": kr_rmatrix,
-        "transformed": transform_r,
-        "sjr": contract_r,
-        "fj": f_jordanian,
-        "fs": f_super_fund,
-    }
-    if name not in builders:
+    if name not in _BUILDERS:
         raise ValueError("unknown matrix %r (expected one of %s)" % (name, FIXTURE_NAMES))
-    return builders[name]()
+    return _BUILDERS[name]()
 
 
 # ---------------------------------------------------------------------------

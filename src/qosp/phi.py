@@ -6,12 +6,14 @@ The odd factor is searched for in the form
 
 where every f_k is a function of the nilpotent element u = xi X+ and
 f_1 = 2/(e^sigma + 1) is known in closed form.  Because the f_k enter
-Phi quadratically, the solver works with the symmetric bilinear
-coefficients
+Phi quadratically, Phi is held as one table {(m, n): Fraction} of its
+symmetric bilinear coefficients
 
-    D[m, n] = coefficient of u**m (x) u**n in Phi,
+    D[m, n] = coefficient of u**m (x) u**n in Phi.
 
-which make the intertwining identity
+Every function here takes or returns that table: f1_table is
+f_1 (x) f_1, and rank_one_terms splits a table back into the paper's
+f_k for output only.  The coefficients make the intertwining identity
 
     F(s) . Dj(v+) . F(s)^-1 = v+ (x) 1 + e^sigma (x) v+
 
@@ -75,73 +77,50 @@ def f1_series_coeffs(order):
     return [root[k + 1] for k in range(order + 1)]
 
 
-class PhiSeries:
-    """Symmetric bilinear expansion of the twist exponent kernel.
+def f1_table(u_order=8):
+    """The table of f_1 (x) f_1, through u**u_order on each leg."""
+    f1 = f1_series_coeffs(u_order)
+    return {(m, n): a * b for m, a in enumerate(f1) for n, b in enumerate(f1)}
 
-    terms is a list over k of (left, right) coefficient dicts mapping
-    u-powers to rationals; the bilinear form is the sum of the outer
-    products of the pairs and must be symmetric.
+
+def rank_one_terms(table):
+    """Split a symmetric table into the paper's rank-one terms f_k (x) f_k.
+
+    Returns a list over k of (left, right) coefficient dicts whose outer
+    products sum to the table.  Pivots are taken along the leading
+    powers m = k - 1, so term k starts at u**(k-1) on both legs.  The
+    split is for output only; every computation reads the table.
     """
-
-    def __init__(self, terms):
-        self.terms = terms
-        total = {}
-        for left, right in terms:
-            for m, a in left.items():
-                for n, b in right.items():
-                    total[m, n] = total.get((m, n), Fraction(0)) + a * b
-        if any(c != total.get((n, m), 0) for (m, n), c in total.items()):
-            raise ValueError("bilinear form is not symmetric")
-        self._bilinear = {key: c for key, c in total.items() if c}
-
-    @staticmethod
-    def f1_only(u_order=8):
-        coeffs = {m: c for m, c in enumerate(f1_series_coeffs(u_order))}
-        return PhiSeries([(coeffs, dict(coeffs))])
-
-    @staticmethod
-    def from_bilinear(bilinear):
-        """Split a symmetric coefficient matrix into rank-one pairs.
-
-        Pivots are taken along the leading powers m = k - 1, which
-        realizes the expected structure where term k starts at
-        u**(k-1) on both legs.
-        """
-        work = {k: Fraction(v) for k, v in bilinear.items() if v}
-        terms = []
-        while work:
-            m = min(min(m, n) for m, n in work)
-            piv = work.get((m, m))
-            if not piv:
-                raise ValueError("leading coefficient D[%d,%d] vanishes" % (m, m))
-            row = {n: c for (mm, n), c in work.items() if mm == m}
-            left = {n: c / piv for n, c in row.items()}
-            right = dict(row)
-            new = {}
-            for (a, b), c in work.items():
-                c2 = c - left.get(a, Fraction(0)) * right.get(b, Fraction(0))
-                if c2:
-                    new[(a, b)] = c2
-            work = new
-            terms.append((left, right))
-        return PhiSeries(terms)
-
-    def bilinear(self, m, n):
-        return self._bilinear.get((m, n), Fraction(0))
-
-    def bilinear_dict(self):
-        return dict(self._bilinear)
+    work = {k: Fraction(v) for k, v in table.items() if v}
+    if any(c != work.get((n, m), 0) for (m, n), c in work.items()):
+        raise ValueError("bilinear form is not symmetric")
+    terms = []
+    while work:
+        m = min(min(m, n) for m, n in work)
+        piv = work.get((m, m))
+        if not piv:
+            raise ValueError("leading coefficient D[%d,%d] vanishes" % (m, m))
+        right = {n: c for (mm, n), c in work.items() if mm == m}
+        left = {n: c / piv for n, c in right.items()}
+        # subtract the outer product, including entries absent from work
+        for a, x in left.items():
+            for b, y in right.items():
+                c = work.pop((a, b), 0) - x * y
+                if c:
+                    work[a, b] = c
+        terms.append((left, right))
+    return terms
 
 
 # ---------------------------------------------------------------------------
 # evaluation on a module pair
 
 
-def exponent_from_bilinear(bilinear, r1, r2):
+def exponent_from_bilinear(table, r1, r2):
     """-2 xi sum D[m,n] (v u**m) (x) (v u**n) as one graded matrix."""
     xi = sc.xi_var()
     total = GradedMatrix.zeros(kron_parity(r1.parity, r2.parity))
-    for (m, n), c in bilinear.items():
+    for (m, n), c in table.items():
         if not c:
             continue
         blk = gkron(r1.vu_power(m), r2.vu_power(n))
@@ -149,9 +128,9 @@ def exponent_from_bilinear(bilinear, r1, r2):
     return total
 
 
-def build_f_super(phi, r1, r2):
+def build_f_super(table, r1, r2):
     """The odd twist factor on a module pair."""
-    return exp_nilpotent(exponent_from_bilinear(phi.bilinear_dict(), r1, r2))
+    return exp_nilpotent(exponent_from_bilinear(table, r1, r2))
 
 
 def _order_check(name, lhs, target, order):
@@ -170,10 +149,10 @@ class _PairSeries:
         self.dj = xs.from_matrix(JORDANIAN.evaluate("v+", r1, r2), order)
         self.target = xs.from_matrix(SUPER_JORDANIAN.evaluate("v+", r1, r2), order)
 
-    def exponent(self, bilinear, order):
+    def exponent(self, table, order):
         """exponent_from_bilinear through xi**order, from units cached per (m, n)."""
         t = xs.ZERO
-        for (m, n), c in bilinear.items():
+        for (m, n), c in table.items():
             if c and m + n < order:
                 if (m, n) not in self._units:
                     unit = exponent_from_bilinear({(m, n): 1}, *self.reps)
@@ -181,25 +160,25 @@ class _PairSeries:
                 t = xs.add(t, self._units[m, n], c)
         return t
 
-    def twist(self, bilinear, order):
+    def twist(self, table, order):
         """F = exp(T) and F^-1 = exp(-T) through xi**order, checked by F F^-1 = I."""
-        f, f_inv = xs.exp(self.exponent(bilinear, order), self.dim, order)
+        f, f_inv = xs.exp(self.exponent(table, order), self.dim, order)
         if xs.mul(f, f_inv, order) != xs.identity(self.dim):
             raise MatrixError("inverse verification failed")
         return f, f_inv
 
 
-def _check_main_intertwining(bilinear, pair, order):
+def _check_main_intertwining(table, pair, order):
     """F^-1 and the check F Dj(v+) F^-1 = Dsj(v+) modulo xi**(order+1)."""
-    f, f_inv = pair.twist(bilinear, order)
+    f, f_inv = pair.twist(table, order)
     lhs = xs.mul(xs.mul(f, pair.dj, order), f_inv, order)
     return f_inv, _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", lhs, pair.target, order)
 
 
-def check_intertwining_s(phi, r1, r2, order):
+def check_intertwining_s(table, r1, r2, order):
     """Both forms of the intertwining identity, modulo xi**(order+1)."""
     pair = _PairSeries(r1, r2, order)
-    f_inv, main = _check_main_intertwining(phi.bilinear_dict(), pair, order)
+    f_inv, main = _check_main_intertwining(table, pair, order)
     lhs = xs.mul(pair.dj, xs.mul(f_inv, f_inv, order), order)
     aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", lhs, pair.target, order)
     name = "odd-twist intertwining (%s, %s) through xi^%d" % (r1.spin, r2.spin, order)
@@ -261,8 +240,10 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
     identity, where the shell unknowns enter linearly.  With
     include_f1 the closed form of f_1 is folded in and the unknowns
     are restricted to m, n >= 1; without it the solver re-derives the
-    f_1 expansion itself.  Returns the PhiSeries of the pooled
-    solution plus a report with a per-pair consistency statement.
+    f_1 expansion itself.  Returns the pooled table of Phi (the known
+    part plus each coefficient as the first pair to determine it found
+    it, zero entries dropped) and a report with one check per pair, the
+    cross-pair consistency and the residual on every pair.
 
     Evidence in the check data: each pair check lists under "pinned"
     the unknowns it left undetermined (held at 0 from then on), and the
@@ -277,8 +258,7 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
             raise ValueError("repeated module pair %s:%s" % pair)
     rep = Report("odd-twist series solve, order %d" % order)
     if include_f1:
-        f1 = f1_series_coeffs(max(2 * (order - 1), 2))
-        known = {(m, n): a * b for m, a in enumerate(f1) for n, b in enumerate(f1)}
+        known = f1_table(max(2 * (order - 1), 2))
         min_power = 1
         if shells is None:
             shells = range(2, 2 * (order - 1) + 1)
@@ -290,7 +270,10 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
 
     top = max([2 * order - 1, *(t + 1 for t in shells)])
     pair_series = [_PairSeries(r1, r2, top) for r1, r2 in pairs]
-    per_pair = []
+    pooled = dict(known)
+    reference = {}  # each coefficient as the first pair to determine it found it
+    determined_by = {}
+    consistent = True
     for pair in pair_series:
         solved = dict(known)
         findings = {}
@@ -309,10 +292,7 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
                 break
             for idx, key in enumerate(shell):
                 if idx in solution:
-                    m, n = key
-                    solved[(m, n)] = solved.get((m, n), Fraction(0)) + solution[idx]
-                    if m != n:
-                        solved[(n, m)] = solved.get((n, m), Fraction(0)) + solution[idx]
+                    _add_symmetric(solved, key, solution[idx])
                     findings[key] = solution[idx]
                 else:
                     pinned.append(key)
@@ -322,26 +302,21 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
                 )
             else:
                 statuses.append(("shell %d" % t, "unique", None))
-        per_pair.append((tuple(r.spin for r in pair.reps), findings, statuses, pinned))
-
-    # cross-pair consistency on shared determined coefficients
-    consistent = True
-    reference = {}
-    determined_by = {}
-    for (spins, findings, _, _) in per_pair:
+        spins = [r.spin for r in pair.reps]
         for key, val in findings.items():
-            if key in reference and reference[key] != val:
+            if key not in reference:
+                reference[key] = val
+                _add_symmetric(pooled, key, val)
+            elif reference[key] != val:
                 consistent = False
-            reference.setdefault(key, val)
             determined_by.setdefault(str(key), []).append([str(a) for a in spins])
-    for (spins, findings, statuses, pinned) in per_pair:
         detail = "; ".join(
             "%s %s%s" % (name, state, "" if extra is None else " " + str(extra))
             for name, state, extra in statuses
         ) or "nothing to solve"
         rep.add(
             Check(
-                "pair (%s, %s) solve" % (spins[0], spins[1]),
+                "pair (%s, %s) solve" % tuple(spins),
                 all(state != "inconsistent" for _, state, _ in statuses),
                 detail + " -> " + str({str(k): str(v) for k, v in findings.items()}),
                 data={
@@ -362,24 +337,27 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
         )
     )
 
-    pooled = dict(known)
-    for key, val in reference.items():
-        m, n = key
-        pooled[(m, n)] = pooled.get((m, n), Fraction(0)) + val
-        if m != n:
-            pooled[(n, m)] = pooled.get((n, m), Fraction(0)) + val
     # verify residuals on every pair through the solved orders
+    table = {key: val for key, val in pooled.items() if val}
     max_xi = (max(m + n for m, n in pooled) + 1) if pooled else 1
-    phi = PhiSeries.from_bilinear(pooled) if pooled else PhiSeries([])
     xi_order = min(max_xi, 2 * order - 1)
-    for pair, (spins, _, _, _) in zip(pair_series, per_pair):
-        _, chk = _check_main_intertwining(phi.bilinear_dict(), pair, xi_order)
-        name = "residual zero on (%s, %s) through xi^%d" % (*spins, xi_order)
+    for pair in pair_series:
+        _, chk = _check_main_intertwining(table, pair, xi_order)
+        r1, r2 = pair.reps
+        name = "residual zero on (%s, %s) through xi^%d" % (r1.spin, r2.spin, xi_order)
         rep.add(Check(name, chk.passed, chk.detail))
-    return phi, rep
+    return table, rep
 
 
-def _shell_equations_sym(known_bilinear, shell, pair, order):
+def _add_symmetric(table, key, value):
+    """Add value to D[m, n] and, off the diagonal, to D[n, m]."""
+    m, n = key
+    table[m, n] = table.get((m, n), 0) + value
+    if m != n:
+        table[n, m] = table.get((n, m), 0) + value
+
+
+def _shell_equations_sym(known, shell, pair, order):
     """Shell equations with (m,n) and (n,m) tied to one unknown.
 
     order is the matched xi power t + 1.  The base is the xi**order slice
@@ -390,7 +368,7 @@ def _shell_equations_sym(known_bilinear, shell, pair, order):
     def slice_of(f):
         return xs.add(xs.mul(f, pair.dj, order, order), xs.mul(pair.target, f, order, order), -1)
 
-    base = slice_of(xs.exp(pair.exponent(known_bilinear, order), pair.dim, order)[0])
+    base = slice_of(xs.exp(pair.exponent(known, order), pair.dim, order)[0])
     columns = [slice_of(pair.exponent({(m, n): 1, (n, m): 1}, order)) for m, n in shell]
     # one equation per entry that is nonzero in base or any column, row-major
     positions = sorted({key for col in (base, *columns) for key in col[0]})
@@ -403,14 +381,14 @@ def _shell_equations_sym(known_bilinear, shell, pair, order):
 # the reconstructed coproduct of the lowering generator
 
 
-def compute_dsj_vminus(phi, r1, r2, order):
+def compute_dsj_vminus(table, r1, r2, order):
     """Conjugate the deformed v- coproduct by the odd factor.
 
     Returns the truncated image together with homomorphism residual
     checks carried out modulo xi**(order+1).
     """
     pair = _PairSeries(r1, r2, order)
-    f, f_inv = pair.twist(phi.bilinear_dict(), order)
+    f, f_inv = pair.twist(table, order)
     inner = xs.from_matrix(JORDANIAN.evaluate("v-", r1, r2), order)
     dvm = xs.mul(xs.mul(f, inner, order), f_inv, order)
     name = "reconstructed Delta(v-) on (%s, %s)" % (r1.spin, r2.spin)

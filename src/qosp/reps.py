@@ -6,10 +6,15 @@ Generators h (even) and v+, v- (odd) obey, with the graded bracket
     [h, v+-] = +- v+-        {v+, v-} = -h/4
 
 and the even elements X+- = +-4 v+-**2 complete the sl(2) triple with
-[h, X+] = 2 X+.  The spin-j module has dimension 4j + 1; h acts
-diagonally with the integer string 2j, 2j-1, ..., -2j, v+ shifts one
-step up the string and v- one step down.  Parities alternate along the
-string starting even at the highest weight.
+[h, X+] = 2 X+.  Every bracket checked on a module has the even h as
+its first operand, so it is the plain commutator h a - a h, and
+{v+, v-} is written out as v+ v- + v- v+; no Koszul sign is picked
+here (gmatrix.gkron and gmatrix.gflip are the only code that does).
+
+The spin-j module has dimension 4j + 1; h acts diagonally with the
+integer string 2j, 2j-1, ..., -2j, v+ shifts one step up the string
+and v- one step down.  Parities alternate along the string starting
+even at the highest weight.
 
 Note the h eigenvalues here are integers (2j down to -2j): the single
 superdiagonal v+ must raise the h weight by exactly 1, and q**(h/2)
@@ -36,12 +41,6 @@ SUPPORTED_SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
 class RepresentationError(ValueError):
     pass
-
-
-def _graded_bracket(a, b, pa, pb):
-    if (pa * pb) % 2:
-        return a * b + b * a
-    return a * b - b * a
 
 
 def sigma_of(x_plus):
@@ -83,15 +82,15 @@ class Representation:
 
     def _verify(self):
         h, vp, vm = self.h, self.v_plus, self.v_minus
-        if not (_graded_bracket(h, vp, 0, 1) - vp).is_zero():
+        if not (h * vp - vp * h - vp).is_zero():
             raise RepresentationError("[h, v+] != v+")
-        if not (_graded_bracket(h, vm, 0, 1) + vm).is_zero():
+        if not (h * vm - vm * h + vm).is_zero():
             raise RepresentationError("[h, v-] != -v-")
         anti = vp * vm + vm * vp
         if not (anti + h.scale(Fraction(1, 4))).is_zero():
             raise RepresentationError("{v+, v-} != -h/4")
         xp = self.x_plus
-        if not (_graded_bracket(h, xp, 0, 0) - xp.scale(2)).is_zero():
+        if not (h * xp - xp * h - xp.scale(2)).is_zero():
             raise RepresentationError("[h, X+] != 2 X+")
         for i, j, _ in xp.entries():
             if j != i + 2:

@@ -13,12 +13,13 @@ from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, evaluate_term
 from qosp.gmatrix import GradedMatrix, MatrixError, exp_nilpotent, gkron, inverse
 from qosp.matrices import f_jordanian, f_super_fund
 from qosp.phi import (
-    PhiSeries,
     build_f_super,
     check_intertwining_s,
     compute_dsj_vminus,
     exponent_from_bilinear,
     f1_series_coeffs,
+    f1_table,
+    rank_one_terms,
     solve_phi,
 )
 from qosp.reps import fundamental_rep, irrep
@@ -47,19 +48,18 @@ def test_f1_series():
 
 
 def test_f1_reconstructs_odd_twist(fund):
-    phi = PhiSeries.f1_only()
-    assert build_f_super(phi, fund, fund) == f_super_fund()
+    table = f1_table()
+    assert build_f_super(table, fund, fund) == f_super_fund()
 
 
 def test_intertwining_exact_on_fundamental(fund):
-    phi = PhiSeries.f1_only()
-    rep = check_intertwining_s(phi, fund, fund, 8)
+    table = f1_table()
+    rep = check_intertwining_s(table, fund, fund, 8)
     assert rep.passed
 
 
 def test_zero_series_passes_at_order_zero(fund):
-    phi = PhiSeries([])
-    rep = check_intertwining_s(phi, fund, fund, 0)
+    rep = check_intertwining_s({}, fund, fund, 0)
     assert rep.passed
 
 
@@ -90,65 +90,91 @@ def test_coproduct_tables_match_hand_written_formulas():
 
 def test_solver_reads_the_coproduct_table(monkeypatch, fund, spin1):
     """Dropping 1 (x) v+ from the JORDANIAN v+ rule reaches the solver and its check."""
-    phi = PhiSeries.f1_only()
-    assert check_intertwining_s(phi, fund, fund, 4).passed
+    table = f1_table()
+    assert check_intertwining_s(table, fund, fund, 4).passed
     _, rep = solve_phi(2, [(spin1, spin1)])
     assert rep.passed
 
     monkeypatch.setitem(JORDANIAN.rules, "v+", JORDANIAN.rules["v+"][:1])
-    bad = check_intertwining_s(phi, fund, fund, 4)
+    bad = check_intertwining_s(table, fund, fund, 4)
     assert bad.checks[0].data["first_failing_order"] == 0
     _, rep = solve_phi(2, [(spin1, spin1)])
     assert not rep.passed
 
 
 def test_f1_only_fails_on_spin_one_at_order_three(spin1):
-    phi = PhiSeries.f1_only()
-    rep = check_intertwining_s(phi, spin1, spin1, 4)
+    rep = check_intertwining_s(f1_table(), spin1, spin1, 4)
     assert not rep.passed
     assert rep.checks[0].data["first_failing_order"] == 3
 
 
 def test_solve_order_one_recovers_f1(fund, spin1):
-    phi, rep = solve_phi(1, [(fund, fund)], include_f1=False)
+    table, rep = solve_phi(1, [(fund, fund)], include_f1=False)
     assert rep.passed
-    assert phi.bilinear(0, 0) == Fraction(1)
+    assert table.get((0, 0), 0) == Fraction(1)
     # deeper shells on a pair that can see them reproduce f1 x f1 off-diagonals
-    phi2, rep2 = solve_phi(1, [(spin1, spin1)], include_f1=False, shells=range(0, 2))
+    table2, rep2 = solve_phi(1, [(spin1, spin1)], include_f1=False, shells=range(0, 2))
     assert rep2.passed
     coeffs = f1_series_coeffs(1)
-    assert phi2.bilinear(0, 0) == coeffs[0] * coeffs[0]
-    assert phi2.bilinear(0, 1) == coeffs[0] * coeffs[1]
+    assert table2.get((0, 0), 0) == coeffs[0] * coeffs[0]
+    assert table2.get((0, 1), 0) == coeffs[0] * coeffs[1]
 
 
 def test_solve_order_two_acceptance_pairs(fund, spin1):
-    phi, rep = solve_phi(2, [(spin1, fund), (spin1, spin1)])
+    table, rep = solve_phi(2, [(spin1, fund), (spin1, spin1)])
     assert rep.passed
     # the pair with a fundamental leg cannot see the correction; the
     # spin-one pair determines it uniquely
-    correction = phi.bilinear(1, 1) - Fraction(1, 4)  # subtract the f1 x f1 part
+    correction = table.get((1, 1), 0) - Fraction(1, 4)  # subtract the f1 x f1 part
     assert correction == Fraction(-1, 12)
 
 
 def test_solve_order_two_cross_pair_universality(spin1):
     r32 = irrep(Fraction(3, 2))
-    phi, rep = solve_phi(2, [(spin1, spin1), (r32, spin1), (r32, r32)])
+    table, rep = solve_phi(2, [(spin1, spin1), (r32, spin1), (r32, r32)])
     assert rep.passed
-    assert phi.bilinear(1, 1) - Fraction(1, 4) == Fraction(-1, 12)
+    assert table.get((1, 1), 0) - Fraction(1, 4) == Fraction(-1, 12)
 
 
 def test_solved_series_term_structure(spin1):
-    phi, rep = solve_phi(2, [(spin1, spin1)])
+    table, rep = solve_phi(2, [(spin1, spin1)])
     assert rep.passed
     # term k starts at u**(k-1) on both legs
-    for k, (left, right) in enumerate(phi.terms, start=1):
+    for k, (left, right) in enumerate(rank_one_terms(table), start=1):
         assert min(left) == k - 1
         assert min(right) == k - 1
 
 
-def test_phi_symmetry_enforced():
-    with pytest.raises(ValueError):
-        PhiSeries([({0: Fraction(1)}, {1: Fraction(1)})])
+# every solve_phi call of this module, as (order, spin pairs, include_f1, shells)
+_SOLVES = [
+    (1, [(Fraction(1, 2), Fraction(1, 2))], False, None),
+    (1, [(1, 1)], False, range(0, 2)),
+    (2, [(1, Fraction(1, 2)), (1, 1)], True, None),
+    (2, [(1, 1), (Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True, None),
+    (2, [(Fraction(1, 2), Fraction(1, 2))], False, None),
+    (3, [(Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True, None),
+    (4, [(Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True, None),
+]
+
+
+@pytest.mark.parametrize("order, spins, include_f1, shells", _SOLVES)
+def test_rank_one_terms_sum_back_to_the_solved_table(order, spins, include_f1, shells):
+    pairs = [(irrep(a), irrep(b)) for a, b in spins]
+    table, rep = solve_phi(order, pairs, include_f1=include_f1, shells=shells)
+    assert rep.passed
+    terms = rank_one_terms(table)
+    total = {}
+    for k, (left, right) in enumerate(terms, start=1):
+        assert min(left) == min(right) == k - 1
+        for m, a in left.items():
+            for n, b in right.items():
+                total[m, n] = total.get((m, n), 0) + a * b
+    assert {key: c for key, c in total.items() if c} == table
+
+
+def test_rank_one_terms_rejects_an_asymmetric_table():
+    with pytest.raises(ValueError, match="not symmetric"):
+        rank_one_terms({(0, 1): 1})
 
 
 def test_solve_phi_rejects_repeated_pair(fund, spin1):
@@ -165,11 +191,7 @@ def test_solver_reports_inconsistency(spin1):
     """
     from qosp.phi import _shell_equations_sym, solve_linear_system
 
-    bad_known = {
-        (m, n): Fraction(c1 * c2)
-        for m, c1 in enumerate(f1_series_coeffs(2))
-        for n, c2 in enumerate(f1_series_coeffs(2))
-    }
+    bad_known = f1_table(2)
     bad_known[(0, 1)] += Fraction(1, 3)  # break the symmetry of the known part
     pair = phi_mod._PairSeries(spin1, spin1, 3)
     rows, rhs = _shell_equations_sym(bad_known, [(1, 1)], pair, 3)
@@ -273,8 +295,7 @@ def test_solver_evidence_in_check_data(spin1):
 
 
 def test_dsj_vminus_exact_fundamental(fund):
-    phi = PhiSeries.f1_only()
-    dvm, rep = compute_dsj_vminus(phi, fund, fund, 8)
+    dvm, rep = compute_dsj_vminus(f1_table(), fund, fund, 8)
     assert rep.passed
     k = f_super_fund() * f_jordanian(fund, fund)
     truth = k * evaluate_terms(CLASSICAL.rules["v-"], fund, fund) * inverse(k)
@@ -287,10 +308,10 @@ def test_dsj_vminus_order_one_structure(fund):
     Dropping that term from the inner expression changes the slice, so
     its presence in the reconstruction is observable.
     """
-    phi = PhiSeries.f1_only()
-    dvm, _ = compute_dsj_vminus(phi, fund, fund, 4)
+    table = f1_table()
+    dvm, _ = compute_dsj_vminus(table, fund, fund, 4)
     xi = sc.xi_var()
-    f = drop_xi_above(build_f_super(phi, fund, fund), 4)
+    f = drop_xi_above(build_f_super(table, fund, fund), 4)
     f_inv = drop_xi_above(inverse(f), 4)
     inner_without = gkron(fund.v_minus, fund.e_power(-1)) + gkron(
         fund.identity, fund.v_minus
@@ -302,9 +323,9 @@ def test_dsj_vminus_order_one_structure(fund):
 
 
 def test_dsj_vminus_truncated_spin1(fund, spin1):
-    phi, rep = solve_phi(2, [(spin1, spin1)])
+    table, rep = solve_phi(2, [(spin1, spin1)])
     assert rep.passed
-    dvm, rep2 = compute_dsj_vminus(phi, spin1, spin1, 3)
+    dvm, rep2 = compute_dsj_vminus(table, spin1, spin1, 3)
     assert rep2.passed
 
 
@@ -314,7 +335,7 @@ def test_dsj_vminus_checks_fail_on_a_perturbed_entry(spins):
     anticommutator and the primitivity check."""
     r1, r2 = irrep(spins[0]), irrep(spins[1])
     order = 4
-    dvm, rep = compute_dsj_vminus(PhiSeries.f1_only(), r1, r2, order)
+    dvm, rep = compute_dsj_vminus(f1_table(), r1, r2, order)
     assert rep.passed
     dvm = xs.from_matrix(dvm, order)
     dvp = xs.from_matrix(SUPER_JORDANIAN.evaluate("v+", r1, r2), order)
@@ -402,7 +423,7 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
     """F and F^-1 share the powers of T: one product per power of T, plus F F^-1."""
     r32 = irrep(Fraction(3, 2))
     pair = phi_mod._PairSeries(r32, r32, 5)
-    bilinear = PhiSeries.f1_only(4).bilinear_dict()
+    bilinear = f1_table(4)
     t = pair.exponent(bilinear, 5)
     powers, power = 0, t
     while not xs.is_zero(power):
