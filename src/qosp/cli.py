@@ -195,7 +195,7 @@ def _hopf(spins, order):
         for a, b in pairs:
             yield check_homomorphism(cp, a, b)
     yield check_r_intertwines(kr_rmatrix(), Q_DEFORMED, f)
-    yield check_r_intertwines(contract_r(), SUPER_JORDANIAN, f, gens=["h", "v+"])
+    yield check_r_intertwines(contract_r(), SUPER_JORDANIAN, f)
     yield check_l_coproducts()
     yield check_qcoproduct_xplus(f, f)
 

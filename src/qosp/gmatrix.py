@@ -140,18 +140,6 @@ class GradedMatrix:
         # a product of nonzero scalars is nonzero
         return GradedMatrix(self.parity, {k: v * c for k, v in self._nz.items()})
 
-    def __pow__(self, n):
-        if n < 0:
-            return inverse(self) ** (-n)
-        out = GradedMatrix.identity(self.parity)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedMatrix)
@@ -300,18 +288,26 @@ def conjugate_flip(r, base=None):
     return conjugate_by_flip(gflip(_base_parity(r, base)), r)
 
 
+def rll_residual(r, x, v, w):
+    """R12 X13 X23 - X23 X13 R12 for R on V (x) V and X on V (x) W.
+
+    v and w are the parity vectors of V and W; X13 is X23 conjugated by
+    the flip of the two V legs.  X = R gives the graded Yang-Baxter
+    residual, X = L+ the FRT relation R L1 L2 = L2 L1 R.
+    """
+    ident_w = GradedMatrix.identity(w)
+    r12 = gkron(r, ident_w)
+    x23 = gkron(GradedMatrix.identity(v), x)
+    x13 = conjugate_by_flip(gkron(gflip(v), ident_w), x23)
+    return r12 * x13 * x23 - x23 * x13 * r12
+
+
 def check_gybe(r, name="gybe", base=None):
     """Graded Yang-Baxter residual R12 R13 R23 - R23 R13 R12."""
     from .report import Check
 
     base = _base_parity(r, base)
-    ident = GradedMatrix.identity(base)
-    r12 = gkron(r, ident)
-    r23 = gkron(ident, r)
-    r13 = conjugate_by_flip(gkron(gflip(base), ident), r23)
-    lhs = r12 * r13 * r23
-    rhs = r23 * r13 * r12
-    res = lhs - rhs
+    res = rll_residual(r, r, base, base)
     bad = [(i + 1, j + 1, format_scalar(v)) for i, j, v in res.entries()]
     return Check(
         name,

@@ -35,7 +35,7 @@ from .gmatrix import (
 )
 from .report import Check, Report
 from .reps import fundamental_rep
-from .scalar import ONE, ZERO, divide_exact, limit_at_one, substitute
+from .scalar import ONE, ZERO, limit_at_one, substitute
 
 
 class FixtureError(Exception):
@@ -94,21 +94,13 @@ def x_entries():
 
 
 @cache
-def transform_r(orientation="standard"):
-    """Conjugate the R-matrix by M (x) M.
+def transform_r():
+    """G R G^-1, the R-matrix conjugated by G = M (x) M.
 
-    The standard orientation G R G^-1 with G = gkron(M, M) reproduces
-    the nine x-entries; the reversed orientation is kept available as a
-    negative control.
+    This is the conjugation that reproduces the nine x-entries.
     """
-    r = kr_rmatrix()
     g = gkron(m_matrix(), m_matrix())
-    g_inv = inverse(g)
-    if orientation == "standard":
-        return g * r * g_inv
-    if orientation == "reversed":
-        return g_inv * r * g
-    raise ValueError("unknown orientation %r" % orientation)
+    return g * kr_rmatrix() * inverse(g)
 
 
 @cache
@@ -265,19 +257,17 @@ def check_factorization():
 def check_new_entries_proportional():
     """Every transform-only entry is omega*theta times a scalar regular at s = 1.
 
-    omega is a unit of the field, so the division alone only tests the
-    theta factor; the contraction theta = xi/omega also needs each
-    quotient free of a pole at s = 1 (its reduced denominator nonzero
-    there).
+    omega is a unit of the field, so divisibility needs only a theta
+    factor in every term (the entry vanishes at theta = 0).  The
+    contraction theta = xi/omega also needs each quotient free of a pole
+    at s = 1; denominators are free of theta, so that is a pole of v/omega.
     """
-    diff = transform_r() - kr_rmatrix()
-    w_th = sc.omega() * sc.theta_var()
+    entries = [v for _, _, v in (transform_r() - kr_rmatrix()).entries()]
     name = "new entries proportional to omega*theta"
-    try:
-        quotients = [divide_exact(v, w_th) for _, _, v in diff.entries()]
-    except sc.ScalarError:
+    if not all(substitute(v, {"theta": ZERO}).is_zero() for v in entries):
         return Check(name, False, "inexact division")
-    if any(q.den.eval_s_one().is_zero() for q in quotients):
+    w_inv = sc.inv(sc.omega())
+    if any((v * w_inv).den.eval_s_one().is_zero() for v in entries):
         return Check(name, False, "quotient has a pole at s = 1")
     return Check(name, True, "")
 

@@ -117,14 +117,16 @@ def rank_one_terms(table):
 
 
 def exponent_from_bilinear(table, r1, r2):
-    """-2 xi sum D[m,n] (v u**m) (x) (v u**n) as one graded matrix."""
-    xi = sc.xi_var()
+    """-2 xi sum D[m,n] (v u**m) (x) (v u**n) as one graded matrix, u = xi X+.
+
+    v u**m is xi**m times the module's cached image of the word v+ X+^m.
+    """
     total = GradedMatrix.zeros(kron_parity(r1.parity, r2.parity))
     for (m, n), c in table.items():
         if not c:
             continue
-        blk = gkron(r1.vu_power(m), r2.vu_power(n))
-        total = total + blk.scale(xi.scale(-2 * c))
+        blk = gkron(r1.image(("v+",) + ("X+",) * m), r2.image(("v+",) + ("X+",) * n))
+        total = total + blk.scale(sc.xi_var(m + n + 1).scale(-2 * c))
     return total
 
 
@@ -189,18 +191,17 @@ def check_intertwining_s(table, r1, r2, order):
 # linear solving over the rationals
 
 
-def solve_linear_system(rows, rhs, ncols=None):
+def solve_linear_system(rows, rhs, ncols):
     """Exact Gaussian elimination.
 
-    rows: list of coefficient lists; rhs: list of Fractions.  Returns
-    (solution dict, free columns, inconsistent rows).  The solution
-    maps determined columns to values; free columns, and pivot columns
-    whose value depends on them, are left out of it.  solve_phi holds
-    those unknowns at 0 in later shells and lists them as pinned.
+    rows: list of coefficient lists; rhs: list of Fractions; ncols: the
+    number of unknowns.  Returns (solution dict, free columns,
+    inconsistent rows).  The solution maps determined columns to values;
+    free columns, and pivot columns whose value depends on them, are left
+    out of it.  solve_phi holds those unknowns at 0 in later shells and
+    lists them as pinned.
     """
     m = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
     pivots = {}
     r = 0
     for c in range(ncols):

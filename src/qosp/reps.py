@@ -28,9 +28,7 @@ demanded by the anticommutation recursion all sit in v-.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from functools import reduce
 
 from . import scalar as sc
 from .gmatrix import GradedMatrix, exp_nilpotent, log_unipotent
@@ -133,16 +131,6 @@ class Representation:
             self._cache[key] = exp_nilpotent(self.sigma.scale(k))
         return self._cache[key]
 
-    def vu_power(self, m):
-        """Image of v+ (xi X+)**m, with the xi power kept symbolic."""
-        key = ("vu", m)
-        if key not in self._cache:
-            mat = self.v_plus
-            if m:
-                mat = (mat * self.x_plus ** m).scale(sc.xi_var(m))
-            self._cache[key] = mat
-        return self._cache[key]
-
     def h_weights(self):
         return [self.h[i, i].as_fraction() for i in range(self.dim)]
 
@@ -169,12 +157,22 @@ class Representation:
 
     # -- atom images for coproduct evaluation ------------------------------
 
-    def image(self, atom):
-        """Matrix image of a named element or a product list of them."""
-        if isinstance(atom, (list, tuple)):
-            if not atom:
-                return self.identity
-            return reduce(operator.mul, map(self.image, atom))
+    def image(self, word):
+        """Matrix image of an atom name or of a word, a sequence of atom names.
+
+        Each word is built once per module, as its cached prefix times its
+        last atom, and cached under its tuple; the empty word is the identity.
+        """
+        if isinstance(word, str):
+            return self._atom(word)
+        word = tuple(word)
+        if len(word) < 2:
+            return self._atom(word[0]) if word else self.identity
+        if word not in self._cache:
+            self._cache[word] = self.image(word[:-1]) * self._atom(word[-1])
+        return self._cache[word]
+
+    def _atom(self, atom):
         if atom == "1":
             return self.identity
         if atom == "h":

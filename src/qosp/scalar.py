@@ -425,28 +425,6 @@ def inv(a):
     return Scalar(a.den, a.num)
 
 
-def divide_exact(a, b):
-    """a / b for b = (rational) * theta^p * xi^r * w(s); exact or error."""
-    if b.is_zero():
-        raise ScalarError("division by zero")
-    if len(b.num.terms) == 1:
-        ((es, eth, exi), c) = next(iter(b.num.terms.items()))
-        out = {}
-        for (a1, b1, c1), v in a.num.terms.items():
-            if b1 < eth or c1 < exi:
-                raise ScalarError("inexact division")
-            out[(a1, b1 - eth, c1 - exi)] = v / c
-        return Scalar(Poly(out) * b.den, a.den * Poly.monomial(1, es=es))
-    # general b: split off the theta/xi content of its terms
-    eth = min(k[1] for k in b.num.terms)
-    exi = min(k[2] for k in b.num.terms)
-    rest = Poly({(a1, b1 - eth, c1 - exi): v for (a1, b1, c1), v in b.num.terms.items()})
-    if not rest.is_s_only():
-        raise ScalarError("divisor is not monomial in theta and xi times s-part")
-    shifted = divide_exact(a, Scalar(Poly.monomial(1, 0, eth, exi)))
-    return shifted * Scalar(b.den, rest)
-
-
 def substitute(a, bindings):
     """Exact composition; bindings maps variable names to Scalars."""
     for name in bindings:

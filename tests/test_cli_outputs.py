@@ -24,6 +24,9 @@ COMMANDS = {
     "verify_intertwine_order5000": ["verify", "--suite", "intertwine", "--order", "5000"],
     "solve_phi_order4": ["solve-phi", "--order", "4", "--pairs", "3/2:1,3/2:3/2"],
     "solve_phi_spin2_order4": ["solve-phi", "--order", "4", "--pairs", "2:3/2,2:2"],
+    "emit_rep2": ["emit", "--rep", "2"],
+    "emit_transformed_latex": ["emit", "--matrix", "transformed", "--format", "latex"],
+    "emit_sjr_csv_xi_third": ["emit", "--matrix", "sjr", "--format", "csv", "--set", "xi=1/3"],
 }
 
 

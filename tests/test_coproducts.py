@@ -107,9 +107,7 @@ def test_r_intertwines_q_deformed(fund):
 
 
 def test_r_intertwines_super_jordanian(fund):
-    assert check_r_intertwines(
-        contract_r(), SUPER_JORDANIAN, fund, gens=["h", "v+"]
-    ).passed
+    assert check_r_intertwines(contract_r(), SUPER_JORDANIAN, fund).passed
 
 
 def test_identity_intertwines_classical(fund):

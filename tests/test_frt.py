@@ -11,6 +11,7 @@ from qosp.coproducts import (
     frt_check,
     lplus_matrix,
 )
+from qosp.gmatrix import GradedMatrix
 from qosp.matrices import contract_r
 from qosp.reps import fundamental_rep, irrep
 from qosp.scalar import ZERO
@@ -27,6 +28,18 @@ def test_frt_fundamental():
 
 def test_frt_spin_one():
     assert frt_check(irrep(1)).passed
+
+
+def test_frt_fails_on_a_perturbed_generator_matrix(monkeypatch):
+    import qosp.coproducts as coproducts_mod
+
+    def perturbed(r):
+        l_mat = lplus_matrix(r)
+        return l_mat + GradedMatrix.from_entries(l_mat.parity, {(0, 1): sc.xi_var()})
+
+    monkeypatch.setattr(coproducts_mod, "lplus_matrix", perturbed)
+    assert not frt_check(fundamental_rep()).passed
+    assert not frt_check(irrep(1)).passed
 
 
 def test_frt_trivial_at_xi_zero():

@@ -61,8 +61,10 @@ def test_transform_entries():
     assert tr.nonzero_count() == kr_rmatrix().nonzero_count() + 9
 
 
-def test_transform_orientation_negative_control():
-    reversed_tr = transform_r("reversed")
+def test_transform_reversed_conjugation_negative_control():
+    # G^-1 R G, the other conjugation, does not give the x-entries
+    g = gkron(m_matrix(), m_matrix())
+    reversed_tr = inverse(g) * kr_rmatrix() * g
     xs = x_entries()
     assert reversed_tr[0, 2] != xs["x1"]
     assert reversed_tr != transform_r()
@@ -83,6 +85,18 @@ def test_new_entries_check_rejects_a_pole_at_s_one(monkeypatch):
     chk = check_new_entries_proportional()
     assert not chk.passed
     assert chk.detail == "quotient has a pole at s = 1"
+
+
+def test_new_entries_check_rejects_an_entry_without_theta(monkeypatch):
+    """omega alone at a new position has no theta factor to divide out."""
+    import qosp.matrices as matrices_mod
+
+    tr = transform_r()
+    bad = tr + GradedMatrix.from_entries(tr.parity, {(0, 2): sc.omega()})
+    monkeypatch.setattr(matrices_mod, "transform_r", lambda: bad)
+    chk = check_new_entries_proportional()
+    assert not chk.passed
+    assert chk.detail == "inexact division"
 
 
 def test_transform_conjugator_sign_indifferent():
@@ -217,8 +231,6 @@ def test_named_matrix_records():
 def test_parameterless_builders_are_memoized():
     for build in (kr_rmatrix, transform_r, contract_r, f_super_fund):
         assert build() is build()
-    assert transform_r("reversed") is transform_r("reversed")
-    assert transform_r("reversed") is not transform_r()
     assert named_matrix("sjr") is contract_r()
     # module-keyed builds stay uncached
     fund = fundamental_rep()

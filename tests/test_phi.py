@@ -66,6 +66,23 @@ def test_zero_series_passes_at_order_zero(fund):
 SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
 
+def test_exponent_from_bilinear_matches_repeated_products():
+    """-2 xi^(m+n+1) (v+ X+^m) (x) (v+ X+^n), with X+^m built by repeated products."""
+    r1, r2 = irrep(Fraction(3, 2)), irrep(1)
+
+    def v_x_power(r, m):
+        mat = r.v_plus
+        for _ in range(m):
+            mat = mat * r.x_plus
+        return mat
+
+    for m in range(4):
+        for n in range(4):
+            want = gkron(v_x_power(r1, m), v_x_power(r2, n))
+            want = want.scale(sc.xi_var(m + n + 1).scale(-2))
+            assert exponent_from_bilinear({(m, n): 1}, r1, r2) == want, (m, n)
+
+
 def test_coproduct_tables_match_hand_written_formulas():
     """The tables the solver evaluates equal the paper's formulas, written out.
 

@@ -92,6 +92,12 @@ def test_image_of_a_word_is_the_product_of_its_atoms():
     assert r.image(("v-", "s^h", "X+")) == r.v_minus * r.s_power_h(1) * r.x_plus
 
 
+def test_word_images_are_built_once():
+    r = irrep(1)
+    for word in (("v+", "X+"), ["h", "v+", "E^-2"], ("v+", "X+", "X+", "X+")):
+        assert r.image(word) is r.image(word)
+
+
 def test_sigma_and_exponentials():
     xi = sc.xi_var()
     for spin in (Fraction(1, 2), 1):

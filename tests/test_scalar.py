@@ -166,15 +166,6 @@ def test_parse_rejects_malformed_scalar(text):
         sc.parse_scalar(text)
 
 
-def test_divide_exact():
-    w = sc.omega()
-    th = sc.theta_var()
-    assert sc.divide_exact(w * th, w * th) == ONE
-    assert sc.divide_exact((w * th) ** 2, w * th) == w * th
-    with pytest.raises(ScalarError):
-        sc.divide_exact(ONE, w * th)
-
-
 def test_xi_coefficient_and_truncation():
     xi = sc.xi_var()
     a = ONE + xi.scale(3) + (xi * xi) * sc.q_var()
