@@ -233,7 +233,7 @@ def solve_linear_system(rows, rhs, ncols):
     return solution, free, inconsistent
 
 
-def solve_phi(order, pairs, include_f1=True, shells=None):
+def solve_phi(order, pairs, include_f1=True):
     """Solve the bilinear coefficients shell by shell on each pair.
 
     order is the maximal term index k; shells m + n = t are solved for
@@ -261,16 +261,13 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
     if include_f1:
         known = f1_table(max(2 * (order - 1), 2))
         min_power = 1
-        if shells is None:
-            shells = range(2, 2 * (order - 1) + 1)
+        shells = range(2, 2 * order - 1)
     else:
         known = {}
         min_power = 0
-        if shells is None:
-            shells = range(0, 2 * order - 1)
+        shells = range(0, 2 * order - 1)
 
-    top = max([2 * order - 1, *(t + 1 for t in shells)])
-    pair_series = [_PairSeries(r1, r2, top) for r1, r2 in pairs]
+    pair_series = [_PairSeries(r1, r2, 2 * order - 1) for r1, r2 in pairs]
     pooled = dict(known)
     reference = {}  # each coefficient as the first pair to determine it found it
     determined_by = {}
@@ -282,8 +279,6 @@ def solve_phi(order, pairs, include_f1=True, shells=None):
         pinned = []
         for t in shells:
             shell = [(m, t - m) for m in range(min_power, t // 2 + 1)]
-            if not shell:
-                continue
             rows, rhs = _shell_equations_sym(solved, shell, pair, t + 1)
             solution, free, inconsistent = solve_linear_system(
                 rows, rhs, ncols=len(shell)

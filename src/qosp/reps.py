@@ -41,42 +41,23 @@ class RepresentationError(ValueError):
     pass
 
 
-def sigma_of(x_plus):
-    """sigma = (1/2) log(1 + 2 xi X+) from the image of X+.
-
-    X+ is nilpotent in any finite module, so the logarithm of the
-    unipotent matrix is an exact finite sum.
-    """
-    u = GradedMatrix.identity(x_plus.parity) + x_plus.scale(sc.xi_var().scale(2))
-    return log_unipotent(u).scale(Fraction(1, 2))
-
-
-def frt_generators(h, v, e, e_inv):
-    """The FRT generators (H, E, V, W) from images of h, v+ and E^+-1.
-
-    H = xi h E - 2 xi^2 v+^2 E^-1,  V = -2 xi v+ E^-1,  W = 2 xi v+.
-    """
-    xi = sc.xi_var()
-    cap_h = (h * e).scale(xi) - (v * v * e_inv).scale((xi * xi).scale(2))
-    cap_v = (v * e_inv).scale(xi.scale(-2))
-    cap_w = v.scale(xi.scale(2))
-    return cap_h, e, cap_v, cap_w
-
-
 class Representation:
-    """Spin-j irreducible module with cached derived elements."""
+    """A module given by the images of h, v+ and v-, with cached derived elements.
+
+    irrep() verifies the spin-j modules it builds.  CoproductMap.module
+    builds tensor modules, unverified, with the pair of spins as spin.
+    """
 
     def __init__(self, spin, h, v_plus, v_minus, parity):
-        self.spin = Fraction(spin)
+        self.spin = spin
         self.dim = len(parity)
         self.parity = tuple(parity)
         self.h = h
         self.v_plus = v_plus
         self.v_minus = v_minus
         self._cache = {}
-        self._verify()
 
-    # -- structural invariants, re-checked on every construction ----------
+    # -- structural invariants of an irreducible module ---------------------
 
     def _verify(self):
         h, vp, vm = self.h, self.v_plus, self.v_minus
@@ -119,9 +100,10 @@ class Representation:
 
     @property
     def sigma(self):
-        """sigma = (1/2) log(1 + 2 xi X+), nilpotent in any finite module."""
+        """sigma = (1/2) log(1 + 2 xi X+), an exact finite sum as X+ is nilpotent."""
         if "sigma" not in self._cache:
-            self._cache["sigma"] = sigma_of(self.x_plus)
+            u = self.identity + self.x_plus.scale(sc.xi_var().scale(2))
+            self._cache["sigma"] = log_unipotent(u).scale(Fraction(1, 2))
         return self._cache["sigma"]
 
     def e_power(self, k):
@@ -148,11 +130,14 @@ class Representation:
         return self._cache[key]
 
     def lt_generators(self):
-        """Images of the FRT generators (H, E, V, W) built from h and v+."""
+        """H = xi h E - 2 xi^2 v+^2 E^-1, E, V = -2 xi v+ E^-1 and W = 2 xi v+."""
         if "lt" not in self._cache:
-            self._cache["lt"] = frt_generators(
-                self.h, self.v_plus, self.e_power(1), self.e_power(-1)
-            )
+            xi = sc.xi_var()
+            h, v, e, e_inv = self.h, self.v_plus, self.e_power(1), self.e_power(-1)
+            cap_h = (h * e).scale(xi) - (v * v * e_inv).scale((xi * xi).scale(2))
+            cap_v = (v * e_inv).scale(xi.scale(-2))
+            cap_w = v.scale(xi.scale(2))
+            self._cache["lt"] = (cap_h, e, cap_v, cap_w)
         return self._cache["lt"]
 
     # -- atom images for coproduct evaluation ------------------------------
@@ -219,7 +204,9 @@ def irrep(spin):
     if u_prev != Fraction(two_j, 4):
         raise RepresentationError("weight string fails to close at the bottom")
     v_minus = GradedMatrix.from_entries(parity, entries)
-    return Representation(spin, h, v_plus, v_minus, parity)
+    r = Representation(spin, h, v_plus, v_minus, parity)
+    r._verify()
+    return r
 
 
 def fundamental_rep():

@@ -6,8 +6,9 @@ other three here and show that they fail to reproduce the fixed
 matrices.
 
 The formal graded product of tensor terms, with the atom parities
-spelled out: the reference that the coproduct of a word, computed in
-qosp as a product of gkron images, is checked against.
+spelled out and E^k taken as grouplike: the reference that the
+coproduct of a word, computed in qosp as its image in
+JORDANIAN.module(r1, r2), is checked against.
 """
 
 from qosp.coproducts import JORDANIAN, TensorTerm

@@ -130,11 +130,12 @@ def test_solve_order_one_recovers_f1(fund, spin1):
     assert rep.passed
     assert table.get((0, 0), 0) == Fraction(1)
     # deeper shells on a pair that can see them reproduce f1 x f1 off-diagonals
-    table2, rep2 = solve_phi(1, [(spin1, spin1)], include_f1=False, shells=range(0, 2))
+    table2, rep2 = solve_phi(2, [(spin1, spin1)], include_f1=False)
     assert rep2.passed
     coeffs = f1_series_coeffs(1)
     assert table2.get((0, 0), 0) == coeffs[0] * coeffs[0]
     assert table2.get((0, 1), 0) == coeffs[0] * coeffs[1]
+    assert table2.get((1, 1), 0) == coeffs[1] * coeffs[1] + Fraction(-1, 12)
 
 
 def test_solve_order_two_acceptance_pairs(fund, spin1):
@@ -162,22 +163,22 @@ def test_solved_series_term_structure(spin1):
         assert min(right) == k - 1
 
 
-# every solve_phi call of this module, as (order, spin pairs, include_f1, shells)
+# every solve_phi call of this module, as (order, spin pairs, include_f1)
 _SOLVES = [
-    (1, [(Fraction(1, 2), Fraction(1, 2))], False, None),
-    (1, [(1, 1)], False, range(0, 2)),
-    (2, [(1, Fraction(1, 2)), (1, 1)], True, None),
-    (2, [(1, 1), (Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True, None),
-    (2, [(Fraction(1, 2), Fraction(1, 2))], False, None),
-    (3, [(Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True, None),
-    (4, [(Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True, None),
+    (1, [(Fraction(1, 2), Fraction(1, 2))], False),
+    (2, [(1, 1)], False),
+    (2, [(1, Fraction(1, 2)), (1, 1)], True),
+    (2, [(1, 1), (Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True),
+    (2, [(Fraction(1, 2), Fraction(1, 2))], False),
+    (3, [(Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True),
+    (4, [(Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True),
 ]
 
 
-@pytest.mark.parametrize("order, spins, include_f1, shells", _SOLVES)
-def test_rank_one_terms_sum_back_to_the_solved_table(order, spins, include_f1, shells):
+@pytest.mark.parametrize("order, spins, include_f1", _SOLVES)
+def test_rank_one_terms_sum_back_to_the_solved_table(order, spins, include_f1):
     pairs = [(irrep(a), irrep(b)) for a, b in spins]
-    table, rep = solve_phi(order, pairs, include_f1=include_f1, shells=shells)
+    table, rep = solve_phi(order, pairs, include_f1=include_f1)
     assert rep.passed
     terms = rank_one_terms(table)
     total = {}
@@ -187,6 +188,15 @@ def test_rank_one_terms_sum_back_to_the_solved_table(order, spins, include_f1, s
             for n, b in right.items():
                 total[m, n] = total.get((m, n), 0) + a * b
     assert {key: c for key, c in total.items() if c} == table
+
+
+def test_rank_one_terms_subtracts_at_fill_in_entries():
+    """The first term's square has a (1, 1) entry the table lacks; the
+    second term must take it away rather than skip the missing entry."""
+    half = Fraction(1, 2)
+    terms = rank_one_terms({(0, 0): Fraction(1), (0, 1): -half, (1, 0): -half})
+    assert len(terms) == 2
+    assert terms[1] == ({1: Fraction(1)}, {1: Fraction(-1, 4)})
 
 
 def test_rank_one_terms_rejects_an_asymmetric_table():
