@@ -22,7 +22,8 @@ the second.  With this choice
 for homogeneous B, C, which is the multiplication rule of the graded
 tensor-product algebra.  A test enumerates the candidate conventions
 and parity vectors against the fixed 9x9 matrices to show this is the
-only combination that reproduces them.
+only combination that reproduces them; it takes each parity vector's
+YBE residual from rll_residual, which places R13 with conjugate_by_flip.
 
 gkron and gflip are the only code in the package that picks a Koszul
 sign.  An operator on two adjacent legs of a triple product is gkron
@@ -114,8 +115,6 @@ class GradedMatrix:
         return GradedMatrix(self.parity, {k: -v for k, v in self._nz.items()})
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
         self._check_compatible(other)
         brows = {}
         for (k, j), b in other._nz.items():
@@ -166,20 +165,6 @@ class GradedMatrix:
 
     def nonzero_count(self):
         return len(self._nz)
-
-    def homogeneous_parity(self):
-        """0 or 1 if every nonzero entry has fixed p(i)+p(j); else None."""
-        par = None
-        for i, j, _ in self.entries():
-            p = (self.parity[i] + self.parity[j]) % 2
-            if par is None:
-                par = p
-            elif par != p:
-                return None
-        return 0 if par is None else par
-
-    def transpose(self):
-        return GradedMatrix(self.parity, {(j, i): v for (i, j), v in self._nz.items()})
 
     def map_entries(self, fn):
         """Apply fn to every nonzero entry; fn must send zero to zero."""
@@ -249,19 +234,18 @@ def gflip(parity):
     return GradedMatrix(kron_parity(parity, parity), out)
 
 
-def _base_parity(r, base=None):
+def _base_parity(r):
     """Base-space parity for a matrix acting on V (x) V.
 
     The composite parity determines the base only up to a global flip;
-    the default takes the first basis vector even, which holds for
-    every space constructed in this package.
+    it is taken with the first basis vector even, which holds for every
+    space constructed in this package.
     """
     n2 = r.dim
     n = math.isqrt(n2)
     if n * n != n2:
         raise MatrixError("matrix does not act on V (x) V")
-    if base is None:
-        base = r.parity[:n]
+    base = r.parity[:n]
     if kron_parity(base, base) != r.parity:
         raise MatrixError("parity vector is not a tensor square")
     return base
@@ -283,9 +267,9 @@ def conjugate_by_flip(p, m):
     return GradedMatrix(m.parity, out)
 
 
-def conjugate_flip(r, base=None):
+def conjugate_flip(r):
     """R21 = P . R . P for R acting on V (x) V."""
-    return conjugate_by_flip(gflip(_base_parity(r, base)), r)
+    return conjugate_by_flip(gflip(_base_parity(r)), r)
 
 
 def rll_residual(r, x, v, w):
@@ -302,11 +286,11 @@ def rll_residual(r, x, v, w):
     return r12 * x13 * x23 - x23 * x13 * r12
 
 
-def check_gybe(r, name="gybe", base=None):
+def check_gybe(r, name):
     """Graded Yang-Baxter residual R12 R13 R23 - R23 R13 R12."""
     from .report import Check
 
-    base = _base_parity(r, base)
+    base = _base_parity(r)
     res = rll_residual(r, r, base, base)
     bad = [(i + 1, j + 1, format_scalar(v)) for i, j, v in res.entries()]
     return Check(

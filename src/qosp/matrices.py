@@ -73,26 +73,6 @@ def m_matrix():
     return GradedMatrix.from_entries(_FUND_PARITY, entries)
 
 
-def x_entries():
-    """The nine entries switched on by the similarity transform."""
-    w = sc.omega()
-    th = sc.theta_var()
-    q = sc.q_var()
-    b = -w / sc.s_var()
-    c = b
-    return {
-        "x1": -(w * th),
-        "x2": b * th,
-        "x3": w * th / q,
-        "x4": (w * th) ** 2 / (ONE + q),
-        "x5": -(w * th),
-        "x6": -(w * th / q),
-        "x7": w * th,
-        "x8": -(c * th),
-        "x9": w * th,
-    }
-
-
 @cache
 def transform_r():
     """G R G^-1, the R-matrix conjugated by G = M (x) M.
@@ -197,10 +177,8 @@ def check_golden(name):
 # matrix-level identity checks
 
 
-def check_triangular(r=None, name="sjr"):
+def check_triangular(r, name):
     """R21 R = 1 exactly; the hallmark of a triangular R-matrix."""
-    if r is None:
-        r = contract_r()
     prod = conjugate_flip(r) * r
     ok = prod.is_identity()
     return Check(
@@ -294,11 +272,10 @@ def matrix_suite():
 
 def triangular_suite():
     """The contracted R-matrix is triangular; the q-deformed one is not."""
-    kr = check_triangular(kr_rmatrix(), name="kr")
-    return Report(
-        "triangularity",
-        [check_triangular(), Check("q-deformed R-matrix is not triangular", not kr.passed, "")],
-    )
+    kr = check_triangular(kr_rmatrix(), "kr")
+    sjr = check_triangular(contract_r(), "sjr")
+    not_kr = Check("q-deformed R-matrix is not triangular", not kr.passed, "")
+    return Report("triangularity", [sjr, not_kr])
 
 
 def ybe_suite():

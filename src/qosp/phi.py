@@ -123,8 +123,6 @@ def exponent_from_bilinear(table, r1, r2):
     """
     total = GradedMatrix.zeros(kron_parity(r1.parity, r2.parity))
     for (m, n), c in table.items():
-        if not c:
-            continue
         blk = gkron(r1.image(("v+",) + ("X+",) * m), r2.image(("v+",) + ("X+",) * n))
         total = total + blk.scale(sc.xi_var(m + n + 1).scale(-2 * c))
     return total

@@ -87,12 +87,6 @@ class Representation:
         return self._cache["x_plus"]
 
     @property
-    def x_minus(self):
-        if "x_minus" not in self._cache:
-            self._cache["x_minus"] = (self.v_minus * self.v_minus).scale(-4)
-        return self._cache["x_minus"]
-
-    @property
     def identity(self):
         if "identity" not in self._cache:
             self._cache["identity"] = GradedMatrix.identity(self.parity)
@@ -116,10 +110,12 @@ class Representation:
     def h_weights(self):
         return [self.h[i, i].as_fraction() for i in range(self.dim)]
 
-    def s_power_h(self, mult=1):
-        """Diagonal matrix s**(mult*h); q**(h/2) is s_power_h(1)."""
+    def s_power_h(self, mult):
+        """Diagonal matrix s**(mult*h) for a diagonal h; q**(h/2) is s_power_h(1)."""
         key = ("s^h", mult)
         if key not in self._cache:
+            if any(i != j for i, j, _ in self.h.entries()):
+                raise RepresentationError("s**h needs a diagonal h")
             diag = {}
             for i, lam in enumerate(self.h_weights()):
                 e = mult * lam
@@ -214,6 +210,11 @@ def fundamental_rep():
     return irrep(Fraction(1, 2))
 
 
+def _spin_text(spin):
+    """1/2 for an irrep, (1/2, 1) for a tensor module."""
+    return "(%s)" % ", ".join(map(_spin_text, spin)) if isinstance(spin, tuple) else str(spin)
+
+
 def check_lt_relations(r):
     """All defining relations of the FRT generator algebra, in module r."""
     xi = sc.xi_var()
@@ -241,7 +242,7 @@ def check_lt_relations(r):
         ("V = -W E^-1", v + w * e_inv),
         ("xi (E^2 - 1) = 2 W^2", (e2 - ident).scale(xi) - (w * w).scale(2)),
     ]
-    rep = Report("lt-relations spin %s" % r.spin)
+    rep = Report("lt-relations spin %s" % _spin_text(r.spin))
     for name, residual in rel:
         rep.add(Check(name, residual.is_zero(), "" if residual.is_zero() else "nonzero residual"))
     return rep

@@ -18,8 +18,9 @@ and products of them skip the Euclidean gcd.  The printed form clears
 negative powers of s into the denominator (``format_scalar``), so it is
 the plain reduced fraction of polynomials.
 
-The q -> 1 contraction is exposed as ``limit_at_one``, which cancels
-common (s - 1) factors exactly rather than expanding a series.
+The q -> 1 contraction is exposed as ``limit_at_one``, which evaluates
+at s = 1: normalization has already cancelled every common factor, so
+no (s - 1) is left to cancel and no series is expanded.
 """
 
 from __future__ import annotations
@@ -467,24 +468,16 @@ def _eval_poly(p, values):
 def limit_at_one(a):
     """The limit s -> 1, after the contraction binding removed theta.
 
-    Cancels every common (s - 1) factor between numerator and
-    denominator exactly, then evaluates s := 1.  Raises on a genuine
-    pole.
+    a is reduced, so (s - 1) never divides both numerator and
+    denominator: the limit is num(1) / den(1), and den(1) == 0 is a
+    genuine pole.
     """
     if not a.theta_free():
         raise ScalarError("limit requires a theta-free scalar")
-    num, den = a.num, a.den
-    dden = den.to_dense_s()
-    while sum(dden) == 0:  # den(1) == 0  <=>  (s - 1) | den
-        try:
-            num = _poly_divexact_s(num, [-_FR1, _FR1])
-        except ScalarError:
-            raise ScalarError("limit does not exist: pole at s = 1")
-        q, r = _dense_divmod(dden, [-_FR1, _FR1])
-        assert not _dense_trim(r)
-        dden = q
-    scale = _FR1 / sum(dden)
-    return Scalar(num.eval_s_one().scale(scale), Poly.const(1))
+    den_at_one = sum(a.den.to_dense_s())
+    if not den_at_one:
+        raise ScalarError("limit does not exist: pole at s = 1")
+    return Scalar(a.num.eval_s_one().scale(_FR1 / den_at_one), Poly.const(1))
 
 
 # ---------------------------------------------------------------------------

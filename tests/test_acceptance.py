@@ -43,11 +43,11 @@ from qosp.matrices import (
     f_super_fund,
     kr_rmatrix,
     transform_r,
-    x_entries,
 )
 from qosp.phi import build_f_super, check_intertwining_s, f1_table, solve_phi
 from qosp.reps import check_lt_relations, fundamental_rep, irrep
 from qosp.scalar import ONE, ZERO, Scalar, rational
+from x_entries import X_POSITIONS, x_entries
 
 
 def _criterion(name, passed, t0, budget):
@@ -61,37 +61,26 @@ def test_criterion_1_golden_reconstruction():
     t0 = time.time()
     ok = all(check_golden(n).passed for n in ("kr", "transformed", "sjr", "fj", "fs"))
     tr = transform_r()
-    xs = x_entries()
-    positions = {
-        "x1": (0, 2), "x2": (0, 4), "x3": (0, 6), "x4": (0, 8),
-        "x5": (1, 5), "x6": (2, 8), "x7": (3, 7), "x8": (4, 8), "x9": (6, 8),
-    }
-    w, th, q = sc.omega(), sc.theta_var(), sc.q_var()
-    b = -(w / sc.s_var())
-    c = b
-    explicit = {
-        "x1": -(w * th), "x2": b * th, "x3": w * th / q,
-        "x4": (w * th) ** 2 / (ONE + q), "x5": -(w * th), "x6": -(w * th / q),
-        "x7": w * th, "x8": -(c * th), "x9": w * th,
-    }
-    for name, (i, j) in positions.items():
-        ok = ok and tr[i, j] == xs[name] == explicit[name]
+    explicit = x_entries()
+    for name, (i, j) in X_POSITIONS.items():
+        ok = ok and tr[i, j] == explicit[name]
     _criterion("1 golden reconstruction", ok, t0, 1)
 
 
 def test_criterion_2_graded_ybe():
     t0 = time.time()
     ok = (
-        check_gybe(kr_rmatrix()).passed
-        and check_gybe(transform_r()).passed
-        and check_gybe(contract_r()).passed
+        check_gybe(kr_rmatrix(), "gybe kr").passed
+        and check_gybe(transform_r(), "gybe transformed").passed
+        and check_gybe(contract_r(), "gybe sjr").passed
     )
     _criterion("2 graded YBE (symbolic)", ok, t0, 30)
 
 
 def test_criterion_3_triangularity():
     t0 = time.time()
-    ok = check_triangular().passed and not check_triangular(kr_rmatrix()).passed
+    sjr, kr = check_triangular(contract_r(), "sjr"), check_triangular(kr_rmatrix(), "kr")
+    ok = sjr.passed and not kr.passed
     _criterion("3 triangularity", ok, t0, 1)
 
 

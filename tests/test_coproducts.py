@@ -22,7 +22,7 @@ from qosp.coproducts import (
 )
 from qosp.gmatrix import GradedMatrix, gflip, gkron, inverse, kron_parity
 from qosp.matrices import contract_r, f_jordanian, f_super_fund, kr_rmatrix
-from qosp.reps import fundamental_rep, irrep
+from qosp.reps import RepresentationError, check_lt_relations, fundamental_rep, irrep
 from qosp.scalar import ONE, ZERO, rational
 
 
@@ -172,6 +172,26 @@ def test_coassociativity_fails_when_e_is_not_grouplike(monkeypatch, fund):
     monkeypatch.setitem(JORDANIAN.rules, "v+", v_plus_e2)
     rep = check_coassociativity_jordanian(fund, fund, fund)
     assert [c.passed for c in rep.checks] == [False, False, False]
+
+
+def test_s_power_h_needs_a_diagonal_h(fund, spin1):
+    """q**(Delta(h)/2) exists for the diagonal primitive Delta(h), not for Delta_j(h)."""
+    module = CLASSICAL.module(fund, spin1)
+    qh = module.s_power_h(1)
+    assert module.h * qh == qh * module.h
+    assert qh == gkron(fund.s_power_h(1), spin1.s_power_h(1))
+    with pytest.raises(RepresentationError, match="s\\*\\*h needs a diagonal h"):
+        JORDANIAN.module(fund, fund).s_power_h(1)
+
+
+@pytest.mark.parametrize(
+    "cp, second", [(CLASSICAL, "spin1"), (JORDANIAN, "fund")], ids=["classical", "jordanian"]
+)
+def test_lt_relations_on_tensor_modules(request, fund, cp, second):
+    r2 = request.getfixturevalue(second)
+    rep = check_lt_relations(cp.module(fund, r2))
+    assert rep.name == "lt-relations spin (1/2, %s)" % r2.spin
+    assert len(rep.checks) == 10 and rep.passed
 
 
 @pytest.mark.parametrize("left, right", [("1/2", "1/2"), ("1/2", "1"), ("1", "3/2")])

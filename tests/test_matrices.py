@@ -24,10 +24,10 @@ from qosp.matrices import (
     m_matrix,
     named_matrix,
     transform_r,
-    x_entries,
 )
 from qosp.reps import fundamental_rep, irrep
 from qosp.scalar import ONE, ZERO, rational
+from x_entries import X_POSITIONS, x_entries
 
 
 def test_kr_entries():
@@ -44,12 +44,6 @@ def test_m_matrix_unipotent():
     assert (m * inverse(m)).is_identity()
     n = m - m.substitute({"theta": ZERO})
     assert (n * n).is_zero()
-
-
-X_POSITIONS = {
-    "x1": (0, 2), "x2": (0, 4), "x3": (0, 6), "x4": (0, 8),
-    "x5": (1, 5), "x6": (2, 8), "x7": (3, 7), "x8": (4, 8), "x9": (6, 8),
-}
 
 
 def test_transform_entries():
@@ -167,8 +161,8 @@ def test_fixture_denominators_univariate():
 
 
 def test_triangularity():
-    assert check_triangular().passed
-    assert not check_triangular(kr_rmatrix(), name="kr").passed
+    assert check_triangular(contract_r(), "sjr").passed
+    assert not check_triangular(kr_rmatrix(), "kr").passed
     from qosp.gmatrix import GradedMatrix, kron_parity
 
     ident = GradedMatrix.identity(kron_parity((0, 1, 0), (0, 1, 0)))
@@ -187,9 +181,9 @@ def test_lplus_slices():
 
 
 def test_gybe_all_three():
-    assert check_gybe(kr_rmatrix()).passed
-    assert check_gybe(transform_r()).passed
-    assert check_gybe(contract_r()).passed
+    assert check_gybe(kr_rmatrix(), "gybe kr").passed
+    assert check_gybe(transform_r(), "gybe transformed").passed
+    assert check_gybe(contract_r(), "gybe sjr").passed
 
 
 def test_fixture_json_shape():

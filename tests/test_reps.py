@@ -28,7 +28,8 @@ def test_fundamental_matrices():
         f.parity, {(1, 0): -half, (2, 1): half}
     )
     assert f.x_plus == GradedMatrix.from_entries(f.parity, {(0, 2): ONE})
-    assert f.x_minus == GradedMatrix.from_entries(f.parity, {(2, 0): ONE})
+    x_minus = (f.v_minus * f.v_minus).scale(-4)
+    assert x_minus == GradedMatrix.from_entries(f.parity, {(2, 0): ONE})
 
 
 def test_irrep_half_equals_fundamental():
@@ -149,8 +150,9 @@ def test_lt_entries_polynomial_in_xi():
 
 
 def test_lt_relations_pass():
-    for spin in (Fraction(1, 2), 1):
-        assert check_lt_relations(irrep(spin)).passed
+    for spin, text in ((Fraction(1, 2), "1/2"), (1, "1")):
+        rep = check_lt_relations(irrep(spin))
+        assert rep.passed and rep.name == "lt-relations spin " + text
 
 
 def rescaled(r, lam):

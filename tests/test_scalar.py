@@ -56,7 +56,7 @@ def test_limit_removable_singularity():
 
 
 def test_limit_pole_raises():
-    with pytest.raises(ScalarError):
+    with pytest.raises(ScalarError, match="limit does not exist: pole at s = 1"):
         sc.limit_at_one(ONE / (sc.s_var() - ONE))
 
 
@@ -151,6 +151,28 @@ def test_limit_is_multiplicative_and_additive():
         assert sc.limit_at_one(a * b) == la * lb
         assert sc.limit_at_one(a + b) == la + lb
         count += 1
+
+
+def test_limit_is_the_value_at_one():
+    """A reduced scalar's limit is its value at s = 1, unless den(1) == 0: a pole.
+
+    The random denominators never vanish at s = 1; dividing by s - 1
+    gives a pole unless the numerator already vanishes there.
+    """
+    rng = random.Random(1729)
+    values = poles = 0
+    while values < 100 or poles < 100:
+        a = _random_scalar(rng)
+        if not a.theta_free():
+            continue
+        for b in (a, a / (sc.s_var() - ONE)):
+            if sum(b.den.to_dense_s()):
+                assert sc.limit_at_one(b) == sc.substitute(b, {"s": ONE})
+                values += 1
+            else:
+                with pytest.raises(ScalarError, match="limit does not exist: pole at s = 1"):
+                    sc.limit_at_one(b)
+                poles += 1
 
 
 def test_format_parse_round_trip():
