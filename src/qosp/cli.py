@@ -26,7 +26,7 @@ from .coproducts import (
     check_r_intertwines,
     frt_check,
 )
-from .gmatrix import to_json_dict
+from .gmatrix import residual_check, to_json_dict
 from .matrices import (
     FIXTURE_NAMES,
     FixtureError,
@@ -47,7 +47,7 @@ from .phi import (
     rank_one_terms,
     solve_phi,
 )
-from .report import Check, Report
+from .report import Report
 from .reps import SUPPORTED_SPINS, check_lt_relations, fundamental_rep, irrep
 from .scalar import ScalarError, format_scalar, rational
 
@@ -87,7 +87,7 @@ def _parse_bindings(pairs):
             raise UsageError("bad --set binding %r (expected var=rational)" % item)
         if name in bindings:
             raise UsageError("repeated --set binding %s" % name)
-        if "." in value:
+        if "." in value or "e" in value.lower():
             raise UsageError("binding %r must be an exact rational like 1/2" % item)
         try:
             bindings[name] = rational(Fraction(value))
@@ -134,12 +134,6 @@ def cmd_emit(args):
         m = named_matrix(args.matrix)
         if bindings:
             m = _substitute(m, bindings, args.set)
-        if args.format == "json":
-            text = json.dumps(to_json_dict(m), indent=1, sort_keys=True) + "\n"
-        elif args.format == "csv":
-            text = _matrix_csv(m)
-        else:
-            text = _matrix_latex(m)
     else:
         r = irrep(_parse_spin(args.rep))
         cap_h, e_mat, v_mat, w_mat = r.lt_generators()
@@ -157,12 +151,23 @@ def cmd_emit(args):
             mats = {k: _substitute(m, bindings, args.set) for k, m in mats.items()}
         if args.format != "json":
             raise UsageError("--rep output is JSON only")
-        payload = {
-            "spin": str(r.spin),
-            "dim": r.dim,
-            "matrices": {k: to_json_dict(m) for k, m in sorted(mats.items())},
-        }
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    try:
+        if args.rep:
+            payload = {
+                "spin": str(r.spin),
+                "dim": r.dim,
+                "matrices": {k: to_json_dict(m) for k, m in sorted(mats.items())},
+            }
+            text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        elif args.format == "json":
+            text = json.dumps(to_json_dict(m), indent=1, sort_keys=True) + "\n"
+        elif args.format == "csv":
+            text = _matrix_csv(m)
+        else:
+            text = _matrix_latex(m)
+    except ValueError as exc:
+        # an entry with more digits than Python converts to text
+        raise UsageError("cannot print the result at these --set values: %s" % exc)
     _write_out(args.out, text)
     return 0
 
@@ -204,10 +209,10 @@ def _intertwine(spins, order):
     f = fundamental_rep()
     table = f1_table()
     yield check_intertwining_s(table, f, f, order)
-    same = build_f_super(table, f, f) == f_super_fund()
+    residual = build_f_super(table, f, f) - f_super_fund()
     yield Report(
         "odd twist matrix from f1",
-        [Check("f1 alone reconstructs the odd twist matrix", same, "")],
+        [residual_check("f1 alone reconstructs the odd twist matrix", residual)],
     )
 
 

@@ -26,11 +26,12 @@ from .gmatrix import (
     gkron,
     inverse,
     kron_parity,
+    residual_check,
     rll_residual,
 )
 from .matrices import _FUND_PARITY, contract_r, f_jordanian, f_super_fund
 from .report import Check, Report
-from .reps import Representation, fundamental_rep
+from .reps import Representation, _spin_text, fundamental_rep
 from .scalar import rational
 
 class TensorTerm:
@@ -127,28 +128,23 @@ SUPER_JORDANIAN = CoproductMap(
 
 def check_homomorphism(cp, r1, r2):
     """Defining relations evaluated on the coproduct images."""
-    rep = Report("homomorphism %s on (%s, %s)" % (cp.name, r1.spin, r2.spin))
+    rep = Report("homomorphism %s on %s" % (cp.name, _spin_text((r1.spin, r2.spin))))
     dh = cp.evaluate("h", r1, r2)
     dvp = cp.evaluate("v+", r1, r2)
-    rep.add(Check("[h, v+] = v+", (dh * dvp - dvp * dh - dvp).is_zero()))
+    rep.add(residual_check("[h, v+] = v+", dh * dvp - dvp * dh - dvp))
     if "v-" not in cp.rules:
         return rep
     dvm = cp.evaluate("v-", r1, r2)
-    rep.add(Check("[h, v-] = -v-", (dh * dvm - dvm * dh + dvm).is_zero()))
+    rep.add(residual_check("[h, v-] = -v-", dh * dvm - dvm * dh + dvm))
     anti = dvp * dvm + dvm * dvp
     if cp.name == "Q_DEFORMED":
         # {v+, v-} = -(q^h - q^-h) / (4 (q - q^-1)); q^Delta(h) = q^h (x) q^h
         qh = gkron(r1.s_power_h(2), r2.s_power_h(2))
         qhi = gkron(r1.s_power_h(-2), r2.s_power_h(-2))
         rhs = (qh - qhi).scale(sc.inv(sc.omega()).scale(Fraction(-1, 4)))
-        rep.add(Check("{v+, v-} = -(q^h - q^-h)/(4 omega)", (anti - rhs).is_zero()))
+        rep.add(residual_check("{v+, v-} = -(q^h - q^-h)/(4 omega)", anti - rhs))
     else:
-        rep.add(
-            Check(
-                "{v+, v-} = -h/4",
-                (anti + dh.scale(Fraction(1, 4))).is_zero(),
-            )
-        )
+        rep.add(residual_check("{v+, v-} = -h/4", anti + dh.scale(Fraction(1, 4))))
     return rep
 
 
@@ -158,9 +154,8 @@ def check_r_intertwines(r_matrix, cp, r):
     p = gflip(r.parity)
     for g in cp.rules:
         delta = cp.evaluate(g, r, r)
-        lhs = r_matrix * delta
-        rhs = conjugate_by_flip(p, delta) * r_matrix
-        rep.add(Check("R Delta(%s) = Delta_op(%s) R" % (g, g), (lhs - rhs).is_zero()))
+        residual = r_matrix * delta - conjugate_by_flip(p, delta) * r_matrix
+        rep.add(residual_check("R Delta(%s) = Delta_op(%s) R" % (g, g), residual))
     return rep
 
 
@@ -170,16 +165,13 @@ def check_r_intertwines(r_matrix, cp, r):
 
 def check_twist_produces(f, base, target, r1, r2):
     """F Delta(x) F^-1 under the base coproduct equals the target coproduct."""
-    rep = Report("twist %s -> %s on (%s, %s)" % (base.name, target.name, r1.spin, r2.spin))
+    spins = _spin_text((r1.spin, r2.spin))
+    rep = Report("twist %s -> %s on %s" % (base.name, target.name, spins))
     f_inv = inverse(f)
     for g in target.rules:
         conj = f * base.evaluate(g, r1, r2) * f_inv
-        rep.add(
-            Check(
-                "F Delta(%s) F^-1 matches %s" % (g, target.name),
-                (conj - target.evaluate(g, r1, r2)).is_zero(),
-            )
-        )
+        name = "F Delta(%s) F^-1 matches %s" % (g, target.name)
+        rep.add(residual_check(name, conj - target.evaluate(g, r1, r2)))
     return rep
 
 
@@ -196,12 +188,8 @@ def check_cocycle_jordanian(r1, r2, r3):
     """
     lhs = gkron(f_jordanian(r1, r2), r3.identity) * f_jordanian(CLASSICAL.module(r1, r2), r3)
     rhs = gkron(r1.identity, f_jordanian(r2, r3)) * f_jordanian(r1, CLASSICAL.module(r2, r3))
-    ok = (lhs - rhs).is_zero()
-    return Check(
-        "cocycle even twist on (%s, %s, %s)" % (r1.spin, r2.spin, r3.spin),
-        ok,
-        "" if ok else "sides differ",
-    )
+    name = "cocycle even twist on %s" % _spin_text((r1.spin, r2.spin, r3.spin))
+    return residual_check(name, lhs - rhs)
 
 
 def check_coassociativity_jordanian(r1, r2, r3):
@@ -216,9 +204,8 @@ def check_coassociativity_jordanian(r1, r2, r3):
     j12 = JORDANIAN.module(r1, r2)
     j23 = JORDANIAN.module(r2, r3)
     for g in ("h", "v+", "v-"):
-        lhs = JORDANIAN.evaluate(g, j12, r3)
-        rhs = JORDANIAN.evaluate(g, r1, j23)
-        rep.add(Check("generator %s" % g, (lhs - rhs).is_zero()))
+        residual = JORDANIAN.evaluate(g, j12, r3) - JORDANIAN.evaluate(g, r1, j23)
+        rep.add(residual_check("generator %s" % g, residual))
     return rep
 
 
@@ -250,12 +237,8 @@ def lplus_matrix(r):
 
 def frt_check(r):
     """R L1 L2 = L2 L1 R on C3 (x) C3 (x) V: the RLL residual with X = L+."""
-    ok = rll_residual(contract_r(), lplus_matrix(r), _FUND_PARITY, r.parity).is_zero()
-    return Check(
-        "FRT relation in spin %s (%d scalar identities)" % (r.spin, (9 * r.dim) ** 2),
-        ok,
-        "" if ok else "residual nonzero",
-    )
+    name = "FRT relation in spin %s (%d scalar identities)" % (_spin_text(r.spin), (9 * r.dim) ** 2)
+    return residual_check(name, rll_residual(contract_r(), lplus_matrix(r), _FUND_PARITY, r.parity))
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +269,7 @@ def check_l_coproducts():
     }
     rep = Report("coproducts of the FRT generators")
     for name in ("E", "V", "W", "H"):
-        rep.add(
-            Check(
-                "Delta(%s) matches closed form" % name,
-                (lhs[name] - rhs[name]).is_zero(),
-            )
-        )
+        rep.add(residual_check("Delta(%s) matches closed form" % name, lhs[name] - rhs[name]))
     return rep
 
 

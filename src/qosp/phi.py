@@ -54,8 +54,9 @@ from fractions import Fraction
 from . import _xiseries as xs
 from . import scalar as sc
 from .coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN
-from .gmatrix import GradedMatrix, MatrixError, exp_nilpotent, gkron, kron_parity
+from .gmatrix import GradedMatrix, MatrixError, exp_nilpotent, gkron, kron_parity, residual_check
 from .report import Check, Report
+from .reps import _spin_text
 
 
 MAX_ORDER = 4  # highest series term index solve_phi accepts
@@ -181,7 +182,7 @@ def check_intertwining_s(table, r1, r2, order):
     f_inv, main = _check_main_intertwining(table, pair, order)
     lhs = xs.mul(pair.dj, xs.mul(f_inv, f_inv, order), order)
     aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", lhs, pair.target, order)
-    name = "odd-twist intertwining (%s, %s) through xi^%d" % (r1.spin, r2.spin, order)
+    name = "odd-twist intertwining %s through xi^%d" % (_spin_text((r1.spin, r2.spin)), order)
     return Report(name, [main, aux])
 
 
@@ -339,7 +340,7 @@ def solve_phi(order, pairs, include_f1=True):
         _, chk = _check_main_intertwining(table, pair, xi_order)
         r1, r2 = pair.reps
         name = "residual zero on (%s, %s) through xi^%d" % (r1.spin, r2.spin, xi_order)
-        rep.add(Check(name, chk.passed, chk.detail))
+        rep.add(Check(name, chk.passed, chk.detail, chk.data))
     return table, rep
 
 
@@ -385,7 +386,7 @@ def compute_dsj_vminus(table, r1, r2, order):
     f, f_inv = pair.twist(table, order)
     inner = xs.from_matrix(JORDANIAN.evaluate("v-", r1, r2), order)
     dvm = xs.mul(xs.mul(f, inner, order), f_inv, order)
-    name = "reconstructed Delta(v-) on (%s, %s)" % (r1.spin, r2.spin)
+    name = "reconstructed Delta(v-) on %s" % _spin_text((r1.spin, r2.spin))
     report = Report(name, _dsj_vminus_checks(dvm, pair.target, r1, r2, order))
     return xs.to_matrix(dvm, kron_parity(r1.parity, r2.parity)), report
 
@@ -395,9 +396,10 @@ def _dsj_vminus_checks(dvm, dvp, r1, r2, order):
     dh = xs.from_matrix(SUPER_JORDANIAN.evaluate("h", r1, r2), order)
     anti = xs.add(xs.add(xs.mul(dvp, dvm, order), xs.mul(dvm, dvp, order)), dh, Fraction(1, 4))
     comm = xs.add(xs.add(xs.mul(dh, dvm, order), xs.mul(dvm, dh, order), -1), dvm)
-    prim = xs.from_matrix(CLASSICAL.evaluate("v-", r1, r2), 0)
+    prim = CLASSICAL.evaluate("v-", r1, r2)
+    parity, mod = prim.parity, " mod xi^%d" % (order + 1)
     return [
-        Check("{Delta(v+), Delta(v-)} = -Delta(h)/4 mod xi^%d" % (order + 1), xs.is_zero(anti)),
-        Check("[Delta(h), Delta(v-)] = -Delta(v-) mod xi^%d" % (order + 1), xs.is_zero(comm)),
-        Check("xi^0 term is primitive", xs.truncate(dvm, 0) == prim),
+        residual_check("{Delta(v+), Delta(v-)} = -Delta(h)/4" + mod, xs.to_matrix(anti, parity)),
+        residual_check("[Delta(h), Delta(v-)] = -Delta(v-)" + mod, xs.to_matrix(comm, parity)),
+        residual_check("xi^0 term is primitive", xs.to_matrix(xs.truncate(dvm, 0), parity) - prim),
     ]

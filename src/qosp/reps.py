@@ -31,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalar as sc
-from .gmatrix import GradedMatrix, exp_nilpotent, log_unipotent
-from .report import Check, Report
+from .gmatrix import GradedMatrix, exp_nilpotent, log_unipotent, residual_check
+from .report import Report
 
 SUPPORTED_SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
@@ -242,7 +242,7 @@ def check_lt_relations(r):
         ("V = -W E^-1", v + w * e_inv),
         ("xi (E^2 - 1) = 2 W^2", (e2 - ident).scale(xi) - (w * w).scale(2)),
     ]
-    rep = Report("lt-relations spin %s" % _spin_text(r.spin))
-    for name, residual in rel:
-        rep.add(Check(name, residual.is_zero(), "" if residual.is_zero() else "nonzero residual"))
-    return rep
+    return Report(
+        "lt-relations spin %s" % _spin_text(r.spin),
+        [residual_check(name, residual) for name, residual in rel],
+    )

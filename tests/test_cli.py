@@ -20,6 +20,7 @@ from qosp.matrices import (
     named_matrix,
     transform_r,
 )
+from qosp.scalar import format_scalar, parse_scalar
 
 
 def run_cli(args, capsys):
@@ -83,6 +84,22 @@ def test_emit_usage_errors(capsys):
     assert rc == 2
     rc, _, err = run_cli(["emit", "--matrix", "kr", "--set", "zeta=1"], capsys)
     assert rc == 2
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1E3", "2/1e3"])
+def test_emit_rejects_exponent_notation(value, capsys):
+    """Exponent notation is refused before Fraction can build 10**N."""
+    rc, out, err = run_cli(["emit", "--matrix", "kr", "--set", "s=" + value], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: binding 's=%s' must be an exact rational like 1/2\n" % value
+
+
+def test_emit_value_too_long_to_print_is_usage_error(capsys):
+    """s with 3000 digits makes q = s**2 longer than Python converts to text."""
+    args = ["emit", "--matrix", "kr", "--format", "csv", "--set", "s=" + "7" * 3000]
+    rc, out, err = run_cli(args, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot print the result") and err.count("\n") == 1
 
 
 def test_emit_repeated_set_binding(capsys):
@@ -308,6 +325,29 @@ def test_verify_exit_one_on_failure(tmp_path, monkeypatch, capsys):
     rc, out, _ = run_cli(["verify", "--suite", "all"], capsys)
     assert rc == 1
     assert "FAIL" in out
+    # the JSON report names the corrupted entry with built minus fixture
+    rc, out, _ = run_cli(["verify", "--suite", "all", "--json"], capsys)
+    assert rc == 1
+    checks = {c["name"]: c for suite in json.loads(out) for c in suite["checks"]}
+    i, j, _ = bad["entries"][0]
+    diff = mats.named_matrix("sjr")[i - 1, j - 1] - parse_scalar("7")
+    assert checks["golden sjr"]["residual_summary"] == "residual has 1 nonzero entries"
+    assert checks["golden sjr"]["data"] == {"nonzero": [[i, j, format_scalar(diff)]]}
+
+
+def test_fixture_with_other_parities_fails(tmp_path, monkeypatch, capsys):
+    """A fixture whose parities differ is a failed check, not a MatrixError."""
+    for name in FIXTURE_NAMES:
+        write_fixture(name, named_matrix(name), directory=str(tmp_path))
+    path = tmp_path / "sjr.json"
+    flipped = json.loads(path.read_text())
+    flipped["parities"] = [1 - p for p in flipped["parities"]]
+    path.write_text(json.dumps(flipped))
+    monkeypatch.setenv("QOSP_FIXTURES", str(tmp_path))
+    rc, out, err = run_cli(["verify", "--suite", "matrix"], capsys)
+    assert rc == 1 and err == ""
+    [line] = [line for line in out.splitlines() if "golden sjr" in line]
+    assert line.endswith(" FAIL    (parities differ from fixture)")
 
 
 def test_console_script_installed():

@@ -27,6 +27,7 @@ COMMANDS = {
     "emit_rep2": ["emit", "--rep", "2"],
     "emit_transformed_latex": ["emit", "--matrix", "transformed", "--format", "latex"],
     "emit_sjr_csv_xi_third": ["emit", "--matrix", "sjr", "--format", "csv", "--set", "xi=1/3"],
+    "emit_kr_exponent_usage_error": ["emit", "--matrix", "kr", "--set", "s=1e5000"],
 }
 
 

@@ -19,10 +19,18 @@ from qosp.coproducts import (
     check_r_intertwines,
     check_twist_produces,
     evaluate_terms,
+    frt_check,
 )
 from qosp.gmatrix import GradedMatrix, gflip, gkron, inverse, kron_parity
 from qosp.matrices import contract_r, f_jordanian, f_super_fund, kr_rmatrix
-from qosp.reps import RepresentationError, check_lt_relations, fundamental_rep, irrep
+from qosp.phi import check_intertwining_s, f1_table
+from qosp.reps import (
+    Representation,
+    RepresentationError,
+    check_lt_relations,
+    fundamental_rep,
+    irrep,
+)
 from qosp.scalar import ONE, ZERO, rational
 
 
@@ -234,3 +242,43 @@ def test_unknown_generator_atom_rejected(fund):
 
     with pytest.raises(RepresentationError):
         fund.image("w-")
+
+
+def test_homomorphism_failure_names_its_entries(fund):
+    """A stray even entry (1, 3) in v+: each check lists its residual's nonzeros."""
+    stray = GradedMatrix.from_entries(fund.parity, {(0, 2): rational(3)})
+    bad = Representation(fund.spin, fund.h, fund.v_plus + stray, fund.v_minus, fund.parity)
+    dh, dvp, dvm = (CLASSICAL.evaluate(g, bad, fund) for g in ("h", "v+", "v-"))
+    residuals = {
+        "[h, v+] = v+": dh * dvp - dvp * dh - dvp,
+        "[h, v-] = -v-": dh * dvm - dvm * dh + dvm,
+        "{v+, v-} = -h/4": dvp * dvm + dvm * dvp + dh.scale(Fraction(1, 4)),
+    }
+    rep = check_homomorphism(CLASSICAL, bad, fund)
+    assert [c.name for c in rep.checks] == list(residuals)
+    assert [c.passed for c in rep.checks] == [False, True, False]
+    for check in rep.checks:
+        residual = residuals[check.name]
+        explicit = [(i + 1, j + 1, sc.format_scalar(x)) for i, j, x in residual.entries()]
+        assert check.data == {"nonzero": explicit[:10]}
+        if explicit:
+            assert check.detail == "residual has %d nonzero entries" % len(explicit)
+
+
+def test_tensor_module_spins_print_as_fractions(fund):
+    """Check and report names give a tensor module's spin pair as (1/2, 1/2)."""
+    module = CLASSICAL.module(fund, fund)
+    names = [
+        frt_check(module).name,
+        check_homomorphism(CLASSICAL, module, fund).name,
+        check_cocycle_jordanian(module, fund, fund).name,
+        check_twist_produces(f_jordanian(module, fund), CLASSICAL, JORDANIAN, module, fund).name,
+        check_intertwining_s(f1_table(), module, fund, 1).name,
+    ]
+    assert names == [
+        "FRT relation in spin (1/2, 1/2) (6561 scalar identities)",
+        "homomorphism CLASSICAL on ((1/2, 1/2), 1/2)",
+        "cocycle even twist on ((1/2, 1/2), 1/2, 1/2)",
+        "twist CLASSICAL -> JORDANIAN on ((1/2, 1/2), 1/2)",
+        "odd-twist intertwining ((1/2, 1/2), 1/2) through xi^1",
+    ]

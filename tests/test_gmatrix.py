@@ -30,6 +30,7 @@ from qosp.gmatrix import (
     inverse,
     kron_parity,
     log_unipotent,
+    residual_check,
     rll_residual,
     to_json_dict,
 )
@@ -208,6 +209,18 @@ def test_check_gybe_detects_failure():
     entries[(1, 3)] = ONE  # break the a-entry
     bad = GradedMatrix.from_entries(kron_parity(FUND, FUND), entries)
     assert not check_gybe(bad, "gybe").passed
+
+
+def test_residual_check_lists_the_first_ten_nonzeros():
+    parity = (0, 1) * 6
+    anti_diagonal = {(i, 11 - i): sc.rational(i) for i in range(1, 12)}
+    residual = GradedMatrix.from_entries(parity, anti_diagonal)
+    check = residual_check("anti-diagonal", residual, "unused on a failure")
+    assert not check.passed
+    assert check.detail == "residual has 11 nonzero entries"
+    assert check.data == {"nonzero": [(i + 1, 12 - i, str(i)) for i in range(1, 11)]}
+    zero = residual_check("zero", GradedMatrix.zeros(parity), "sides agree")
+    assert zero.passed and zero.detail == "sides agree" and zero.data == {"nonzero": []}
 
 
 def test_inverse_unipotent_and_diagonal():

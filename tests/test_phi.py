@@ -373,6 +373,7 @@ def test_dsj_vminus_checks_fail_on_a_perturbed_entry(spins):
     anti, _, prim = phi_mod._dsj_vminus_checks(bad, dvp, r1, r2, order)
     assert not anti.passed
     assert not prim.passed
+    assert prim.data == {"nonzero": [(key[1] + 1, key[2] + 1, "1")]}
 
 
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)

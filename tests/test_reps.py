@@ -155,6 +155,23 @@ def test_lt_relations_pass():
         assert rep.passed and rep.name == "lt-relations spin " + text
 
 
+def test_lt_relation_failure_names_its_entries():
+    """A stray even entry (1, 3) in v+ breaks [H, V] at that entry alone."""
+    f = fundamental_rep()
+    stray = GradedMatrix.from_entries(f.parity, {(0, 2): rational(3)})
+    bad = Representation(f.spin, f.h, f.v_plus + stray, f.v_minus, f.parity)
+    cap_h, e, v, w = bad.lt_generators()
+    residual = cap_h * v - v * cap_h - (v * (bad.e_power(-1) - e) - w).scale(sc.xi_var())
+    explicit = [(i + 1, j + 1, sc.format_scalar(x)) for i, j, x in residual.entries()]
+    assert explicit == [(1, 3, "-6*xi^2")]
+    rep = check_lt_relations(bad)
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.name for c in failed] == ["[H, V] = xi (V (E^-1 - E) - W)"]
+    assert failed[0].detail == "residual has 1 nonzero entries"
+    assert failed[0].data == {"nonzero": explicit}
+    assert all(c.data == {"nonzero": []} for c in rep.checks if c.passed)
+
+
 def rescaled(r, lam):
     """Gauge transform v+ -> v+/lam, v- -> lam v-; same module."""
     lam = Fraction(lam)
