@@ -92,6 +92,13 @@ def _parse_bindings(pairs):
         try:
             bindings[name] = rational(Fraction(value))
         except (ValueError, ZeroDivisionError):
+            digits = max(sum(ch.isdigit() for ch in part) for part in value.split("/"))
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and digits > limit:
+                raise UsageError(
+                    "binding %s has a %d-digit integer, past Python's %d-digit limit"
+                    % (name, digits, limit)
+                )
             raise UsageError("binding %r is not an exact rational" % item)
     return bindings
 

@@ -281,15 +281,19 @@ def conjugate_flip(r):
 def rll_residual(r, x, v, w):
     """R12 X13 X23 - X23 X13 R12 for R on V (x) V and X on V (x) W.
 
-    v and w are the parity vectors of V and W; X13 is X23 conjugated by
-    the flip of the two V legs.  X = R gives the graded Yang-Baxter
-    residual, X = L+ the FRT relation R L1 L2 = L2 L1 R.
+    v and w are the parity vectors of V and W.  The flip P12 of the two
+    V legs is a symmetric signed permutation with P12**2 = 1, and
+    X13 = P12 X23 P12, so X23 X13 = P12 (X13 X23) P12: one product
+    X13 X23 serves both orderings, the second by relabelling indices,
+    and the residual takes three products.  X = R gives the graded
+    Yang-Baxter residual, X = L+ the FRT relation R L1 L2 = L2 L1 R.
     """
     ident_w = GradedMatrix.identity(w)
+    p12 = gkron(gflip(v), ident_w)
     r12 = gkron(r, ident_w)
     x23 = gkron(GradedMatrix.identity(v), x)
-    x13 = conjugate_by_flip(gkron(gflip(v), ident_w), x23)
-    return r12 * x13 * x23 - x23 * x13 * r12
+    x13_x23 = conjugate_by_flip(p12, x23) * x23
+    return r12 * x13_x23 - conjugate_by_flip(p12, x13_x23) * r12
 
 
 def residual_check(name, residual, detail=""):

@@ -310,6 +310,12 @@ class Scalar:
         if self.num.is_zero() or other.num.is_zero():
             return ZERO
         if self.den is _P_ONE and other.den is _P_ONE:
+            # Scalars are immutable, so a factor equal to one lets the
+            # other be shared, whether or not it is the ONE singleton
+            if self.num.terms == _ONE_TERMS:
+                return other
+            if other.num.terms == _ONE_TERMS:
+                return self
             return Scalar(self.num * other.num, _P_ONE, _normalized=True)
         return Scalar(self.num * other.num, self.den * other.den)
 
@@ -378,6 +384,7 @@ def _normalize(num, den):
 
 
 _P_ONE = Poly.const(1)
+_ONE_TERMS = _P_ONE.terms
 
 ZERO = Scalar.from_fraction(0)
 ONE = Scalar.from_fraction(1)

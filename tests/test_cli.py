@@ -102,6 +102,17 @@ def test_emit_value_too_long_to_print_is_usage_error(capsys):
     assert err.startswith("error: cannot print the result") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="Python without an integer digit limit"
+)
+def test_emit_integer_past_the_digit_limit_is_a_short_usage_error(capsys):
+    """An integer Python will not read names the variable and digit count, not the digits."""
+    rc, out, err = run_cli(["emit", "--matrix", "kr", "--set", "s=" + "7" * 5000], capsys)
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err.startswith("error: binding s has a 5000-digit integer")
+
+
 def test_emit_repeated_set_binding(capsys):
     """A variable bound twice is a usage error, not a silent override."""
     args = ["emit", "--matrix", "sjr", "--format", "csv", "--set", "xi=1", "--set", "xi=0"]

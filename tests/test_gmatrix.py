@@ -203,6 +203,33 @@ def test_embed_matches_flip_conjugation():
         )
 
 
+def test_rll_residual_matches_the_four_product_formula():
+    """R12 X13 X23 - X23 X13 R12 with X on V (x) W, W not V, X13 built as P12 X23 P12."""
+    rng = random.Random(17)
+    nonzero_cases = 0
+    for _ in range(12):
+        v = tuple(rng.randint(0, 1) for _ in range(rng.randint(2, 3)))
+        w = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3)))
+        r = _rand_matrix(rng, kron_parity(v, v), density=0.2)
+        x = _rand_matrix(rng, kron_parity(v, w), density=0.2)
+        ident_v, ident_w = GradedMatrix.identity(v), GradedMatrix.identity(w)
+        p12 = gkron(gflip(v), ident_w)
+        r12, x23 = gkron(r, ident_w), gkron(ident_v, x)
+        x13 = p12 * x23 * p12
+        explicit = r12 * x13 * x23 - x23 * x13 * r12
+        assert rll_residual(r, x, v, w) == explicit
+        nonzero_cases += not explicit.is_zero()
+    assert nonzero_cases >= 6
+
+
+def test_rll_residual_takes_three_products(monkeypatch):
+    calls = []
+    mul = GradedMatrix.__mul__
+    monkeypatch.setattr(GradedMatrix, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    rll_residual(kr_rmatrix(), kr_rmatrix(), FUND, FUND)
+    assert len(calls) == 3
+
+
 def test_check_gybe_detects_failure():
     rng = random.Random(16)
     entries = {(i, j): v for i, j, v in kr_rmatrix().entries()}

@@ -204,8 +204,12 @@ _POLYS = st.dictionaries(
 ).map(lambda terms: sc.Poly({k: v for k, v in terms.items() if v}))
 
 
+# a freshly built unit numerator, so the unit fast path meets ones other than ONE
+_FACTORS = st.one_of(_POLYS, st.builds(sc.Poly.const, st.just(1)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(_POLYS, _POLYS)
+@given(_FACTORS, _FACTORS)
 def test_denominator_one_fast_path_matches_normalize(p, q):
     """Sums and products of denominator-1 scalars skip _normalize.
 
@@ -272,3 +276,14 @@ def test_canonical_text_matches_polynomial_reduction(num, powers, other):
     text = sc.format_scalar(a)
     assert text == format_fraction(num.shift_s(k), den.shift_s(k))
     assert sc.parse_scalar(text) == a
+
+
+def test_a_factor_equal_to_one_is_shared():
+    """Times a one that is not the ONE singleton, the other factor comes back itself."""
+    one = rational(3) * rational(Fraction(1, 3))
+    assert one == ONE and one is not ONE
+    a = sc.omega() * sc.theta_var()
+    assert one * a is a and a * one is a
+    b = ONE / (sc.s_var() + ONE)
+    assert b.den != sc.Poly.const(1)
+    assert one * b == b and b * one == b
