@@ -56,15 +56,33 @@ class UsageError(Exception):
     pass
 
 
-def _parse_spin(text):
+def _echo(text, form="%r"):
+    """form % text for a usage error, cut past 40 characters with the length named."""
+    if len(text) <= 40:
+        return form % text
+    return form % text[:40] + "... (%d characters)" % len(text)
+
+
+def _fraction(text, what, bad):
+    """Fraction(text), else UsageError(bad), or one naming what past Python's digit limit."""
     try:
-        spin = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError("bad spin %r" % text)
+        digits = max(sum(ch.isdigit() for ch in part) for part in text.split("/"))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and digits > limit:
+            bad = "%s has a %d-digit integer, past Python's %d-digit limit" % (what, digits, limit)
+        raise UsageError(bad)
+
+
+def _parse_spin(text):
+    if "e" in text.lower():
+        raise UsageError("spin %s must be an exact rational like 1/2" % _echo(text))
+    spin = _fraction(text, "spin", "bad spin %s" % _echo(text))
     if spin not in SUPPORTED_SPINS:
         raise UsageError(
             "unsupported spin %s (supported: %s)"
-            % (spin, ", ".join(str(s) for s in SUPPORTED_SPINS))
+            % (_echo(str(spin), "%s"), ", ".join(str(s) for s in SUPPORTED_SPINS))
         )
     return spin
 
@@ -84,22 +102,13 @@ def _parse_bindings(pairs):
     for item in pairs or []:
         name, _, value = item.partition("=")
         if name not in ("s", "theta", "xi") or not value:
-            raise UsageError("bad --set binding %r (expected var=rational)" % item)
+            raise UsageError("bad --set binding %s (expected var=rational)" % _echo(item))
         if name in bindings:
             raise UsageError("repeated --set binding %s" % name)
         if "." in value or "e" in value.lower():
-            raise UsageError("binding %r must be an exact rational like 1/2" % item)
-        try:
-            bindings[name] = rational(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            digits = max(sum(ch.isdigit() for ch in part) for part in value.split("/"))
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and digits > limit:
-                raise UsageError(
-                    "binding %s has a %d-digit integer, past Python's %d-digit limit"
-                    % (name, digits, limit)
-                )
-            raise UsageError("binding %r is not an exact rational" % item)
+            raise UsageError("binding %s must be an exact rational like 1/2" % _echo(item))
+        bad = "binding %s is not an exact rational" % _echo(item)
+        bindings[name] = rational(_fraction(value, "binding " + name, bad))
     return bindings
 
 
@@ -108,7 +117,7 @@ def _substitute(m, bindings, pairs):
     try:
         return m.substitute(bindings)
     except ScalarError as exc:
-        raise UsageError("cannot evaluate at --set %s: %s" % (" ".join(pairs), exc))
+        raise UsageError("cannot evaluate at --set %s: %s" % (_echo(" ".join(pairs), "%s"), exc))
 
 
 def _matrix_csv(m):
@@ -257,7 +266,7 @@ def cmd_solve_phi(args):
     for spec_item in args.pairs.split(","):
         a, _, b = spec_item.partition(":")
         if not b:
-            raise UsageError("bad --pairs entry %r (expected spin:spin)" % spec_item)
+            raise UsageError("bad --pairs entry %s (expected spin:spin)" % _echo(spec_item))
         spins = (_parse_spin(a), _parse_spin(b))
         if spins in seen:
             raise UsageError("repeated module pair %s:%s" % spins)

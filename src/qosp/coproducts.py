@@ -8,7 +8,8 @@ No sign is chosen here: gkron images multiply by the graded rule
     gkron(a, b) gkron(c, d) = (-1)**(p(b)p(c)) gkron(ac, bd),
 
 so the images of h, v+ and v- make r1 (x) r2 a module, cp.module(r1, r2),
-in which the coproduct of a word, of sigma or of E^k is its image.  Leg
+in which the coproduct of a word, of sigma or of E^k is its image and
+cp.relations (by default reps.OSP_RELATIONS) must hold.  Leg
 placements on triple products are gkron with an identity, conjugated by
 a graded flip for legs 1 and 3.  Every Koszul sign is decided in
 gmatrix.gkron and gmatrix.gflip.
@@ -29,9 +30,16 @@ from .gmatrix import (
     residual_check,
     rll_residual,
 )
-from .matrices import _FUND_PARITY, contract_r, f_jordanian, f_super_fund
+from .matrices import contract_r, f_jordanian, f_super_fund
 from .report import Check, Report
-from .reps import Representation, _spin_text, fundamental_rep
+from .reps import (
+    _FUND_PARITY,
+    OSP_RELATIONS,
+    Representation,
+    _spin_text,
+    fundamental_rep,
+    lplus_matrix,
+)
 from .scalar import rational
 
 class TensorTerm:
@@ -53,9 +61,10 @@ def evaluate_terms(terms, r1, r2):
 
 
 class CoproductMap:
-    def __init__(self, name, rules):
+    def __init__(self, name, rules, relations=OSP_RELATIONS):
         self.name = name
         self.rules = rules  # generator -> list[TensorTerm]
+        self.relations = relations  # (name, residual in module(r1, r2)) pairs
 
     def evaluate(self, gen, r1, r2):
         return evaluate_terms(self.rules[gen], r1, r2)
@@ -67,7 +76,7 @@ class CoproductMap:
         """
         return Representation(
             (r1.spin, r2.spin),
-            *(self.evaluate(g, r1, r2) for g in ("h", "v+", "v-")),
+            *(self.evaluate(g, r1, r2) if g in self.rules else None for g in ("h", "v+", "v-")),
             kron_parity(r1.parity, r2.parity),
         )
 
@@ -87,6 +96,13 @@ CLASSICAL = CoproductMap(
     },
 )
 
+
+def _q_anticommutator(m):
+    """{v+, v-} + (q^h - q^-h)/(4 omega) with q^h = s^(2h), on a tensor module q^h (x) q^h."""
+    q_term = (m.s_power_h(2) - m.s_power_h(-2)).scale(sc.inv(sc.omega()).scale(Fraction(1, 4)))
+    return m.v_plus * m.v_minus + m.v_minus * m.v_plus + q_term
+
+
 Q_DEFORMED = CoproductMap(
     "Q_DEFORMED",
     {
@@ -94,6 +110,7 @@ Q_DEFORMED = CoproductMap(
         "v+": [_t(1, ["v+"], ["s^h"]), _t(1, ["s^-h"], ["v+"])],
         "v-": [_t(1, ["v-"], ["s^h"]), _t(1, ["s^-h"], ["v-"])],
     },
+    OSP_RELATIONS[:2] + (("{v+, v-} = -(q^h - q^-h)/(4 omega)", _q_anticommutator),),
 )
 
 JORDANIAN = CoproductMap(
@@ -119,6 +136,7 @@ SUPER_JORDANIAN = CoproductMap(
         ],
         "v+": [_t(1, ["v+"], ["1"]), _t(1, ["E^1"], ["v+"])],
     },
+    OSP_RELATIONS[:1],
 )
 
 
@@ -127,25 +145,10 @@ SUPER_JORDANIAN = CoproductMap(
 
 
 def check_homomorphism(cp, r1, r2):
-    """Defining relations evaluated on the coproduct images."""
-    rep = Report("homomorphism %s on %s" % (cp.name, _spin_text((r1.spin, r2.spin))))
-    dh = cp.evaluate("h", r1, r2)
-    dvp = cp.evaluate("v+", r1, r2)
-    rep.add(residual_check("[h, v+] = v+", dh * dvp - dvp * dh - dvp))
-    if "v-" not in cp.rules:
-        return rep
-    dvm = cp.evaluate("v-", r1, r2)
-    rep.add(residual_check("[h, v-] = -v-", dh * dvm - dvm * dh + dvm))
-    anti = dvp * dvm + dvm * dvp
-    if cp.name == "Q_DEFORMED":
-        # {v+, v-} = -(q^h - q^-h) / (4 (q - q^-1)); q^Delta(h) = q^h (x) q^h
-        qh = gkron(r1.s_power_h(2), r2.s_power_h(2))
-        qhi = gkron(r1.s_power_h(-2), r2.s_power_h(-2))
-        rhs = (qh - qhi).scale(sc.inv(sc.omega()).scale(Fraction(-1, 4)))
-        rep.add(residual_check("{v+, v-} = -(q^h - q^-h)/(4 omega)", anti - rhs))
-    else:
-        rep.add(residual_check("{v+, v-} = -h/4", anti + dh.scale(Fraction(1, 4))))
-    return rep
+    """cp.relations, evaluated on the tensor module cp.module(r1, r2)."""
+    m = cp.module(r1, r2)
+    checks = [residual_check(name, residual(m)) for name, residual in cp.relations]
+    return Report("homomorphism %s on %s" % (cp.name, _spin_text(m.spin)), checks)
 
 
 def check_r_intertwines(r_matrix, cp, r):
@@ -211,28 +214,6 @@ def check_coassociativity_jordanian(r1, r2, r3):
 
 # ---------------------------------------------------------------------------
 # FRT relation in an arbitrary module
-
-
-def lplus_matrix(r):
-    """The upper-triangular generator matrix on C3 (x) V as one operator."""
-    cap_h, e, v, w = r.lt_generators()
-    e_inv = r.e_power(-1)
-    blocks = {
-        (0, 0): e_inv,
-        (0, 1): v,
-        (0, 2): cap_h,
-        (1, 1): r.identity,
-        (1, 2): w,
-        (2, 2): e,
-    }
-    return GradedMatrix.from_entries(
-        kron_parity(_FUND_PARITY, r.parity),
-        {
-            (bi * r.dim + a, bj * r.dim + b): val
-            for (bi, bj), blk in blocks.items()
-            for a, b, val in blk.entries()
-        },
-    )
 
 
 def frt_check(r):

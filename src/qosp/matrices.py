@@ -6,19 +6,19 @@ Everything is built over the exact scalar field with q = s**2:
 * its similarity transform by the tensor square of M = I + theta X+,
 * the contracted R-matrix obtained via theta = xi/omega, q -> 1,
 * the block-diagonal even twist matrix exp(h (x) sigma),
-* the odd twist matrix with its flip-inverse property,
+* the odd twist matrix exp(-2 xi v+ (x) v+) with its flip-inverse property,
 
-together with the triangularity and twist-factorization checks.  Each
-named matrix is also frozen as a JSON fixture; constructions are
-diffed against the fixtures entry by entry.  The parameterless builders
-are memoized (a GradedMatrix is immutable, so one build serves all callers).
+together with the triangularity and twist-factorization checks.  The
+twist matrices are built from the fundamental module.  Each named matrix
+is also frozen as a JSON fixture; constructions are diffed against the
+fixtures entry by entry.  The parameterless builders are memoized (a
+GradedMatrix is immutable, so one build serves all callers).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from functools import cache
 
 from . import scalar as sc
@@ -35,7 +35,7 @@ from .gmatrix import (
     residual_check,
 )
 from .report import Check, Report
-from .reps import fundamental_rep
+from .reps import _FUND_PARITY, fundamental_rep, lplus_matrix
 from .scalar import ONE, ZERO, limit_at_one, substitute
 
 
@@ -43,7 +43,6 @@ class FixtureError(Exception):
     """A golden fixture that is missing or cannot be parsed."""
 
 
-_FUND_PARITY = (0, 1, 0)
 _PAIR_PARITY = kron_parity(_FUND_PARITY, _FUND_PARITY)
 
 
@@ -106,20 +105,13 @@ def f_jordanian(r1=None, r2=None):
 
 @cache
 def f_super_fund():
-    """The odd twist matrix on the fundamental pair.
+    """The odd twist matrix exp(-2 xi (v+ (x) v+)(f1 (x) f1)) on the fundamental pair.
 
-    Equal to exp(-2 xi (v (x) v) (f1 (x) f1)) with f1 = 2/(e^sigma+1);
-    satisfies conjugate_flip(F) = inverse(F).
+    f1 = 2/(e^sigma + 1) = 1 - (xi/2) X+ there and v+ X+ = 0, so v+ f1 = v+
+    and the exponent is -2 xi v+ (x) v+; satisfies conjugate_flip(F) = inverse(F).
     """
-    xi = sc.xi_var()
-    half_xi = xi.scale(Fraction(1, 2))
-    entries = {(i, i): ONE for i in range(9)}
-    entries[(0, 4)] = half_xi
-    entries[(0, 8)] = -(xi * xi).scale(Fraction(1, 8))
-    entries[(1, 5)] = half_xi
-    entries[(3, 7)] = -half_xi
-    entries[(4, 8)] = -half_xi
-    return GradedMatrix.from_entries(_PAIR_PARITY, entries)
+    v = fundamental_rep().v_plus
+    return exp_nilpotent(gkron(v, v).scale(sc.xi_var().scale(-2)))
 
 
 # fixture name -> builder; this order is that of --matrix and matrix_suite
@@ -222,8 +214,6 @@ def check_new_entries_proportional():
 
 def check_lplus_slices():
     """The contracted R-matrix is the L+ generator matrix of the fundamental."""
-    from .coproducts import lplus_matrix
-
     residual = lplus_matrix(fundamental_rep()) - contract_r()
     return residual_check("L+ block pattern ((E^-1,V,H),(0,1,W),(0,0,E))", residual)
 

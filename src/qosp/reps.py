@@ -6,10 +6,11 @@ Generators h (even) and v+, v- (odd) obey, with the graded bracket
     [h, v+-] = +- v+-        {v+, v-} = -h/4
 
 and the even elements X+- = +-4 v+-**2 complete the sl(2) triple with
-[h, X+] = 2 X+.  Every bracket checked on a module has the even h as
-its first operand, so it is the plain commutator h a - a h, and
-{v+, v-} is written out as v+ v- + v- v+; no Koszul sign is picked
-here (gmatrix.gkron and gmatrix.gflip are the only code that does).
+[h, X+] = 2 X+.  OSP_RELATIONS is the one table of the three relations.
+Every bracket checked on a module has the even h as its first operand,
+so it is the plain commutator h a - a h, and {v+, v-} is written out as
+v+ v- + v- v+; no Koszul sign is picked here (gmatrix.gkron and
+gmatrix.gflip are the only code that does).
 
 The spin-j module has dimension 4j + 1; h acts diagonally with the
 integer string 2j, 2j-1, ..., -2j, v+ shifts one step up the string
@@ -31,10 +32,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalar as sc
-from .gmatrix import GradedMatrix, exp_nilpotent, log_unipotent, residual_check
+from .gmatrix import GradedMatrix, exp_nilpotent, kron_parity, log_unipotent, residual_check
 from .report import Report
 
 SUPPORTED_SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+_FUND_PARITY = (0, 1, 0)
+
+# the defining relations of osp(1|2): name -> residual in a module m
+OSP_RELATIONS = (
+    ("[h, v+] = v+", lambda m: m.h * m.v_plus - m.v_plus * m.h - m.v_plus),
+    ("[h, v-] = -v-", lambda m: m.h * m.v_minus - m.v_minus * m.h + m.v_minus),
+    (
+        "{v+, v-} = -h/4",
+        lambda m: m.v_plus * m.v_minus + m.v_minus * m.v_plus + m.h.scale(Fraction(1, 4)),
+    ),
+)
 
 
 class RepresentationError(ValueError):
@@ -45,7 +57,8 @@ class Representation:
     """A module given by the images of h, v+ and v-, with cached derived elements.
 
     irrep() verifies the spin-j modules it builds.  CoproductMap.module
-    builds tensor modules, unverified, with the pair of spins as spin.
+    builds tensor modules, unverified, with the pair of spins as spin;
+    v_minus is None when the coproduct has no image of v-.
     """
 
     def __init__(self, spin, h, v_plus, v_minus, parity):
@@ -57,26 +70,16 @@ class Representation:
         self.v_minus = v_minus
         self._cache = {}
 
-    # -- structural invariants of an irreducible module ---------------------
+    # -- the defining relations --------------------------------------------
 
-    def _verify(self):
-        h, vp, vm = self.h, self.v_plus, self.v_minus
-        if not (h * vp - vp * h - vp).is_zero():
-            raise RepresentationError("[h, v+] != v+")
-        if not (h * vm - vm * h + vm).is_zero():
-            raise RepresentationError("[h, v-] != -v-")
-        anti = vp * vm + vm * vp
-        if not (anti + h.scale(Fraction(1, 4))).is_zero():
-            raise RepresentationError("{v+, v-} != -h/4")
+    def verify(self):
+        """Raise RepresentationError naming the first relation this module breaks."""
+        for name, residual in OSP_RELATIONS:
+            if not residual(self).is_zero():
+                raise RepresentationError("relation %s fails" % name)
         xp = self.x_plus
-        if not (h * xp - xp * h - xp.scale(2)).is_zero():
+        if not (self.h * xp - xp * self.h - xp.scale(2)).is_zero():
             raise RepresentationError("[h, X+] != 2 X+")
-        for i, j, _ in xp.entries():
-            if j != i + 2:
-                raise RepresentationError("X+ is not the two-step upper shift")
-        for k, p in enumerate(self.parity):
-            if p != k % 2:
-                raise RepresentationError("parity does not alternate from even")
 
     # -- derived elements --------------------------------------------------
 
@@ -201,7 +204,7 @@ def irrep(spin):
         raise RepresentationError("weight string fails to close at the bottom")
     v_minus = GradedMatrix.from_entries(parity, entries)
     r = Representation(spin, h, v_plus, v_minus, parity)
-    r._verify()
+    r.verify()
     return r
 
 
@@ -213,6 +216,19 @@ def fundamental_rep():
 def _spin_text(spin):
     """1/2 for an irrep, (1/2, 1) for a tensor module."""
     return "(%s)" % ", ".join(map(_spin_text, spin)) if isinstance(spin, tuple) else str(spin)
+
+
+def lplus_matrix(r):
+    """The FRT generator matrix L+ = ((E^-1, V, H), (0, 1, W), (0, 0, E)) on C3 (x) V."""
+    cap_h, e, v, w = r.lt_generators()
+    rows = ((r.e_power(-1), v, cap_h), (r.identity, w), (e,))  # upper triangle, row by row
+    entries = {
+        (bi * r.dim + a, bj * r.dim + b): val
+        for bi, row in enumerate(rows)
+        for bj, blk in enumerate(row, bi)
+        for a, b, val in blk.entries()
+    }
+    return GradedMatrix.from_entries(kron_parity(_FUND_PARITY, r.parity), entries)
 
 
 def check_lt_relations(r):

@@ -113,6 +113,42 @@ def test_emit_integer_past_the_digit_limit_is_a_short_usage_error(capsys):
     assert err.startswith("error: binding s has a 5000-digit integer")
 
 
+_LONG = 5000
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "args, start",
+    [
+        (["emit", "--matrix", "kr", "--set", "s=" + "x" * _LONG], "error: binding 's=xxxxx"),
+        (["emit", "--matrix", "kr", "--set", "s=1." + "7" * _LONG], "error: binding 's=1.777"),
+        (["emit", "--matrix", "kr", "--set", "q" * _LONG + "=1"], "error: bad --set binding 'qqq"),
+        (["verify", "--spins", "x" * _LONG], "error: bad spin 'xxx"),
+        (["solve-phi", "--pairs", "7" * _LONG], "error: bad --pairs entry '777"),
+        (
+            ["verify", "--spins", "1/" + "7" * _LONG],
+            "error: spin has a 5000-digit integer, past Python's"
+            if _DIGIT_LIMIT
+            else "error: unsupported spin 1/777",
+        ),
+    ],
+    ids=["set-value", "set-decimal", "set-name", "spin", "pairs", "spin-digits"],
+)
+def test_usage_error_quotes_long_input_cut(args, start, capsys):
+    """User text past 40 characters is quoted cut, with its length named."""
+    rc, out, err = run_cli(args, capsys)
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err.startswith(start)
+
+
+def test_spin_refuses_exponent_notation(capsys):
+    """1e5000 is refused before Fraction builds 10**5000, which str() cannot print."""
+    rc, out, err = run_cli(["verify", "--spins", "1e5000"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: spin '1e5000' must be an exact rational like 1/2\n"
+
+
 def test_emit_repeated_set_binding(capsys):
     """A variable bound twice is a usage error, not a silent override."""
     args = ["emit", "--matrix", "sjr", "--format", "csv", "--set", "xi=1", "--set", "xi=0"]

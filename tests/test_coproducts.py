@@ -58,8 +58,26 @@ def test_q_deformed_homomorphism(fund):
     assert check_homomorphism(Q_DEFORMED, fund, fund).passed
 
 
+def test_q_deformed_homomorphism_fails_on_a_perturbed_v_minus_rule(monkeypatch, fund):
+    """Doubling the v- (x) s^h term keeps [h, v-] = -v- (it is linear in v-)
+    and breaks the q-anticommutator, which reports the residual's entries."""
+    first, second = Q_DEFORMED.rules["v-"]
+    doubled = TensorTerm(first.coeff.scale(2), first.left, first.right)
+    monkeypatch.setitem(Q_DEFORMED.rules, "v-", [doubled, second])
+    rep = check_homomorphism(Q_DEFORMED, fund, fund)
+    assert [(c.name, c.passed) for c in rep.checks] == [
+        ("[h, v+] = v+", True),
+        ("[h, v-] = -v-", True),
+        ("{v+, v-} = -(q^h - q^-h)/(4 omega)", False),
+    ]
+    assert rep.checks[2].data["nonzero"]
+
+
 def test_super_jordanian_borel_homomorphism(fund):
-    assert check_homomorphism(SUPER_JORDANIAN, fund, fund).passed
+    """SUPER_JORDANIAN has no v- rule: its module has no v-, its report one relation."""
+    assert SUPER_JORDANIAN.module(fund, fund).v_minus is None
+    rep = check_homomorphism(SUPER_JORDANIAN, fund, fund)
+    assert [(c.name, c.passed) for c in rep.checks] == [("[h, v+] = v+", True)]
 
 
 def test_jordanian_vminus_rule_details(fund):

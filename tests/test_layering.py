@@ -1,0 +1,60 @@
+"""The package's import graph: module-level imports, each pointing down the layers."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qosp"
+
+# a module may import only from a lower layer
+LAYERS = (
+    ("scalar", "report"),
+    ("gmatrix",),
+    ("reps", "_xiseries"),
+    ("matrices",),
+    ("coproducts",),
+    ("phi",),
+    ("cli",),
+)
+RANK = {name: k for k, layer in enumerate(LAYERS) for name in layer}
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _tree(name):
+    return ast.parse((PACKAGE / (name + ".py")).read_text())
+
+
+def _relative_targets(node):
+    """The package modules a relative import statement reads from."""
+    if node.module:
+        return [node.module.split(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(RANK) == MODULES
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    nested = [
+        (fn.name, node.lineno)
+        for fn in ast.walk(_tree(name))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_relative_imports_point_down(name):
+    upward = [
+        (target, node.lineno)
+        for node in ast.walk(_tree(name))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for target in _relative_targets(node)
+        if RANK[target] >= RANK[name]
+    ]
+    assert upward == []

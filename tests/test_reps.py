@@ -1,6 +1,7 @@
 """Module construction invariants and the FRT generator relations."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,15 @@ def test_irrep_dimensions_and_parities():
 def test_unsupported_spin_rejected():
     with pytest.raises(RepresentationError):
         irrep(Fraction(5, 2))
+
+
+def test_verify_names_the_first_failing_relation():
+    """Doubling v- keeps [h, v-] = -v- and breaks the anticommutator."""
+    f = fundamental_rep()
+    f.verify()
+    bad = Representation(f.spin, f.h, f.v_plus, f.v_minus.scale(2), f.parity)
+    with pytest.raises(RepresentationError, match=re.escape("relation {v+, v-} = -h/4 fails")):
+        bad.verify()
 
 
 def test_casimir_style_identity():
