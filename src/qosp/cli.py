@@ -145,6 +145,8 @@ def _matrix_latex(m):
 def cmd_emit(args):
     if (args.matrix is None) == (args.rep is None):
         raise UsageError("emit needs exactly one of --matrix or --rep")
+    if args.rep is not None and args.format != "json":
+        raise UsageError("--rep output is JSON only")
     bindings = _parse_bindings(args.set)
     if args.matrix:
         m = named_matrix(args.matrix)
@@ -165,8 +167,6 @@ def cmd_emit(args):
         }
         if bindings:
             mats = {k: _substitute(m, bindings, args.set) for k, m in mats.items()}
-        if args.format != "json":
-            raise UsageError("--rep output is JSON only")
     try:
         if args.rep:
             payload = {

@@ -32,14 +32,7 @@ from .gmatrix import (
 )
 from .matrices import contract_r, f_jordanian, f_super_fund
 from .report import Check, Report
-from .reps import (
-    _FUND_PARITY,
-    OSP_RELATIONS,
-    Representation,
-    _spin_text,
-    fundamental_rep,
-    lplus_matrix,
-)
+from .reps import OSP_RELATIONS, Representation, _spin_text, fundamental_rep, lplus_matrix
 from .scalar import rational
 
 class TensorTerm:
@@ -219,7 +212,8 @@ def check_coassociativity_jordanian(r1, r2, r3):
 def frt_check(r):
     """R L1 L2 = L2 L1 R on C3 (x) C3 (x) V: the RLL residual with X = L+."""
     name = "FRT relation in spin %s (%d scalar identities)" % (_spin_text(r.spin), (9 * r.dim) ** 2)
-    return residual_check(name, rll_residual(contract_r(), lplus_matrix(r), _FUND_PARITY, r.parity))
+    f = fundamental_rep()
+    return residual_check(name, rll_residual(contract_r(), lplus_matrix(r), f.parity, r.parity))
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +224,21 @@ def check_l_coproducts():
     """Coproducts of the FRT generators on the fundamental pair.
 
     The left side takes the FRT generators of the primitive tensor
-    module CLASSICAL.module(r1, r2) and conjugates them by the composed
+    module CLASSICAL.module(f, f) and conjugates them by the composed
     twist; the right side assembles the closed forms from generator
     images with graded tensor products.
     """
-    r1 = fundamental_rep()
-    r2 = fundamental_rep()
-    cap_h, e, v, w = r1.lt_generators()
-    e_inv = r1.e_power(-1)
-    k_mat = f_super_fund() * f_jordanian(r1, r2)
+    f = fundamental_rep()
+    cap_h, e, v, w = f.lt_generators()
+    e_inv = f.e_power(-1)
+    k_mat = f_super_fund() * f_jordanian(f, f)
     k_inv = inverse(k_mat)
-    primitive = CLASSICAL.module(r1, r2).lt_generators()
+    primitive = CLASSICAL.module(f, f).lt_generators()
     lhs = {name: k_mat * m * k_inv for name, m in zip("HEVW", primitive)}
     rhs = {
         "E": gkron(e, e),
-        "V": gkron(v, e_inv) + gkron(r1.identity, v),
-        "W": gkron(w, r2.identity) + gkron(e, w),
+        "V": gkron(v, e_inv) + gkron(f.identity, v),
+        "W": gkron(w, f.identity) + gkron(e, w),
         "H": gkron(cap_h, e_inv) + gkron(e, cap_h) - gkron(w, v),
     }
     rep = Report("coproducts of the FRT generators")

@@ -35,15 +35,12 @@ from .gmatrix import (
     residual_check,
 )
 from .report import Check, Report
-from .reps import _FUND_PARITY, fundamental_rep, lplus_matrix
+from .reps import fundamental_rep, lplus_matrix
 from .scalar import ONE, ZERO, limit_at_one, substitute
 
 
 class FixtureError(Exception):
     """A golden fixture that is missing or cannot be parsed."""
-
-
-_PAIR_PARITY = kron_parity(_FUND_PARITY, _FUND_PARITY)
 
 
 @cache
@@ -63,14 +60,15 @@ def kr_rmatrix():
     entries[(2, 6)] = w * (ONE + qi)  # e
     entries[(4, 6)] = b              # c
     entries[(5, 7)] = w              # d
-    return GradedMatrix.from_entries(_PAIR_PARITY, entries)
+    p = fundamental_rep().parity
+    return GradedMatrix.from_entries(kron_parity(p, p), entries)
 
 
 def m_matrix():
     """M = I + theta X+ in the fundamental: unipotent with theta at (1,3)."""
     entries = {(i, i): ONE for i in range(3)}
     entries[(0, 2)] = sc.theta_var()
-    return GradedMatrix.from_entries(_FUND_PARITY, entries)
+    return GradedMatrix.from_entries(fundamental_rep().parity, entries)
 
 
 @cache

@@ -5,8 +5,10 @@ Generators h (even) and v+, v- (odd) obey, with the graded bracket
 
     [h, v+-] = +- v+-        {v+, v-} = -h/4
 
-and the even elements X+- = +-4 v+-**2 complete the sl(2) triple with
-[h, X+] = 2 X+.  OSP_RELATIONS is the one table of the three relations.
+and the even elements X+- = +-4 v+-**2 complete the sl(2) triple;
+[h, X+] = 2 X+ follows from [h, v+] = v+ (h is even, so [h, v+**2] =
+2 v+**2) and is not checked separately.  OSP_RELATIONS is the one table
+of the three relations.
 Every bracket checked on a module has the even h as its first operand,
 so it is the plain commutator h a - a h, and {v+, v-} is written out as
 v+ v- + v- v+; no Koszul sign is picked here (gmatrix.gkron and
@@ -30,13 +32,13 @@ demanded by the anticommutation recursion all sit in v-.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from . import scalar as sc
 from .gmatrix import GradedMatrix, exp_nilpotent, kron_parity, log_unipotent, residual_check
 from .report import Report
 
 SUPPORTED_SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
-_FUND_PARITY = (0, 1, 0)
 
 # the defining relations of osp(1|2): name -> residual in a module m
 OSP_RELATIONS = (
@@ -77,9 +79,6 @@ class Representation:
         for name, residual in OSP_RELATIONS:
             if not residual(self).is_zero():
                 raise RepresentationError("relation %s fails" % name)
-        xp = self.x_plus
-        if not (self.h * xp - xp * self.h - xp.scale(2)).is_zero():
-            raise RepresentationError("[h, X+] != 2 X+")
 
     # -- derived elements --------------------------------------------------
 
@@ -179,9 +178,17 @@ class Representation:
         return "Representation(spin=%s, dim=%d)" % (self.spin, self.dim)
 
 
+@cache
 def irrep(spin):
-    """The spin-j module for j in {1/2, 1, 3/2, 2}."""
-    spin = Fraction(spin)
+    """The spin-j module for j in {1/2, 1, 3/2, 2}, built and verified once per spin.
+
+    Every caller shares its cached words, sigma, E^k and FRT generators:
+    h, v+ and v- are immutable, every cached element is a function of
+    them, and nothing assigns to a module after __init__.  Another
+    spelling of a spin returns the module of its Fraction.
+    """
+    if not isinstance(spin, Fraction):
+        return irrep(Fraction(spin))
     if spin not in SUPPORTED_SPINS:
         raise RepresentationError("unsupported spin %s" % spin)
     n = int(4 * spin + 1)
@@ -228,7 +235,7 @@ def lplus_matrix(r):
         for bj, blk in enumerate(row, bi)
         for a, b, val in blk.entries()
     }
-    return GradedMatrix.from_entries(kron_parity(_FUND_PARITY, r.parity), entries)
+    return GradedMatrix.from_entries(kron_parity(fundamental_rep().parity, r.parity), entries)
 
 
 def check_lt_relations(r):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from qosp.matrices import (
     named_matrix,
     transform_r,
 )
+from qosp.reps import Representation, irrep
 from qosp.scalar import format_scalar, parse_scalar
 
 
@@ -72,9 +74,13 @@ def test_emit_rep(capsys):
         "E", "H", "V", "W", "h", "sigma", "v_minus", "v_plus",
     ]
     sigma = from_json_dict(payload["matrices"]["sigma"])
-    from qosp.reps import irrep
-
     assert sigma == irrep(1).sigma
+
+
+def test_emit_rep_is_json_only(capsys):
+    rc, out, err = run_cli(["emit", "--rep", "1", "--format", "csv"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: --rep output is JSON only\n"
 
 
 def test_emit_usage_errors(capsys):
@@ -195,6 +201,17 @@ def test_verify_all_is_each_suite_once_in_registry_order(capsys):
         assert rc == 0, suite
         parts += json.loads(one)
     assert json.loads(out) == parts
+
+
+def test_verify_all_verifies_one_module_per_spin(monkeypatch, capsys):
+    """Every suite shares the one verified module per spin that irrep builds."""
+    verified = []
+    verify = Representation.verify
+    monkeypatch.setattr(Representation, "verify", lambda r: verified.append(r.spin) or verify(r))
+    irrep.cache_clear()
+    rc, _, _ = run_cli(["verify", "--suite", "all", "--json"], capsys)
+    assert rc == 0
+    assert sorted(verified) == [Fraction(1, 2), Fraction(1)]
 
 
 @pytest.mark.parametrize(

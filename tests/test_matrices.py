@@ -226,10 +226,11 @@ def test_parameterless_builders_are_memoized():
     for build in (kr_rmatrix, transform_r, contract_r, f_super_fund):
         assert build() is build()
     assert named_matrix("sjr") is contract_r()
-    # module-keyed builds stay uncached
+    # a module is built once per spin; module-keyed builds stay uncached
+    assert irrep(1) is irrep(Fraction(1))
+    assert fundamental_rep() is irrep(Fraction(1, 2))
     fund = fundamental_rep()
     assert f_jordanian(fund, fund) is not f_jordanian(fund, fund)
-    assert irrep(1) is not irrep(1)
 
 
 def test_fixture_directory_override(tmp_path, monkeypatch):

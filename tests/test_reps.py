@@ -66,6 +66,7 @@ def test_casimir_style_identity():
         r = irrep(spin)
         quad = r.v_plus * r.v_minus + r.v_minus * r.v_plus + r.h.scale(Fraction(1, 4))
         assert quad.is_zero()
+        assert r.h * r.x_plus - r.x_plus * r.h == r.x_plus.scale(2)
 
 
 def test_nilpotency_index_of_raising_generator():
