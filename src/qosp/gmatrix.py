@@ -30,10 +30,13 @@ sign.  An operator on two adjacent legs of a triple product is gkron
 with an identity; on legs 1 and 3 it is the legs-2-3 placement
 conjugated by the flip of the two equal first legs, which
 conjugate_by_flip does by relabelling indices, reading the flip's own
-signs.  Coproduct words are products of gkron images (coproducts.py),
-so their signs come from the same rule.  The brackets checked on one
-module or one coproduct image all have the even h as first operand, so
-they are plain commutators and pick no sign either.
+signs.  Every flip is gflip of the parity v of the module V it swaps,
+so R21 is conjugate_by_flip(gflip(v), R) and check_gybe, like
+rll_residual, takes v: the parity of V (x) V fixes v only up to a
+global flip.  Coproduct words are products of gkron images
+(coproducts.py), so their signs come from the same rule.  The brackets
+checked on one module or one coproduct image all have the even h as
+first operand, so they are plain commutators and pick no sign either.
 
 Every matrix identity the package checks is a residual that must be
 literally zero; residual_check turns one into a Check whose data lists
@@ -240,23 +243,6 @@ def gflip(parity):
     return GradedMatrix(kron_parity(parity, parity), out)
 
 
-def _base_parity(r):
-    """Base-space parity for a matrix acting on V (x) V.
-
-    The composite parity determines the base only up to a global flip;
-    it is taken with the first basis vector even, which holds for every
-    space constructed in this package.
-    """
-    n2 = r.dim
-    n = math.isqrt(n2)
-    if n * n != n2:
-        raise MatrixError("matrix does not act on V (x) V")
-    base = r.parity[:n]
-    if kron_parity(base, base) != r.parity:
-        raise MatrixError("parity vector is not a tensor square")
-    return base
-
-
 def conjugate_by_flip(p, m):
     """p . m . p for a symmetric signed permutation p, such as a graded flip.
 
@@ -271,11 +257,6 @@ def conjugate_by_flip(p, m):
         kj, plus_j = to[j]
         out[(ki, kj)] = v if plus_i == plus_j else -v
     return GradedMatrix(m.parity, out)
-
-
-def conjugate_flip(r):
-    """R21 = P . R . P for R acting on V (x) V."""
-    return conjugate_by_flip(gflip(_base_parity(r)), r)
 
 
 def rll_residual(r, x, v, w):
@@ -314,10 +295,9 @@ def residual_check(name, residual, detail=""):
     )
 
 
-def check_gybe(r, name):
-    """Graded Yang-Baxter residual R12 R13 R23 - R23 R13 R12."""
-    base = _base_parity(r)
-    return residual_check(name, rll_residual(r, r, base, base), "residual is zero")
+def check_gybe(r, v, name):
+    """Graded Yang-Baxter residual R12 R13 R23 - R23 R13 R12 for R on V (x) V of parity v."""
+    return residual_check(name, rll_residual(r, r, v, v), "residual is zero")
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,10 @@ from .gmatrix import (
     GradedMatrix,
     MatrixError,
     check_gybe,
-    conjugate_flip,
+    conjugate_by_flip,
     exp_nilpotent,
     from_json_dict,
+    gflip,
     gkron,
     inverse,
     kron_parity,
@@ -106,7 +107,7 @@ def f_super_fund():
     """The odd twist matrix exp(-2 xi (v+ (x) v+)(f1 (x) f1)) on the fundamental pair.
 
     f1 = 2/(e^sigma + 1) = 1 - (xi/2) X+ there and v+ X+ = 0, so v+ f1 = v+
-    and the exponent is -2 xi v+ (x) v+; satisfies conjugate_flip(F) = inverse(F).
+    and the exponent is -2 xi v+ (x) v+; F21 = conjugate_by_flip(gflip(v), F) = inverse(F).
     """
     v = fundamental_rep().v_plus
     return exp_nilpotent(gkron(v, v).scale(sc.xi_var().scale(-2)))
@@ -165,19 +166,21 @@ def check_golden(name):
 # matrix-level identity checks
 
 
-def check_triangular(r, name):
-    """R21 R = 1 exactly; the hallmark of a triangular R-matrix."""
-    residual = conjugate_flip(r) * r - GradedMatrix.identity(r.parity)
+def check_triangular(r, v, name):
+    """R21 R = 1 exactly for R on V (x) V of parity v; the hallmark of a triangular R-matrix."""
+    residual = conjugate_by_flip(gflip(v), r) * r - GradedMatrix.identity(r.parity)
     return residual_check("triangularity %s" % name, residual, "R21 R = 1")
 
 
 def check_factorization():
     """R(sj) = F21(s) F21(j) (F(j))^-1 (F(s))^-1, plus F21(s) = F(s)^-1."""
     rep = Report("twist factorization")
+    v = fundamental_rep().parity
+    p = gflip(v)
     f_s = f_super_fund()
     f_j = f_jordanian()
-    f_s21 = conjugate_flip(f_s)
-    f_j21 = conjugate_flip(f_j)
+    f_s21 = conjugate_by_flip(p, f_s)
+    f_j21 = conjugate_by_flip(p, f_j)
     f_s_inv = inverse(f_s)
     f_j_inv = inverse(f_j)
     rep.add(residual_check("F21(s) = F(s)^-1", f_s21 - f_s_inv))
@@ -186,7 +189,7 @@ def check_factorization():
     rep.add(residual_check("F21(s) F21(j) F(j)^-1 F(s)^-1 = R(sj)", product - r_sj))
     even_part = f_j21 * f_j_inv
     rep.add(Check("even sub-twist alone differs from R(sj)", even_part != r_sj))
-    rep.add(check_triangular(even_part, name="even sub-twist"))
+    rep.add(check_triangular(even_part, v, "even sub-twist"))
     at_zero = even_part.substitute({"xi": ZERO}) - GradedMatrix.identity(even_part.parity)
     rep.add(residual_check("even sub-twist at xi=0 is the identity", at_zero))
     return rep
@@ -227,17 +230,21 @@ def matrix_suite():
 
 def triangular_suite():
     """The contracted R-matrix is triangular; the q-deformed one is not."""
+    v = fundamental_rep().parity
     kr = kr_rmatrix()
-    sjr = check_triangular(contract_r(), "sjr")
+    sjr = check_triangular(contract_r(), v, "sjr")
     not_kr = Check(
-        "q-deformed R-matrix is not triangular", not (conjugate_flip(kr) * kr).is_identity(), ""
+        "q-deformed R-matrix is not triangular",
+        not (conjugate_by_flip(gflip(v), kr) * kr).is_identity(),
+        "",
     )
     return Report("triangularity", [sjr, not_kr])
 
 
 def ybe_suite():
     rep = Report("graded Yang-Baxter")
-    rep.add(check_gybe(kr_rmatrix(), "gybe kr (symbolic in s)"))
-    rep.add(check_gybe(transform_r(), "gybe transformed (symbolic in s, theta)"))
-    rep.add(check_gybe(contract_r(), "gybe sjr (symbolic in xi)"))
+    v = fundamental_rep().parity
+    rep.add(check_gybe(kr_rmatrix(), v, "gybe kr (symbolic in s)"))
+    rep.add(check_gybe(transform_r(), v, "gybe transformed (symbolic in s, theta)"))
+    rep.add(check_gybe(contract_r(), v, "gybe sjr (symbolic in xi)"))
     return rep

@@ -134,10 +134,9 @@ def build_f_super(table, r1, r2):
     return exp_nilpotent(exponent_from_bilinear(table, r1, r2))
 
 
-def _order_check(name, lhs, target, order):
-    """Check lhs = target through xi**order, naming the first failing order."""
-    diff, _ = xs.add(lhs, target, -1)
-    bad = min((k for k, _, _ in diff if k <= order), default=None)
+def _order_check(name, residual, order):
+    """Check that residual vanishes through xi**order, naming the first failing order."""
+    bad = min((k for k, _, _ in residual[0] if k <= order), default=None)
     detail = "" if bad is None else "first failing xi order %d" % bad
     return Check(name, bad is None, detail, data={"first_failing_order": bad})
 
@@ -161,6 +160,10 @@ class _PairSeries:
                 t = xs.add(t, self._units[m, n], c)
         return t
 
+    def residual(self, f, order, low=0):
+        """R(F) = F Dj(v+) - Dsj(v+) F from xi**low through xi**order."""
+        return xs.add(xs.mul(f, self.dj, order, low), xs.mul(self.target, f, order, low), -1)
+
     def twist(self, table, order):
         """F = exp(T) and F^-1 = exp(-T) through xi**order, checked by F F^-1 = I."""
         f, f_inv = xs.exp(self.exponent(table, order), self.dim, order)
@@ -169,19 +172,17 @@ class _PairSeries:
         return f, f_inv
 
 
-def _check_main_intertwining(table, pair, order):
-    """F^-1 and the check F Dj(v+) F^-1 = Dsj(v+) modulo xi**(order+1)."""
-    f, f_inv = pair.twist(table, order)
-    lhs = xs.mul(xs.mul(f, pair.dj, order), f_inv, order)
-    return f_inv, _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", lhs, pair.target, order)
-
-
 def check_intertwining_s(table, r1, r2, order):
-    """Both forms of the intertwining identity, modulo xi**(order+1)."""
+    """Both forms of the intertwining identity, modulo xi**(order+1).
+
+    The main form is R(F) = (F Dj(v+) F^-1 - Dsj(v+)) F = 0; as F = 1 + O(xi)
+    it first fails at the order where F Dj(v+) F^-1 = Dsj(v+) does.
+    """
     pair = _PairSeries(r1, r2, order)
-    f_inv, main = _check_main_intertwining(table, pair, order)
+    f, f_inv = pair.twist(table, order)
+    main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", pair.residual(f, order), order)
     lhs = xs.mul(pair.dj, xs.mul(f_inv, f_inv, order), order)
-    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", lhs, pair.target, order)
+    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", xs.add(lhs, pair.target, -1), order)
     name = "odd-twist intertwining %s through xi^%d" % (_spin_text((r1.spin, r2.spin)), order)
     return Report(name, [main, aux])
 
@@ -297,7 +298,7 @@ def solve_phi(order, pairs, include_f1=True):
                 )
             else:
                 statuses.append(("shell %d" % t, "unique", None))
-        spins = [r.spin for r in pair.reps]
+        spins = tuple(r.spin for r in pair.reps)
         for key, val in findings.items():
             if key not in reference:
                 reference[key] = val
@@ -311,7 +312,7 @@ def solve_phi(order, pairs, include_f1=True):
         ) or "nothing to solve"
         rep.add(
             Check(
-                "pair (%s, %s) solve" % tuple(spins),
+                "pair %s solve" % _spin_text(spins),
                 all(state != "inconsistent" for _, state, _ in statuses),
                 detail + " -> " + str({str(k): str(v) for k, v in findings.items()}),
                 data={
@@ -337,10 +338,10 @@ def solve_phi(order, pairs, include_f1=True):
     max_xi = (max(m + n for m, n in pooled) + 1) if pooled else 1
     xi_order = min(max_xi, 2 * order - 1)
     for pair in pair_series:
-        _, chk = _check_main_intertwining(table, pair, xi_order)
-        r1, r2 = pair.reps
-        name = "residual zero on (%s, %s) through xi^%d" % (r1.spin, r2.spin, xi_order)
-        rep.add(Check(name, chk.passed, chk.detail, chk.data))
+        f, _ = pair.twist(table, xi_order)
+        spins = _spin_text(tuple(r.spin for r in pair.reps))
+        name = "residual zero on %s through xi^%d" % (spins, xi_order)
+        rep.add(_order_check(name, pair.residual(f, xi_order), xi_order))
     return table, rep
 
 
@@ -360,11 +361,11 @@ def _shell_equations_sym(known, shell, pair, order):
     of (m, n) that of the unit exponent B on (m, n) and (n, m) (module
     docstring).
     """
-    def slice_of(f):
-        return xs.add(xs.mul(f, pair.dj, order, order), xs.mul(pair.target, f, order, order), -1)
-
-    base = slice_of(xs.exp(pair.exponent(known, order), pair.dim, order)[0])
-    columns = [slice_of(pair.exponent({(m, n): 1, (n, m): 1}, order)) for m, n in shell]
+    base = pair.residual(xs.exp(pair.exponent(known, order), pair.dim, order)[0], order, order)
+    columns = [
+        pair.residual(pair.exponent({(m, n): 1, (n, m): 1}, order), order, order)
+        for m, n in shell
+    ]
     # one equation per entry that is nonzero in base or any column, row-major
     positions = sorted({key for col in (base, *columns) for key in col[0]})
     rows = [[xs.coefficient(col, key) for col in columns] for key in positions]

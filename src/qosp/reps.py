@@ -109,9 +109,6 @@ class Representation:
             self._cache[key] = exp_nilpotent(self.sigma.scale(k))
         return self._cache[key]
 
-    def h_weights(self):
-        return [self.h[i, i].as_fraction() for i in range(self.dim)]
-
     def s_power_h(self, mult):
         """Diagonal matrix s**(mult*h) for a diagonal h; q**(h/2) is s_power_h(1)."""
         key = ("s^h", mult)
@@ -119,8 +116,8 @@ class Representation:
             if any(i != j for i, j, _ in self.h.entries()):
                 raise RepresentationError("s**h needs a diagonal h")
             diag = {}
-            for i, lam in enumerate(self.h_weights()):
-                e = mult * lam
+            for i in range(self.dim):
+                e = mult * self.h[i, i].as_fraction()
                 if e != int(e):
                     raise RepresentationError("s**h needs integer exponents")
                 diag[(i, i)] = sc.s_var(int(e))
@@ -200,15 +197,14 @@ def irrep(spin):
     )
     half = sc.rational(Fraction(1, 2))
     v_plus = GradedMatrix.from_entries(parity, {(k, k + 1): half for k in range(n - 1)})
-    # anticommutator recursion: u_k + u_{k-1} = -(2j - k)/4 with u_k = c_k d_k
+    # anticommutator recursion: u_k + u_{k-1} = -(2j - k)/4 with u_k = c_k d_k;
+    # its last diagonal entry, u_{n-2} = 2j/4, is checked by verify()
     u_prev = Fraction(0)
     entries = {}
     for k in range(n - 1):
         u_k = Fraction(-(two_j - k), 4) - u_prev
         entries[(k + 1, k)] = sc.rational(2 * u_k)  # d_k = u_k / c_k with c_k = 1/2
         u_prev = u_k
-    if u_prev != Fraction(two_j, 4):
-        raise RepresentationError("weight string fails to close at the bottom")
     v_minus = GradedMatrix.from_entries(parity, entries)
     r = Representation(spin, h, v_plus, v_minus, parity)
     r.verify()

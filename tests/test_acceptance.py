@@ -26,7 +26,6 @@ from qosp.coproducts import (
 from qosp.gmatrix import (
     GradedMatrix,
     check_gybe,
-    conjugate_flip,
     from_json_dict,
     gflip,
     gkron,
@@ -69,17 +68,19 @@ def test_criterion_1_golden_reconstruction():
 
 def test_criterion_2_graded_ybe():
     t0 = time.time()
+    v = fundamental_rep().parity
     ok = (
-        check_gybe(kr_rmatrix(), "gybe kr").passed
-        and check_gybe(transform_r(), "gybe transformed").passed
-        and check_gybe(contract_r(), "gybe sjr").passed
+        check_gybe(kr_rmatrix(), v, "gybe kr").passed
+        and check_gybe(transform_r(), v, "gybe transformed").passed
+        and check_gybe(contract_r(), v, "gybe sjr").passed
     )
     _criterion("2 graded YBE (symbolic)", ok, t0, 30)
 
 
 def test_criterion_3_triangularity():
     t0 = time.time()
-    sjr, kr = check_triangular(contract_r(), "sjr"), check_triangular(kr_rmatrix(), "kr")
+    v = fundamental_rep().parity
+    sjr, kr = check_triangular(contract_r(), v, "sjr"), check_triangular(kr_rmatrix(), v, "kr")
     ok = sjr.passed and not kr.passed
     _criterion("3 triangularity", ok, t0, 1)
 

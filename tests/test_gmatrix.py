@@ -22,7 +22,6 @@ from qosp.gmatrix import (
     MatrixError,
     check_gybe,
     conjugate_by_flip,
-    conjugate_flip,
     exp_nilpotent,
     from_json_dict,
     gflip,
@@ -95,15 +94,16 @@ def test_gflip_entries_and_involution():
 
 
 def test_conjugate_flip_involutive_and_identity():
+    p = gflip(FUND)
     i9 = GradedMatrix.identity(kron_parity(FUND, FUND))
-    assert conjugate_flip(i9) == i9
+    assert conjugate_by_flip(p, i9) == i9
     r = kr_rmatrix()
-    assert conjugate_flip(conjugate_flip(r)) == r
+    assert conjugate_by_flip(p, conjugate_by_flip(p, r)) == r
 
 
 def test_conjugate_flip_of_odd_twist_is_inverse():
     fs = f_super_fund()
-    assert conjugate_flip(fs) == inverse(fs)
+    assert conjugate_by_flip(gflip(FUND), fs) == inverse(fs)
 
 
 def test_flip_intertwines_gkron():
@@ -192,9 +192,7 @@ def test_embed_matches_flip_conjugation():
         r12, r23 = gkron(r, i3), gkron(i3, r)
         explicit_residual = r12 * oracle13 * r23 - r23 * oracle13 * r12
         assert rll_residual(r, r, parity, parity) == explicit_residual
-        if parity[0]:
-            continue  # check_gybe takes the first basis vector even
-        check = check_gybe(r, "gybe")
+        check = check_gybe(r, parity, "gybe")
         nonzero = [(i + 1, j + 1, sc.format_scalar(v)) for i, j, v in explicit_residual.entries()]
         assert check.passed == explicit_residual.is_zero()
         assert check.data["nonzero"] == nonzero[:10]
@@ -235,7 +233,20 @@ def test_check_gybe_detects_failure():
     entries = {(i, j): v for i, j, v in kr_rmatrix().entries()}
     entries[(1, 3)] = ONE  # break the a-entry
     bad = GradedMatrix.from_entries(kron_parity(FUND, FUND), entries)
-    assert not check_gybe(bad, "gybe").passed
+    assert not check_gybe(bad, FUND, "gybe").passed
+
+
+def test_flip_takes_the_parity_of_v_with_odd_first_basis_vector():
+    # the parity of V (x) V is the same for v and for its global flip
+    # (0, 1, 1), so only the v passed in fixes the flip's signs
+    v = (1, 0, 0)
+    p = gflip(v)
+    assert rll_residual(p, p, v, v).is_zero()
+    check = check_gybe(p, v, "gybe graded flip")
+    assert check.passed and check.detail == "residual is zero"
+    assert (conjugate_by_flip(gflip(v), p) * p).is_identity()
+    with pytest.raises(MatrixError):
+        check_gybe(kr_rmatrix(), (0, 1), "gybe kr on a 2-dim V")
 
 
 def test_residual_check_lists_the_first_ten_nonzeros():
@@ -471,7 +482,7 @@ def test_matrices_are_immutable():
     m = GradedMatrix.from_entries(FUND, entries)
     entries[(0, 0)] = ZERO
     assert m[0, 0] == ONE
-    for _ in (r + r, r - r, -r, r * r, r.scale(2), gkron(m, m), conjugate_flip(r)):
+    for _ in (r + r, r - r, -r, r * r, r.scale(2), gkron(m, m), conjugate_by_flip(gflip(FUND), r)):
         pass
     assert to_json_dict(r) == before
 

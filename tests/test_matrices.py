@@ -8,7 +8,15 @@ import pytest
 from fixture_files import write_fixture
 from koszul_rules import gkron_rule
 from qosp import scalar as sc
-from qosp.gmatrix import GradedMatrix, check_gybe, conjugate_flip, gkron, inverse, to_json_dict
+from qosp.gmatrix import (
+    GradedMatrix,
+    check_gybe,
+    conjugate_by_flip,
+    gflip,
+    gkron,
+    inverse,
+    to_json_dict,
+)
 from qosp.matrices import (
     FIXTURE_NAMES,
     check_factorization,
@@ -143,7 +151,7 @@ def test_odd_twist_matrix():
     xi = sc.xi_var()
     assert fs[0, 4] == xi.scale(Fraction(1, 2))
     assert fs[0, 8] == -(xi * xi).scale(Fraction(1, 8))
-    assert conjugate_flip(fs) * fs == gkron(
+    assert conjugate_by_flip(gflip(fundamental_rep().parity), fs) * fs == gkron(
         fundamental_rep().identity, fundamental_rep().identity
     )
 
@@ -161,12 +169,13 @@ def test_fixture_denominators_univariate():
 
 
 def test_triangularity():
-    assert check_triangular(contract_r(), "sjr").passed
-    assert not check_triangular(kr_rmatrix(), "kr").passed
+    v = (0, 1, 0)
+    assert check_triangular(contract_r(), v, "sjr").passed
+    assert not check_triangular(kr_rmatrix(), v, "kr").passed
     from qosp.gmatrix import GradedMatrix, kron_parity
 
     ident = GradedMatrix.identity(kron_parity((0, 1, 0), (0, 1, 0)))
-    assert check_triangular(ident, name="identity").passed
+    assert check_triangular(ident, v, "identity").passed
 
 
 def test_factorization_report():
@@ -181,9 +190,10 @@ def test_lplus_slices():
 
 
 def test_gybe_all_three():
-    assert check_gybe(kr_rmatrix(), "gybe kr").passed
-    assert check_gybe(transform_r(), "gybe transformed").passed
-    assert check_gybe(contract_r(), "gybe sjr").passed
+    v = (0, 1, 0)
+    assert check_gybe(kr_rmatrix(), v, "gybe kr").passed
+    assert check_gybe(transform_r(), v, "gybe transformed").passed
+    assert check_gybe(contract_r(), v, "gybe sjr").passed
 
 
 def test_fixture_json_shape():
