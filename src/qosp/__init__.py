@@ -8,7 +8,7 @@ Modules:
 * reps       -- spin-j modules of osp(1|2), sigma and the FRT generators
 * matrices   -- the explicit 9x9 R-matrices and twist factors
 * coproducts -- coproduct maps, twist conjugation, Hopf-level checks
-* _xiseries  -- truncated xi series over the rationals, phi's private kernel
+* _xiseries  -- rational xi series through an order, phi's private kernel
 * phi        -- order-by-order solver for the odd twist series
 * cli        -- command-line front end
 """

@@ -6,19 +6,18 @@ entry (i, j) to the numerator of its coefficient, over one positive
 common denominator den.  Every function returns it canonical: no zero
 numerator, gcd(den, *nums) == 1, and den == 1 when nums is empty.  Two
 series are then equal exactly when their values are, and a product
-multiplies integers and reduces once.  Fraction appears only where a
-series meets a GradedMatrix or the shell equations.
+multiplies integers and reduces once.  Fraction appears only in
+from_matrix and coefficient; no series is turned back into a matrix.
 
 A pair is truthy even when the series is zero, so emptiness goes through
-is_zero; canonical pairs compare by value with ==.  One product gives the truncated product
-and a single slice.
+is_zero; canonical pairs compare by value with ==.  One product gives
+the product through an order and a single slice.
 """
 
 import math
 from fractions import Fraction
 
-from . import scalar as sc
-from .gmatrix import GradedMatrix, MatrixError
+from .gmatrix import MatrixError
 
 ZERO = ({}, 1)
 
@@ -59,20 +58,6 @@ def from_matrix(m, order):
     # canonical as built: the lcm of reduced denominators shares no factor with all numerators
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
-
-
-def to_matrix(a, parity):
-    """The GradedMatrix of the series a."""
-    nums, den = a
-    entries = {}
-    for (k, i, j), c in nums.items():
-        entries[i, j] = entries.get((i, j), sc.ZERO) + sc.xi_var(k).scale(Fraction(c, den))
-    return GradedMatrix.from_entries(parity, entries)
-
-
-def truncate(a, order):
-    """The terms of a through xi**order."""
-    return _canonical({key: v for key, v in a[0].items() if key[0] <= order}, a[1])
 
 
 def add(x, y, c=1):

@@ -159,13 +159,18 @@ def check_r_intertwines(r_matrix, cp, r):
 # twist conjugation
 
 
-def check_twist_produces(f, base, target, r1, r2):
-    """F Delta(x) F^-1 under the base coproduct equals the target coproduct."""
+def check_twist_produces(f, target, r1, r2):
+    """F Delta0(x) F^-1 equals the target's image of x, for each rule of target.
+
+    Delta0 is CLASSICAL.  When every rule matches, the module with the
+    target's images and F Delta0(y) F^-1 for the other generators is
+    CLASSICAL.module(r1, r2) conjugated by F.
+    """
     spins = _spin_text((r1.spin, r2.spin))
-    rep = Report("twist %s -> %s on %s" % (base.name, target.name, spins))
+    rep = Report("twist %s -> %s on %s" % (CLASSICAL.name, target.name, spins))
     f_inv = inverse(f)
     for g in target.rules:
-        conj = f * base.evaluate(g, r1, r2) * f_inv
+        conj = f * CLASSICAL.evaluate(g, r1, r2) * f_inv
         name = "F Delta(%s) F^-1 matches %s" % (g, target.name)
         rep.add(residual_check(name, conj - target.evaluate(g, r1, r2)))
     return rep

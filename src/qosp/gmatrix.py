@@ -361,8 +361,8 @@ def from_json_dict(d):
     except (KeyError, TypeError):
         raise MatrixError("matrix JSON needs dim, parities and entries")
     n = len(parity)
-    if dim != n:
-        raise MatrixError("dim %r does not match %d parities" % (dim, n))
+    if type(dim) is not int or dim != n:
+        raise MatrixError("dim must be the number of parities, %d, got %r" % (n, dim))
     if any(type(p) is not int or p not in (0, 1) for p in parity):
         raise MatrixError("parities must be 0 or 1, got %r" % (list(parity),))
     entries = {}

@@ -41,10 +41,12 @@ column R(B)[xi**(t+1)] per unknown.  Known terms with m + n > t start above the 
 and are left out of T.  B is homogeneous of degree t + 1, so only the
 xi**0 slices of Dj(v+) and Dsj(v+) reach its column.
 
-Every truncated computation runs on the integer series of _xiseries.  F
-and F^-1 = exp(-T) are summed from one pass over the powers of T and
-checked by F F^-1 = I.  Each unit exponent B is built once per pair,
-as the series of exponent_from_bilinear on that one coefficient.
+Every computation through an xi order runs on the integer series of
+_xiseries.  F and F^-1 = exp(-T) are summed from one pass over the
+powers of T and checked by F F^-1 = I.  Each unit exponent B is built
+once per pair, as the series of exponent_from_bilinear on that one
+coefficient.  F Delta0(v-) F^-1, exact in xi on a module pair, is not
+built here: coproducts.check_twist_produces states what it satisfies.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from fractions import Fraction
 
 from . import _xiseries as xs
 from . import scalar as sc
-from .coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN
-from .gmatrix import GradedMatrix, MatrixError, exp_nilpotent, gkron, kron_parity, residual_check
+from .coproducts import JORDANIAN, SUPER_JORDANIAN
+from .gmatrix import GradedMatrix, MatrixError, exp_nilpotent, gkron, kron_parity
 from .report import Check, Report
 from .reps import _spin_text
 
@@ -371,36 +373,3 @@ def _shell_equations_sym(known, shell, pair, order):
     rows = [[xs.coefficient(col, key) for col in columns] for key in positions]
     rhs = [-xs.coefficient(base, key) for key in positions]
     return rows, rhs
-
-
-# ---------------------------------------------------------------------------
-# the reconstructed coproduct of the lowering generator
-
-
-def compute_dsj_vminus(table, r1, r2, order):
-    """Conjugate the deformed v- coproduct by the odd factor.
-
-    Returns the truncated image together with homomorphism residual
-    checks carried out modulo xi**(order+1).
-    """
-    pair = _PairSeries(r1, r2, order)
-    f, f_inv = pair.twist(table, order)
-    inner = xs.from_matrix(JORDANIAN.evaluate("v-", r1, r2), order)
-    dvm = xs.mul(xs.mul(f, inner, order), f_inv, order)
-    name = "reconstructed Delta(v-) on %s" % _spin_text((r1.spin, r2.spin))
-    report = Report(name, _dsj_vminus_checks(dvm, pair.target, r1, r2, order))
-    return xs.to_matrix(dvm, kron_parity(r1.parity, r2.parity)), report
-
-
-def _dsj_vminus_checks(dvm, dvp, r1, r2, order):
-    """The homomorphism checks on the series dvm of Delta(v-), modulo xi**(order+1)."""
-    dh = xs.from_matrix(SUPER_JORDANIAN.evaluate("h", r1, r2), order)
-    anti = xs.add(xs.add(xs.mul(dvp, dvm, order), xs.mul(dvm, dvp, order)), dh, Fraction(1, 4))
-    comm = xs.add(xs.add(xs.mul(dh, dvm, order), xs.mul(dvm, dh, order), -1), dvm)
-    prim = CLASSICAL.evaluate("v-", r1, r2)
-    parity, mod = prim.parity, " mod xi^%d" % (order + 1)
-    return [
-        residual_check("{Delta(v+), Delta(v-)} = -Delta(h)/4" + mod, xs.to_matrix(anti, parity)),
-        residual_check("[Delta(h), Delta(v-)] = -Delta(v-)" + mod, xs.to_matrix(comm, parity)),
-        residual_check("xi^0 term is primitive", xs.to_matrix(xs.truncate(dvm, 0), parity) - prim),
-    ]

@@ -90,15 +90,13 @@ def test_jordanian_vminus_rule_details(fund):
 
 
 def test_even_twist_produces_deformed_coproduct(fund, spin1):
-    assert check_twist_produces(f_jordanian(fund, fund), CLASSICAL, JORDANIAN, fund, fund).passed
-    assert check_twist_produces(
-        f_jordanian(fund, spin1), CLASSICAL, JORDANIAN, fund, spin1
-    ).passed
+    assert check_twist_produces(f_jordanian(fund, fund), JORDANIAN, fund, fund).passed
+    assert check_twist_produces(f_jordanian(fund, spin1), JORDANIAN, fund, spin1).passed
 
 
 def test_composed_twist_produces_super_coproduct(fund):
     k = f_super_fund() * f_jordanian(fund, fund)
-    assert check_twist_produces(k, CLASSICAL, SUPER_JORDANIAN, fund, fund).passed
+    assert check_twist_produces(k, SUPER_JORDANIAN, fund, fund).passed
 
 
 def test_composed_twist_row_rule_fails_on_h(fund):
@@ -290,7 +288,7 @@ def test_tensor_module_spins_print_as_fractions(fund):
         frt_check(module).name,
         check_homomorphism(CLASSICAL, module, fund).name,
         check_cocycle_jordanian(module, fund, fund).name,
-        check_twist_produces(f_jordanian(module, fund), CLASSICAL, JORDANIAN, module, fund).name,
+        check_twist_produces(f_jordanian(module, fund), JORDANIAN, module, fund).name,
         check_intertwining_s(f1_table(), module, fund, 1).name,
     ]
     assert names == [

@@ -431,6 +431,8 @@ def test_json_rejects_bad_indices_and_parities():
         doc([], parities=(0, 2, 0)),
         doc([], parities=(0, -1, 0)),
         doc([], dim=2),
+        doc([], dim=3.0),
+        doc([[1, 1, "1"]], parities=(0,), dim=True),
         {"dim": 1},
         [],
         doc([[1, 1]]),

@@ -1,5 +1,6 @@
-"""The odd twist series: closed-form leading term, solver, reconstruction."""
+"""The odd twist series: closed-form leading term, solver, the twisted Delta(v-)."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,20 +10,19 @@ from hypothesis import strategies as st
 from qosp import _xiseries as xs
 from qosp import phi as phi_mod
 from qosp import scalar as sc
-from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, evaluate_terms
+from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, check_twist_produces
 from qosp.gmatrix import GradedMatrix, MatrixError, exp_nilpotent, gkron, inverse
 from qosp.matrices import f_jordanian, f_super_fund
 from qosp.phi import (
     build_f_super,
     check_intertwining_s,
-    compute_dsj_vminus,
     exponent_from_bilinear,
     f1_series_coeffs,
     f1_table,
     rank_one_terms,
     solve_phi,
 )
-from qosp.reps import fundamental_rep, irrep
+from qosp.reps import Representation, RepresentationError, fundamental_rep, irrep
 from xi_oracle import assert_canonical, drop_xi_above, series_values, xi_coefficient
 
 
@@ -321,59 +321,55 @@ def test_solver_evidence_in_check_data(spin1):
     ]
 
 
-def test_dsj_vminus_exact_fundamental(fund):
-    dvm, rep = compute_dsj_vminus(f1_table(), fund, fund, 8)
+# (table, spins, passes): the twist F_s F_j with that table on that pair
+_TWISTS = [
+    ("f1", (Fraction(1, 2), Fraction(1, 2)), True),
+    ("f1", (1, Fraction(1, 2)), True),
+    ("solved", (1, 1), True),
+    ("f1", (1, 1), False),
+    ("solved", (Fraction(3, 2), 1), False),
+]
+
+
+@pytest.fixture(scope="module")
+def tables(spin1):
+    solved, rep = solve_phi(2, [(spin1, spin1)])
     assert rep.passed
-    k = f_super_fund() * f_jordanian(fund, fund)
-    truth = k * evaluate_terms(CLASSICAL.rules["v-"], fund, fund) * inverse(k)
-    assert dvm == truth
+    return {"f1": f1_table(), "solved": solved}
 
 
-def test_dsj_vminus_order_one_structure(fund):
-    """The xi^1 slice carries the h (x) v+ contribution.
+@pytest.mark.parametrize(
+    "table, spins, passes",
+    _TWISTS,
+    ids=["f1-half-half", "f1-1-half", "solved-1-1", "f1-1-1", "solved-3half-1"],
+)
+def test_twisted_vminus_module_agrees_with_twist_check(tables, table, spins, passes):
+    """check_twist_produces on h and v+ decides whether the module (typed h,
+    typed v+, F Delta0(v-) F^-1) satisfies the osp(1|2) relations.
 
-    Dropping that term from the inner expression changes the slice, so
-    its presence in the reconstruction is observable.
+    When both typed rules match, that module is CLASSICAL.module conjugated
+    by F.  The xi^1 slice of its v- carries the xi h (x) v+ E^-2 term of
+    Dj(v-), and its xi^0 slice is the primitive Delta0(v-).
     """
-    table = f1_table()
-    dvm, _ = compute_dsj_vminus(table, fund, fund, 4)
-    xi = sc.xi_var()
-    f = drop_xi_above(build_f_super(table, fund, fund), 4)
-    f_inv = drop_xi_above(inverse(f), 4)
-    inner_without = gkron(fund.v_minus, fund.e_power(-1)) + gkron(
-        fund.identity, fund.v_minus
-    )
-    without = drop_xi_above(f * inner_without * f_inv, 4)
-    diff = xi_coefficient(dvm - without, 1)
-    expected = xi_coefficient(gkron(fund.h, fund.v_plus * fund.e_power(-2)), 0)
-    assert diff == expected
-
-
-def test_dsj_vminus_truncated_spin1(fund, spin1):
-    table, rep = solve_phi(2, [(spin1, spin1)])
-    assert rep.passed
-    dvm, rep2 = compute_dsj_vminus(table, spin1, spin1, 3)
-    assert rep2.passed
-
-
-@pytest.mark.parametrize("spins", [(Fraction(1, 2), Fraction(1, 2)), (1, Fraction(1, 2))])
-def test_dsj_vminus_checks_fail_on_a_perturbed_entry(spins):
-    """Raising one xi^0 entry of the conjugated Delta(v-) by 1 fails the
-    anticommutator and the primitivity check."""
     r1, r2 = irrep(spins[0]), irrep(spins[1])
-    order = 4
-    dvm, rep = compute_dsj_vminus(f1_table(), r1, r2, order)
-    assert rep.passed
-    dvm = xs.from_matrix(dvm, order)
-    dvp = xs.from_matrix(SUPER_JORDANIAN.evaluate("v+", r1, r2), order)
-    assert [c.passed for c in phi_mod._dsj_vminus_checks(dvm, dvp, r1, r2, order)] == [True] * 3
-    key = min(dvm[0])
-    assert key[0] == 0
-    bad = xs.add(dvm, ({key: 1}, 1))
-    anti, _, prim = phi_mod._dsj_vminus_checks(bad, dvp, r1, r2, order)
-    assert not anti.passed
-    assert not prim.passed
-    assert prim.data == {"nonzero": [(key[1] + 1, key[2] + 1, "1")]}
+    f_s = build_f_super(tables[table], r1, r2)
+    f = f_s * f_jordanian(r1, r2)
+    twist = check_twist_produces(f, SUPER_JORDANIAN, r1, r2)
+    typed = SUPER_JORDANIAN.module(r1, r2)
+    v_minus = f * CLASSICAL.evaluate("v-", r1, r2) * inverse(f)
+    module = Representation(typed.spin, typed.h, typed.v_plus, v_minus, typed.parity)
+    if passes:
+        module.verify()
+    else:
+        with pytest.raises(RepresentationError, match=re.escape("relation [h, v-] = -v- fails")):
+            module.verify()
+        assert [c.detail for c in twist.checks] == ["residual has 4 nonzero entries"] * 2
+    assert twist.passed == passes
+
+    dj_without = gkron(r1.v_minus, r2.e_power(-1)) + gkron(r1.identity, r2.v_minus)
+    diff = xi_coefficient(v_minus - f_s * dj_without * inverse(f_s), 1)
+    assert diff == xi_coefficient(gkron(r1.h, r2.v_plus * r2.e_power(-2)), 0)
+    assert v_minus.substitute({"xi": sc.ZERO}) == CLASSICAL.evaluate("v-", r1, r2)
 
 
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -420,8 +416,6 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     f, f_inv = map(assert_canonical, xs.exp(series(t), dim, order))
     assert series_values(f) == series_values(series(exp_nilpotent(t)))
     assert series_values(f_inv) == series_values(series(inverse(exp_nilpotent(t))))
-    assert xs.to_matrix(f, parity) == drop_xi_above(exp_nilpotent(t), order)
-    assert xs.to_matrix(f_inv, parity) == drop_xi_above(inverse(exp_nilpotent(t)), order)
 
 
 def test_series_exp_stops_when_the_power_vanishes(monkeypatch):

@@ -20,10 +20,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qosp"
 
 NEVER_CALLED = {
     "coproducts.check_twist_produces": "waits for the twist suite of ROADMAP item 1",
-    "phi.compute_dsj_vminus": "waits for the twist suite of ROADMAP item 1",
-    "phi._dsj_vminus_checks": "the checks of compute_dsj_vminus",
-    "_xiseries.to_matrix": "reached only through compute_dsj_vminus",
-    "_xiseries.truncate": "reached only through compute_dsj_vminus",
     "gmatrix.GradedMatrix.__setattr__": "immutability guard: runs only on a forbidden assignment",
     "gmatrix.GradedMatrix.__delattr__": "immutability guard: runs only on a forbidden deletion",
     "gmatrix.GradedMatrix.__repr__": "for debugging",
