@@ -372,6 +372,32 @@ def test_twisted_vminus_module_agrees_with_twist_check(tables, table, spins, pas
     assert v_minus.substitute({"xi": sc.ZERO}) == CLASSICAL.evaluate("v-", r1, r2)
 
 
+def test_dsj_vminus_exact_fundamental(fund):
+    """On the fundamental pair, F_s built from f1_table() is the closed-form
+    f_super_fund(), so F Delta0(v-) F^-1 is the same exact matrix either way
+    and completes the typed h and v+ to an osp(1|2) module."""
+    f = build_f_super(f1_table(), fund, fund) * f_jordanian(fund, fund)
+    v_minus = f * CLASSICAL.evaluate("v-", fund, fund) * inverse(f)
+    k = f_super_fund() * f_jordanian(fund, fund)
+    assert v_minus == k * CLASSICAL.evaluate("v-", fund, fund) * inverse(k)
+    typed = SUPER_JORDANIAN.module(fund, fund)
+    Representation(typed.spin, typed.h, typed.v_plus, v_minus, typed.parity).verify()
+
+
+def test_dsj_vminus_order_one_structure(fund):
+    """The xi^1 slice of F Delta0(v-) F^-1 carries the h (x) v+ contribution.
+
+    Dropping that term from Dj(v-) before conjugating by F_s changes the
+    slice, so its presence in the twisted v- is observable.
+    """
+    f_s = build_f_super(f1_table(), fund, fund)
+    f = f_s * f_jordanian(fund, fund)
+    v_minus = f * CLASSICAL.evaluate("v-", fund, fund) * inverse(f)
+    without = gkron(fund.v_minus, fund.e_power(-1)) + gkron(fund.identity, fund.v_minus)
+    diff = xi_coefficient(v_minus - f_s * without * inverse(f_s), 1)
+    assert diff == xi_coefficient(gkron(fund.h, fund.v_plus * fund.e_power(-2)), 0)
+
+
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
