@@ -15,15 +15,16 @@ from fractions import Fraction
 
 from .coproducts import (
     CLASSICAL,
+    FRT_COPRODUCTS,
     JORDANIAN,
     Q_DEFORMED,
     SUPER_JORDANIAN,
     check_cocycle_jordanian,
     check_coassociativity_jordanian,
     check_homomorphism,
-    check_l_coproducts,
     check_qcoproduct_xplus,
     check_r_intertwines,
+    check_twist_produces,
     frt_check,
 )
 from .gmatrix import residual_check, to_json_dict
@@ -32,6 +33,7 @@ from .matrices import (
     FixtureError,
     check_factorization,
     contract_r,
+    f_jordanian,
     f_super_fund,
     kr_rmatrix,
     matrix_suite,
@@ -56,11 +58,11 @@ class UsageError(Exception):
     pass
 
 
-def _echo(text, form="%r"):
-    """form % text for a usage error, cut past 40 characters with the length named."""
-    if len(text) <= 40:
+def _echo(text, form="%r", limit=40):
+    """form % text, cut past limit characters with the length named."""
+    if len(text) <= limit:
         return form % text
-    return form % text[:40] + "... (%d characters)" % len(text)
+    return form % text[:limit] + "... (%d characters)" % len(text)
 
 
 def _fraction(text, what, bad):
@@ -217,7 +219,8 @@ def _hopf(spins, order):
             yield check_homomorphism(cp, a, b)
     yield check_r_intertwines(kr_rmatrix(), Q_DEFORMED, f)
     yield check_r_intertwines(contract_r(), SUPER_JORDANIAN, f)
-    yield check_l_coproducts()
+    k = f_super_fund() * f_jordanian(f, f)
+    yield Report("coproducts of the FRT generators", check_twist_produces(k, FRT_COPRODUCTS, f, f))
     yield check_qcoproduct_xplus(f, f)
 
 
@@ -348,7 +351,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (UsageError, FixtureError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
+        # cut past 240 characters, but never inside the path of a bad fixture
+        text, path = str(exc), getattr(exc, "path", "")
+        sys.stderr.write("error: %s\n" % _echo(text, "%s", max(240, text.find(path) + len(path))))
         return 2
 
 

@@ -9,10 +9,12 @@ No sign is chosen here: gkron images multiply by the graded rule
 
 so the images of h, v+ and v- make r1 (x) r2 a module, cp.module(r1, r2),
 in which the coproduct of a word, of sigma or of E^k is its image and
-cp.relations (by default reps.OSP_RELATIONS) must hold.  Leg
-placements on triple products are gkron with an identity, conjugated by
-a graded flip for legs 1 and 3.  Every Koszul sign is decided in
-gmatrix.gkron and gmatrix.gflip.
+cp.relations (by default reps.OSP_RELATIONS) must hold.  A twist F
+carries CLASSICAL to a table of rules, FRT_COPRODUCTS for the FRT
+generators H, E, V, W among them, when F Delta0(x) F^-1 equals each
+rule (check_twist_produces).  Leg placements on triple products are
+gkron with an identity, conjugated by a graded flip for legs 1 and 3.
+Every Koszul sign is decided in gmatrix.gkron and gmatrix.gflip.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .gmatrix import (
     residual_check,
     rll_residual,
 )
-from .matrices import contract_r, f_jordanian, f_super_fund
+from .matrices import contract_r, f_jordanian
 from .report import Check, Report
 from .reps import OSP_RELATIONS, Representation, _spin_text, fundamental_rep, lplus_matrix
 from .scalar import rational
@@ -132,6 +134,14 @@ SUPER_JORDANIAN = CoproductMap(
     OSP_RELATIONS[:1],
 )
 
+# the FRT generators' coproducts, F Delta0(x) F^-1 for the composed twist F = F_s F_j
+FRT_COPRODUCTS = {
+    "E": [_t(1, ["E"], ["E"])],
+    "V": [_t(1, ["V"], ["E^-1"]), _t(1, ["1"], ["V"])],
+    "W": [_t(1, ["W"], ["1"]), _t(1, ["E"], ["W"])],
+    "H": [_t(1, ["H"], ["E^-1"]), _t(1, ["E"], ["H"]), _t(-1, ["W"], ["V"])],
+}
+
 
 # ---------------------------------------------------------------------------
 # defining-relation checks under a coproduct
@@ -159,21 +169,21 @@ def check_r_intertwines(r_matrix, cp, r):
 # twist conjugation
 
 
-def check_twist_produces(f, target, r1, r2):
-    """F Delta0(x) F^-1 equals the target's image of x, for each rule of target.
+def check_twist_produces(f, rules, r1, r2):
+    """F Delta0(x) F^-1 equals the evaluation of rules[x], one check per rule.
 
-    Delta0 is CLASSICAL.  When every rule matches, the module with the
-    target's images and F Delta0(y) F^-1 for the other generators is
+    Delta0 is CLASSICAL, and x is any atom of its module r1 (x) r2: a
+    generator, or one of the FRT generators H, E, V, W.  When every rule
+    of a coproduct map matches, the module with its images, and
+    F Delta0(y) F^-1 for each generator y without a rule, is
     CLASSICAL.module(r1, r2) conjugated by F.
     """
-    spins = _spin_text((r1.spin, r2.spin))
-    rep = Report("twist %s -> %s on %s" % (CLASSICAL.name, target.name, spins))
-    f_inv = inverse(f)
-    for g in target.rules:
-        conj = f * CLASSICAL.evaluate(g, r1, r2) * f_inv
-        name = "F Delta(%s) F^-1 matches %s" % (g, target.name)
-        rep.add(residual_check(name, conj - target.evaluate(g, r1, r2)))
-    return rep
+    primitive, f_inv = CLASSICAL.module(r1, r2), inverse(f)
+    checks = []
+    for g, terms in rules.items():
+        residual = f * primitive.image(g) * f_inv - evaluate_terms(terms, r1, r2)
+        checks.append(residual_check("Delta(%s) matches closed form" % g, residual))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -219,37 +229,6 @@ def frt_check(r):
     name = "FRT relation in spin %s (%d scalar identities)" % (_spin_text(r.spin), (9 * r.dim) ** 2)
     f = fundamental_rep()
     return residual_check(name, rll_residual(contract_r(), lplus_matrix(r), f.parity, r.parity))
-
-
-# ---------------------------------------------------------------------------
-# coproducts of the FRT generators
-
-
-def check_l_coproducts():
-    """Coproducts of the FRT generators on the fundamental pair.
-
-    The left side takes the FRT generators of the primitive tensor
-    module CLASSICAL.module(f, f) and conjugates them by the composed
-    twist; the right side assembles the closed forms from generator
-    images with graded tensor products.
-    """
-    f = fundamental_rep()
-    cap_h, e, v, w = f.lt_generators()
-    e_inv = f.e_power(-1)
-    k_mat = f_super_fund() * f_jordanian(f, f)
-    k_inv = inverse(k_mat)
-    primitive = CLASSICAL.module(f, f).lt_generators()
-    lhs = {name: k_mat * m * k_inv for name, m in zip("HEVW", primitive)}
-    rhs = {
-        "E": gkron(e, e),
-        "V": gkron(v, e_inv) + gkron(f.identity, v),
-        "W": gkron(w, f.identity) + gkron(e, w),
-        "H": gkron(cap_h, e_inv) + gkron(e, cap_h) - gkron(w, v),
-    }
-    rep = Report("coproducts of the FRT generators")
-    for name in ("E", "V", "W", "H"):
-        rep.add(residual_check("Delta(%s) matches closed form" % name, lhs[name] - rhs[name]))
-    return rep
 
 
 # ---------------------------------------------------------------------------

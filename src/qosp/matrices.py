@@ -41,7 +41,7 @@ from .scalar import ONE, ZERO, limit_at_one, substitute
 
 
 class FixtureError(Exception):
-    """A golden fixture that is missing or cannot be parsed."""
+    """A golden fixture that is missing or cannot be parsed; .path names its file."""
 
 
 @cache
@@ -151,7 +151,9 @@ def load_fixture(name):
         with open(path) as fh:
             return from_json_dict(json.load(fh))
     except (OSError, ValueError, MatrixError, sc.ScalarError) as exc:
-        raise FixtureError("cannot load golden fixture %s: %s" % (path, exc))
+        error = FixtureError("cannot load golden fixture %s: %s" % (path, exc))
+        error.path = path
+        raise error
 
 
 def check_golden(name):

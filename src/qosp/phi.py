@@ -55,8 +55,8 @@ from fractions import Fraction
 
 from . import _xiseries as xs
 from . import scalar as sc
-from .coproducts import JORDANIAN, SUPER_JORDANIAN
-from .gmatrix import GradedMatrix, MatrixError, exp_nilpotent, gkron, kron_parity
+from .coproducts import JORDANIAN, SUPER_JORDANIAN, TensorTerm, evaluate_terms
+from .gmatrix import MatrixError, exp_nilpotent
 from .report import Check, Report
 from .reps import _spin_text
 
@@ -124,11 +124,11 @@ def exponent_from_bilinear(table, r1, r2):
 
     v u**m is xi**m times the module's cached image of the word v+ X+^m.
     """
-    total = GradedMatrix.zeros(kron_parity(r1.parity, r2.parity))
-    for (m, n), c in table.items():
-        blk = gkron(r1.image(("v+",) + ("X+",) * m), r2.image(("v+",) + ("X+",) * n))
-        total = total + blk.scale(sc.xi_var(m + n + 1).scale(-2 * c))
-    return total
+    terms = [
+        TensorTerm(sc.xi_var(m + n + 1).scale(-2 * c), ("v+",) + ("X+",) * m, ("v+",) + ("X+",) * n)
+        for (m, n), c in table.items()
+    ]
+    return evaluate_terms(terms, r1, r2)
 
 
 def build_f_super(table, r1, r2):

@@ -163,6 +163,8 @@ class Representation:
             return self.v_minus
         if atom == "X+":
             return self.x_plus
+        if atom in ("H", "E", "V", "W"):
+            return self.lt_generators()["HEVW".index(atom)]
         if atom == "s^h":
             return self.s_power_h(1)
         if atom == "s^-h":

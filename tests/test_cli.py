@@ -353,9 +353,28 @@ def test_unsupported_spin_is_usage_error(args, capsys):
     assert err.startswith("error:") and "7/3" in err
 
 
-@pytest.mark.parametrize("content", [None, "{", '{"dim": 1}'])
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "{",
+        '{"dim": 1}',
+        pytest.param(
+            json.dumps({"dim": 100000, "parities": [2] * 100000, "entries": []}),
+            id="100000-bad-parities",
+        ),
+        pytest.param(
+            json.dumps({"dim": 1, "parities": [0], "entries": [[1, 1, "x" * 100000]]}),
+            id="100000-character-entry",
+        ),
+    ],
+)
 def test_bad_fixture_is_usage_error(content, tmp_path, monkeypatch, capsys):
-    """A missing or unreadable fixture is bad input, not a failed check."""
+    """A missing or unreadable fixture is bad input, not a failed check.
+
+    The error is one line of under 300 bytes, however long the fixture's
+    bad text, and names the fixture path whole.
+    """
     import qosp.matrices as mats
 
     for name in mats.FIXTURE_NAMES:
@@ -372,6 +391,7 @@ def test_bad_fixture_is_usage_error(content, tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and str(path) in err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
 
 
 def test_verify_exit_one_on_failure(tmp_path, monkeypatch, capsys):

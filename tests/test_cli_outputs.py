@@ -25,6 +25,7 @@ COMMANDS = {
     "solve_phi_order4": ["solve-phi", "--order", "4", "--pairs", "3/2:1,3/2:3/2"],
     "solve_phi_spin2_order4": ["solve-phi", "--order", "4", "--pairs", "2:3/2,2:2"],
     "emit_rep2": ["emit", "--rep", "2"],
+    "emit_rep1_xi_half": ["emit", "--rep", "1", "--set", "xi=1/2"],
     "emit_transformed_latex": ["emit", "--matrix", "transformed", "--format", "latex"],
     "emit_sjr_csv_xi_third": ["emit", "--matrix", "sjr", "--format", "csv", "--set", "xi=1/3"],
     "emit_kr_exponent_usage_error": ["emit", "--matrix", "kr", "--set", "s=1e5000"],

@@ -2,17 +2,21 @@
 
 from fractions import Fraction
 
+import pytest
+
 from qosp import scalar as sc
 from qosp.coproducts import (
+    FRT_COPRODUCTS,
     Q_DEFORMED,
     TensorTerm,
-    check_l_coproducts,
     check_qcoproduct_xplus,
+    check_twist_produces,
     frt_check,
     lplus_matrix,
 )
-from qosp.gmatrix import GradedMatrix
-from qosp.matrices import contract_r
+from qosp.gmatrix import GradedMatrix, gkron
+from qosp.matrices import contract_r, f_jordanian, f_super_fund
+from qosp.phi import build_f_super, f1_table, solve_phi
 from qosp.reps import fundamental_rep, irrep
 from qosp.scalar import ZERO
 
@@ -48,8 +52,45 @@ def test_frt_trivial_at_xi_zero():
     assert l_mat.is_identity()
 
 
+def _frt_coproduct_checks(table, a, b):
+    """FRT_COPRODUCTS under the composed twist F_s F_j, F_s built from table on (a, b)."""
+    return check_twist_produces(build_f_super(table, a, b) * f_jordanian(a, b), FRT_COPRODUCTS, a, b)
+
+
 def test_l_coproducts():
-    assert check_l_coproducts().passed
+    f = fundamental_rep()
+    checks = check_twist_produces(f_super_fund() * f_jordanian(f, f), FRT_COPRODUCTS, f, f)
+    assert [c.name for c in checks] == ["Delta(%s) matches closed form" % g for g in "EVWH"]
+    assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("spins", [(1, Fraction(1, 2)), (Fraction(1, 2), 1)])
+def test_l_coproducts_on_mixed_pairs_with_f1(spins):
+    a, b = irrep(spins[0]), irrep(spins[1])
+    assert all(c.passed for c in _frt_coproduct_checks(f1_table(), a, b))
+
+
+def test_l_coproducts_spin_one_need_more_than_f1():
+    """On (1, 1), f_1 alone twists E right and V, W, H wrong; the solved table twists all four."""
+    r = irrep(1)
+    checks = _frt_coproduct_checks(f1_table(), r, r)
+    assert [(c.passed, c.detail) for c in checks] == [(True, "")] + [
+        (False, "residual has 4 nonzero entries")
+    ] * 3
+    solved, rep = solve_phi(2, [(r, r)])
+    assert rep.passed
+    assert all(c.passed for c in _frt_coproduct_checks(solved, r, r))
+
+
+def test_l_coproducts_fail_without_the_wv_term():
+    """Dropping -W (x) V from the H rule fails Delta(H) alone, by exactly W (x) V."""
+    f = fundamental_rep()
+    rules = dict(FRT_COPRODUCTS, H=FRT_COPRODUCTS["H"][:2])
+    checks = check_twist_produces(f_super_fund() * f_jordanian(f, f), rules, f, f)
+    assert [c.passed for c in checks] == [True, True, True, False]
+    _, _, v, w = f.lt_generators()
+    count = len(list(gkron(w, v).entries()))
+    assert count and checks[3].detail == "residual has %d nonzero entries" % count
 
 
 def test_qcoproduct_cross_term():

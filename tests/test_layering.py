@@ -58,3 +58,18 @@ def test_relative_imports_point_down(name):
         if RANK[target] >= RANK[name]
     ]
     assert upward == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_import(name):
+    """Every name a module-level import binds is read in that module."""
+    tree = _tree(name)
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound - read) == []

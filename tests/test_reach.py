@@ -19,7 +19,6 @@ from test_cli_outputs import COMMANDS
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qosp"
 
 NEVER_CALLED = {
-    "coproducts.check_twist_produces": "waits for the twist suite of ROADMAP item 1",
     "gmatrix.GradedMatrix.__setattr__": "immutability guard: runs only on a forbidden assignment",
     "gmatrix.GradedMatrix.__delattr__": "immutability guard: runs only on a forbidden deletion",
     "gmatrix.GradedMatrix.__repr__": "for debugging",
