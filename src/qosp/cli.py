@@ -156,17 +156,8 @@ def cmd_emit(args):
             m = _substitute(m, bindings, args.set)
     else:
         r = irrep(_parse_spin(args.rep))
-        cap_h, e_mat, v_mat, w_mat = r.lt_generators()
-        mats = {
-            "h": r.h,
-            "v_plus": r.v_plus,
-            "v_minus": r.v_minus,
-            "sigma": r.sigma,
-            "E": e_mat,
-            "H": cap_h,
-            "V": v_mat,
-            "W": w_mat,
-        }
+        atoms = ("h", "v+", "v-", "sigma", "E", "H", "V", "W")
+        mats = {a.replace("+", "_plus").replace("-", "_minus"): r.image(a) for a in atoms}
         if bindings:
             mats = {k: _substitute(m, bindings, args.set) for k, m in mats.items()}
     try:

@@ -34,7 +34,7 @@ from .gmatrix import (
 )
 from .matrices import contract_r, f_jordanian
 from .report import Check, Report
-from .reps import OSP_RELATIONS, Representation, _spin_text, fundamental_rep, lplus_matrix
+from .reps import OSP_RELATIONS, Representation, fundamental_rep, lplus_matrix, spin_text
 from .scalar import rational
 
 class TensorTerm:
@@ -93,8 +93,9 @@ CLASSICAL = CoproductMap(
 
 
 def _q_anticommutator(m):
-    """{v+, v-} + (q^h - q^-h)/(4 omega) with q^h = s^(2h), on a tensor module q^h (x) q^h."""
-    q_term = (m.s_power_h(2) - m.s_power_h(-2)).scale(sc.inv(sc.omega()).scale(Fraction(1, 4)))
+    """{v+, v-} + (q^h - q^-h)/(4 omega) with q^h the word s^h s^h; on a tensor module q^h (x) q^h."""
+    q_h = m.image(("s^h", "s^h")) - m.image(("s^-h", "s^-h"))
+    q_term = q_h.scale(sc.inv(sc.omega()).scale(Fraction(1, 4)))
     return m.v_plus * m.v_minus + m.v_minus * m.v_plus + q_term
 
 
@@ -151,7 +152,7 @@ def check_homomorphism(cp, r1, r2):
     """cp.relations, evaluated on the tensor module cp.module(r1, r2)."""
     m = cp.module(r1, r2)
     checks = [residual_check(name, residual(m)) for name, residual in cp.relations]
-    return Report("homomorphism %s on %s" % (cp.name, _spin_text(m.spin)), checks)
+    return Report("homomorphism %s on %s" % (cp.name, spin_text(m.spin)), checks)
 
 
 def check_r_intertwines(r_matrix, cp, r):
@@ -199,7 +200,7 @@ def check_cocycle_jordanian(r1, r2, r3):
     """
     lhs = gkron(f_jordanian(r1, r2), r3.identity) * f_jordanian(CLASSICAL.module(r1, r2), r3)
     rhs = gkron(r1.identity, f_jordanian(r2, r3)) * f_jordanian(r1, CLASSICAL.module(r2, r3))
-    name = "cocycle even twist on %s" % _spin_text((r1.spin, r2.spin, r3.spin))
+    name = "cocycle even twist on %s" % spin_text((r1.spin, r2.spin, r3.spin))
     return residual_check(name, lhs - rhs)
 
 
@@ -226,7 +227,7 @@ def check_coassociativity_jordanian(r1, r2, r3):
 
 def frt_check(r):
     """R L1 L2 = L2 L1 R on C3 (x) C3 (x) V: the RLL residual with X = L+."""
-    name = "FRT relation in spin %s (%d scalar identities)" % (_spin_text(r.spin), (9 * r.dim) ** 2)
+    name = "FRT relation in spin %s (%d scalar identities)" % (spin_text(r.spin), (9 * r.dim) ** 2)
     f = fundamental_rep()
     return residual_check(name, rll_residual(contract_r(), lplus_matrix(r), f.parity, r.parity))
 
@@ -247,12 +248,9 @@ def check_qcoproduct_xplus(r1, r2):
     rep = Report("even-part cross term")
     dv = Q_DEFORMED.evaluate("v+", r1, r2)
     square = dv * dv
-    vsq1 = r1.v_plus * r1.v_plus
-    vsq2 = r2.v_plus * r2.v_plus
-    qh2 = gkron(vsq1, r2.s_power_h(2))
-    qh2b = gkron(r1.s_power_h(-2), vsq2)
-    residual = square - qh2 - qh2b
-    pattern = gkron(r1.v_plus * r1.s_power_h(-1), r2.v_plus * r2.s_power_h(1))
+    squares = [_t(1, ["v+", "v+"], ["s^h", "s^h"]), _t(1, ["s^-h", "s^-h"], ["v+", "v+"])]
+    residual = square - evaluate_terms(squares, r1, r2)
+    pattern = evaluate_terms([_t(1, ["v+", "s^-h"], ["v+", "s^h"])], r1, r2)
     # pattern entries are s-monomials, so the first one fixes the coefficient
     first = next(pattern.entries(), None)
     coeff = None if first is None else residual[first[0], first[1]] * sc.inv(first[2])

@@ -58,7 +58,7 @@ from . import scalar as sc
 from .coproducts import JORDANIAN, SUPER_JORDANIAN, TensorTerm, evaluate_terms
 from .gmatrix import MatrixError, exp_nilpotent
 from .report import Check, Report
-from .reps import _spin_text
+from .reps import spin_text
 
 
 MAX_ORDER = 4  # highest series term index solve_phi accepts
@@ -185,7 +185,7 @@ def check_intertwining_s(table, r1, r2, order):
     main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", pair.residual(f, order), order)
     lhs = xs.mul(pair.dj, xs.mul(f_inv, f_inv, order), order)
     aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", xs.add(lhs, pair.target, -1), order)
-    name = "odd-twist intertwining %s through xi^%d" % (_spin_text((r1.spin, r2.spin)), order)
+    name = "odd-twist intertwining %s through xi^%d" % (spin_text((r1.spin, r2.spin)), order)
     return Report(name, [main, aux])
 
 
@@ -314,7 +314,7 @@ def solve_phi(order, pairs, include_f1=True):
         ) or "nothing to solve"
         rep.add(
             Check(
-                "pair %s solve" % _spin_text(spins),
+                "pair %s solve" % spin_text(spins),
                 all(state != "inconsistent" for _, state, _ in statuses),
                 detail + " -> " + str({str(k): str(v) for k, v in findings.items()}),
                 data={
@@ -341,7 +341,7 @@ def solve_phi(order, pairs, include_f1=True):
     xi_order = min(max_xi, 2 * order - 1)
     for pair in pair_series:
         f, _ = pair.twist(table, xi_order)
-        spins = _spin_text(tuple(r.spin for r in pair.reps))
+        spins = spin_text(tuple(r.spin for r in pair.reps))
         name = "residual zero on %s through xi^%d" % (spins, xi_order)
         rep.add(_order_check(name, pair.residual(f, xi_order), xi_order))
     return table, rep

@@ -27,6 +27,11 @@ Gauge: every v+ matrix element is 1/2, so that X+ = 4 v+**2 is the
 plain two-step upper shift with unit entries; in the fundamental this
 forces the image of X+ to be the single matrix unit E13.  The signs
 demanded by the anticommutation recursion all sit in v-.
+
+Every element of a module is read as Representation.image(word), a
+word being a sequence of atom names (the class docstring lists them);
+one cache per module, keyed by the word tuple, holds each atom and
+each word once built.
 """
 
 from __future__ import annotations
@@ -56,11 +61,20 @@ class RepresentationError(ValueError):
 
 
 class Representation:
-    """A module given by the images of h, v+ and v-, with cached derived elements.
+    """A module given by the images of h, v+ and v-; image(word) reads every element.
 
     irrep() verifies the spin-j modules it builds.  CoproductMap.module
     builds tensor modules, unverified, with the pair of spins as spin;
-    v_minus is None when the coproduct has no image of v-.
+    v_minus is None when the coproduct has no image of v-.  The atoms a
+    word is spelled in, each built once from the words that define it:
+
+        1, h, v+, v-     the identity and the module's data
+        X+               4 (v+ v+)
+        sigma            (1/2) log(1 + 2 xi X+), exact as X+ is nilpotent
+        E^k, E           exp(k sigma) for integer k; E is E^1
+        H                xi (h E^1) - 2 xi^2 (v+ v+ E^-1)
+        V, W             -2 xi (v+ E^-1) and 2 xi v+
+        s^h, s^-h        the diagonal s**(+-h), for a diagonal h
     """
 
     def __init__(self, spin, h, v_plus, v_minus, parity):
@@ -70,9 +84,8 @@ class Representation:
         self.h = h
         self.v_plus = v_plus
         self.v_minus = v_minus
-        self._cache = {}
-
-    # -- the defining relations --------------------------------------------
+        self.identity = GradedMatrix.identity(self.parity)
+        self._cache = {(): self.identity}  # word tuple -> its image
 
     def verify(self):
         """Raise RepresentationError naming the first relation this module breaks."""
@@ -80,97 +93,53 @@ class Representation:
             if not residual(self).is_zero():
                 raise RepresentationError("relation %s fails" % name)
 
-    # -- derived elements --------------------------------------------------
-
-    @property
-    def x_plus(self):
-        if "x_plus" not in self._cache:
-            self._cache["x_plus"] = (self.v_plus * self.v_plus).scale(4)
-        return self._cache["x_plus"]
-
-    @property
-    def identity(self):
-        if "identity" not in self._cache:
-            self._cache["identity"] = GradedMatrix.identity(self.parity)
-        return self._cache["identity"]
-
-    @property
-    def sigma(self):
-        """sigma = (1/2) log(1 + 2 xi X+), an exact finite sum as X+ is nilpotent."""
-        if "sigma" not in self._cache:
-            u = self.identity + self.x_plus.scale(sc.xi_var().scale(2))
-            self._cache["sigma"] = log_unipotent(u).scale(Fraction(1, 2))
-        return self._cache["sigma"]
-
-    def e_power(self, k):
-        """exp(k sigma) for integer k; E = e_power(1) satisfies E**2 = 1 + 2 xi X+."""
-        key = ("E", k)
-        if key not in self._cache:
-            self._cache[key] = exp_nilpotent(self.sigma.scale(k))
-        return self._cache[key]
-
-    def s_power_h(self, mult):
-        """Diagonal matrix s**(mult*h) for a diagonal h; q**(h/2) is s_power_h(1)."""
-        key = ("s^h", mult)
-        if key not in self._cache:
-            if any(i != j for i, j, _ in self.h.entries()):
-                raise RepresentationError("s**h needs a diagonal h")
-            diag = {}
-            for i in range(self.dim):
-                e = mult * self.h[i, i].as_fraction()
-                if e != int(e):
-                    raise RepresentationError("s**h needs integer exponents")
-                diag[(i, i)] = sc.s_var(int(e))
-            self._cache[key] = GradedMatrix.from_entries(self.parity, diag)
-        return self._cache[key]
-
-    def lt_generators(self):
-        """H = xi h E - 2 xi^2 v+^2 E^-1, E, V = -2 xi v+ E^-1 and W = 2 xi v+."""
-        if "lt" not in self._cache:
-            xi = sc.xi_var()
-            h, v, e, e_inv = self.h, self.v_plus, self.e_power(1), self.e_power(-1)
-            cap_h = (h * e).scale(xi) - (v * v * e_inv).scale((xi * xi).scale(2))
-            cap_v = (v * e_inv).scale(xi.scale(-2))
-            cap_w = v.scale(xi.scale(2))
-            self._cache["lt"] = (cap_h, e, cap_v, cap_w)
-        return self._cache["lt"]
-
-    # -- atom images for coproduct evaluation ------------------------------
-
     def image(self, word):
         """Matrix image of an atom name or of a word, a sequence of atom names.
 
-        Each word is built once per module, as its cached prefix times its
-        last atom, and cached under its tuple; the empty word is the identity.
+        Each word is built once per module, an atom from its defining words
+        and a longer word as its prefix times its last atom, and cached
+        under its tuple; the empty word is the identity.
         """
-        if isinstance(word, str):
-            return self._atom(word)
-        word = tuple(word)
-        if len(word) < 2:
-            return self._atom(word[0]) if word else self.identity
+        word = (word,) if isinstance(word, str) else tuple(word)
         if word not in self._cache:
-            self._cache[word] = self.image(word[:-1]) * self._atom(word[-1])
+            if len(word) == 1:
+                self._cache[word] = self._atom(word[0])
+            else:
+                self._cache[word] = self.image(word[:-1]) * self.image(word[-1])
         return self._cache[word]
 
     def _atom(self, atom):
-        if atom == "1":
-            return self.identity
-        if atom == "h":
-            return self.h
-        if atom == "v+":
-            return self.v_plus
-        if atom == "v-":
-            return self.v_minus
+        xi = sc.xi_var()
+        data = {"1": self.identity, "h": self.h, "v+": self.v_plus, "v-": self.v_minus}
+        if atom in data:
+            return data[atom]
         if atom == "X+":
-            return self.x_plus
-        if atom in ("H", "E", "V", "W"):
-            return self.lt_generators()["HEVW".index(atom)]
-        if atom == "s^h":
-            return self.s_power_h(1)
-        if atom == "s^-h":
-            return self.s_power_h(-1)
-        if atom.startswith("E^"):
-            return self.e_power(int(atom[2:]))
+            return self.image(("v+", "v+")).scale(4)
+        if atom == "sigma":
+            u = self.identity + self.image("X+").scale(xi.scale(2))
+            return log_unipotent(u).scale(Fraction(1, 2))
+        if atom == "E":
+            return self.image("E^1")
+        if atom.startswith("E^") and atom[2:].lstrip("-").isdigit():
+            return exp_nilpotent(self.image("sigma").scale(int(atom[2:])))
+        if atom == "H":
+            return self.image(("h", "E^1")).scale(xi) - self.image(("v+", "v+", "E^-1")).scale(
+                (xi * xi).scale(2)
+            )
+        if atom == "V":
+            return self.image(("v+", "E^-1")).scale(xi.scale(-2))
+        if atom == "W":
+            return self.v_plus.scale(xi.scale(2))
+        if atom in ("s^h", "s^-h"):
+            if any(i != j for i, j, _ in self.h.entries()):
+                raise RepresentationError("s**h needs a diagonal h")
+            sign = 1 if atom == "s^h" else -1
+            exps = [sign * self.h[i, i].as_fraction() for i in range(self.dim)]
+            if any(e != int(e) for e in exps):
+                raise RepresentationError("s**h needs integer exponents")
+            return GradedMatrix.from_entries(
+                self.parity, {(i, i): sc.s_var(int(e)) for i, e in enumerate(exps)}
+            )
         raise RepresentationError("unknown atom %r" % (atom,))
 
     def __repr__(self):
@@ -181,7 +150,7 @@ class Representation:
 def irrep(spin):
     """The spin-j module for j in {1/2, 1, 3/2, 2}, built and verified once per spin.
 
-    Every caller shares its cached words, sigma, E^k and FRT generators:
+    Every caller shares its cached word images, atoms among them:
     h, v+ and v- are immutable, every cached element is a function of
     them, and nothing assigns to a module after __init__.  Another
     spelling of a spin returns the module of its Fraction.
@@ -218,20 +187,22 @@ def fundamental_rep():
     return irrep(Fraction(1, 2))
 
 
-def _spin_text(spin):
+def spin_text(spin):
     """1/2 for an irrep, (1/2, 1) for a tensor module."""
-    return "(%s)" % ", ".join(map(_spin_text, spin)) if isinstance(spin, tuple) else str(spin)
+    return "(%s)" % ", ".join(map(spin_text, spin)) if isinstance(spin, tuple) else str(spin)
 
 
 def lplus_matrix(r):
-    """The FRT generator matrix L+ = ((E^-1, V, H), (0, 1, W), (0, 0, E)) on C3 (x) V."""
-    cap_h, e, v, w = r.lt_generators()
-    rows = ((r.e_power(-1), v, cap_h), (r.identity, w), (e,))  # upper triangle, row by row
+    """The FRT generator matrix L+ = ((E^-1, V, H), (0, 1, W), (0, 0, E)) on C3 (x) V.
+
+    Its blocks are read as the atoms of r named in the upper triangle.
+    """
+    rows = (("E^-1", "V", "H"), ("1", "W"), ("E",))  # upper triangle, row by row
     entries = {
         (bi * r.dim + a, bj * r.dim + b): val
         for bi, row in enumerate(rows)
-        for bj, blk in enumerate(row, bi)
-        for a, b, val in blk.entries()
+        for bj, name in enumerate(row, bi)
+        for a, b, val in r.image(name).entries()
     }
     return GradedMatrix.from_entries(kron_parity(fundamental_rep().parity, r.parity), entries)
 
@@ -239,9 +210,7 @@ def lplus_matrix(r):
 def check_lt_relations(r):
     """All defining relations of the FRT generator algebra, in module r."""
     xi = sc.xi_var()
-    cap_h, e, v, w = r.lt_generators()
-    ident = r.identity
-    e_inv = r.e_power(-1)
+    cap_h, e, v, w, ident, e_inv = map(r.image, ("H", "E", "V", "W", "1", "E^-1"))
     e2 = e * e
     e_inv2 = e_inv * e_inv
 
@@ -264,6 +233,6 @@ def check_lt_relations(r):
         ("xi (E^2 - 1) = 2 W^2", (e2 - ident).scale(xi) - (w * w).scale(2)),
     ]
     return Report(
-        "lt-relations spin %s" % _spin_text(r.spin),
+        "lt-relations spin %s" % spin_text(r.spin),
         [residual_check(name, residual) for name, residual in rel],
     )

@@ -99,7 +99,7 @@ def test_criterion_5_representations():
         r = irrep(spin)  # constructor re-verifies every invariant
         ok = ok and r.dim == int(4 * spin + 1)
     fund = fundamental_rep()
-    ok = ok and fund.x_plus == GradedMatrix.from_entries(fund.parity, {(0, 2): ONE})
+    ok = ok and fund.image("X+") == GradedMatrix.from_entries(fund.parity, {(0, 2): ONE})
     _criterion("5 representations", ok, t0, 1)
 
 

@@ -74,7 +74,7 @@ def test_emit_rep(capsys):
         "E", "H", "V", "W", "h", "sigma", "v_minus", "v_plus",
     ]
     sigma = from_json_dict(payload["matrices"]["sigma"])
-    assert sigma == irrep(1).sigma
+    assert sigma == irrep(1).image("sigma")
 
 
 def test_emit_rep_is_json_only(capsys):
@@ -373,7 +373,7 @@ def test_bad_fixture_is_usage_error(content, tmp_path, monkeypatch, capsys):
     """A missing or unreadable fixture is bad input, not a failed check.
 
     The error is one line of under 300 bytes, however long the fixture's
-    bad text, and names the fixture path whole.
+    bad text, and names the fixture path whole, once.
     """
     import qosp.matrices as mats
 
@@ -390,7 +390,7 @@ def test_bad_fixture_is_usage_error(content, tmp_path, monkeypatch, capsys):
     rc, out, err = run_cli(["verify", "--suite", "all"], capsys)
     assert rc == 2
     assert out == ""
-    assert err.startswith("error:") and str(path) in err
+    assert err.startswith("error:") and err.count(str(path)) == 1
     assert err.count("\n") == 1 and len(err.encode()) < 300
 
 

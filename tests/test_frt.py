@@ -88,7 +88,7 @@ def test_l_coproducts_fail_without_the_wv_term():
     rules = dict(FRT_COPRODUCTS, H=FRT_COPRODUCTS["H"][:2])
     checks = check_twist_produces(f_super_fund() * f_jordanian(f, f), rules, f, f)
     assert [c.passed for c in checks] == [True, True, True, False]
-    _, _, v, w = f.lt_generators()
+    v, w = f.image("V"), f.image("W")
     count = len(list(gkron(w, v).entries()))
     assert count and checks[3].detail == "residual has %d nonzero entries" % count
 

@@ -335,7 +335,7 @@ def test_exp_rejects_non_nilpotent():
 
 def test_exp_h_tensor_sigma_is_even_twist():
     f = fundamental_rep()
-    assert exp_nilpotent(gkron(f.h, f.sigma)) == f_jordanian()
+    assert exp_nilpotent(gkron(f.h, f.image("sigma"))) == f_jordanian()
 
 
 def test_json_round_trip():

@@ -73,3 +73,16 @@ def test_no_unused_import(name):
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(bound - read) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_name_imported_across_modules(name):
+    """No `from .<module> import <name>` binds a name that module keeps private."""
+    private = [
+        "%s.%s" % (node.module, alias.name)
+        for node in _tree(name).body
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

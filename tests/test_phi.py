@@ -73,7 +73,7 @@ def test_exponent_from_bilinear_matches_repeated_products():
     def v_x_power(r, m):
         mat = r.v_plus
         for _ in range(m):
-            mat = mat * r.x_plus
+            mat = mat * r.image("X+")
         return mat
 
     for m in range(4):
@@ -93,12 +93,12 @@ def test_coproduct_tables_match_hand_written_formulas():
     for a in SPINS:
         for b in SPINS:
             r1, r2 = irrep(a), irrep(b)
-            dj_vplus = gkron(r1.v_plus, r2.e_power(1)) + gkron(r1.identity, r2.v_plus)
-            dsj_vplus = gkron(r1.v_plus, r2.identity) + gkron(r1.e_power(1), r2.v_plus)
+            dj_vplus = gkron(r1.v_plus, r2.image("E^1")) + gkron(r1.identity, r2.v_plus)
+            dsj_vplus = gkron(r1.v_plus, r2.identity) + gkron(r1.image("E^1"), r2.v_plus)
             dj_vminus = (
-                gkron(r1.v_minus, r2.e_power(-1))
+                gkron(r1.v_minus, r2.image("E^-1"))
                 + gkron(r1.identity, r2.v_minus)
-                + gkron(r1.h, r2.v_plus * r2.e_power(-2)).scale(xi)
+                + gkron(r1.h, r2.v_plus * r2.image("E^-2")).scale(xi)
             )
             assert JORDANIAN.evaluate("v+", r1, r2) == dj_vplus, (a, b)
             assert SUPER_JORDANIAN.evaluate("v+", r1, r2) == dsj_vplus, (a, b)
@@ -366,9 +366,9 @@ def test_twisted_vminus_module_agrees_with_twist_check(tables, table, spins, pas
         assert [c.detail for c in twist] == ["residual has 4 nonzero entries"] * 2
     assert all(c.passed for c in twist) == passes
 
-    dj_without = gkron(r1.v_minus, r2.e_power(-1)) + gkron(r1.identity, r2.v_minus)
+    dj_without = gkron(r1.v_minus, r2.image("E^-1")) + gkron(r1.identity, r2.v_minus)
     diff = xi_coefficient(v_minus - f_s * dj_without * inverse(f_s), 1)
-    assert diff == xi_coefficient(gkron(r1.h, r2.v_plus * r2.e_power(-2)), 0)
+    assert diff == xi_coefficient(gkron(r1.h, r2.v_plus * r2.image("E^-2")), 0)
     assert v_minus.substitute({"xi": sc.ZERO}) == CLASSICAL.evaluate("v-", r1, r2)
 
 
@@ -393,9 +393,9 @@ def test_dsj_vminus_order_one_structure(fund):
     f_s = build_f_super(f1_table(), fund, fund)
     f = f_s * f_jordanian(fund, fund)
     v_minus = f * CLASSICAL.evaluate("v-", fund, fund) * inverse(f)
-    without = gkron(fund.v_minus, fund.e_power(-1)) + gkron(fund.identity, fund.v_minus)
+    without = gkron(fund.v_minus, fund.image("E^-1")) + gkron(fund.identity, fund.v_minus)
     diff = xi_coefficient(v_minus - f_s * without * inverse(f_s), 1)
-    assert diff == xi_coefficient(gkron(fund.h, fund.v_plus * fund.e_power(-2)), 0)
+    assert diff == xi_coefficient(gkron(fund.h, fund.v_plus * fund.image("E^-2")), 0)
 
 
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)

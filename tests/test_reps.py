@@ -28,7 +28,7 @@ def test_fundamental_matrices():
     assert f.v_minus == GradedMatrix.from_entries(
         f.parity, {(1, 0): -half, (2, 1): half}
     )
-    assert f.x_plus == GradedMatrix.from_entries(f.parity, {(0, 2): ONE})
+    assert f.image("X+") == GradedMatrix.from_entries(f.parity, {(0, 2): ONE})
     x_minus = (f.v_minus * f.v_minus).scale(-4)
     assert x_minus == GradedMatrix.from_entries(f.parity, {(2, 0): ONE})
 
@@ -66,7 +66,7 @@ def test_casimir_style_identity():
         r = irrep(spin)
         quad = r.v_plus * r.v_minus + r.v_minus * r.v_plus + r.h.scale(Fraction(1, 4))
         assert quad.is_zero()
-        assert r.h * r.x_plus - r.x_plus * r.h == r.x_plus.scale(2)
+        assert r.h * r.image("X+") - r.image("X+") * r.h == r.image("X+").scale(2)
 
 
 def test_nilpotency_index_of_raising_generator():
@@ -81,9 +81,9 @@ def test_nilpotency_index_of_raising_generator():
 
 def test_xplus_powers_spin_one():
     r = irrep(1)
-    x2 = r.x_plus * r.x_plus
+    x2 = r.image("X+") * r.image("X+")
     assert x2.nonzero_count() == 1  # only the corner survives
-    assert (x2 * r.x_plus).is_zero()
+    assert (x2 * r.image("X+")).is_zero()
 
 
 def test_vplus_cube_rank_spin_one():
@@ -100,8 +100,8 @@ def test_image_of_a_word_is_the_product_of_its_atoms():
     assert r.image([]) == r.identity
     assert r.image(()) == r.identity
     assert r.image(["v+"]) == r.v_plus
-    assert r.image(["h", "v+", "E^-2"]) == r.h * r.v_plus * r.e_power(-2)
-    assert r.image(("v-", "s^h", "X+")) == r.v_minus * r.s_power_h(1) * r.x_plus
+    assert r.image(["h", "v+", "E^-2"]) == r.h * r.v_plus * r.image("E^-2")
+    assert r.image(("v-", "s^h", "X+")) == r.v_minus * r.image("s^h") * r.image("X+")
 
 
 def test_word_images_are_built_once():
@@ -110,16 +110,39 @@ def test_word_images_are_built_once():
         assert r.image(word) is r.image(word)
 
 
+def test_each_element_has_one_object():
+    r = irrep(1)
+    assert r.image("E") is r.image("E^1")
+    assert r.image("X+") is r.image(("X+",))
+    assert r.image("X+") == r.image(("v+", "v+")).scale(4)
+
+
+@pytest.mark.parametrize("atom", ["w-", "E^x", "E^"])
+def test_unknown_atom_is_named(atom):
+    with pytest.raises(RepresentationError, match=re.escape("unknown atom %r" % atom)):
+        irrep(1).image(("v+", atom))
+
+
+def test_s_power_h_needs_integer_exponents():
+    """A diagonal h with a half-integer entry has no s**h in the field."""
+    parity = (0, 1)
+    half = rational(Fraction(1, 2))
+    h = GradedMatrix.from_entries(parity, {(0, 0): half, (1, 1): -half})
+    odd = Representation(Fraction(1, 4), h, GradedMatrix.zeros(parity), None, parity)
+    with pytest.raises(RepresentationError, match=re.escape("s**h needs integer exponents")):
+        odd.image("s^h")
+
+
 def test_sigma_and_exponentials():
     xi = sc.xi_var()
     for spin in (Fraction(1, 2), 1):
         r = irrep(spin)
-        e = r.e_power(1)
-        rhs = r.identity + r.x_plus.scale(2).map_entries(lambda a: a * xi)
+        e = r.image("E^1")
+        rhs = r.identity + r.image("X+").scale(2).map_entries(lambda a: a * xi)
         assert e * e == rhs
-        assert r.e_power(-1) == inverse(e)
-        assert exp_nilpotent(r.sigma.scale(-1)) == inverse(e)
-        at_zero = r.sigma.substitute({"xi": ZERO})
+        assert r.image("E^-1") == inverse(e)
+        assert exp_nilpotent(r.image("sigma").scale(-1)) == inverse(e)
+        at_zero = r.image("sigma").substitute({"xi": ZERO})
         assert at_zero.is_zero()
         assert e.substitute({"xi": ZERO}).is_identity()
 
@@ -127,8 +150,8 @@ def test_sigma_and_exponentials():
 def test_fundamental_sigma_values():
     f = fundamental_rep()
     xi = sc.xi_var()
-    assert f.sigma == GradedMatrix.from_entries(f.parity, {(0, 2): xi})
-    assert f.e_power(1) == f.identity + GradedMatrix.from_entries(
+    assert f.image("sigma") == GradedMatrix.from_entries(f.parity, {(0, 2): xi})
+    assert f.image("E^1") == f.identity + GradedMatrix.from_entries(
         f.parity, {(0, 2): xi}
     )
 
@@ -136,7 +159,7 @@ def test_fundamental_sigma_values():
 def test_lt_generators_fundamental():
     f = fundamental_rep()
     xi = sc.xi_var()
-    cap_h, e, v, w = f.lt_generators()
+    cap_h, e, v, w = map(f.image, "HEVW")
     assert w == GradedMatrix.from_entries(f.parity, {(0, 1): xi, (1, 2): xi})
     assert v == GradedMatrix.from_entries(f.parity, {(0, 1): -xi, (1, 2): -xi})
     assert cap_h == GradedMatrix.from_entries(
@@ -154,7 +177,7 @@ def test_lt_generators_fundamental():
 def test_lt_entries_polynomial_in_xi():
     for spin in (Fraction(1, 2), 1, Fraction(3, 2)):
         r = irrep(spin)
-        for m in r.lt_generators():
+        for m in map(r.image, "HEVW"):
             for _, _, val in m.entries():
                 assert val.den.is_s_only()
                 assert val.den == sc.Poly.const(1)
@@ -171,8 +194,8 @@ def test_lt_relation_failure_names_its_entries():
     f = fundamental_rep()
     stray = GradedMatrix.from_entries(f.parity, {(0, 2): rational(3)})
     bad = Representation(f.spin, f.h, f.v_plus + stray, f.v_minus, f.parity)
-    cap_h, e, v, w = bad.lt_generators()
-    residual = cap_h * v - v * cap_h - (v * (bad.e_power(-1) - e) - w).scale(sc.xi_var())
+    cap_h, e, v, w = map(bad.image, "HEVW")
+    residual = cap_h * v - v * cap_h - (v * (bad.image("E^-1") - e) - w).scale(sc.xi_var())
     explicit = [(i + 1, j + 1, sc.format_scalar(x)) for i, j, x in residual.entries()]
     assert explicit == [(1, 3, "-6*xi^2")]
     rep = check_lt_relations(bad)
@@ -202,5 +225,5 @@ def test_lt_relations_gauge_independent():
 def test_e_inverse_two_ways():
     for spin in (Fraction(1, 2), 1, Fraction(3, 2)):
         r = irrep(spin)
-        series = exp_nilpotent(r.sigma.scale(-1))
-        assert series == inverse(r.e_power(1))
+        series = exp_nilpotent(r.image("sigma").scale(-1))
+        assert series == inverse(r.image("E^1"))
