@@ -1,15 +1,17 @@
 """Coproduct maps, twist conjugation and Hopf-level checks in modules.
 
-A coproduct rule assigns to each generator a formal sum of tensor
-terms coeff * (left atoms) (x) (right atoms); evaluation on a pair of
-modules replaces every tensor symbol by the graded Kronecker product.
+A coproduct rule assigns to each generator a list of tensor terms
+(coeff, left word, right word); evaluate_terms sums c * gkron(left,
+right) of the words' images on a pair of modules.
 No sign is chosen here: gkron images multiply by the graded rule
 
     gkron(a, b) gkron(c, d) = (-1)**(p(b)p(c)) gkron(ac, bd),
 
 so the images of h, v+ and v- make r1 (x) r2 a module, cp.module(r1, r2),
 in which the coproduct of a word, of sigma or of E^k is its image and
-cp.relations (by default reps.OSP_RELATIONS) must hold.  A twist F
+the word sums cp.relations (by default reps.OSP_RELATIONS) must vanish;
+cp.module(cp.module(r1, r2), r3) carries (Delta (x) id) Delta, which
+check_coassociativity compares with (id (x) Delta) Delta.  A twist F
 carries CLASSICAL to a table of rules, FRT_COPRODUCTS for the FRT
 generators H, E, V, W among them, when F Delta0(x) F^-1 equals each
 rule (check_twist_produces).  Leg placements on triple products are
@@ -34,91 +36,68 @@ from .gmatrix import (
 )
 from .matrices import contract_r, f_jordanian
 from .report import Check, Report
-from .reps import OSP_RELATIONS, Representation, fundamental_rep, lplus_matrix, spin_text
-from .scalar import rational
-
-class TensorTerm:
-    """coeff * (left word) (x) (right word)."""
-
-    __slots__ = ("coeff", "left", "right")
-
-    def __init__(self, coeff, left, right):
-        self.coeff = coeff
-        self.left = tuple(left)
-        self.right = tuple(right)
+from .reps import (
+    OSP_RELATIONS,
+    Representation,
+    check_relations,
+    fundamental_rep,
+    lplus_matrix,
+    spin_text,
+)
 
 
 def evaluate_terms(terms, r1, r2):
-    total = GradedMatrix.zeros(kron_parity(r1.parity, r2.parity))
-    for t in terms:
-        total = total + gkron(r1.image(t.left), r2.image(t.right)).scale(t.coeff)
-    return total
+    """The sum of c * gkron(r1.image(left), r2.image(right)) over (c, left, right) terms."""
+    return GradedMatrix.linear_combination(
+        kron_parity(r1.parity, r2.parity),
+        ((c, gkron(r1.image(left), r2.image(right))) for c, left, right in terms),
+    )
 
 
 class CoproductMap:
     def __init__(self, name, rules, relations=OSP_RELATIONS):
         self.name = name
-        self.rules = rules  # generator -> list[TensorTerm]
-        self.relations = relations  # (name, residual in module(r1, r2)) pairs
-
-    def evaluate(self, gen, r1, r2):
-        return evaluate_terms(self.rules[gen], r1, r2)
+        self.rules = rules  # generator -> list of (coeff, left word, right word)
+        self.relations = relations  # (name, word sum) pairs that vanish in module(r1, r2)
 
     def module(self, r1, r2):
         """r1 (x) r2 with h, v+ and v- acting by their images under this map.
 
         Unverified: its relations are check_homomorphism's job.
         """
-        return Representation(
-            (r1.spin, r2.spin),
-            *(self.evaluate(g, r1, r2) if g in self.rules else None for g in ("h", "v+", "v-")),
-            kron_parity(r1.parity, r2.parity),
-        )
-
-
-def _t(coeff, left, right):
-    if isinstance(coeff, (int, Fraction)):
-        coeff = rational(coeff)
-    return TensorTerm(coeff, left, right)
+        gens = ("h", "v+", "v-")
+        images = (evaluate_terms(self.rules[g], r1, r2) if g in self.rules else None for g in gens)
+        return Representation((r1.spin, r2.spin), *images, kron_parity(r1.parity, r2.parity))
 
 
 CLASSICAL = CoproductMap(
     "CLASSICAL",
     {
-        "h": [_t(1, ["h"], ["1"]), _t(1, ["1"], ["h"])],
-        "v+": [_t(1, ["v+"], ["1"]), _t(1, ["1"], ["v+"])],
-        "v-": [_t(1, ["v-"], ["1"]), _t(1, ["1"], ["v-"])],
+        "h": [(1, "h", "1"), (1, "1", "h")],
+        "v+": [(1, "v+", "1"), (1, "1", "v+")],
+        "v-": [(1, "v-", "1"), (1, "1", "v-")],
     },
 )
 
-
-def _q_anticommutator(m):
-    """{v+, v-} + (q^h - q^-h)/(4 omega) with q^h the word s^h s^h; on a tensor module q^h (x) q^h."""
-    q_h = m.image(("s^h", "s^h")) - m.image(("s^-h", "s^-h"))
-    q_term = q_h.scale(sc.inv(sc.omega()).scale(Fraction(1, 4)))
-    return m.v_plus * m.v_minus + m.v_minus * m.v_plus + q_term
-
-
+# {v+, v-} = -(q^h - q^-h)/(4 omega) as a word sum, q^h being the word (s^h, s^h)
+_Q = sc.inv(sc.omega()).scale(Fraction(1, 4))
+_Q_TERMS = ((1, ("v+", "v-")), (1, ("v-", "v+")), (_Q, ("s^h", "s^h")), (-_Q, ("s^-h", "s^-h")))
 Q_DEFORMED = CoproductMap(
     "Q_DEFORMED",
     {
-        "h": [_t(1, ["h"], ["1"]), _t(1, ["1"], ["h"])],
-        "v+": [_t(1, ["v+"], ["s^h"]), _t(1, ["s^-h"], ["v+"])],
-        "v-": [_t(1, ["v-"], ["s^h"]), _t(1, ["s^-h"], ["v-"])],
+        "h": [(1, "h", "1"), (1, "1", "h")],
+        "v+": [(1, "v+", "s^h"), (1, "s^-h", "v+")],
+        "v-": [(1, "v-", "s^h"), (1, "s^-h", "v-")],
     },
-    OSP_RELATIONS[:2] + (("{v+, v-} = -(q^h - q^-h)/(4 omega)", _q_anticommutator),),
+    OSP_RELATIONS[:2] + (("{v+, v-} = -(q^h - q^-h)/(4 omega)", _Q_TERMS),),
 )
 
 JORDANIAN = CoproductMap(
     "JORDANIAN",
     {
-        "h": [_t(1, ["h"], ["E^-2"]), _t(1, ["1"], ["h"])],
-        "v+": [_t(1, ["v+"], ["E^1"]), _t(1, ["1"], ["v+"])],
-        "v-": [
-            _t(1, ["v-"], ["E^-1"]),
-            _t(1, ["1"], ["v-"]),
-            _t(sc.xi_var(), ["h"], ["v+", "E^-2"]),
-        ],
+        "h": [(1, "h", "E^-2"), (1, "1", "h")],
+        "v+": [(1, "v+", "E^1"), (1, "1", "v+")],
+        "v-": [(1, "v-", "E^-1"), (1, "1", "v-"), (sc.xi_var(), "h", ("v+", "E^-2"))],
     },
 )
 
@@ -126,21 +105,21 @@ SUPER_JORDANIAN = CoproductMap(
     "SUPER_JORDANIAN",
     {
         "h": [
-            _t(1, ["h"], ["E^-2"]),
-            _t(1, ["1"], ["h"]),
-            _t(sc.xi_var().scale(4), ["v+", "E^-1"], ["v+", "E^-2"]),
+            (1, "h", "E^-2"),
+            (1, "1", "h"),
+            (sc.xi_var().scale(4), ("v+", "E^-1"), ("v+", "E^-2")),
         ],
-        "v+": [_t(1, ["v+"], ["1"]), _t(1, ["E^1"], ["v+"])],
+        "v+": [(1, "v+", "1"), (1, "E^1", "v+")],
     },
     OSP_RELATIONS[:1],
 )
 
 # the FRT generators' coproducts, F Delta0(x) F^-1 for the composed twist F = F_s F_j
 FRT_COPRODUCTS = {
-    "E": [_t(1, ["E"], ["E"])],
-    "V": [_t(1, ["V"], ["E^-1"]), _t(1, ["1"], ["V"])],
-    "W": [_t(1, ["W"], ["1"]), _t(1, ["E"], ["W"])],
-    "H": [_t(1, ["H"], ["E^-1"]), _t(1, ["E"], ["H"]), _t(-1, ["W"], ["V"])],
+    "E": [(1, "E", "E")],
+    "V": [(1, "V", "E^-1"), (1, "1", "V")],
+    "W": [(1, "W", "1"), (1, "E", "W")],
+    "H": [(1, "H", "E^-1"), (1, "E", "H"), (-1, "W", "V")],
 }
 
 
@@ -151,16 +130,16 @@ FRT_COPRODUCTS = {
 def check_homomorphism(cp, r1, r2):
     """cp.relations, evaluated on the tensor module cp.module(r1, r2)."""
     m = cp.module(r1, r2)
-    checks = [residual_check(name, residual(m)) for name, residual in cp.relations]
-    return Report("homomorphism %s on %s" % (cp.name, spin_text(m.spin)), checks)
+    name = "homomorphism %s on %s" % (cp.name, spin_text(m.spin))
+    return Report(name, check_relations(cp.relations, m))
 
 
 def check_r_intertwines(r_matrix, cp, r):
     """R Delta(x) = Delta^op(x) R for every generator of cp, Delta^op = P Delta P."""
     rep = Report("intertwining %s" % cp.name)
-    p = gflip(r.parity)
+    p, m = gflip(r.parity), cp.module(r, r)
     for g in cp.rules:
-        delta = cp.evaluate(g, r, r)
+        delta = m.image(g)
         residual = r_matrix * delta - conjugate_by_flip(p, delta) * r_matrix
         rep.add(residual_check("R Delta(%s) = Delta_op(%s) R" % (g, g), residual))
     return rep
@@ -204,21 +183,17 @@ def check_cocycle_jordanian(r1, r2, r3):
     return residual_check(name, lhs - rhs)
 
 
-def check_coassociativity_jordanian(r1, r2, r3):
-    """(Delta_j (x) id) Delta_j = (id (x) Delta_j) Delta_j on generators.
+def check_coassociativity(cp, r1, r2, r3):
+    """(Delta (x) id) Delta = (id (x) Delta) Delta on each generator with a rule in cp.
 
-    (Delta_j (x) id) Delta_j(g) is Delta_j(g) on the pair
-    (JORDANIAN.module(r1, r2), r3), and the right side likewise.  gkron
+    (Delta (x) id) Delta(g) is the image of g in the module
+    cp.module(cp.module(r1, r2), r3), and the right side likewise.  gkron
     is associative under the Koszul sign rule, so (A (x) B) (x) C and
     A (x) (B (x) C) are the same matrix.
     """
-    rep = Report("coassociativity of the deformed coproduct")
-    j12 = JORDANIAN.module(r1, r2)
-    j23 = JORDANIAN.module(r2, r3)
-    for g in ("h", "v+", "v-"):
-        residual = JORDANIAN.evaluate(g, j12, r3) - JORDANIAN.evaluate(g, r1, j23)
-        rep.add(residual_check("generator %s" % g, residual))
-    return rep
+    left = cp.module(cp.module(r1, r2), r3)
+    right = cp.module(r1, cp.module(r2, r3))
+    return [residual_check("generator %s" % g, left.image(g) - right.image(g)) for g in cp.rules]
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +221,10 @@ def check_qcoproduct_xplus(r1, r2):
     subalgebra through the deformation.
     """
     rep = Report("even-part cross term")
-    dv = Q_DEFORMED.evaluate("v+", r1, r2)
-    square = dv * dv
-    squares = [_t(1, ["v+", "v+"], ["s^h", "s^h"]), _t(1, ["s^-h", "s^-h"], ["v+", "v+"])]
+    square = Q_DEFORMED.module(r1, r2).image(("v+", "v+"))
+    squares = [(1, ("v+", "v+"), ("s^h", "s^h")), (1, ("s^-h", "s^-h"), ("v+", "v+"))]
     residual = square - evaluate_terms(squares, r1, r2)
-    pattern = evaluate_terms([_t(1, ["v+", "s^-h"], ["v+", "s^h"])], r1, r2)
+    pattern = evaluate_terms([(1, ("v+", "s^-h"), ("v+", "s^h"))], r1, r2)
     # pattern entries are s-monomials, so the first one fixes the coefficient
     first = next(pattern.entries(), None)
     coeff = None if first is None else residual[first[0], first[1]] * sc.inv(first[2])

@@ -89,6 +89,19 @@ class GradedMatrix:
         return GradedMatrix(parity, {(i, i): ONE for i in range(len(parity))})
 
     @staticmethod
+    def linear_combination(parity, terms):
+        """The sum of c * m over the (c, m) terms; a c of 1 or -1 is not scaled."""
+        total = GradedMatrix.zeros(parity)
+        for c, m in terms:
+            if c == 1:
+                total = total + m
+            elif c == -1:
+                total = total - m
+            else:
+                total = total + m.scale(c)
+        return total
+
+    @staticmethod
     def from_entries(parity, entries):
         """entries: {(i, j): Scalar} with 0-based indices; zeros are dropped."""
         n = len(parity)

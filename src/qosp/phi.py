@@ -55,7 +55,7 @@ from fractions import Fraction
 
 from . import _xiseries as xs
 from . import scalar as sc
-from .coproducts import JORDANIAN, SUPER_JORDANIAN, TensorTerm, evaluate_terms
+from .coproducts import JORDANIAN, SUPER_JORDANIAN, evaluate_terms
 from .gmatrix import MatrixError, exp_nilpotent
 from .report import Check, Report
 from .reps import spin_text
@@ -125,7 +125,7 @@ def exponent_from_bilinear(table, r1, r2):
     v u**m is xi**m times the module's cached image of the word v+ X+^m.
     """
     terms = [
-        TensorTerm(sc.xi_var(m + n + 1).scale(-2 * c), ("v+",) + ("X+",) * m, ("v+",) + ("X+",) * n)
+        (sc.xi_var(m + n + 1).scale(-2 * c), ("v+",) + ("X+",) * m, ("v+",) + ("X+",) * n)
         for (m, n), c in table.items()
     ]
     return evaluate_terms(terms, r1, r2)
@@ -148,8 +148,8 @@ class _PairSeries:
 
     def __init__(self, r1, r2, order):
         self.reps, self.dim, self._units = (r1, r2), r1.dim * r2.dim, {}
-        self.dj = xs.from_matrix(JORDANIAN.evaluate("v+", r1, r2), order)
-        self.target = xs.from_matrix(SUPER_JORDANIAN.evaluate("v+", r1, r2), order)
+        self.dj = xs.from_matrix(evaluate_terms(JORDANIAN.rules["v+"], r1, r2), order)
+        self.target = xs.from_matrix(evaluate_terms(SUPER_JORDANIAN.rules["v+"], r1, r2), order)
 
     def exponent(self, table, order):
         """exponent_from_bilinear through xi**order, from units cached per (m, n)."""

@@ -7,8 +7,7 @@ Generators h (even) and v+, v- (odd) obey, with the graded bracket
 
 and the even elements X+- = +-4 v+-**2 complete the sl(2) triple;
 [h, X+] = 2 X+ follows from [h, v+] = v+ (h is even, so [h, v+**2] =
-2 v+**2) and is not checked separately.  OSP_RELATIONS is the one table
-of the three relations.
+2 v+**2) and is not checked separately.
 Every bracket checked on a module has the even h as its first operand,
 so it is the plain commutator h a - a h, and {v+, v-} is written out as
 v+ v- + v- v+; no Koszul sign is picked here (gmatrix.gkron and
@@ -29,9 +28,12 @@ forces the image of X+ to be the single matrix unit E13.  The signs
 demanded by the anticommutation recursion all sit in v-.
 
 Every element of a module is read as Representation.image(word), a
-word being a sequence of atom names (the class docstring lists them);
-one cache per module, keyed by the word tuple, holds each atom and
-each word once built.
+word being an atom name or a sequence of them (the class docstring
+lists the atoms); one cache per module, keyed by the word tuple, holds
+each atom and each word once built.  Every identity is a word sum, a
+table of (coeff, word) terms read by Representation.word_sum: the
+relations OSP_RELATIONS and LT_RELATIONS (check_relations checks each
+entry) and the atoms X+, H, V and W (DEFINED_ATOMS).
 """
 
 from __future__ import annotations
@@ -45,15 +47,47 @@ from .report import Report
 
 SUPPORTED_SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
-# the defining relations of osp(1|2): name -> residual in a module m
+XI = sc.xi_var()
+
+# the defining relations of osp(1|2), each a word sum that is zero in a module
 OSP_RELATIONS = (
-    ("[h, v+] = v+", lambda m: m.h * m.v_plus - m.v_plus * m.h - m.v_plus),
-    ("[h, v-] = -v-", lambda m: m.h * m.v_minus - m.v_minus * m.h + m.v_minus),
-    (
-        "{v+, v-} = -h/4",
-        lambda m: m.v_plus * m.v_minus + m.v_minus * m.v_plus + m.h.scale(Fraction(1, 4)),
-    ),
+    ("[h, v+] = v+", ((1, ("h", "v+")), (-1, ("v+", "h")), (-1, "v+"))),
+    ("[h, v-] = -v-", ((1, ("h", "v-")), (-1, ("v-", "h")), (1, "v-"))),
+    ("{v+, v-} = -h/4", ((1, ("v+", "v-")), (1, ("v-", "v+")), (Fraction(1, 4), "h"))),
 )
+
+# the defining relations of the FRT generator algebra; E^2 is the word (E, E)
+LT_RELATIONS = (
+    ("[E, V] = 0", ((1, ("E", "V")), (-1, ("V", "E")))),
+    ("[E, W] = 0", ((1, ("E", "W")), (-1, ("W", "E")))),
+    ("[H, E] = xi (E^2 - 1)", ((1, ("H", "E")), (-1, ("E", "H")), (-XI, ("E", "E")), (XI, "1"))),
+    (
+        "[H, V] = xi (V (E^-1 - E) - W)",
+        ((1, ("H", "V")), (-1, ("V", "H")), (-XI, ("V", "E^-1")), (XI, ("V", "E")), (XI, "W")),
+    ),
+    ("[V, V] = xi (1 - E^-2)", ((2, ("V", "V")), (-XI, "1"), (XI, ("E^-1", "E^-1")))),
+    ("[W, W] = xi (E^2 - 1)", ((2, ("W", "W")), (-XI, ("E", "E")), (XI, "1"))),
+    ("V W + W V = -xi (E - E^-1)", ((1, ("V", "W")), (1, ("W", "V")), (XI, "E"), (-XI, "E^-1"))),
+    (
+        "V^2 + W^2 = (xi/2) (E^2 - E^-2)",
+        (
+            (1, ("V", "V")),
+            (1, ("W", "W")),
+            (XI.scale(Fraction(-1, 2)), ("E", "E")),
+            (XI.scale(Fraction(1, 2)), ("E^-1", "E^-1")),
+        ),
+    ),
+    ("V = -W E^-1", ((1, "V"), (1, ("W", "E^-1")))),
+    ("xi (E^2 - 1) = 2 W^2", ((XI, ("E", "E")), (-XI, "1"), (-2, ("W", "W")))),
+)
+
+# the atoms that are word sums of other words
+DEFINED_ATOMS = {
+    "X+": ((4, ("v+", "v+")),),
+    "H": ((XI, ("h", "E^1")), ((XI * XI).scale(-2), ("v+", "v+", "E^-1"))),
+    "V": ((XI.scale(-2), ("v+", "E^-1")),),
+    "W": ((XI.scale(2), "v+"),),
+}
 
 
 class RepresentationError(ValueError):
@@ -65,8 +99,8 @@ class Representation:
 
     irrep() verifies the spin-j modules it builds.  CoproductMap.module
     builds tensor modules, unverified, with the pair of spins as spin;
-    v_minus is None when the coproduct has no image of v-.  The atoms a
-    word is spelled in, each built once from the words that define it:
+    v_minus is None, and v- refused, when the coproduct has no image of
+    v-.  The atoms, each built once (X+, H, V, W from DEFINED_ATOMS):
 
         1, h, v+, v-     the identity and the module's data
         X+               4 (v+ v+)
@@ -89,8 +123,8 @@ class Representation:
 
     def verify(self):
         """Raise RepresentationError naming the first relation this module breaks."""
-        for name, residual in OSP_RELATIONS:
-            if not residual(self).is_zero():
+        for name, terms in OSP_RELATIONS:
+            if not self.word_sum(terms).is_zero():
                 raise RepresentationError("relation %s fails" % name)
 
     def image(self, word):
@@ -108,28 +142,27 @@ class Representation:
                 self._cache[word] = self.image(word[:-1]) * self.image(word[-1])
         return self._cache[word]
 
+    def word_sum(self, terms):
+        """The sum of c * image(word) over the (c, word) terms."""
+        return GradedMatrix.linear_combination(self.parity, ((c, self.image(w)) for c, w in terms))
+
     def _atom(self, atom):
-        xi = sc.xi_var()
         data = {"1": self.identity, "h": self.h, "v+": self.v_plus, "v-": self.v_minus}
         if atom in data:
+            if data[atom] is None:
+                raise RepresentationError(
+                    "module %s has no image of %s" % (spin_text(self.spin), atom)
+                )
             return data[atom]
-        if atom == "X+":
-            return self.image(("v+", "v+")).scale(4)
+        if atom in DEFINED_ATOMS:
+            return self.word_sum(DEFINED_ATOMS[atom])
         if atom == "sigma":
-            u = self.identity + self.image("X+").scale(xi.scale(2))
+            u = self.identity + self.image("X+").scale(XI.scale(2))
             return log_unipotent(u).scale(Fraction(1, 2))
         if atom == "E":
             return self.image("E^1")
         if atom.startswith("E^") and atom[2:].lstrip("-").isdigit():
             return exp_nilpotent(self.image("sigma").scale(int(atom[2:])))
-        if atom == "H":
-            return self.image(("h", "E^1")).scale(xi) - self.image(("v+", "v+", "E^-1")).scale(
-                (xi * xi).scale(2)
-            )
-        if atom == "V":
-            return self.image(("v+", "E^-1")).scale(xi.scale(-2))
-        if atom == "W":
-            return self.v_plus.scale(xi.scale(2))
         if atom in ("s^h", "s^-h"):
             if any(i != j for i, j, _ in self.h.entries()):
                 raise RepresentationError("s**h needs a diagonal h")
@@ -207,32 +240,11 @@ def lplus_matrix(r):
     return GradedMatrix.from_entries(kron_parity(fundamental_rep().parity, r.parity), entries)
 
 
+def check_relations(relations, m):
+    """One residual check per (name, word sum) entry: the word sum is zero in m."""
+    return [residual_check(name, m.word_sum(terms)) for name, terms in relations]
+
+
 def check_lt_relations(r):
     """All defining relations of the FRT generator algebra, in module r."""
-    xi = sc.xi_var()
-    cap_h, e, v, w, ident, e_inv = map(r.image, ("H", "E", "V", "W", "1", "E^-1"))
-    e2 = e * e
-    e_inv2 = e_inv * e_inv
-
-    rel = [
-        ("[E, V] = 0", e * v - v * e),
-        ("[E, W] = 0", e * w - w * e),
-        ("[H, E] = xi (E^2 - 1)", cap_h * e - e * cap_h - (e2 - ident).scale(xi)),
-        (
-            "[H, V] = xi (V (E^-1 - E) - W)",
-            cap_h * v - v * cap_h - (v * (e_inv - e) - w).scale(xi),
-        ),
-        ("[V, V] = xi (1 - E^-2)", (v * v).scale(2) - (ident - e_inv2).scale(xi)),
-        ("[W, W] = xi (E^2 - 1)", (w * w).scale(2) - (e2 - ident).scale(xi)),
-        ("V W + W V = -xi (E - E^-1)", v * w + w * v + (e - e_inv).scale(xi)),
-        (
-            "V^2 + W^2 = (xi/2) (E^2 - E^-2)",
-            v * v + w * w - (e2 - e_inv2).scale(xi.scale(Fraction(1, 2))),
-        ),
-        ("V = -W E^-1", v + w * e_inv),
-        ("xi (E^2 - 1) = 2 W^2", (e2 - ident).scale(xi) - (w * w).scale(2)),
-    ]
-    return Report(
-        "lt-relations spin %s" % spin_text(r.spin),
-        [residual_check(name, residual) for name, residual in rel],
-    )
+    return Report("lt-relations spin %s" % spin_text(r.spin), check_relations(LT_RELATIONS, r))

@@ -11,9 +11,9 @@ coproduct of a word, computed in qosp as its image in
 JORDANIAN.module(r1, r2), is checked against.
 """
 
-from qosp.coproducts import JORDANIAN, TensorTerm
+from qosp.coproducts import JORDANIAN
 from qosp.gmatrix import GradedMatrix, kron_parity
-from qosp.scalar import ONE
+from qosp.scalar import ONE, Scalar, rational
 
 # rule -> odd exponent of the sign for A[i,j] B[x,y], given the parities
 _SIGN = {
@@ -40,28 +40,33 @@ def gkron_rule(a, b, rule):
 _ATOM_PARITY = {"1": 0, "h": 0, "v+": 1, "v-": 1, "X+": 0, "s^h": 0, "s^-h": 0}
 
 
-def word_parity(word):
-    return sum(0 if a.startswith("E^") else _ATOM_PARITY[a] for a in word) % 2
+def as_word(w):
+    """A word as the tuple of its atoms; an atom name is a word of one atom."""
+    return (w,) if isinstance(w, str) else tuple(w)
+
+
+def word_parity(w):
+    return sum(0 if a.startswith("E^") else _ATOM_PARITY[a] for a in as_word(w)) % 2
 
 
 def tensor_product(terms1, terms2):
     """(a (x) b)(c (x) d) = (-1)**(p(b)p(c)) (ac (x) bd), term by term."""
     out = []
-    for t1 in terms1:
-        for t2 in terms2:
-            coeff = t1.coeff * t2.coeff
-            if word_parity(t1.right) * word_parity(t2.left):
+    for c1, left1, right1 in terms1:
+        for c2, left2, right2 in terms2:
+            coeff = c1 * (c2 if isinstance(c2, Scalar) else rational(c2))
+            if word_parity(right1) * word_parity(left2):
                 coeff = -coeff
-            out.append(TensorTerm(coeff, t1.left + t2.left, t1.right + t2.right))
+            out.append((coeff, as_word(left1) + as_word(left2), as_word(right1) + as_word(right2)))
     return out
 
 
-def formal_delta_j_word(word):
+def formal_delta_j_word(w):
     """Formal JORDANIAN coproduct of a product of atoms; 1 and E^k are grouplike."""
-    terms = [TensorTerm(ONE, [], [])]
-    for atom in word:
+    terms = [(ONE, (), ())]
+    for atom in as_word(w):
         if atom == "1" or atom.startswith("E^"):
-            rule = [TensorTerm(ONE, [atom], [atom])]
+            rule = [(ONE, atom, atom)]
         else:
             rule = JORDANIAN.rules[atom]
         terms = tensor_product(terms, rule)

@@ -1,20 +1,20 @@
 """Hopf-level checks: homomorphisms, twists, intertwining, cocycle."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from koszul_rules import formal_delta_j_word, gkron_rule
+from koszul_rules import as_word, formal_delta_j_word, gkron_rule
 from qosp import scalar as sc
 from qosp.coproducts import (
     CLASSICAL,
     JORDANIAN,
     Q_DEFORMED,
     SUPER_JORDANIAN,
-    TensorTerm,
+    check_coassociativity,
     check_cocycle_jordanian,
-    check_coassociativity_jordanian,
     check_homomorphism,
     check_r_intertwines,
     check_twist_produces,
@@ -32,6 +32,7 @@ from qosp.reps import (
     irrep,
 )
 from qosp.scalar import ONE, ZERO, rational
+from relation_oracle import osp_residuals, q_anticommutator_residual
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +62,8 @@ def test_q_deformed_homomorphism(fund):
 def test_q_deformed_homomorphism_fails_on_a_perturbed_v_minus_rule(monkeypatch, fund):
     """Doubling the v- (x) s^h term keeps [h, v-] = -v- (it is linear in v-)
     and breaks the q-anticommutator, which reports the residual's entries."""
-    first, second = Q_DEFORMED.rules["v-"]
-    doubled = TensorTerm(first.coeff.scale(2), first.left, first.right)
-    monkeypatch.setitem(Q_DEFORMED.rules, "v-", [doubled, second])
+    (coeff, left, right), second = Q_DEFORMED.rules["v-"]
+    monkeypatch.setitem(Q_DEFORMED.rules, "v-", [(2 * coeff, left, right), second])
     rep = check_homomorphism(Q_DEFORMED, fund, fund)
     assert [(c.name, c.passed) for c in rep.checks] == [
         ("[h, v+] = v+", True),
@@ -80,9 +80,38 @@ def test_super_jordanian_borel_homomorphism(fund):
     assert [(c.name, c.passed) for c in rep.checks] == [("[h, v+] = v+", True)]
 
 
+def test_module_without_v_minus_names_the_missing_image(fund):
+    module = SUPER_JORDANIAN.module(fund, fund)
+    message = re.escape("module (1/2, 1/2) has no image of v-")
+    with pytest.raises(RepresentationError, match=message):
+        module.image(("h", "v-"))
+    with pytest.raises(RepresentationError, match=message):
+        module.verify()
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["rules", "doubled_v_minus"])
+def test_q_relations_match_the_written_out_residuals(monkeypatch, fund, spin1, doubled):
+    """Q_DEFORMED.relations, entry for entry, against the hand-written residuals.
+
+    The spin-1 irrep and the module with the v- (x) s^h term doubled
+    break the q-anticommutator, so a dropped or mistyped term shows.
+    """
+    if doubled:
+        (coeff, left, right), second = Q_DEFORMED.rules["v-"]
+        monkeypatch.setitem(Q_DEFORMED.rules, "v-", [(2 * coeff, left, right), second])
+    modules = [Q_DEFORMED.module(fund, fund)] + ([] if doubled else [spin1])
+    for m in modules:
+        q_name = "{v+, v-} = -(q^h - q^-h)/(4 omega)"
+        written = osp_residuals(m)[:2] + [(q_name, q_anticommutator_residual(m))]
+        assert [n for n, _ in Q_DEFORMED.relations] == [n for n, _ in written]
+        for (n, terms), (_, residual) in zip(Q_DEFORMED.relations, written):
+            assert m.word_sum(terms) == residual, n
+    assert not q_anticommutator_residual(modules[-1]).is_zero()
+
+
 def test_jordanian_vminus_rule_details(fund):
     # the deformed v- rule carries the extra xi h (x) v+ e^{-2 sigma} term
-    img = JORDANIAN.evaluate("v-", fund, fund)
+    img = JORDANIAN.module(fund, fund).image("v-")
     classical = evaluate_terms(CLASSICAL.rules["v-"], fund, fund)
     diff = img - classical
     assert not diff.is_zero()
@@ -169,7 +198,8 @@ def test_conjugation_preserves_relations_meta(fund, spin1):
                     entries[(i, j)] = xi.scale(rng.randint(-2, 2))
         f = GradedMatrix.from_entries(parity, entries)
         f_inv = inverse(f)
-        dh, dvp, dvm = (f * CLASSICAL.evaluate(g, fund, r2) * f_inv for g in ("h", "v+", "v-"))
+        module = CLASSICAL.module(fund, r2)
+        dh, dvp, dvm = (f * module.image(g) * f_inv for g in ("h", "v+", "v-"))
         assert (dh * dvp - dvp * dh - dvp).is_zero()
         assert (dh * dvm - dvm * dh + dvm).is_zero()
         assert (dvp * dvm + dvm * dvp + dh.scale(Fraction(1, 4))).is_zero()
@@ -188,17 +218,29 @@ def test_cocycle_identity_twist_trivial(fund):
 
 
 def test_coassociativity(fund):
-    assert check_coassociativity_jordanian(fund, fund, fund).passed
+    assert all(c.passed for c in check_coassociativity(JORDANIAN, fund, fund, fund))
+
+
+@pytest.mark.parametrize("spins", ["1/2,1/2,1/2", "1/2,1,1/2"])
+@pytest.mark.parametrize(
+    "cp", [CLASSICAL, Q_DEFORMED, JORDANIAN, SUPER_JORDANIAN], ids=lambda cp: cp.name
+)
+def test_every_coproduct_map_is_coassociative(cp, spins):
+    """SUPER_JORDANIAN has rules for h and v+ only; every other map for all three."""
+    r1, r2, r3 = (irrep(Fraction(s)) for s in spins.split(","))
+    checks = check_coassociativity(cp, r1, r2, r3)
+    gens = ["h", "v+"] if cp is SUPER_JORDANIAN else ["h", "v+", "v-"]
+    assert [(c.name, c.passed) for c in checks] == [("generator %s" % g, True) for g in gens]
 
 
 def test_coassociativity_fails_when_e_is_not_grouplike(monkeypatch, fund):
     """With Delta(v+) = v+ (x) E^2 + 1 (x) v+ the coproduct of E is no longer
     E (x) E, and coassociativity fails on every generator: the check derives
     the coproduct of E^k from that of v+ instead of assuming it."""
-    v_plus_e2 = [TensorTerm(ONE, ["v+"], ["E^2"]), JORDANIAN.rules["v+"][1]]
+    v_plus_e2 = [(1, "v+", "E^2"), JORDANIAN.rules["v+"][1]]
     monkeypatch.setitem(JORDANIAN.rules, "v+", v_plus_e2)
-    rep = check_coassociativity_jordanian(fund, fund, fund)
-    assert [c.passed for c in rep.checks] == [False, False, False]
+    checks = check_coassociativity(JORDANIAN, fund, fund, fund)
+    assert [c.passed for c in checks] == [False, False, False]
 
 
 def test_s_power_h_needs_a_diagonal_h(fund, spin1):
@@ -239,7 +281,7 @@ def test_word_coproduct_matches_formal_expansion(request, fund, second):
     atoms are where the Koszul sign (-1)**(p(b)p(c)) is met.
     """
     r2 = request.getfixturevalue(second)
-    words = {tuple(w) for terms in JORDANIAN.rules.values() for t in terms for w in (t.left, t.right)}
+    words = {as_word(w) for terms in JORDANIAN.rules.values() for _, *pair in terms for w in pair}
     words |= {("v+", "v-"), ("v-", "v+", "h"), ("v+", "E^1", "v+"), ("h", "v-", "E^-2", "v-")}
     module = JORDANIAN.module(fund, r2)
     for word in sorted(words):
@@ -253,8 +295,8 @@ def test_coassociativity_reads_the_coproduct_table(monkeypatch, fund):
     which is coassociative."""
     for g in JORDANIAN.rules:
         monkeypatch.setitem(JORDANIAN.rules, g, CLASSICAL.rules[g])
-    rep = check_coassociativity_jordanian(fund, fund, fund)
-    assert [c.passed for c in rep.checks] == [True, True, True]
+    checks = check_coassociativity(JORDANIAN, fund, fund, fund)
+    assert [c.passed for c in checks] == [True, True, True]
 
 
 def test_unknown_generator_atom_rejected(fund):
@@ -268,7 +310,7 @@ def test_homomorphism_failure_names_its_entries(fund):
     """A stray even entry (1, 3) in v+: each check lists its residual's nonzeros."""
     stray = GradedMatrix.from_entries(fund.parity, {(0, 2): rational(3)})
     bad = Representation(fund.spin, fund.h, fund.v_plus + stray, fund.v_minus, fund.parity)
-    dh, dvp, dvm = (CLASSICAL.evaluate(g, bad, fund) for g in ("h", "v+", "v-"))
+    dh, dvp, dvm = map(CLASSICAL.module(bad, fund).image, ("h", "v+", "v-"))
     residuals = {
         "[h, v+] = v+": dh * dvp - dvp * dh - dvp,
         "[h, v-] = -v-": dh * dvm - dvm * dh + dvm,

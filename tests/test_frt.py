@@ -8,7 +8,6 @@ from qosp import scalar as sc
 from qosp.coproducts import (
     FRT_COPRODUCTS,
     Q_DEFORMED,
-    TensorTerm,
     check_qcoproduct_xplus,
     check_twist_produces,
     frt_check,
@@ -113,7 +112,7 @@ def test_qcoproduct_cross_term_rejects_non_proportional_residual(monkeypatch):
     monkeypatch.setitem(
         Q_DEFORMED.rules,
         "v+",
-        [TensorTerm(sc.ONE, ["v+"], ["s^h"]), TensorTerm(sc.rational(2), ["s^-h"], ["v+"])],
+        [(1, "v+", "s^h"), (2, "s^-h", "v+")],
     )
     rep = check_qcoproduct_xplus(f, f)
     assert not rep.passed

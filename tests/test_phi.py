@@ -100,9 +100,9 @@ def test_coproduct_tables_match_hand_written_formulas():
                 + gkron(r1.identity, r2.v_minus)
                 + gkron(r1.h, r2.v_plus * r2.image("E^-2")).scale(xi)
             )
-            assert JORDANIAN.evaluate("v+", r1, r2) == dj_vplus, (a, b)
-            assert SUPER_JORDANIAN.evaluate("v+", r1, r2) == dsj_vplus, (a, b)
-            assert JORDANIAN.evaluate("v-", r1, r2) == dj_vminus, (a, b)
+            assert JORDANIAN.module(r1, r2).image("v+") == dj_vplus, (a, b)
+            assert SUPER_JORDANIAN.module(r1, r2).image("v+") == dsj_vplus, (a, b)
+            assert JORDANIAN.module(r1, r2).image("v-") == dj_vminus, (a, b)
 
 
 def test_solver_reads_the_coproduct_table(monkeypatch, fund, spin1):
@@ -233,8 +233,8 @@ def _finite_difference_shell_equations(known_bilinear, shell, r1, r2, order):
     series with one unknown raised by 1.  The residual is affine in the
     unknowns, so the unit step is exact.
     """
-    dj = JORDANIAN.evaluate("v+", r1, r2)
-    target = SUPER_JORDANIAN.evaluate("v+", r1, r2)
+    dj = JORDANIAN.module(r1, r2).image("v+")
+    target = SUPER_JORDANIAN.module(r1, r2).image("v+")
 
     def residual_with(extra):
         bil = dict(known_bilinear)
@@ -356,7 +356,7 @@ def test_twisted_vminus_module_agrees_with_twist_check(tables, table, spins, pas
     f = f_s * f_jordanian(r1, r2)
     twist = check_twist_produces(f, SUPER_JORDANIAN.rules, r1, r2)
     typed = SUPER_JORDANIAN.module(r1, r2)
-    v_minus = f * CLASSICAL.evaluate("v-", r1, r2) * inverse(f)
+    v_minus = f * CLASSICAL.module(r1, r2).image("v-") * inverse(f)
     module = Representation(typed.spin, typed.h, typed.v_plus, v_minus, typed.parity)
     if passes:
         module.verify()
@@ -369,7 +369,7 @@ def test_twisted_vminus_module_agrees_with_twist_check(tables, table, spins, pas
     dj_without = gkron(r1.v_minus, r2.image("E^-1")) + gkron(r1.identity, r2.v_minus)
     diff = xi_coefficient(v_minus - f_s * dj_without * inverse(f_s), 1)
     assert diff == xi_coefficient(gkron(r1.h, r2.v_plus * r2.image("E^-2")), 0)
-    assert v_minus.substitute({"xi": sc.ZERO}) == CLASSICAL.evaluate("v-", r1, r2)
+    assert v_minus.substitute({"xi": sc.ZERO}) == CLASSICAL.module(r1, r2).image("v-")
 
 
 def test_dsj_vminus_exact_fundamental(fund):
@@ -377,9 +377,9 @@ def test_dsj_vminus_exact_fundamental(fund):
     f_super_fund(), so F Delta0(v-) F^-1 is the same exact matrix either way
     and completes the typed h and v+ to an osp(1|2) module."""
     f = build_f_super(f1_table(), fund, fund) * f_jordanian(fund, fund)
-    v_minus = f * CLASSICAL.evaluate("v-", fund, fund) * inverse(f)
+    v_minus = f * CLASSICAL.module(fund, fund).image("v-") * inverse(f)
     k = f_super_fund() * f_jordanian(fund, fund)
-    assert v_minus == k * CLASSICAL.evaluate("v-", fund, fund) * inverse(k)
+    assert v_minus == k * CLASSICAL.module(fund, fund).image("v-") * inverse(k)
     typed = SUPER_JORDANIAN.module(fund, fund)
     Representation(typed.spin, typed.h, typed.v_plus, v_minus, typed.parity).verify()
 
@@ -392,7 +392,7 @@ def test_dsj_vminus_order_one_structure(fund):
     """
     f_s = build_f_super(f1_table(), fund, fund)
     f = f_s * f_jordanian(fund, fund)
-    v_minus = f * CLASSICAL.evaluate("v-", fund, fund) * inverse(f)
+    v_minus = f * CLASSICAL.module(fund, fund).image("v-") * inverse(f)
     without = gkron(fund.v_minus, fund.image("E^-1")) + gkron(fund.identity, fund.v_minus)
     diff = xi_coefficient(v_minus - f_s * without * inverse(f_s), 1)
     assert diff == xi_coefficient(gkron(fund.h, fund.v_plus * fund.image("E^-2")), 0)

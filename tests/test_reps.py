@@ -9,12 +9,16 @@ import pytest
 from qosp import scalar as sc
 from qosp.gmatrix import GradedMatrix, exp_nilpotent, inverse
 from qosp.reps import (
+    DEFINED_ATOMS,
+    LT_RELATIONS,
+    OSP_RELATIONS,
     Representation,
     RepresentationError,
     check_lt_relations,
     fundamental_rep,
     irrep,
 )
+from relation_oracle import defined_atoms, lt_residuals, osp_residuals
 from qosp.scalar import ONE, ZERO, rational
 
 
@@ -227,3 +231,61 @@ def test_e_inverse_two_ways():
         r = irrep(spin)
         series = exp_nilpotent(r.image("sigma").scale(-1))
         assert series == inverse(r.image("E^1"))
+
+
+def _stray(slot):
+    """The fundamental with a stray entry 3 in v+ at (1, 3) or in v- at (3, 1)."""
+    f = fundamental_rep()
+    v_plus, v_minus = f.v_plus, f.v_minus
+    if slot == "v+":
+        v_plus = v_plus + GradedMatrix.from_entries(f.parity, {(0, 2): rational(3)})
+    else:
+        v_minus = v_minus + GradedMatrix.from_entries(f.parity, {(2, 0): rational(3)})
+    return Representation(f.spin, f.h, v_plus, v_minus, f.parity)
+
+
+@pytest.mark.parametrize("slot", ["v+", "v-"])
+def test_word_sum_tables_match_the_written_out_relations(slot):
+    """Each table entry is the hand-written residual, also where it is nonzero.
+
+    On a good module every residual is zero, so only a module that breaks
+    the relations can tell a dropped or mistyped term; the stray v+ entry
+    breaks [h, v+], {v+, v-} and [H, V], the stray v- entry [h, v-] and
+    {v+, v-}.
+    """
+    m = _stray(slot)
+    for table, reference in ((OSP_RELATIONS, osp_residuals), (LT_RELATIONS, lt_residuals)):
+        written = reference(m)
+        assert [n for n, _ in table] == [n for n, _ in written]
+        for (n, terms), (_, residual) in zip(table, written):
+            assert m.word_sum(terms) == residual, (slot, n)
+    broken = {n for n, residual in osp_residuals(m) + lt_residuals(m) if not residual.is_zero()}
+    assert broken == {
+        "v+": {"[h, v+] = v+", "{v+, v-} = -h/4", "[H, V] = xi (V (E^-1 - E) - W)"},
+        "v-": {"[h, v-] = -v-", "{v+, v-} = -h/4"},
+    }[slot]
+
+
+@pytest.mark.parametrize("module", [fundamental_rep, lambda: _stray("v+")], ids=["fund", "v+"])
+def test_defined_atoms_match_the_written_out_atoms(module):
+    m = module()
+    written = defined_atoms(m)
+    assert sorted(DEFINED_ATOMS) == sorted(n for n, _ in written)
+    for atom, value in written:
+        assert m.word_sum(DEFINED_ATOMS[atom]) == value, atom
+        assert m.image(atom) == value, atom
+
+
+def test_word_sum_scales_only_other_coefficients(monkeypatch):
+    """A coefficient of 1 or -1 adds or subtracts the cached image without scale."""
+    r = irrep(1)
+    x, vv = r.image("X+"), r.image(("v+", "v+"))
+    diff, mixed = x - vv, vv.scale(Fraction(-7, 2))
+    scaled = []
+    plain_scale = GradedMatrix.scale
+    monkeypatch.setattr(GradedMatrix, "scale", lambda m, c: scaled.append(c) or plain_scale(m, c))
+    assert r.word_sum([(1, "X+"), (-1, ("v+", "v+"))]) == diff
+    assert scaled == []
+    assert r.word_sum([(-1, "X+"), (Fraction(1, 2), ("v+", "v+"))]) == mixed
+    assert scaled == [Fraction(1, 2)]
+    assert r.word_sum([]) == GradedMatrix.zeros(r.parity)
