@@ -7,6 +7,10 @@ Ground rules for every value handled by this package:
 * numerators are Laurent polynomials in s and polynomials in theta and
   xi, over the rationals -- a power of s, negative or not, is a
   numerator monomial, never a denominator;
+* a stored coefficient is an ``int`` when it is integral and a
+  ``Fraction`` (denominator > 1) only when it is not, so the mostly
+  integral arithmetic of the checks runs on ints; ``int`` and
+  ``Fraction`` compare, hash and print alike, and no float is stored;
 * denominators are monic polynomials in s alone with a nonzero constant
   term, i.e. coprime to s -- theta and xi never occur in a denominator
   of any construction built downstream;
@@ -39,7 +43,16 @@ VARS = ("s", "theta", "xi")
 
 
 # ---------------------------------------------------------------------------
-# polynomial layer: dict mapping (e_s, e_theta, e_xi) -> Fraction
+# polynomial layer: dict mapping (e_s, e_theta, e_xi) -> int or Fraction
+
+
+def _coeff(c):
+    """c in stored form: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Poly:
@@ -52,12 +65,12 @@ class Poly:
 
     @staticmethod
     def const(c):
-        c = Fraction(c)
+        c = _coeff(c)
         return Poly({(0, 0, 0): c} if c else {})
 
     @staticmethod
     def monomial(c, es=0, eth=0, exi=0):
-        c = Fraction(c)
+        c = _coeff(c)
         if eth < 0 or exi < 0:
             raise ScalarError("Poly stores nonnegative theta and xi exponents only")
         return Poly({(es, eth, exi): c} if c else {})
@@ -69,7 +82,7 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and (0, 0, 0) in self.terms)
 
     def const_value(self):
-        return self.terms.get((0, 0, 0), _FR0)
+        return Fraction(self.terms.get((0, 0, 0), 0))
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
@@ -80,9 +93,9 @@ class Poly:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, _FR0) + c
+            v = out.get(k, 0) + c
             if v:
-                out[k] = v
+                out[k] = _coeff(v)
             else:
                 out.pop(k, None)
         return Poly(out)
@@ -106,14 +119,14 @@ class Poly:
                     if not w:
                         del out[k]
                         continue
-                out[k] = w
+                out[k] = _coeff(w)
         return Poly(out)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return Poly()
-        return Poly({k: v * c for k, v in self.terms.items()})
+        return Poly({k: _coeff(v * c) for k, v in self.terms.items()})
 
     def shift_s(self, n):
         """Multiply by s**n (n may be negative)."""
@@ -135,9 +148,9 @@ class Poly:
         out = {}
         for (a, b, c), v in self.terms.items():
             k = (0, b, c)
-            w = out.get(k, _FR0) + v
+            w = out.get(k, 0) + v
             if w:
-                out[k] = w
+                out[k] = _coeff(w)
             else:
                 out.pop(k, None)
         return Poly(out)
@@ -145,13 +158,13 @@ class Poly:
     # -- univariate-in-s helpers (used for gcd with denominators) ---------
 
     def s_groups(self):
-        """Group terms by (e_theta, e_xi); each value is a dense s-list.
+        """Group terms by (e_theta, e_xi); each value is a dense s-list of Fractions.
 
         Needs nonnegative s exponents.
         """
         groups = {}
         for (a, b, c), v in self.terms.items():
-            groups.setdefault((b, c), {})[a] = v
+            groups.setdefault((b, c), {})[a] = Fraction(v)
         out = {}
         for key, m in groups.items():
             deg = max(m)
@@ -159,7 +172,7 @@ class Poly:
         return out
 
     def to_dense_s(self):
-        """Dense s-list of a univariate polynomial; needs s exponents >= 0."""
+        """Dense s-list of Fractions of a univariate polynomial; needs s exponents >= 0."""
         if not self.is_s_only():
             raise ScalarError("polynomial is not univariate in s")
         if not self.terms:
@@ -167,12 +180,12 @@ class Poly:
         deg = max(k[0] for k in self.terms)
         dense = [_FR0] * (deg + 1)
         for (a, _, _), v in self.terms.items():
-            dense[a] = v
+            dense[a] = Fraction(v)
         return dense
 
     @staticmethod
     def from_dense_s(dense):
-        return Poly({(i, 0, 0): c for i, c in enumerate(dense) if c})
+        return Poly({(i, 0, 0): _coeff(c) for i, c in enumerate(dense) if c})
 
 
 def _dense_trim(u):
@@ -220,7 +233,7 @@ def _poly_divexact_s(p, dense):
             raise ScalarError("inexact division by s-polynomial")
         for i, coeff in enumerate(q):
             if coeff:
-                out[(i + low, b, c)] = coeff
+                out[(i + low, b, c)] = _coeff(coeff)
     return Poly(out)
 
 
@@ -248,7 +261,6 @@ class Scalar:
 
     @staticmethod
     def from_fraction(c):
-        c = Fraction(c)
         return Scalar(Poly.const(c), _P_ONE, _normalized=True)
 
     @staticmethod
@@ -335,10 +347,10 @@ class Scalar:
         return out
 
     def scale(self, c):
-        c = Fraction(c)
-        if not c:
+        num = self.num.scale(c)
+        if num.is_zero():
             return ZERO
-        return Scalar(self.num.scale(c), self.den, _normalized=True)
+        return Scalar(num, self.den, _normalized=True)
 
     # -- structure queries ---------------------------------------------------
 
@@ -391,7 +403,7 @@ ONE = Scalar.from_fraction(1)
 
 
 def rational(c):
-    return Scalar.from_fraction(Fraction(c))
+    return Scalar.from_fraction(c)
 
 
 def s_var(power=1):

@@ -5,8 +5,11 @@ are coprime to s, and clears them back into the denominator only to print.
 This is the earlier reduction, with polynomial numerators only: the
 denominator carries every power of s, its s-content is cancelled against
 the numerator's, and Euclid runs on the rest.  The tests compare the text
-of qosp.scalar.format_scalar against format_fraction here.
+of qosp.scalar.format_scalar against format_fraction here, and check the
+stored form of every coefficient with stored_form.
 """
+
+from fractions import Fraction
 
 from qosp.scalar import (
     _FR1,
@@ -79,3 +82,12 @@ def format_fraction(num, den):
     if den == _P_ONE:
         return format_poly(num)
     return "(%s) / (%s)" % (format_poly(num), format_poly(den))
+
+
+def stored_form(a):
+    """True when every coefficient of the Scalar a is an int or a non-integral Fraction."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        for poly in (a.num, a.den)
+        for c in poly.terms.values()
+    )

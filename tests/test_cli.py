@@ -21,8 +21,9 @@ from qosp.matrices import (
     named_matrix,
     transform_r,
 )
-from qosp.reps import Representation, irrep
+from qosp.reps import SUPPORTED_SPINS, Representation, irrep
 from qosp.scalar import format_scalar, parse_scalar
+from scalar_oracle import stored_form
 
 
 def run_cli(args, capsys):
@@ -453,3 +454,17 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_kernel_entry_keeps_the_stored_coefficient_form(capsys):
+    """After the verify workloads, every cached module element and named matrix
+    stores an int or a non-integral Fraction in each coefficient, never a float."""
+    assert run_cli(["verify", "--suite", "all", "--json"], capsys)[0] == 0
+    assert run_cli(["verify", "--suite", "frt", "--spins", "1/2,1,3/2,2"], capsys)[0] == 0
+    matrices = [kr_rmatrix(), transform_r(), contract_r(), f_super_fund()]
+    for spin in SUPPORTED_SPINS:
+        rep = irrep(spin)
+        matrices += [rep.h, rep.v_plus, rep.v_minus, *rep._cache.values()]
+    entries = [v for m in matrices for _, _, v in m.entries()]
+    assert len(matrices) > 50 and len(entries) > 1000
+    assert all(stored_form(v) for v in entries)

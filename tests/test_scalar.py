@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qosp import scalar as sc
 from qosp.scalar import ONE, ZERO, Scalar, ScalarError, rational
-from scalar_oracle import format_fraction
+from scalar_oracle import format_fraction, stored_form
 from xi_oracle import drop_xi_above, poly_drop_xi_above, xi_coefficient
 
 
@@ -287,3 +287,66 @@ def test_a_factor_equal_to_one_is_shared():
     b = ONE / (sc.s_var() + ONE)
     assert b.den != sc.Poly.const(1)
     assert one * b == b and b * one == b
+
+
+def test_as_fraction_and_const_value_are_fractions():
+    """Integral coefficients are stored as ints; these two read them as Fractions."""
+    assert rational(3).num.terms == {(0, 0, 0): 3}
+    assert type(rational(3).num.terms[(0, 0, 0)]) is int
+    for value in (rational(3).as_fraction(), ZERO.num.const_value()):
+        assert type(value) is Fraction
+    assert rational(3).as_fraction() == 3 and ZERO.num.const_value() == 0
+
+
+# polynomials built the way the package builds them, through Poly.monomial and +
+_STORED_POLYS = st.lists(
+    st.tuples(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        st.integers(-3, 3),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    ),
+    max_size=4,
+).map(lambda terms: sum((sc.Poly.monomial(*t) for t in terms), sc.Poly()))
+_STORED_SCALARS = st.builds(
+    lambda num, den, power: Scalar(num, _s_poly(den) * sc.Poly.monomial(1, es=power)),
+    _STORED_POLYS,
+    _OTHER_FACTORS,
+    st.integers(-2, 2),
+)
+
+
+def _results(a, b, c):
+    """Scalars reached from a and b through every public operation."""
+    out = [a + b, a - b, a * b, a.scale(c), sc.parse_scalar(sc.format_scalar(a))]
+    if b.num.is_s_only() and not b.is_zero():
+        out.append(sc.inv(b))
+    contracted = sc.substitute(a, {"theta": sc.xi_var() / sc.omega()})
+    out.append(contracted)
+    theta_free = sc.substitute(a, {"theta": rational(c)})
+    out.append(theta_free)
+    for value in (sc.s_var(2), rational(c)):
+        try:
+            out.append(sc.substitute(a, {"s": value}))
+        except ScalarError:
+            pass  # the denominator vanishes identically there
+    try:
+        out.append(sc.limit_at_one(theta_free))
+    except ScalarError:
+        pass  # a pole at s = 1
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_STORED_SCALARS, _STORED_SCALARS, st.fractions(min_value=-4, max_value=4, max_denominator=6))
+def test_every_operation_keeps_the_stored_coefficient_form(a, b, c):
+    """Each coefficient is an int, or a Fraction with denominator > 1; never a float.
+
+    Integral coefficients stored as ints print as their Fractions would,
+    so the text still matches the polynomial-reduction reference.
+    """
+    for value in [a, b] + _results(a, b, c):
+        assert stored_form(value), value.num.terms
+        k = max(0, -value.num.min_s_power())
+        reference = format_fraction(value.num.shift_s(k), value.den.shift_s(k))
+        assert sc.format_scalar(value) == reference
