@@ -15,8 +15,9 @@ check_coassociativity compares with (id (x) Delta) Delta.  A twist F
 carries CLASSICAL to a table of rules, FRT_COPRODUCTS for the FRT
 generators H, E, V, W among them, when F Delta0(x) F^-1 equals each
 rule (check_twist_produces).  Leg placements on triple products are
-gkron with an identity, conjugated by a graded flip for legs 1 and 3.
-Every Koszul sign is decided in gmatrix.gkron and gmatrix.gflip.
+gkron with an identity, conjugated by the graded flip gmatrix.flip_legs
+for legs 1 and 3, which also gives Delta^op = P Delta P.  Every Koszul
+sign is decided in gmatrix.gkron and gmatrix.flip_legs.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from fractions import Fraction
 from . import scalar as sc
 from .gmatrix import (
     GradedMatrix,
-    conjugate_by_flip,
-    gflip,
+    flip_legs,
     gkron,
     inverse,
     kron_parity,
@@ -137,10 +137,10 @@ def check_homomorphism(cp, r1, r2):
 def check_r_intertwines(r_matrix, cp, r):
     """R Delta(x) = Delta^op(x) R for every generator of cp, Delta^op = P Delta P."""
     rep = Report("intertwining %s" % cp.name)
-    p, m = gflip(r.parity), cp.module(r, r)
+    m = cp.module(r, r)
     for g in cp.rules:
         delta = m.image(g)
-        residual = r_matrix * delta - conjugate_by_flip(p, delta) * r_matrix
+        residual = r_matrix * delta - flip_legs(delta, r.parity) * r_matrix
         rep.add(residual_check("R Delta(%s) = Delta_op(%s) R" % (g, g), residual))
     return rep
 

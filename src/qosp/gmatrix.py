@@ -23,20 +23,20 @@ for homogeneous B, C, which is the multiplication rule of the graded
 tensor-product algebra.  A test enumerates the candidate conventions
 and parity vectors against the fixed 9x9 matrices to show this is the
 only combination that reproduces them; it takes each parity vector's
-YBE residual from rll_residual, which places R13 with conjugate_by_flip.
+YBE residual from rll_residual, which places R13 with flip_legs.
 
-gkron and gflip are the only code in the package that picks a Koszul
-sign.  An operator on two adjacent legs of a triple product is gkron
-with an identity; on legs 1 and 3 it is the legs-2-3 placement
-conjugated by the flip of the two equal first legs, which
-conjugate_by_flip does by relabelling indices, reading the flip's own
-signs.  Every flip is gflip of the parity v of the module V it swaps,
-so R21 is conjugate_by_flip(gflip(v), R) and check_gybe, like
-rll_residual, takes v: the parity of V (x) V fixes v only up to a
-global flip.  Coproduct words are products of gkron images
-(coproducts.py), so their signs come from the same rule.  The brackets
-checked on one module or one coproduct image all have the even h as
-first operand, so they are plain commutators and pick no sign either.
+gkron and flip_legs are the only code in the package that picks a
+Koszul sign.  An operator on two adjacent legs of a triple product is
+gkron with an identity; on legs 1 and 3 it is the legs-2-3 placement
+conjugated by the graded flip of the two equal first legs, which
+flip_legs does by relabelling indices, with signs read from the parity
+v of the module V it swaps.  So R21 is flip_legs(R, v), and check_gybe,
+like rll_residual, takes v: the parity of V (x) V fixes v only up to a
+global flip.
+Coproduct words are products of gkron images (coproducts.py), so their
+signs come from the same rule.  The brackets checked on one module or
+one coproduct image all have the even h as first operand, so they are
+plain commutators and pick no sign either.
 
 Every matrix identity the package checks is a residual that must be
 literally zero; residual_check turns one into a Check whose data lists
@@ -246,29 +246,24 @@ def gkron(a, b):
     return GradedMatrix(kron_parity(p1, p2), out)
 
 
-def gflip(parity):
-    """Graded permutation P(e_i (x) e_j) = (-1)**(p(i)p(j)) e_j (x) e_i."""
-    n = len(parity)
-    out = {}
-    for i in range(n):
-        for j in range(n):
-            out[(j * n + i, i * n + j)] = -ONE if parity[i] and parity[j] else ONE
-    return GradedMatrix(kron_parity(parity, parity), out)
+def flip_legs(m, v, w=(0,)):
+    """P12 m P12 for m on V (x) V (x) W, P12 the graded flip of the two V legs.
 
-
-def conjugate_by_flip(p, m):
-    """p . m . p for a symmetric signed permutation p, such as a graded flip.
-
-    p[k, i] = s_i is the one nonzero of column i, so the product only
-    relabels m: (p m p)[k_i, k_j] = s_i s_j m[i, j].
+    v and w are the parity vectors of V and W; the default W is the even
+    line, so flip_legs(m, v) is P m P on V (x) V.  P12 sends
+    e_a (x) e_b (x) e_c to (-1)**(v[a] v[b]) e_b (x) e_a (x) e_c and is its
+    own inverse, so the conjugation only relabels m's indices and signs.
     """
-    m._check_compatible(p)
-    to = {i: (k, s == ONE) for (k, i), s in p._nz.items()}
+    if m.parity != kron_parity(kron_parity(v, v), w):
+        raise MatrixError("dimension or parity mismatch")
+    n, k = len(v), len(w)
+    legs = itertools.product(range(n), range(n), range(k))
+    to = [((b * n + a) * k + c, v[a] & v[b]) for a, b, c in legs]
     out = {}
-    for (i, j), v in m._nz.items():
-        ki, plus_i = to[i]
-        kj, plus_j = to[j]
-        out[(ki, kj)] = v if plus_i == plus_j else -v
+    for (i, j), x in m._nz.items():
+        ki, odd_i = to[i]
+        kj, odd_j = to[j]
+        out[(ki, kj)] = -x if odd_i != odd_j else x
     return GradedMatrix(m.parity, out)
 
 
@@ -276,18 +271,17 @@ def rll_residual(r, x, v, w):
     """R12 X13 X23 - X23 X13 R12 for R on V (x) V and X on V (x) W.
 
     v and w are the parity vectors of V and W.  The flip P12 of the two
-    V legs is a symmetric signed permutation with P12**2 = 1, and
-    X13 = P12 X23 P12, so X23 X13 = P12 (X13 X23) P12: one product
-    X13 X23 serves both orderings, the second by relabelling indices,
-    and the residual takes three products.  X = R gives the graded
-    Yang-Baxter residual, X = L+ the FRT relation R L1 L2 = L2 L1 R.
+    V legs squares to 1 and X13 = P12 X23 P12, so X23 X13 =
+    P12 (X13 X23) P12: one product X13 X23 serves both orderings, the
+    second through flip_legs, and the residual takes three products.
+    X = R gives the graded Yang-Baxter residual, X = L+ the FRT relation
+    R L1 L2 = L2 L1 R.
     """
     ident_w = GradedMatrix.identity(w)
-    p12 = gkron(gflip(v), ident_w)
     r12 = gkron(r, ident_w)
     x23 = gkron(GradedMatrix.identity(v), x)
-    x13_x23 = conjugate_by_flip(p12, x23) * x23
-    return r12 * x13_x23 - conjugate_by_flip(p12, x13_x23) * r12
+    x13_x23 = flip_legs(x23, v, w) * x23
+    return r12 * x13_x23 - flip_legs(x13_x23, v, w) * r12
 
 
 def residual_check(name, residual, detail=""):

@@ -11,7 +11,7 @@ and the even elements X+- = +-4 v+-**2 complete the sl(2) triple;
 Every bracket checked on a module has the even h as its first operand,
 so it is the plain commutator h a - a h, and {v+, v-} is written out as
 v+ v- + v- v+; no Koszul sign is picked here (gmatrix.gkron and
-gmatrix.gflip are the only code that does).
+gmatrix.flip_legs are the only code that does).
 
 The spin-j module has dimension 4j + 1; h acts diagonally with the
 integer string 2j, 2j-1, ..., -2j, v+ shifts one step up the string

@@ -5,6 +5,10 @@ only the package rule, "first_col"; the sign-enumeration tests build the
 other three here and show that they fail to reproduce the fixed
 matrices.
 
+The graded flip of two equal legs as an explicit permutation matrix:
+the reference that gmatrix.flip_legs, which only relabels, is checked
+against.
+
 The formal graded product of tensor terms, with the atom parities
 spelled out and E^k taken as grouplike: the reference that the
 coproduct of a word, computed in qosp as its image in
@@ -35,6 +39,16 @@ def gkron_rule(a, b, rule):
             v = av * bv
             out[(i * n2 + x, j * n2 + y)] = -v if sign(p1, p2, i, j, x, y) % 2 else v
     return GradedMatrix.from_entries(kron_parity(p1, p2), out)
+
+
+def gflip(parity):
+    """Graded permutation P(e_i (x) e_j) = (-1)**(p(i)p(j)) e_j (x) e_i."""
+    n = len(parity)
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            out[(j * n + i, i * n + j)] = -ONE if parity[i] and parity[j] else ONE
+    return GradedMatrix.from_entries(kron_parity(parity, parity), out)
 
 
 _ATOM_PARITY = {"1": 0, "h": 0, "v+": 1, "v-": 1, "X+": 0, "s^h": 0, "s^-h": 0}

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszul_rules import gflip
 from qosp import scalar as sc
 from qosp.coproducts import (
     CLASSICAL,
@@ -26,8 +27,8 @@ from qosp.coproducts import (
 from qosp.gmatrix import (
     GradedMatrix,
     check_gybe,
+    flip_legs,
     from_json_dict,
-    gflip,
     gkron,
     inverse,
     kron_parity,
@@ -191,10 +192,14 @@ def test_criterion_10_property_meta_suites():
         lhs = gkron(a, b) * gkron(c, d)
         rhs = gkron(a * c, b * d).scale((-1) ** (pb * pc))
         ok = ok and (lhs - rhs).is_zero()
-    # flip involution
+    # flip involution, and the relabel is the product with the explicit flip
     for _ in range(200):
         parity = tuple(rng.randint(0, 1) for _ in range(rng.randint(2, 4)))
-        ok = ok and (gflip(parity) * gflip(parity)).is_identity()
+        p = gflip(parity)
+        ok = ok and (p * p).is_identity()
+        m = rand_matrix(kron_parity(parity, parity), density=0.2)
+        ok = ok and flip_legs(m, parity) == p * m * p
+        ok = ok and flip_legs(flip_legs(m, parity), parity) == m
     # scalar field laws
     from test_scalar import _random_scalar
 

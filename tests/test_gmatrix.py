@@ -21,10 +21,9 @@ from qosp.gmatrix import (
     GradedMatrix,
     MatrixError,
     check_gybe,
-    conjugate_by_flip,
     exp_nilpotent,
+    flip_legs,
     from_json_dict,
-    gflip,
     gkron,
     inverse,
     kron_parity,
@@ -33,7 +32,7 @@ from qosp.gmatrix import (
     rll_residual,
     to_json_dict,
 )
-from koszul_rules import gkron_rule
+from koszul_rules import gflip, gkron_rule
 from xi_oracle import xi_coefficient
 from qosp.matrices import f_jordanian, f_super_fund, kr_rmatrix, m_matrix
 from qosp.reps import fundamental_rep
@@ -94,16 +93,37 @@ def test_gflip_entries_and_involution():
 
 
 def test_conjugate_flip_involutive_and_identity():
-    p = gflip(FUND)
     i9 = GradedMatrix.identity(kron_parity(FUND, FUND))
-    assert conjugate_by_flip(p, i9) == i9
+    assert flip_legs(i9, FUND) == i9
     r = kr_rmatrix()
-    assert conjugate_by_flip(p, conjugate_by_flip(p, r)) == r
+    assert flip_legs(flip_legs(r, FUND), FUND) == r
 
 
 def test_conjugate_flip_of_odd_twist_is_inverse():
     fs = f_super_fund()
-    assert conjugate_by_flip(gflip(FUND), fs) == inverse(fs)
+    assert flip_legs(fs, FUND) == inverse(fs)
+
+
+def test_flip_legs_is_the_product_with_the_explicit_flip():
+    """flip_legs(m, v, w) equals P12 m P12, P12 = gflip(v) (x) I_W built as a matrix."""
+    rng = random.Random(18)
+    for trial in range(60):
+        v = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3)))
+        if trial % 3 == 0:
+            v = (1,) + v[1:]
+        w = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3)))
+        m = _rand_matrix(rng, kron_parity(kron_parity(v, v), w), density=0.3)
+        p12 = gkron(gflip(v), GradedMatrix.identity(w))
+        assert flip_legs(m, v, w) == p12 * m * p12
+        two_legs = _rand_matrix(rng, kron_parity(v, v), density=0.3)
+        assert flip_legs(two_legs, v) == gflip(v) * two_legs * gflip(v)
+
+
+def test_flip_legs_rejects_a_mismatched_parity():
+    r = kr_rmatrix()
+    for v, w in (((0, 1), (0,)), ((0, 0, 0), (0,)), (FUND, (1,)), (FUND, (0, 0))):
+        with pytest.raises(MatrixError, match="dimension or parity mismatch"):
+            flip_legs(r, v, w)
 
 
 def test_flip_intertwines_gkron():
@@ -150,7 +170,7 @@ def _place13(r, parity):
     """r on legs 1 and 3 by relabelling, checked against the product P12 R23 P12."""
     i3 = GradedMatrix.identity(parity)
     p12, r23 = gkron(gflip(parity), i3), gkron(i3, r)
-    r13 = conjugate_by_flip(p12, r23)
+    r13 = flip_legs(r23, parity, parity)
     assert r13 == p12 * r23 * p12
     return r13
 
@@ -187,8 +207,8 @@ def test_embed_matches_flip_conjugation():
         swap23 = gkron(i3, gflip(parity))
         oracle13 = swap23 * gkron(r, i3) * swap23
         assert _place13(r, parity) == oracle13
-        assert conjugate_by_flip(swap23, gkron(r, i3)) == oracle13
-        assert conjugate_by_flip(gflip(parity), r) == gflip(parity) * r * gflip(parity)
+        assert flip_legs(oracle13, parity, parity) == gkron(i3, r)
+        assert flip_legs(r, parity) == gflip(parity) * r * gflip(parity)
         r12, r23 = gkron(r, i3), gkron(i3, r)
         explicit_residual = r12 * oracle13 * r23 - r23 * oracle13 * r12
         assert rll_residual(r, r, parity, parity) == explicit_residual
@@ -244,7 +264,7 @@ def test_flip_takes_the_parity_of_v_with_odd_first_basis_vector():
     assert rll_residual(p, p, v, v).is_zero()
     check = check_gybe(p, v, "gybe graded flip")
     assert check.passed and check.detail == "residual is zero"
-    assert (conjugate_by_flip(gflip(v), p) * p).is_identity()
+    assert (flip_legs(p, v) * p).is_identity()
     with pytest.raises(MatrixError):
         check_gybe(kr_rmatrix(), (0, 1), "gybe kr on a 2-dim V")
 
@@ -484,7 +504,7 @@ def test_matrices_are_immutable():
     m = GradedMatrix.from_entries(FUND, entries)
     entries[(0, 0)] = ZERO
     assert m[0, 0] == ONE
-    for _ in (r + r, r - r, -r, r * r, r.scale(2), gkron(m, m), conjugate_by_flip(gflip(FUND), r)):
+    for _ in (r + r, r - r, -r, r * r, r.scale(2), gkron(m, m), flip_legs(r, FUND)):
         pass
     assert to_json_dict(r) == before
 
@@ -534,7 +554,7 @@ def _place_two_leg(x, legs, spaces):
     l23 = gkron(first, x)
     if legs == (1, 2):
         return l23
-    return conjugate_by_flip(gkron(gflip(spaces[0]), last), l23)
+    return flip_legs(l23, spaces[0], spaces[2])
 
 
 def _dense_place_two_leg(x, legs, spaces):

@@ -11,8 +11,7 @@ from qosp import scalar as sc
 from qosp.gmatrix import (
     GradedMatrix,
     check_gybe,
-    conjugate_by_flip,
-    gflip,
+    flip_legs,
     gkron,
     inverse,
     to_json_dict,
@@ -151,7 +150,7 @@ def test_odd_twist_matrix():
     xi = sc.xi_var()
     assert fs[0, 4] == xi.scale(Fraction(1, 2))
     assert fs[0, 8] == -(xi * xi).scale(Fraction(1, 8))
-    assert conjugate_by_flip(gflip(fundamental_rep().parity), fs) * fs == gkron(
+    assert flip_legs(fs, fundamental_rep().parity) * fs == gkron(
         fundamental_rep().identity, fundamental_rep().identity
     )
 

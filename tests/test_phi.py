@@ -1,5 +1,6 @@
 """The odd twist series: closed-form leading term, solver, the twisted Delta(v-)."""
 
+import ast
 import re
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from qosp.phi import (
     solve_phi,
 )
 from qosp.reps import Representation, RepresentationError, fundamental_rep, irrep
+from phi_oracle import closed_form_table
 from xi_oracle import assert_canonical, drop_xi_above, series_values, xi_coefficient
 
 
@@ -319,6 +321,45 @@ def test_solver_evidence_in_check_data(spin1):
     assert by_name["pair (3/2, 3/2) solve"]["pinned"] == [
         "(1, 3)", "(1, 4)", "(2, 3)", "(1, 5)", "(2, 4)", "(3, 3)",
     ]
+
+
+def test_closed_form_leading_coefficients():
+    table = closed_form_table(4)
+    assert table[0, 0] == 1
+    assert table[1, 1] == Fraction(1, 6)
+    assert table[2, 2] == Fraction(3, 40)
+    assert all(table[n, m] == c for (m, n), c in table.items())
+
+
+@pytest.mark.parametrize(
+    "spins, determined",
+    [
+        ((Fraction(3, 2), 1, Fraction(3, 2), Fraction(3, 2)), 3),
+        ((2, Fraction(3, 2), 2, 2), 6),
+    ],
+    ids=["3half-1_3half-3half", "2-3half_2-2"],
+)
+def test_closed_form_equals_every_determined_coefficient(spins, determined):
+    """Compared with the returned table, not the cross-pair check's corrections to f_1 (x) f_1."""
+    a, b, c, d = (irrep(j) for j in spins)
+    table, rep = solve_phi(4, [(a, b), (c, d)])
+    assert rep.passed
+    closed = closed_form_table(8)
+    by_name = {check.name: check.data for check in rep.checks}
+    keys = [ast.literal_eval(k) for k in by_name["cross-pair consistency"]["determined_by"]]
+    assert len(keys) == determined
+    for key in keys:
+        assert table[key] == closed[key], key
+
+
+@pytest.mark.parametrize(
+    "spins", [(1, 1), (Fraction(3, 2), 1), (2, 2)], ids=["1-1", "3half-1", "2-2"]
+)
+def test_closed_form_intertwines_where_f1_fails(spins):
+    a, b = (irrep(j) for j in spins)
+    assert check_intertwining_s(closed_form_table(8), a, b, 8).passed
+    f1_only = check_intertwining_s(f1_table(), a, b, 8)
+    assert f1_only.checks[0].data["first_failing_order"] == 3
 
 
 # (table, spins, passes): the twist F_s F_j with that table on that pair
