@@ -2,7 +2,7 @@
 
 Modules:
 
-* scalar     -- rational-function field in s (q = s**2), theta, xi
+* scalar     -- the ring Q[s, s^-1][theta, xi] (q = s**2) and the contraction
 * report     -- Check and Report, the results every suite returns
 * gmatrix    -- graded matrices, Koszul-signed tensor products, YBE checks
 * reps       -- spin-j modules of osp(1|2), sigma and the FRT generators

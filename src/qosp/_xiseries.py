@@ -49,12 +49,12 @@ def coefficient(a, key):
 
 
 def from_matrix(m, order):
-    """m through xi**order; an entry with s, theta or a denominator raises MatrixError."""
+    """m through xi**order; an entry with s or theta raises MatrixError."""
     coeffs = {}
     for i, j, v in m.entries():
-        if not v.den.is_const() or any(es or eth for es, eth, _ in v.num.terms):
+        if any(es or eth for es, eth, _ in v.terms):
             raise MatrixError("entry (%d, %d) is not rational in xi: %s" % (i + 1, j + 1, v))
-        coeffs.update(((k, i, j), c) for (_, _, k), c in v.num.terms.items() if k <= order)
+        coeffs.update(((k, i, j), c) for (_, _, k), c in v.terms.items() if k <= order)
     # canonical as built: the lcm of reduced denominators shares no factor with all numerators
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den

@@ -288,13 +288,16 @@ def cmd_solve_phi(args):
 
 
 def _write_out(path, text):
-    if not path:
-        return sys.stdout.write(text)
+    """text to the file path, else to standard output; a failed write is a UsageError."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise UsageError("cannot write %s: %s" % (path, exc.strerror))
+        raise UsageError("cannot write %s: %s" % (path or "standard output", exc.strerror))
 
 
 def build_parser():

@@ -1,4 +1,4 @@
-"""Parity-aware linear algebra over the exact scalar field.
+"""Parity-aware linear algebra over the exact scalar ring.
 
 A GradedMatrix is square, carries a parity vector (one Z2 bit per basis
 vector) and stores only its nonzero entries, in one private map
@@ -50,7 +50,7 @@ import math
 from fractions import Fraction
 
 from .report import Check
-from .scalar import ONE, ZERO, Scalar, format_scalar, parse_scalar, substitute
+from .scalar import ONE, ZERO, format_scalar, parse_scalar, rational, substitute
 
 
 class MatrixError(ArithmeticError):
@@ -155,7 +155,7 @@ class GradedMatrix:
 
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
-            c = Scalar.from_fraction(c)
+            c = rational(c)
         if c.is_zero():
             return GradedMatrix(self.parity, {})
         # a product of nonzero scalars is nonzero

@@ -20,7 +20,7 @@ even at the highest weight.
 
 Note the h eigenvalues here are integers (2j down to -2j): the single
 superdiagonal v+ must raise the h weight by exactly 1, and q**(h/2)
-must stay inside the rational function field in s (q = s**2).
+must stay inside the Laurent polynomials in s (q = s**2).
 
 Gauge: every v+ matrix element is 1/2, so that X+ = 4 v+**2 is the
 plain two-step upper shift with unit entries; in the fundamental this

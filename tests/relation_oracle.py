@@ -25,11 +25,11 @@ def osp_residuals(m):
 
 
 def q_anticommutator_residual(m):
-    """{v+, v-} + (q^h - q^-h)/(4 omega), q^h = s^h s^h."""
+    """4 omega {v+, v-} + q^h - q^-h, q^h = s^h s^h: {v+, v-} = -(q^h - q^-h)/(4 omega)
+    with no scalar divided."""
     s_h, s_minus_h = m.image("s^h"), m.image("s^-h")
-    q_h = s_h * s_h - s_minus_h * s_minus_h
-    q_term = q_h.scale(sc.inv(sc.omega()).scale(Fraction(1, 4)))
-    return m.v_plus * m.v_minus + m.v_minus * m.v_plus + q_term
+    anticommutator = m.v_plus * m.v_minus + m.v_minus * m.v_plus
+    return anticommutator.scale(sc.omega().scale(4)) + s_h * s_h - s_minus_h * s_minus_h
 
 
 def defined_atoms(m):

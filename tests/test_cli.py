@@ -16,6 +16,7 @@ from qosp.matrices import (
     FIXTURE_NAMES,
     contract_r,
     f_super_fund,
+    fixture_path,
     kr_rmatrix,
     load_fixture,
     named_matrix,
@@ -24,6 +25,7 @@ from qosp.matrices import (
 from qosp.reps import SUPPORTED_SPINS, Representation, irrep
 from qosp.scalar import format_scalar, parse_scalar
 from scalar_oracle import stored_form
+from test_cli_outputs import RECORDED, SRC
 
 
 def run_cli(args, capsys):
@@ -445,15 +447,84 @@ def test_console_script_installed():
     assert "PASS" in proc.stdout
 
 
+def _child_env(**extra):
+    """The environment of a child python that imports qosp from this checkout."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """Every CLI start pays for its imports; dataclasses alone pulls in inspect, ast and dis."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, qosp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "all"],
+        ["emit", "--matrix", "kr"],
+        ["solve-phi", "--order", "1"],
+    ],
+)
+def test_full_standard_output_is_usage_error(args):
+    """A failed write to standard output exits 2 with one error line, no traceback."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qosp.cli", *args],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: No space left on device\n"
+
+
+def test_fixture_with_a_non_unit_denominator_is_usage_error(tmp_path):
+    """Scalars are Laurent polynomials in s: an entry over 1*s - 1 is a bad fixture."""
+    for name in FIXTURE_NAMES:
+        write_fixture(name, named_matrix(name), directory=str(tmp_path))
+    path = tmp_path / "kr.json"
+    kr = json.loads(path.read_text())
+    kr["entries"][0][2] = "(1) / (1*s - 1)"
+    path.write_text(json.dumps(kr))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qosp.cli", "verify", "--suite", "matrix"],
+        capture_output=True, text=True, env=_child_env(QOSP_FIXTURES=str(tmp_path)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot load golden fixture %s: " % path)
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def _recorded_scalar_texts():
+    """Every scalar text of the five fixtures and of the recorded JSON and CSV outputs."""
+    texts = []
+    for name in FIXTURE_NAMES:
+        with open(fixture_path(name)) as fh:
+            texts += [text for _, _, text in json.load(fh)["entries"]]
+    for name in ("emit_rep2", "emit_rep1_xi_half"):
+        matrices = json.loads((RECORDED / (name + ".stdout")).read_text())["matrices"]
+        texts += [text for m in matrices.values() for _, _, text in m["entries"]]
+    csv = (RECORDED / "emit_sjr_csv_xi_third.stdout").read_text()
+    texts += [cell.strip('"') for line in csv.splitlines() for cell in line.split(",")]
+    for suite in json.loads((RECORDED / "verify_all_json.stdout").read_text()):
+        for check in suite["checks"]:
+            data = check["data"] or {}
+            texts += [text for _, _, text in data.get("nonzero", [])]
+            texts += [data["coefficient"]] if data.get("coefficient") else []
+    return texts
+
+
+def test_recorded_scalar_texts_parse_and_format_back():
+    texts = _recorded_scalar_texts()
+    assert len(texts) > 300 and any(") / (" in text for text in texts)
+    for text in texts:
+        assert format_scalar(parse_scalar(text)) == text
 
 
 def test_every_kernel_entry_keeps_the_stored_coefficient_form(capsys):

@@ -1,6 +1,7 @@
 """Reconstruction of the fixed matrices and the matrix-level identities."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from qosp.matrices import (
     contract_r,
     f_jordanian,
     f_super_fund,
+    fixture_path,
     kr_rmatrix,
     load_fixture,
     m_matrix,
@@ -41,7 +43,7 @@ def test_kr_entries():
     r = kr_rmatrix()
     assert r[0, 0] == sc.q_var()
     assert r[2, 6] == sc.omega() * (ONE + sc.q_var(-1))
-    assert r[2, 4] == -(sc.omega() / sc.s_var())
+    assert r[2, 4] == -(sc.omega() * sc.s_var(-1))
     assert r.substitute({"s": ONE}).is_identity()
 
 
@@ -76,12 +78,11 @@ def test_new_entries_divisible_by_omega_theta():
 
 
 def test_new_entries_check_rejects_a_pole_at_s_one(monkeypatch):
-    """theta/omega^2 divides by omega*theta, but the quotient has a pole at s = 1."""
+    """theta alone vanishes at theta = 0, but theta/omega has a pole at s = 1."""
     import qosp.matrices as matrices_mod
 
     tr = transform_r()
-    extra = sc.theta_var() * sc.inv(sc.omega() * sc.omega())
-    bad = tr + GradedMatrix.from_entries(tr.parity, {(0, 1): extra})
+    bad = tr + GradedMatrix.from_entries(tr.parity, {(0, 1): sc.theta_var()})
     monkeypatch.setattr(matrices_mod, "transform_r", lambda: bad)
     chk = check_new_entries_proportional()
     assert not chk.passed
@@ -117,8 +118,8 @@ def test_contracted_matrix():
     assert r[1, 5] == -xi
     assert r[0, 2] == -xi
     assert r.substitute({"xi": ZERO}).is_identity()
-    # already s-free: a second limit pass changes nothing
-    again = r.map_entries(sc.limit_at_one)
+    # already free of s and theta: a second contraction changes nothing
+    again = r.map_entries(sc.contract)
     assert again == r
 
 
@@ -161,10 +162,14 @@ def test_golden_fixtures_match():
 
 
 def test_fixture_denominators_univariate():
+    """Every fixture denominator is a power of s, so each entry is a Laurent scalar."""
     for name in FIXTURE_NAMES:
-        m = load_fixture(name)
-        for _, _, v in m.entries():
-            assert v.den.is_s_only()
+        with open(fixture_path(name)) as fh:
+            entries = json.load(fh)["entries"]
+        for _, _, text in entries:
+            _, slash, den = text.partition(") / (")
+            assert not slash or re.fullmatch(r"1\*s(\^\d+)?\)", den), text
+        assert load_fixture(name).nonzero_count() == len(entries)
 
 
 def test_triangularity():
@@ -218,16 +223,13 @@ def test_named_matrix_records():
         # declared variables are exactly the ones that occur
         seen = set()
         for _, _, v in value.entries():
-            for (es, eth, exi) in v.num.terms:
+            for es, eth, exi in v.terms:
+                if es:
+                    seen.add("s")
                 if eth:
                     seen.add("theta")
                 if exi:
                     seen.add("xi")
-            if v.den != sc.Poly.const(1):
-                seen.add("s")
-            for (es, _, _) in v.num.terms:
-                if es:
-                    seen.add("s")
         assert seen <= variables[name]
 
 

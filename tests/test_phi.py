@@ -538,7 +538,7 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
         sc.s_var(-1),
         sc.theta_var(),
         sc.xi_var() * sc.theta_var(),
-        sc.inv(sc.s_var() + sc.ONE),
+        sc.xi_var() + sc.q_var(-1),
     ],
 )
 def test_series_conversion_rejects_s_theta_and_denominators(entry):

@@ -23,8 +23,6 @@ NEVER_CALLED = {
     "gmatrix.GradedMatrix.__delattr__": "immutability guard: runs only on a forbidden deletion",
     "gmatrix.GradedMatrix.__repr__": "for debugging",
     "reps.Representation.__repr__": "for debugging",
-    "scalar.Poly.__sub__": "used only by tests",
-    "scalar.Poly.__hash__": "used only by tests",
     "scalar.Scalar.__hash__": "used only by tests",
 }
 

@@ -1,21 +1,39 @@
-"""Field arithmetic, canonical form, substitution and the s -> 1 limit."""
+"""Ring arithmetic, canonical form, substitution and the contraction."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qosp import scalar as sc
-from qosp.scalar import ONE, ZERO, Scalar, ScalarError, rational
+from qosp.scalar import ONE, ZERO, ScalarError, rational
 from scalar_oracle import format_fraction, stored_form
-from xi_oracle import drop_xi_above, poly_drop_xi_above, xi_coefficient
+from xi_oracle import drop_xi_above, xi_coefficient
 
 
-def test_omega_times_inverse_is_one():
-    w = sc.omega()
-    assert w * sc.inv(w) == ONE
+def _monomial(es, eth=0, exi=0):
+    """s**es theta**eth xi**exi, built through the package's own products."""
+    out = sc.s_var(es) * sc.xi_var(exi)
+    for _ in range(eth):
+        out = out * sc.theta_var()
+    return out
+
+
+def _laurent(terms):
+    """The sum of c s**es theta**eth xi**exi over the (c, es, eth, exi) terms."""
+    return sum((_monomial(*key).scale(c) for c, *key in terms), ZERO)
+
+
+def _power(a, n):
+    out = ONE
+    for _ in range(n):
+        out = out * a
+    return out
+
+
+S_MINUS_ONE = sc.s_var() - ONE
 
 
 def test_q_plus_qinv():
@@ -24,15 +42,20 @@ def test_q_plus_qinv():
 
 
 def test_b_times_theta():
-    b = -sc.omega() / sc.s_var()
+    b = -sc.omega() * sc.s_var(-1)
     got = b * sc.theta_var()
     assert sc.format_scalar(got) == "(-1*s^4*theta + 1*theta) / (1*s^3)"
 
 
 def test_substitute_contraction_binding():
-    w = sc.omega()
-    xi = sc.xi_var()
-    assert sc.substitute(w * sc.theta_var(), {"theta": xi / w}) == xi
+    """contract is theta = xi/omega and s -> 1; substitute binds rationals only."""
+    w, th, xi = sc.omega(), sc.theta_var(), sc.xi_var()
+    assert sc.contract(w * th) == xi
+    assert sc.contract(w * w * th * th + w * th * xi) == (xi * xi).scale(2)
+    # each part alone has a pole at s = 1, but xi**2/omega - xi**2/omega = 0
+    assert sc.contract(th * xi - w * th * th) == ZERO
+    with pytest.raises(ScalarError, match="not a plain rational"):
+        sc.substitute(th, {"theta": xi})
 
 
 def test_substitute_empty_is_identity():
@@ -41,28 +64,28 @@ def test_substitute_empty_is_identity():
 
 
 def test_substitute_squared_cross_entry():
-    w = sc.omega()
-    th = sc.theta_var()
-    xi = sc.xi_var()
-    x4 = (w * th) ** 2 / (ONE + sc.q_var())
-    got = sc.substitute(x4, {"theta": xi / w})
-    assert sc.format_scalar(got) == "(1*xi^2) / (1*s^2 + 1)"
-    assert sc.limit_at_one(got) == (xi * xi).scale(Fraction(1, 2))
+    """x4 = (omega theta)**2 / (1 + q) is omega (1 - q**-1) theta**2 and contracts to xi**2/2."""
+    w, th, xi, q = sc.omega(), sc.theta_var(), sc.xi_var(), sc.q_var()
+    x4 = w * (ONE - sc.q_var(-1)) * th * th
+    assert x4 * (ONE + q) == w * w * th * th
+    assert sc.format_scalar(x4) == (
+        "(1*s^6*theta^2 - 1*s^4*theta^2 - 1*s^2*theta^2 + 1*theta^2) / (1*s^4)"
+    )
+    assert sc.contract(x4) == (xi * xi).scale(Fraction(1, 2))
 
 
 def test_limit_removable_singularity():
-    got = sc.limit_at_one((sc.q_var() - ONE) / (sc.s_var() - ONE))
-    assert got == rational(2)
+    """theta (q - 1) becomes xi (q - 1)/omega = xi s**2/(s**2 + 1): xi/2 at s = 1."""
+    got = sc.contract(sc.theta_var() * (sc.q_var() - ONE))
+    assert got == sc.xi_var().scale(Fraction(1, 2))
 
 
 def test_limit_pole_raises():
-    with pytest.raises(ScalarError, match="limit does not exist: pole at s = 1"):
-        sc.limit_at_one(ONE / (sc.s_var() - ONE))
-
-
-def test_limit_requires_theta_free():
-    with pytest.raises(ScalarError):
-        sc.limit_at_one(sc.theta_var())
+    """theta/omega and theta**2/omega have a pole at s = 1."""
+    th = sc.theta_var()
+    for a in (th, sc.omega() * th * th, th + sc.omega() * th):
+        with pytest.raises(ScalarError, match="limit does not exist: pole at s = 1"):
+            sc.contract(a)
 
 
 def test_inverse_of_zero_raises():
@@ -75,26 +98,46 @@ def test_inverse_with_xi_in_numerator_raises():
         sc.inv(ONE + sc.xi_var())
 
 
+@pytest.mark.parametrize("name", ["omega", "s+1", "theta", "xi s"])
+def test_only_units_are_inverted(name):
+    """The units of the ring are c * s**k; inv refuses every other scalar."""
+    value = {
+        "omega": sc.omega(),
+        "s+1": sc.s_var() + ONE,
+        "theta": sc.theta_var(),
+        "xi s": sc.xi_var() * sc.s_var(),
+    }[name]
+    with pytest.raises(ScalarError, match="is not a unit c\\*s\\^k"):
+        sc.inv(value)
+
+
 def test_substitute_vanishing_denominator_raises():
-    a = ONE / (sc.q_var() - ONE)
-    with pytest.raises(ScalarError):
-        sc.substitute(a, {"s": ONE})
+    """s = 0 is a pole of every negative power of s, and of nothing else."""
+    with pytest.raises(ScalarError, match="division by zero"):
+        sc.substitute(sc.q_var(-1) + ONE, {"s": ZERO})
+    assert sc.substitute(sc.q_var() + sc.theta_var(), {"s": ZERO}) == sc.theta_var()
 
 
 def _random_scalar(rng, invertible=False):
-    num_terms = {}
+    """A random Laurent scalar; with invertible, a random unit c * s**k."""
+    if invertible:
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+        return sc.s_var(rng.randint(-3, 3)).scale(c)
+    terms = []
     for _ in range(rng.randint(1, 3)):
-        key = (
-            rng.randint(0, 3),
-            0 if invertible else rng.randint(0, 2),
-            0 if invertible else rng.randint(0, 2),
-        )
-        num_terms[key] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-    den = sc.Poly.monomial(1, es=rng.randint(0, 3)) + sc.Poly.const(rng.randint(0, 2))
-    num = sc.Poly(dict((k, v) for k, v in num_terms.items() if v))
-    if num.is_zero() and invertible:
-        num = sc.Poly.const(1)
-    return Scalar(num, den)
+        key = (rng.randint(-3, 3), rng.randint(0, 2), rng.randint(0, 2))
+        terms.append((Fraction(rng.randint(-5, 5), rng.randint(1, 4)), *key))
+    return _laurent(terms)
+
+
+def _random_contractible(rng):
+    """A random scalar whose contraction exists: each theta**j part has (s - 1)**j s**-2j."""
+    total = ZERO
+    for j in range(rng.randint(0, 3)):
+        r = _random_scalar(rng)
+        r = sc.substitute(r, {"theta": rational(rng.randint(-2, 2))})
+        total = total + _power(sc.theta_var() * S_MINUS_ONE * sc.s_var(-2), j) * r
+    return total
 
 
 def test_ring_laws_randomized():
@@ -106,73 +149,72 @@ def test_ring_laws_randomized():
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
         assert a + (-a) == ZERO
     for _ in range(220):
         a = _random_scalar(rng, invertible=True)
-        if a.is_zero():
-            continue
         assert a * sc.inv(a) == ONE
 
 
 def test_canonical_form_idempotent():
+    """The terms map is the canonical form: a scalar rebuilt from its terms in any
+    order, or parsed from its text over a denominator 3 s**4, equals it."""
     rng = random.Random(99)
     for _ in range(220):
         a = _random_scalar(rng)
-        again = Scalar(a.num, a.den)
-        assert again == a
-        assert Scalar(a.num * sc.Poly.const(3), a.den * sc.Poly.const(3)) == a
-
-
-def test_denominator_stays_monic_univariate():
-    rng = random.Random(5)
-    for _ in range(220):
-        a = _random_scalar(rng)
-        b = _random_scalar(rng)
-        prod = a * b
-        assert prod.den.is_s_only()
-        dense = prod.den.to_dense_s()
-        assert dense[-1] == 1
-        assert dense[0] != 0  # coprime to s: powers of s live in the numerator
+        items = [(c, *key) for key, c in a.terms.items()]
+        rng.shuffle(items)
+        again = _laurent(items)
+        assert again == a and hash(again) == hash(a)
+        assert sc.format_scalar(again) == sc.format_scalar(a)
+        cleared = sc.format_scalar(a * sc.s_var(4).scale(3))
+        assert sc.parse_scalar("(%s) / (3*s^4)" % cleared) == a
 
 
 def test_limit_is_multiplicative_and_additive():
+    """contract is a ring map where it is defined."""
     rng = random.Random(31337)
-    count = 0
-    while count < 200:
-        a = _random_scalar(rng)
-        b = _random_scalar(rng)
-        a = Scalar(poly_drop_xi_above(a.num, 2), a.den)
-        if not a.theta_free() or not b.theta_free():
-            continue
-        try:
-            la, lb = sc.limit_at_one(a), sc.limit_at_one(b)
-        except ScalarError:
-            continue
-        assert sc.limit_at_one(a * b) == la * lb
-        assert sc.limit_at_one(a + b) == la + lb
-        count += 1
+    for _ in range(200):
+        a = _random_contractible(rng)
+        b = _random_contractible(rng)
+        la, lb = sc.contract(a), sc.contract(b)
+        assert sc.contract(a * b) == la * lb
+        assert sc.contract(a + b) == la + lb
 
 
 def test_limit_is_the_value_at_one():
-    """A reduced scalar's limit is its value at s = 1, unless den(1) == 0: a pole.
-
-    The random denominators never vanish at s = 1; dividing by s - 1
-    gives a pole unless the numerator already vanishes there.
-    """
+    """A theta-free scalar contracts to its value at s = 1, and omega theta a to xi a(1)."""
     rng = random.Random(1729)
-    values = poles = 0
-    while values < 100 or poles < 100:
-        a = _random_scalar(rng)
-        if not a.theta_free():
-            continue
-        for b in (a, a / (sc.s_var() - ONE)):
-            if sum(b.den.to_dense_s()):
-                assert sc.limit_at_one(b) == sc.substitute(b, {"s": ONE})
-                values += 1
-            else:
-                with pytest.raises(ScalarError, match="limit does not exist: pole at s = 1"):
-                    sc.limit_at_one(b)
-                poles += 1
+    for _ in range(200):
+        a = sc.substitute(_random_scalar(rng), {"theta": rational(rng.randint(-2, 2))})
+        at_one = sc.substitute(a, {"s": ONE})
+        assert sc.contract(a) == at_one
+        assert sc.contract(sc.omega() * sc.theta_var() * a) == sc.xi_var() * at_one
+
+
+_S_POLYS = st.lists(
+    st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=4), st.integers(-3, 3)),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: _laurent([(c, e, 0, 0) for c, e in terms]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_S_POLYS, st.integers(0, 3), st.integers(0, 2))
+def test_contract_of_a_theta_power(r, j, exi):
+    """theta**j (s - 1)**j s**-2j R(s) contracts to xi**j R(1)/4**j for R(1) != 0;
+    with one factor (s - 1) fewer it has a pole at s = 1."""
+    at_one = sc.substitute(r, {"s": ONE})
+    assume(not at_one.is_zero())
+    r = r * sc.xi_var(exi)
+    unit = sc.theta_var() * sc.s_var(-2)
+    a = _power(unit * S_MINUS_ONE, j) * r
+    want = sc.xi_var(j + exi).scale(at_one.as_fraction() / 4**j)
+    assert sc.contract(a) == want
+    if j:
+        fewer = _power(unit, j) * _power(S_MINUS_ONE, j - 1) * r
+        with pytest.raises(ScalarError, match="limit does not exist: pole at s = 1"):
+            sc.contract(fewer)
 
 
 def test_format_parse_round_trip():
@@ -182,7 +224,13 @@ def test_format_parse_round_trip():
         assert sc.parse_scalar(sc.format_scalar(a)) == a
 
 
-@pytest.mark.parametrize("text", ["zeta+1", "2*zeta", "s^x", "2x*s"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "zeta+1", "2*zeta", "s^x", "2x*s",
+        "(1) / (1*s - 1)", "(1) / (0)", "(1) / (1*theta)", "theta^-1",
+    ],
+)
 def test_parse_rejects_malformed_scalar(text):
     with pytest.raises(ScalarError):
         sc.parse_scalar(text)
@@ -197,84 +245,26 @@ def test_xi_coefficient_and_truncation():
     assert drop_xi_above(a, 1) == ONE + xi.scale(3)
 
 
-_POLYS = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)),
-    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+# polynomials (e_s >= 0) with the power of s below them
+_NUMERATORS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
     max_size=4,
-).map(lambda terms: sc.Poly({k: v for k, v in terms.items() if v}))
-
-
-# a freshly built unit numerator, so the unit fast path meets ones other than ONE
-_FACTORS = st.one_of(_POLYS, st.builds(sc.Poly.const, st.just(1)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_FACTORS, _FACTORS)
-def test_denominator_one_fast_path_matches_normalize(p, q):
-    """Sums and products of denominator-1 scalars skip _normalize.
-
-    Scalar(num, den) with a freshly built den = 1 always runs the general
-    _normalize, so it is the reference for the fast path; the results keep
-    the shared unit denominator, so the fast path applies to them again.
-    """
-    a, b = Scalar(p), Scalar(q)
-    assert a.den is b.den
-    for fast, num in ((a * b, p * q), (a + b, p + q), (a - b, p - q)):
-        general = Scalar(num, sc.Poly.const(1))
-        assert fast == general
-        assert sc.format_scalar(fast) == sc.format_scalar(general)
-        assert fast.den is a.den
-
-
-def test_powers_of_s_need_no_euclid(monkeypatch):
-    """omega and s**-k have denominator 1, so their sums and products skip the gcd."""
-    calls = []
-    gcd = sc._dense_gcd
-    monkeypatch.setattr(sc, "_dense_gcd", lambda u, v: calls.append(1) or gcd(u, v))
-    th = sc.theta_var()
-    values = [
-        sc.omega() * th,
-        sc.omega() + sc.s_var(-1),
-        sc.s_var(-3) * (sc.s_var() + th),
-    ]
-    assert calls == []
-    assert [sc.format_scalar(v) for v in values] == [
-        "(1*s^4*theta - 1*theta) / (1*s^2)",
-        "(1*s^4 + 1*s - 1) / (1*s^2)",
-        "(1*s + 1*theta) / (1*s^3)",
-    ]
-
-
-def _s_poly(coeffs):
-    return sc.Poly.from_dense_s([Fraction(c) for c in coeffs])
-
-
-# the factors of omega = (s^4 - 1)/s^2, and one arbitrary factor
-_OMEGA_FACTORS = ([0, 1], [-1, 1], [1, 1], [1, 0, 1])
-_OTHER_FACTORS = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    _POLYS,
-    st.lists(st.integers(0, 2), min_size=4, max_size=4),
-    _OTHER_FACTORS,
 )
-def test_canonical_text_matches_polynomial_reduction(num, powers, other):
-    """Laurent numerators print as the reduced fraction of polynomials.
 
-    The reference clears negative powers of s from the numerator into the
-    denominator and reduces the polynomial fraction with its s-content step
-    and Euclid (tests/scalar_oracle.py).
+
+@settings(max_examples=200, deadline=None)
+@given(_NUMERATORS, st.integers(0, 4))
+def test_canonical_text_matches_polynomial_reduction(num, k):
+    """A Laurent scalar prints as the reduced fraction of polynomials.
+
+    The reference (tests/scalar_oracle.py) takes the polynomial numerator
+    and the power of s below it, cancels their common power of s and
+    writes the text itself.
     """
-    den = _s_poly(other)
-    for factor, n in zip(_OMEGA_FACTORS, powers):
-        for _ in range(n):
-            den = den * _s_poly(factor)
-    k = max(0, -num.min_s_power())
-    a = Scalar(num, den)
+    a = _laurent([(c, es - k, eth, exi) for (es, eth, exi), c in num.items()])
     text = sc.format_scalar(a)
-    assert text == format_fraction(num.shift_s(k), den.shift_s(k))
+    assert text == format_fraction(num, k)
     assert sc.parse_scalar(text) == a
 
 
@@ -284,22 +274,24 @@ def test_a_factor_equal_to_one_is_shared():
     assert one == ONE and one is not ONE
     a = sc.omega() * sc.theta_var()
     assert one * a is a and a * one is a
-    b = ONE / (sc.s_var() + ONE)
-    assert b.den != sc.Poly.const(1)
-    assert one * b == b and b * one == b
+    b = sc.s_var(-1) + sc.xi_var()
+    assert one * b is b and b * one is b
 
 
 def test_as_fraction_and_const_value_are_fractions():
-    """Integral coefficients are stored as ints; these two read them as Fractions."""
-    assert rational(3).num.terms == {(0, 0, 0): 3}
-    assert type(rational(3).num.terms[(0, 0, 0)]) is int
-    for value in (rational(3).as_fraction(), ZERO.num.const_value()):
+    """Integral coefficients are stored as ints; as_fraction reads a rational,
+    zero included, as a Fraction."""
+    assert rational(3).terms == {(0, 0, 0): 3}
+    assert type(rational(3).terms[(0, 0, 0)]) is int
+    for value in (rational(3).as_fraction(), ZERO.as_fraction()):
         assert type(value) is Fraction
-    assert rational(3).as_fraction() == 3 and ZERO.num.const_value() == 0
+    assert rational(3).as_fraction() == 3 and ZERO.as_fraction() == 0
+    with pytest.raises(ScalarError, match="not a plain rational"):
+        sc.s_var().as_fraction()
 
 
-# polynomials built the way the package builds them, through Poly.monomial and +
-_STORED_POLYS = st.lists(
+# Laurent scalars built the way the package builds them, through monomials and +
+_LAURENT = st.lists(
     st.tuples(
         st.fractions(min_value=-5, max_value=5, max_denominator=4),
         st.integers(-3, 3),
@@ -307,46 +299,34 @@ _STORED_POLYS = st.lists(
         st.integers(0, 2),
     ),
     max_size=4,
-).map(lambda terms: sum((sc.Poly.monomial(*t) for t in terms), sc.Poly()))
-_STORED_SCALARS = st.builds(
-    lambda num, den, power: Scalar(num, _s_poly(den) * sc.Poly.monomial(1, es=power)),
-    _STORED_POLYS,
-    _OTHER_FACTORS,
-    st.integers(-2, 2),
+).map(_laurent)
+_UNITS = st.builds(
+    lambda c, k: sc.s_var(k).scale(c),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+    st.integers(-3, 3),
 )
 
 
-def _results(a, b, c):
-    """Scalars reached from a and b through every public operation."""
-    out = [a + b, a - b, a * b, a.scale(c), sc.parse_scalar(sc.format_scalar(a))]
-    if b.num.is_s_only() and not b.is_zero():
-        out.append(sc.inv(b))
-    contracted = sc.substitute(a, {"theta": sc.xi_var() / sc.omega()})
-    out.append(contracted)
+def _results(a, b, u, c):
+    """Scalars reached from a, b and the unit u through every public operation."""
+    out = [a + b, a - b, a * b, -a, a.scale(c), sc.parse_scalar(sc.format_scalar(a)), sc.inv(u)]
     theta_free = sc.substitute(a, {"theta": rational(c)})
     out.append(theta_free)
-    for value in (sc.s_var(2), rational(c)):
-        try:
-            out.append(sc.substitute(a, {"s": value}))
-        except ScalarError:
-            pass  # the denominator vanishes identically there
-    try:
-        out.append(sc.limit_at_one(theta_free))
-    except ScalarError:
-        pass  # a pole at s = 1
+    out.append(sc.substitute(a, {"xi": rational(c), "s": rational(2)}))
+    out.append(sc.contract(sc.omega() * sc.theta_var() * theta_free + u))
     return out
 
 
 @settings(max_examples=150, deadline=None)
-@given(_STORED_SCALARS, _STORED_SCALARS, st.fractions(min_value=-4, max_value=4, max_denominator=6))
-def test_every_operation_keeps_the_stored_coefficient_form(a, b, c):
+@given(_LAURENT, _LAURENT, _UNITS, st.fractions(min_value=-4, max_value=4, max_denominator=6))
+def test_every_operation_keeps_the_stored_coefficient_form(a, b, u, c):
     """Each coefficient is an int, or a Fraction with denominator > 1; never a float.
 
     Integral coefficients stored as ints print as their Fractions would,
     so the text still matches the polynomial-reduction reference.
     """
-    for value in [a, b] + _results(a, b, c):
-        assert stored_form(value), value.num.terms
-        k = max(0, -value.num.min_s_power())
-        reference = format_fraction(value.num.shift_s(k), value.den.shift_s(k))
-        assert sc.format_scalar(value) == reference
+    for value in [a, b] + _results(a, b, u, c):
+        assert stored_form(value), value.terms
+        k = max([0] + [-es for es, _, _ in value.terms])
+        num = {(es + k, eth, exi): v for (es, eth, exi), v in value.terms.items()}
+        assert sc.format_scalar(value) == format_fraction(num, k)

@@ -2,7 +2,9 @@
 
 G R G^-1 with G = M (x) M keeps every entry of the q-deformed R-matrix
 and adds x1..x9 at X_POSITIONS (0-based).  The values are the paper's
-explicit forms in q = s**2, omega = q - 1/q and theta.
+explicit forms in q = s**2, omega = q - 1/q and theta, each written in
+the ring of Laurent polynomials: x4 = (omega theta)**2 / (1 + q) is
+omega theta**2 (1 - q**-1), as omega = (q - 1)(q + 1)/q.
 """
 
 from qosp import scalar as sc
@@ -15,11 +17,11 @@ X_POSITIONS = {
 
 
 def x_entries():
-    w, th, q = sc.omega(), sc.theta_var(), sc.q_var()
-    b = -(w / sc.s_var())
+    w, th, qi = sc.omega(), sc.theta_var(), sc.q_var(-1)
+    b = -(w * sc.s_var(-1))
     c = b
     return {
-        "x1": -(w * th), "x2": b * th, "x3": w * th / q,
-        "x4": (w * th) ** 2 / (ONE + q), "x5": -(w * th), "x6": -(w * th / q),
+        "x1": -(w * th), "x2": b * th, "x3": w * th * qi,
+        "x4": w * th * th * (ONE - qi), "x5": -(w * th), "x6": -(w * th * qi),
         "x7": w * th, "x8": -(c * th), "x9": w * th,
     }

@@ -10,26 +10,21 @@ import math
 from fractions import Fraction
 
 from qosp.gmatrix import GradedMatrix
-from qosp.scalar import Poly, Scalar
-
-
-def poly_drop_xi_above(p, n):
-    """The terms of the Poly p with xi-power at most n."""
-    return Poly({k: v for k, v in p.terms.items() if k[2] <= n})
+from qosp.scalar import Scalar
 
 
 def xi_coefficient(x, r):
     """The coefficient of xi**r of a Scalar, or entrywise of a GradedMatrix."""
     if isinstance(x, GradedMatrix):
         return x.map_entries(lambda a: xi_coefficient(a, r))
-    return Scalar(Poly({(a, b, 0): v for (a, b, c), v in x.num.terms.items() if c == r}), x.den)
+    return Scalar({(a, b, 0): v for (a, b, c), v in x.terms.items() if c == r})
 
 
 def drop_xi_above(x, n):
     """A Scalar, or entrywise a GradedMatrix, without its terms above xi**n."""
     if isinstance(x, GradedMatrix):
         return x.map_entries(lambda a: drop_xi_above(a, n))
-    return Scalar(poly_drop_xi_above(x.num, n), x.den)
+    return Scalar({k: v for k, v in x.terms.items() if k[2] <= n})
 
 
 def series_values(a):
