@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -297,6 +298,10 @@ def _write_out(path, text):
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
+        if not path:
+            # the unwritten bytes stay buffered; at exit python flushes them again, fails
+            # and exits 120, unless standard output now points at the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise UsageError("cannot write %s: %s" % (path or "standard output", exc.strerror))
 
 

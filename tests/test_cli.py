@@ -473,12 +473,21 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         ["solve-phi", "--order", "1"],
     ],
 )
-def test_full_standard_output_is_usage_error(args):
-    """A failed write to standard output exits 2 with one error line, no traceback."""
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_standard_output_is_usage_error(args, unbuffered):
+    """A failed write to standard output exits 2 with one error line, no traceback.
+
+    Buffered, a short output fails only at the flush and stays in the buffer, so the
+    flush at interpreter exit must not fail again; unbuffered, the write itself fails.
+    """
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "qosp.cli", *args],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=_child_env(),
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
         )
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write standard output: No space left on device\n"
