@@ -7,11 +7,14 @@ common denominator den.  Every function returns it canonical: no zero
 numerator, gcd(den, *nums) == 1, and den == 1 when nums is empty.  Two
 series are then equal exactly when their values are, and a product
 multiplies integers and reduces once.  Fraction appears only in
-from_matrix and coefficient; no series is turned back into a matrix.
+from_matrix, coefficient and the weights of exp; no series is turned
+back into a matrix.
 
 A pair is truthy even when the series is zero, so emptiness goes through
 is_zero; canonical pairs compare by value with ==.  One product gives
-the product through an order and a single slice.
+the product through an order and a single slice, and every sum is one
+call to linear_combination, which adds all its terms over their lcm
+denominator in a single pass and reduces once.
 """
 
 import math
@@ -19,14 +22,12 @@ from fractions import Fraction
 
 from .gmatrix import MatrixError
 
-ZERO = ({}, 1)
-
 
 def _canonical(nums, den):
     """(nums, den) without zero numerators and with the common factor removed."""
     nums = {key: v for key, v in nums.items() if v}
     if not nums:
-        return ZERO
+        return {}, 1
     if den != 1:
         g = math.gcd(den, *nums.values())
         if g != 1:
@@ -60,15 +61,19 @@ def from_matrix(m, order):
     return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
 
 
-def add(x, y, c=1):
-    """x + c y for a rational c."""
-    (xn, xd), (yn, yd) = x, y
-    yd *= c.denominator
-    den = xd * yd // math.gcd(xd, yd)
-    fx, fy = den // xd, den // yd * c.numerator
-    out = dict(xn) if fx == 1 else {key: v * fx for key, v in xn.items()}
-    for key, v in yn.items():
-        out[key] = out.get(key, 0) + v * fy
+def linear_combination(terms):
+    """The sum of c a over the (c, a) terms, rational c, in one pass.
+
+    Every term is brought to the lcm of the denominators and added into
+    one map, which is reduced once; the empty sum is ({}, 1).
+    """
+    terms = list(terms)
+    den = math.lcm(*(d * c.denominator for c, (_, d) in terms))
+    out = {}
+    for c, (nums, d) in terms:
+        f = den // (d * c.denominator) * c.numerator
+        for key, v in nums.items():
+            out[key] = out.get(key, 0) + v * f
     return _canonical(out, den)
 
 
@@ -94,14 +99,13 @@ def mul(a, b, order, low=0):
 def exp(t, dim, order):
     """exp(t) and exp(-t) through xi**order; t starts at xi**1.
 
-    Both are finite sums over the same powers t**k/k!, which are formed
-    once: with E and O the sums over even and odd k, exp(t) = E + O and
-    exp(-t) = E - O.
+    Both are finite sums over the same powers t**k, which are formed
+    once: exp(t) weighs t**k by 1/k!, and exp(-t) by (-1)**k/k!.
     """
-    parts, power, k = [identity(dim), ZERO], t, 1
+    powers, power = [identity(dim)], t
     while not is_zero(power):
-        parts[k % 2] = add(parts[k % 2], power, Fraction(1, math.factorial(k)))
+        powers.append(power)
         power = mul(power, t, order)
-        k += 1
-    even, odd = parts
-    return add(even, odd), add(even, odd, -1)
+    terms = [(Fraction(1, math.factorial(k)), p) for k, p in enumerate(powers)]
+    f = linear_combination(terms)
+    return f, linear_combination(((-1) ** k * c, p) for k, (c, p) in enumerate(terms))

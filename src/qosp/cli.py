@@ -284,7 +284,7 @@ def cmd_solve_phi(args):
         "report": rep.to_json(),
     }
     _write_out(args.out, json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    sys.stderr.write(rep.summary() + "\n")
+    _write_err(rep.summary() + "\n")
     return 0 if rep.passed else 1
 
 
@@ -303,6 +303,16 @@ def _write_out(path, text):
             # and exits 120, unless standard output now points at the null device
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise UsageError("cannot write %s: %s" % (path or "standard output", exc.strerror))
+
+
+def _write_err(text):
+    """text to standard error; a failed write is ignored, as argparse ignores it."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        # as in _write_out: the null device takes the bytes left in the buffer
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def build_parser():
@@ -347,13 +357,14 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        _write_err("")  # argparse ignored a failed write, but its bytes stay buffered
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except (UsageError, FixtureError) as exc:
         # cut past 240 characters, but never inside the path of a bad fixture
         text, path = str(exc), getattr(exc, "path", "")
-        sys.stderr.write("error: %s\n" % _echo(text, "%s", max(240, text.find(path) + len(path))))
+        _write_err("error: %s\n" % _echo(text, "%s", max(240, text.find(path) + len(path))))
         return 2
 
 

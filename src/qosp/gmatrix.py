@@ -5,9 +5,13 @@ vector) and stores only its nonzero entries, in one private map
 {(i, j): Scalar} with 0-based indices.  No zero is ever stored, so
 every operation -- sums, products, Kronecker products, flips,
 inversion, exponentials -- walks the nonzeros alone; the product groups
-the right factor's nonzeros by row.  Matrices are immutable: operations
-return new matrices, ``m[i, j]`` reads an entry (ZERO where none is
-stored) and ``entries()`` yields the nonzeros in row-major order.
+the right factor's nonzeros by row.  Every sum is one call to
+linear_combination, which adds all its terms into one map in a single
+pass: A + B and A - B are its two-term cases, and the finite series of
+inverse, exp_nilpotent and log_unipotent collect their terms first.
+Matrices are immutable: operations return new matrices, ``m[i, j]``
+reads an entry (ZERO where none is stored) and ``entries()`` yields the
+nonzeros in row-major order.
 
 Graded Kronecker products insert Koszul signs; the sign convention used
 throughout the package is
@@ -60,8 +64,9 @@ class MatrixError(ArithmeticError):
 class GradedMatrix:
     """Immutable square graded matrix holding only its nonzero entries.
 
-    Build one with from_entries, zeros or identity.  The constructor
-    itself trusts its map: nonzero Scalars under in-range (i, j) keys.
+    Build one with from_entries, identity or linear_combination.  The
+    constructor itself trusts its map: nonzero Scalars under in-range
+    (i, j) keys.
     """
 
     __slots__ = ("dim", "parity", "_nz")
@@ -81,25 +86,38 @@ class GradedMatrix:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zeros(parity):
-        return GradedMatrix(parity, {})
-
-    @staticmethod
     def identity(parity):
         return GradedMatrix(parity, {(i, i): ONE for i in range(len(parity))})
 
     @staticmethod
     def linear_combination(parity, terms):
-        """The sum of c * m over the (c, m) terms; a c of 1 or -1 is not scaled."""
-        total = GradedMatrix.zeros(parity)
+        """The sum of c * m over the (c, m) terms, added into one map in one pass.
+
+        Every m must have the given parity; a c of 1 or -1 is not scaled.
+        """
+        parity = tuple(parity)
+        out = {}
+        get = out.get
         for c, m in terms:
+            if m.parity != parity:
+                raise MatrixError("dimension or parity mismatch")
             if c == 1:
-                total = total + m
+                items = m._nz.items()
             elif c == -1:
-                total = total - m
+                items = ((k, -v) for k, v in m._nz.items())
             else:
-                total = total + m.scale(c)
-        return total
+                items = m.scale(c)._nz.items()
+            for k, b in items:
+                a = get(k)
+                if a is None:
+                    out[k] = b
+                else:
+                    s = a + b
+                    if s.is_zero():
+                        del out[k]
+                    else:
+                        out[k] = s
+        return GradedMatrix(parity, out)
 
     @staticmethod
     def from_entries(parity, entries):
@@ -123,21 +141,14 @@ class GradedMatrix:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        self._check_compatible(other)
-        return GradedMatrix(self.parity, _accumulate(dict(self._nz), other._nz.items()))
+        return GradedMatrix.linear_combination(self.parity, ((1, self), (1, other)))
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        return GradedMatrix(
-            self.parity,
-            _accumulate(dict(self._nz), ((k, -v) for k, v in other._nz.items())),
-        )
-
-    def __neg__(self):
-        return GradedMatrix(self.parity, {k: -v for k, v in self._nz.items()})
+        return GradedMatrix.linear_combination(self.parity, ((1, self), (-1, other)))
 
     def __mul__(self, other):
-        self._check_compatible(other)
+        if self.parity != other.parity:
+            raise MatrixError("dimension or parity mismatch")
         brows = {}
         for (k, j), b in other._nz.items():
             brows.setdefault(k, []).append((j, b))
@@ -174,10 +185,6 @@ class GradedMatrix:
     def is_identity(self):
         return self == GradedMatrix.identity(self.parity)
 
-    def _check_compatible(self, other):
-        if self.parity != other.parity:
-            raise MatrixError("dimension or parity mismatch")
-
     # -- structure -----------------------------------------------------------
 
     def entries(self):
@@ -205,21 +212,6 @@ class GradedMatrix:
         for i, j, v in self.entries():
             lines.append("  (%d,%d) = %s" % (i + 1, j + 1, format_scalar(v)))
         return "\n".join(lines)
-
-
-def _accumulate(out, items):
-    """Add (key, value) pairs into the nonzero map out; drop cancelled keys."""
-    for k, b in items:
-        a = out.get(k)
-        if a is None:
-            out[k] = b
-        else:
-            s = a + b
-            if s.is_zero():
-                del out[k]
-            else:
-                out[k] = s
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +305,13 @@ def check_gybe(r, v, name):
 
 def _nilpotent_series(n, coeff, kind):
     """sum_k coeff(k) N**k for nilpotent N; MatrixError naming kind unless N**dim == 0."""
-    acc = GradedMatrix.identity(n.parity).scale(coeff(0))
-    power, k = n, 1
+    terms, power = [(coeff(0), GradedMatrix.identity(n.parity))], n
     while not power.is_zero():
-        if k >= n.dim:
+        if len(terms) >= n.dim:
             raise MatrixError("matrix is not %s" % kind)
-        c = coeff(k)
-        acc = acc + (power if c == 1 else -power if c == -1 else power.scale(c))
+        terms.append((coeff(len(terms)), power))
         power = power * n
-        k += 1
-    return acc
+    return GradedMatrix.linear_combination(n.parity, terms)
 
 
 def inverse(a):

@@ -153,18 +153,19 @@ class _PairSeries:
 
     def exponent(self, table, order):
         """exponent_from_bilinear through xi**order, from units cached per (m, n)."""
-        t = xs.ZERO
+        terms = []
         for (m, n), c in table.items():
             if c and m + n < order:
                 if (m, n) not in self._units:
                     unit = exponent_from_bilinear({(m, n): 1}, *self.reps)
                     self._units[m, n] = xs.from_matrix(unit, m + n + 1)
-                t = xs.add(t, self._units[m, n], c)
-        return t
+                terms.append((c, self._units[m, n]))
+        return xs.linear_combination(terms)
 
     def residual(self, f, order, low=0):
         """R(F) = F Dj(v+) - Dsj(v+) F from xi**low through xi**order."""
-        return xs.add(xs.mul(f, self.dj, order, low), xs.mul(self.target, f, order, low), -1)
+        fdj, target_f = xs.mul(f, self.dj, order, low), xs.mul(self.target, f, order, low)
+        return xs.linear_combination(((1, fdj), (-1, target_f)))
 
     def twist(self, table, order):
         """F = exp(T) and F^-1 = exp(-T) through xi**order, checked by F F^-1 = I."""
@@ -184,7 +185,8 @@ def check_intertwining_s(table, r1, r2, order):
     f, f_inv = pair.twist(table, order)
     main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", pair.residual(f, order), order)
     lhs = xs.mul(pair.dj, xs.mul(f_inv, f_inv, order), order)
-    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", xs.add(lhs, pair.target, -1), order)
+    aux_residual = xs.linear_combination(((1, lhs), (-1, pair.target)))
+    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", aux_residual, order)
     name = "odd-twist intertwining %s through xi^%d" % (spin_text((r1.spin, r2.spin)), order)
     return Report(name, [main, aux])
 

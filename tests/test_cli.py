@@ -493,6 +493,32 @@ def test_full_standard_output_is_usage_error(args, unbuffered):
     assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["solve-phi", "--order", "1"], 0),
+        (["verify", "--spins", "7"], 2),
+        (["emit", "--matrix", "kr", "--set", "s=1e5000"], 2),
+        (["bogus"], 2),
+    ],
+)
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_standard_error_keeps_the_exit_code(args, code, unbuffered):
+    """A failed write to standard error is ignored, as argparse ignores it: the exit
+    code stays the one the checks or the usage error give, 0 or 2, never 1 or 120."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qosp.cli", *args],
+            stdout=subprocess.DEVNULL, stderr=full, env=env,
+        )
+    assert proc.returncode == code
+
+
 def test_fixture_with_a_non_unit_denominator_is_usage_error(tmp_path):
     """Scalars are Laurent polynomials in s: an entry over 1*s - 1 is a bad fixture."""
     for name in FIXTURE_NAMES:

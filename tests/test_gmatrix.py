@@ -277,7 +277,7 @@ def test_residual_check_lists_the_first_ten_nonzeros():
     assert not check.passed
     assert check.detail == "residual has 11 nonzero entries"
     assert check.data == {"nonzero": [(i + 1, 12 - i, str(i)) for i in range(1, 11)]}
-    zero = residual_check("zero", GradedMatrix.zeros(parity), "sides agree")
+    zero = residual_check("zero", GradedMatrix.from_entries(parity, {}), "sides agree")
     assert zero.passed and zero.detail == "sides agree" and zero.data == {"nonzero": []}
 
 
@@ -301,7 +301,7 @@ def test_inverse_jordanian_block_swap():
 
 
 def test_inverse_singular_raises():
-    z = GradedMatrix.zeros(FUND)
+    z = GradedMatrix.from_entries(FUND, {})
     with pytest.raises(MatrixError):
         inverse(z)
 
@@ -332,7 +332,7 @@ def test_inverse_random_unipotent():
 
 
 def test_exp_log_round_trip():
-    z = GradedMatrix.zeros(FUND)
+    z = GradedMatrix.from_entries(FUND, {})
     assert exp_nilpotent(z).is_identity()
     xi = sc.xi_var()
     n = GradedMatrix.from_entries(FUND, {(0, 2): xi.scale(2)})
@@ -470,7 +470,7 @@ def test_no_zero_entry_is_stored():
     n = GradedMatrix.from_entries(FUND, {(0, 2): xi})
     cancelled = [
         r - r,
-        r + (-r),
+        r + r.scale(-1),
         r.scale(0),
         xi_coefficient(r, 1),
         r.map_entries(lambda a: a - a),
@@ -480,11 +480,23 @@ def test_no_zero_entry_is_stored():
     for m in cancelled:
         assert m.nonzero_count() == 0
         assert list(m.entries()) == []
-        assert m == GradedMatrix.zeros(m.parity)
+        assert m == GradedMatrix.from_entries(m.parity, {})
     partial = r - GradedMatrix.identity(r.parity)
     assert all(not v.is_zero() for _, _, v in partial.entries())
     assert partial.nonzero_count() == r.nonzero_count() - 5  # the five unit diagonal entries
     assert partial[1, 1] == ZERO
+
+
+def test_linear_combination_checks_every_term_and_takes_a_list_parity():
+    """A parity mismatch in any term raises, not only in the first; a list parity is a tuple."""
+    i3 = GradedMatrix.identity(FUND)
+    for bad in (GradedMatrix.identity((1, 0, 1)), GradedMatrix.identity((0, 1))):
+        for terms in ([(1, bad)], [(1, i3), (-1, bad)], [(1, i3), (-1, i3), (Fraction(1, 2), bad)]):
+            with pytest.raises(MatrixError, match="dimension or parity mismatch"):
+                GradedMatrix.linear_combination(FUND, terms)
+    total = GradedMatrix.linear_combination(list(FUND), [(1, i3), (-1, i3), (3, i3)])
+    assert total.parity == FUND and total == i3.scale(3)
+    assert GradedMatrix.linear_combination(list(FUND), []) == GradedMatrix.from_entries(FUND, {})
 
 
 def test_matrices_are_immutable():
@@ -504,7 +516,7 @@ def test_matrices_are_immutable():
     m = GradedMatrix.from_entries(FUND, entries)
     entries[(0, 0)] = ZERO
     assert m[0, 0] == ONE
-    for _ in (r + r, r - r, -r, r * r, r.scale(2), gkron(m, m), flip_legs(r, FUND)):
+    for _ in (r + r, r - r, r.scale(-1), r * r, r.scale(2), gkron(m, m), flip_legs(r, FUND)):
         pass
     assert to_json_dict(r) == before
 

@@ -440,12 +440,13 @@ def test_dsj_vminus_order_one_structure(fund):
 
 
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_WEIGHT = st.one_of(st.sampled_from([0, 1, -1]), _COEFF)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_series_kernel_matches_truncated_graded_matrices(data):
-    """Truncated product, slice, exp and inverse equal GradedMatrix results truncated.
+    """Truncated product, slice, sum, exp and inverse equal GradedMatrix results truncated.
 
     a and b are any matrices polynomial in xi over the rationals; t is
     strictly upper triangular after a random relabelling of the basis and
@@ -472,14 +473,19 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
         return assert_canonical(xs.from_matrix(m, order))
 
     a, b, t = matrix(0, False), matrix(0, False), matrix(1, True)
-    c = data.draw(_COEFF)
     product = assert_canonical(xs.mul(series(a), series(b), order))
     assert series_values(product) == series_values(series(drop_xi_above(a * b, order)))
     top = assert_canonical(xs.mul(series(a), series(b), order, order))
     top_slice = series_values(series(xi_coefficient(a * b, order)))
     assert series_values(top) == {(order, i, j): v for (_, i, j), v in top_slice.items()}
-    total = assert_canonical(xs.add(series(a), series(b), c))
-    assert series_values(total) == series_values(series(a + b.scale(c)))
+    terms = data.draw(st.lists(st.tuples(_WEIGHT, st.sampled_from([a, b, t])), max_size=4))
+    if len(terms) > 1 and data.draw(st.booleans()):  # the last term cancels the first
+        terms[-1] = (-terms[0][0], terms[0][1])
+    total = assert_canonical(xs.linear_combination((w, series(m)) for w, m in terms))
+    assert series_values(total) == series_values(
+        series(GradedMatrix.linear_combination(parity, terms))
+    )
+    assert xs.linear_combination([]) == ({}, 1)
     f, f_inv = map(assert_canonical, xs.exp(series(t), dim, order))
     assert series_values(f) == series_values(series(exp_nilpotent(t)))
     assert series_values(f_inv) == series_values(series(inverse(exp_nilpotent(t))))
@@ -529,6 +535,27 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
     monkeypatch.setattr(xs, "mul", counted)
     pair.twist(bilinear, 5)
     assert len(calls) == powers + 1
+
+
+def test_exponent_reduces_its_sum_once(monkeypatch):
+    """With every unit cached, the exponent over n units is one pass: one reduction."""
+    r32 = irrep(Fraction(3, 2))
+    pair = phi_mod._PairSeries(r32, r32, 5)
+    bilinear = f1_table(4)
+    below = {(m, n): c for (m, n), c in bilinear.items() if m + n < 5}
+    pair.exponent(bilinear, 5)
+    assert len(pair._units) == len(below) > 2
+    calls = []
+    canonical = xs._canonical
+
+    def counted(*args):
+        calls.append(args)
+        return canonical(*args)
+
+    monkeypatch.setattr(xs, "_canonical", counted)
+    t = pair.exponent(bilinear, 5)
+    assert len(calls) == 1
+    assert t == xs.from_matrix(exponent_from_bilinear(below, r32, r32), 5)
 
 
 @pytest.mark.parametrize(

@@ -132,7 +132,7 @@ def test_s_power_h_needs_integer_exponents():
     parity = (0, 1)
     half = rational(Fraction(1, 2))
     h = GradedMatrix.from_entries(parity, {(0, 0): half, (1, 1): -half})
-    odd = Representation(Fraction(1, 4), h, GradedMatrix.zeros(parity), None, parity)
+    odd = Representation(Fraction(1, 4), h, GradedMatrix.from_entries(parity, {}), None, parity)
     with pytest.raises(RepresentationError, match=re.escape("s**h needs integer exponents")):
         odd.image("s^h")
 
@@ -287,4 +287,4 @@ def test_word_sum_scales_only_other_coefficients(monkeypatch):
     assert scaled == []
     assert r.word_sum([(-1, "X+"), (Fraction(1, 2), ("v+", "v+"))]) == mixed
     assert scaled == [Fraction(1, 2)]
-    assert r.word_sum([]) == GradedMatrix.zeros(r.parity)
+    assert r.word_sum([]) == GradedMatrix.from_entries(r.parity, {})
