@@ -41,12 +41,16 @@ column R(B)[xi**(t+1)] per unknown.  Known terms with m + n > t start above the 
 and are left out of T.  B is homogeneous of degree t + 1, so only the
 xi**0 slices of Dj(v+) and Dsj(v+) reach its column.
 
-Every computation through an xi order runs on the integer series of
-_xiseries.  F and F^-1 = exp(-T) are summed from one pass over the
-powers of T and checked by F F^-1 = I.  Each unit exponent B is built
-once per pair, as the series of exponent_from_bilinear on that one
-coefficient.  F Delta0(v-) F^-1, exact in xi on a module pair, is not
-built here: coproducts.check_twist_produces states what it satisfies.
+_PairSeries is the solver on one module pair: its solve finds the
+unknowns of each shell in turn from its shell_equations, and its check
+decides whether R(F) of a table vanishes through an xi order, for
+solve_phi's residuals and check_intertwining_s alike.  Every computation
+through an xi order runs on the integer series of _xiseries.  F and
+F^-1 = exp(-T) are summed from one pass over the powers of T and checked
+by F F^-1 = I.  Each unit exponent B is built once per pair, as the
+series of exponent_from_bilinear on that one coefficient.
+F Delta0(v-) F^-1, exact in xi on a module pair, is not built here:
+coproducts.check_twist_produces states what it satisfies.
 """
 
 from __future__ import annotations
@@ -144,7 +148,12 @@ def _order_check(name, residual, order):
 
 
 class _PairSeries:
-    """Dj(v+), Dsj(v+) and the unit exponents of one module pair, through xi**order."""
+    """The odd-twist solver on one module pair, through xi**order.
+
+    Holds Dj(v+), Dsj(v+) and the unit exponents of the pair.  solve
+    finds the shell unknowns from the shell equations, and check decides
+    whether the twist of a table intertwines through an xi order.
+    """
 
     def __init__(self, r1, r2, order):
         self.reps, self.dim, self._units = (r1, r2), r1.dim * r2.dim, {}
@@ -174,6 +183,58 @@ class _PairSeries:
             raise MatrixError("inverse verification failed")
         return f, f_inv
 
+    def check(self, name, table, order):
+        """The check that R(F) of the table vanishes through xi**order, and F^-1."""
+        f, f_inv = self.twist(table, order)
+        return _order_check(name, self.residual(f, order), order), f_inv
+
+    def shell_equations(self, known, shell, order):
+        """Shell equations with (m,n) and (n,m) tied to one unknown.
+
+        order is the matched xi power t + 1.  The base is the xi**order slice
+        of the residual of exp(known terms below the slice), and the column
+        of (m, n) that of the unit exponent B on (m, n) and (n, m) (module
+        docstring).
+        """
+        base = self.residual(xs.exp(self.exponent(known, order), self.dim, order)[0], order, order)
+        columns = [
+            self.residual(self.exponent({(m, n): 1, (n, m): 1}, order), order, order)
+            for m, n in shell
+        ]
+        # one equation per entry that is nonzero in base or any column, row-major
+        positions = sorted({key for col in (base, *columns) for key in col[0]})
+        rows = [[xs.coefficient(col, key) for col in columns] for key in positions]
+        rhs = [-xs.coefficient(base, key) for key in positions]
+        return rows, rhs
+
+    def solve(self, known, shells):
+        """Solve the shells in turn on top of the known table.
+
+        Each shell is the list of its unknown keys (m, n), m <= n, all with
+        m + n = t; it is matched at xi**(t+1), on the known table plus every
+        value found below it.  Returns the found values {(m, n): Fraction},
+        the pinned keys (left undetermined and held at 0 from then on), one
+        note per shell and whether every shell was consistent.  Solving stops
+        at the first inconsistent shell.
+        """
+        solved, found, pinned, notes = dict(known), {}, [], []
+        for shell in shells:
+            t = sum(shell[0])
+            rows, rhs = self.shell_equations(solved, shell, t + 1)
+            solution, free, inconsistent = solve_linear_system(rows, rhs, len(shell))
+            if inconsistent:
+                notes.append("shell %d inconsistent %s" % (t, inconsistent))
+                return found, pinned, notes, False
+            for idx, key in enumerate(shell):
+                if idx in solution:
+                    _add_symmetric(solved, key, solution[idx])
+                    found[key] = solution[idx]
+                else:
+                    pinned.append(key)
+            state = "underdetermined %s" % [shell[c] for c in free] if free else "unique"
+            notes.append("shell %d %s" % (t, state))
+        return found, pinned, notes, True
+
 
 def check_intertwining_s(table, r1, r2, order):
     """Both forms of the intertwining identity, modulo xi**(order+1).
@@ -182,8 +243,7 @@ def check_intertwining_s(table, r1, r2, order):
     it first fails at the order where F Dj(v+) F^-1 = Dsj(v+) does.
     """
     pair = _PairSeries(r1, r2, order)
-    f, f_inv = pair.twist(table, order)
-    main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", pair.residual(f, order), order)
+    main, f_inv = pair.check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", table, order)
     lhs = xs.mul(pair.dj, xs.mul(f_inv, f_inv, order), order)
     aux_residual = xs.linear_combination(((1, lhs), (-1, pair.target)))
     aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", aux_residual, order)
@@ -202,8 +262,8 @@ def solve_linear_system(rows, rhs, ncols):
     number of unknowns.  Returns (solution dict, free columns,
     inconsistent rows).  The solution maps determined columns to values;
     free columns, and pivot columns whose value depends on them, are left
-    out of it.  solve_phi holds those unknowns at 0 in later shells and
-    lists them as pinned.
+    out of it.  _PairSeries.solve holds those unknowns at 0 in later
+    shells and lists them as pinned.
     """
     m = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
     pivots = {}
@@ -237,18 +297,17 @@ def solve_linear_system(rows, rhs, ncols):
     return solution, free, inconsistent
 
 
-def solve_phi(order, pairs, include_f1=True):
+def solve_phi(order, pairs):
     """Solve the bilinear coefficients shell by shell on each pair.
 
-    order is the maximal term index k; shells m + n = t are solved for
-    ascending t by matching the xi**(t+1) slice of the intertwining
-    identity, where the shell unknowns enter linearly.  With
-    include_f1 the closed form of f_1 is folded in and the unknowns
-    are restricted to m, n >= 1; without it the solver re-derives the
-    f_1 expansion itself.  Returns the pooled table of Phi (the known
-    part plus each coefficient as the first pair to determine it found
-    it, zero entries dropped) and a report with one check per pair, the
-    cross-pair consistency and the residual on every pair.
+    order is the maximal term index k.  The closed form of f_1 is known,
+    so the unknowns are the D[m, n] with m, n >= 1, in the shells
+    m + n = t for t = 2 .. 2*order - 2; _PairSeries.solve solves them on
+    each pair.  Returns the pooled table of Phi (f_1 (x) f_1 plus each
+    coefficient as the first pair to determine it found it, zero entries
+    dropped) and a report with one check per pair, the cross-pair
+    consistency and, from _PairSeries.check, the residual on every pair
+    through xi**(2*order - 1).
 
     Evidence in the check data: each pair check lists under "pinned"
     the unknowns it left undetermined (held at 0 from then on), and the
@@ -262,90 +321,46 @@ def solve_phi(order, pairs, include_f1=True):
         if pair in spins[:k]:
             raise ValueError("repeated module pair %s:%s" % pair)
     rep = Report("odd-twist series solve, order %d" % order)
-    if include_f1:
-        known = f1_table(max(2 * (order - 1), 2))
-        min_power = 1
-        shells = range(2, 2 * order - 1)
-    else:
-        known = {}
-        min_power = 0
-        shells = range(0, 2 * order - 1)
-
-    pair_series = [_PairSeries(r1, r2, 2 * order - 1) for r1, r2 in pairs]
-    pooled = dict(known)
+    known = f1_table(max(2 * (order - 1), 2))
+    xi_order = 2 * order - 1
+    shells = [[(m, t - m) for m in range(1, t // 2 + 1)] for t in range(2, xi_order)]
+    pair_series = [_PairSeries(r1, r2, xi_order) for r1, r2 in pairs]
     reference = {}  # each coefficient as the first pair to determine it found it
     determined_by = {}
     consistent = True
-    for pair in pair_series:
-        solved = dict(known)
-        findings = {}
-        statuses = []
-        pinned = []
-        for t in shells:
-            shell = [(m, t - m) for m in range(min_power, t // 2 + 1)]
-            rows, rhs = _shell_equations_sym(solved, shell, pair, t + 1)
-            solution, free, inconsistent = solve_linear_system(
-                rows, rhs, ncols=len(shell)
-            )
-            if inconsistent:
-                statuses.append(("shell %d" % t, "inconsistent", inconsistent))
-                break
-            for idx, key in enumerate(shell):
-                if idx in solution:
-                    _add_symmetric(solved, key, solution[idx])
-                    findings[key] = solution[idx]
-                else:
-                    pinned.append(key)
-            if free:
-                statuses.append(
-                    ("shell %d" % t, "underdetermined", [shell[c] for c in free])
-                )
-            else:
-                statuses.append(("shell %d" % t, "unique", None))
-        spins = tuple(r.spin for r in pair.reps)
-        for key, val in findings.items():
-            if key not in reference:
-                reference[key] = val
-                _add_symmetric(pooled, key, val)
-            elif reference[key] != val:
+    for pair, pair_spins in zip(pair_series, spins):
+        found, pinned, notes, solvable = pair.solve(known, shells)
+        for key, val in found.items():
+            if reference.setdefault(key, val) != val:
                 consistent = False
-            determined_by.setdefault(str(key), []).append([str(a) for a in spins])
-        detail = "; ".join(
-            "%s %s%s" % (name, state, "" if extra is None else " " + str(extra))
-            for name, state, extra in statuses
-        ) or "nothing to solve"
+            determined_by.setdefault(str(key), []).append([str(a) for a in pair_spins])
+        solved = {str(k): str(v) for k, v in found.items()}
+        detail = "; ".join(notes) or "nothing to solve"
         rep.add(
             Check(
-                "pair %s solve" % spin_text(spins),
-                all(state != "inconsistent" for _, state, _ in statuses),
-                detail + " -> " + str({str(k): str(v) for k, v in findings.items()}),
-                data={
-                    "solved": {str(k): str(v) for k, v in findings.items()},
-                    "pinned": [str(k) for k in pinned],
-                },
+                "pair %s solve" % spin_text(pair_spins),
+                solvable,
+                detail + " -> " + str(solved),
+                data={"solved": solved, "pinned": [str(k) for k in pinned]},
             )
         )
+    solved = {str(k): str(v) for k, v in reference.items()}
     rep.add(
         Check(
             "cross-pair consistency",
             consistent,
-            str({str(k): str(v) for k, v in reference.items()}),
-            data={
-                "solved": {str(k): str(v) for k, v in reference.items()},
-                "determined_by": determined_by,
-            },
+            str(solved),
+            data={"solved": solved, "determined_by": determined_by},
         )
     )
 
-    # verify residuals on every pair through the solved orders
+    pooled = dict(known)
+    for key, val in reference.items():
+        _add_symmetric(pooled, key, val)
     table = {key: val for key, val in pooled.items() if val}
-    max_xi = (max(m + n for m, n in pooled) + 1) if pooled else 1
-    xi_order = min(max_xi, 2 * order - 1)
-    for pair in pair_series:
-        f, _ = pair.twist(table, xi_order)
-        spins = spin_text(tuple(r.spin for r in pair.reps))
-        name = "residual zero on %s through xi^%d" % (spins, xi_order)
-        rep.add(_order_check(name, pair.residual(f, xi_order), xi_order))
+    for pair, pair_spins in zip(pair_series, spins):
+        name = "residual zero on %s through xi^%d" % (spin_text(pair_spins), xi_order)
+        rep.add(pair.check(name, table, xi_order)[0])
     return table, rep
 
 
@@ -355,23 +370,3 @@ def _add_symmetric(table, key, value):
     table[m, n] = table.get((m, n), 0) + value
     if m != n:
         table[n, m] = table.get((n, m), 0) + value
-
-
-def _shell_equations_sym(known, shell, pair, order):
-    """Shell equations with (m,n) and (n,m) tied to one unknown.
-
-    order is the matched xi power t + 1.  The base is the xi**order slice
-    of the residual of exp(known terms below the slice), and the column
-    of (m, n) that of the unit exponent B on (m, n) and (n, m) (module
-    docstring).
-    """
-    base = pair.residual(xs.exp(pair.exponent(known, order), pair.dim, order)[0], order, order)
-    columns = [
-        pair.residual(pair.exponent({(m, n): 1, (n, m): 1}, order), order, order)
-        for m, n in shell
-    ]
-    # one equation per entry that is nonzero in base or any column, row-major
-    positions = sorted({key for col in (base, *columns) for key in col[0]})
-    rows = [[xs.coefficient(col, key) for col in columns] for key in positions]
-    rhs = [-xs.coefficient(base, key) for key in positions]
-    return rows, rhs

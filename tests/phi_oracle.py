@@ -9,11 +9,14 @@ through u**u_order on each leg only k <= u_order contributes and every
 coefficient D[m, n] of the table is a finite sum of rationals built from
 the f_1 series alone.  qosp.phi solves the same table shell by shell;
 these tests compare the two.
+
+solve_without_f1 is the solver with nothing known: it re-derives the
+f_1 expansion on one pair.
 """
 
 from fractions import Fraction
 
-from qosp.phi import f1_series_coeffs
+from qosp.phi import _add_symmetric, _PairSeries, f1_series_coeffs
 
 
 def _series_mul(a, b, order):
@@ -37,3 +40,23 @@ def closed_form_table(u_order):
                 table[m, n] = table.get((m, n), 0) + weight * a * b
         g = _series_mul(g, tau, u_order)
     return {key: c for key, c in table.items() if c}
+
+
+def solve_without_f1(order, r1, r2):
+    """The table one pair solves with no f_1 known, and whether it holds.
+
+    The shells run from t = 0 with m >= 0, through the order solve_phi
+    reaches; the table is checked through xi**(2*order - 1), where
+    solve_phi checks its own.  Returns the table, zero entries dropped,
+    and whether every shell was consistent and R(F) of the table vanishes.
+    """
+    xi_order = 2 * order - 1
+    pair = _PairSeries(r1, r2, xi_order)
+    shells = [[(m, t - m) for m in range(t // 2 + 1)] for t in range(xi_order)]
+    found, _, _, consistent = pair.solve({}, shells)
+    table = {}
+    for key, val in found.items():
+        _add_symmetric(table, key, val)
+    table = {key: c for key, c in table.items() if c}
+    check, _ = pair.check("residual zero", table, xi_order)
+    return table, consistent and check.passed

@@ -22,6 +22,8 @@ COMMANDS = {
     "verify_all_json": ["verify", "--suite", "all", "--json"],
     "verify_frt_spins_json": ["verify", "--suite", "frt", "--spins", "1/2,1,3/2,2", "--json"],
     "verify_intertwine_order5000": ["verify", "--suite", "intertwine", "--order", "5000"],
+    "solve_phi_defaults": ["solve-phi"],
+    "solve_phi_order1": ["solve-phi", "--order", "1"],
     "solve_phi_order4": ["solve-phi", "--order", "4", "--pairs", "3/2:1,3/2:3/2"],
     "solve_phi_spin2_order4": ["solve-phi", "--order", "4", "--pairs", "2:3/2,2:2"],
     "emit_rep2": ["emit", "--rep", "2"],

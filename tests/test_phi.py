@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qosp import _xiseries as xs
+from qosp import cli
 from qosp import phi as phi_mod
 from qosp import scalar as sc
 from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, check_twist_produces
@@ -24,7 +25,7 @@ from qosp.phi import (
     solve_phi,
 )
 from qosp.reps import Representation, RepresentationError, fundamental_rep, irrep
-from phi_oracle import closed_form_table
+from phi_oracle import closed_form_table, solve_without_f1
 from xi_oracle import assert_canonical, drop_xi_above, series_values, xi_coefficient
 
 
@@ -128,12 +129,12 @@ def test_f1_only_fails_on_spin_one_at_order_three(spin1):
 
 
 def test_solve_order_one_recovers_f1(fund, spin1):
-    table, rep = solve_phi(1, [(fund, fund)], include_f1=False)
-    assert rep.passed
+    table, passed = solve_without_f1(1, fund, fund)
+    assert passed
     assert table.get((0, 0), 0) == Fraction(1)
     # deeper shells on a pair that can see them reproduce f1 x f1 off-diagonals
-    table2, rep2 = solve_phi(2, [(spin1, spin1)], include_f1=False)
-    assert rep2.passed
+    table2, passed2 = solve_without_f1(2, spin1, spin1)
+    assert passed2
     coeffs = f1_series_coeffs(1)
     assert table2.get((0, 0), 0) == coeffs[0] * coeffs[0]
     assert table2.get((0, 1), 0) == coeffs[0] * coeffs[1]
@@ -165,7 +166,8 @@ def test_solved_series_term_structure(spin1):
         assert min(right) == k - 1
 
 
-# every solve_phi call of this module, as (order, spin pairs, include_f1)
+# every solve of this module, as (order, spin pairs, f_1 known); a solve
+# without f_1 known is solve_without_f1 on its one pair
 _SOLVES = [
     (1, [(Fraction(1, 2), Fraction(1, 2))], False),
     (2, [(1, 1)], False),
@@ -177,11 +179,16 @@ _SOLVES = [
 ]
 
 
-@pytest.mark.parametrize("order, spins, include_f1", _SOLVES)
-def test_rank_one_terms_sum_back_to_the_solved_table(order, spins, include_f1):
+@pytest.mark.parametrize("order, spins, f1_known", _SOLVES)
+def test_rank_one_terms_sum_back_to_the_solved_table(order, spins, f1_known):
     pairs = [(irrep(a), irrep(b)) for a, b in spins]
-    table, rep = solve_phi(order, pairs, include_f1=include_f1)
-    assert rep.passed
+    if f1_known:
+        table, rep = solve_phi(order, pairs)
+        passed = rep.passed
+    else:
+        (pair,) = pairs
+        table, passed = solve_without_f1(order, *pair)
+    assert passed
     terms = rank_one_terms(table)
     total = {}
     for k, (left, right) in enumerate(terms, start=1):
@@ -218,14 +225,78 @@ def test_solver_reports_inconsistency(spin1):
     leaves no value of the shell-2 unknown that can cancel the xi^3
     residual, and the report must say so rather than average it away.
     """
-    from qosp.phi import _shell_equations_sym, solve_linear_system
+    from qosp.phi import solve_linear_system
 
     bad_known = f1_table(2)
     bad_known[(0, 1)] += Fraction(1, 3)  # break the symmetry of the known part
     pair = phi_mod._PairSeries(spin1, spin1, 3)
-    rows, rhs = _shell_equations_sym(bad_known, [(1, 1)], pair, 3)
+    rows, rhs = pair.shell_equations(bad_known, [(1, 1)], 3)
     solution, free, inconsistent = solve_linear_system(rows, rhs, ncols=1)
     assert inconsistent
+
+
+def test_solve_phi_stops_at_an_inconsistent_shell(monkeypatch, capsys, spin1):
+    """A poisoned f_1 part makes shell 2 unsolvable inside solve_phi on (3/2, 1):
+    the pair check names it and no later shell, the report fails and the CLI
+    exits 1.  The poison keeps the table symmetric, so the CLI can still split
+    it into rank-one terms."""
+    unpoisoned = phi_mod.f1_table
+
+    def poisoned(u_order):
+        table = unpoisoned(u_order)
+        for key in ((0, 1), (1, 0)):  # D[0, 1] as in test_solver_reports_inconsistency
+            table[key] += Fraction(1, 3)
+        return table
+
+    monkeypatch.setattr(phi_mod, "f1_table", poisoned)
+    _, rep = solve_phi(3, [(irrep(Fraction(3, 2)), spin1)])
+    solve = rep.checks[0]
+    assert solve.name == "pair (3/2, 1) solve"
+    assert not solve.passed
+    assert solve.detail.startswith("shell 2 inconsistent [")
+    assert solve.detail.endswith("] -> {}")
+    assert "shell 3" not in solve.detail and "shell 4" not in solve.detail
+    assert not rep.passed
+    assert cli.main(["solve-phi", "--order", "3", "--pairs", "3/2:1"]) == 1
+    assert "(shell 2 inconsistent [" in capsys.readouterr().err
+
+
+def test_cross_pair_disagreement_fails(monkeypatch, spin1):
+    """A second pair that finds another D[1, 1] fails the cross-pair check; the
+    table keeps the first pair's value and both pairs are listed."""
+    r32 = irrep(Fraction(3, 2))
+    shell_equations = phi_mod._PairSeries.shell_equations
+
+    def shifted(pair, known, shell, order):
+        rows, rhs = shell_equations(pair, known, shell, order)
+        if pair.reps[0] is r32:  # the solution moves by 1 in the first unknown
+            rhs = [b + row[0] for row, b in zip(rows, rhs)]
+        return rows, rhs
+
+    monkeypatch.setattr(phi_mod._PairSeries, "shell_equations", shifted)
+    table, rep = solve_phi(2, [(spin1, spin1), (r32, spin1)])
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["pair (1, 1) solve"].data["solved"] == {"(1, 1)": "-1/12"}
+    assert by_name["pair (3/2, 1) solve"].data["solved"] == {"(1, 1)": "11/12"}
+    cross = by_name["cross-pair consistency"]
+    assert not cross.passed
+    assert cross.data["solved"] == {"(1, 1)": "-1/12"}
+    assert cross.data["determined_by"] == {"(1, 1)": [["1", "1"], ["3/2", "1"]]}
+    assert table[1, 1] == Fraction(1, 4) - Fraction(1, 12)
+    assert not rep.passed
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, ncols, expected",
+    [
+        ([[1, 1]], [1], 2, ({}, [1], [])),
+        ([[1, 0, 0], [0, 1, 1]], [2, 3], 3, ({0: Fraction(2)}, [2], [])),
+    ],
+    ids=["1x2", "2x3"],
+)
+def test_solve_linear_system_drops_pivots_on_free_columns(rows, rhs, ncols, expected):
+    """A pivot column whose row also holds a free column has no value of its own."""
+    assert phi_mod.solve_linear_system(rows, rhs, ncols) == expected
 
 
 def _finite_difference_shell_equations(known_bilinear, shell, r1, r2, order):
@@ -256,42 +327,46 @@ def _finite_difference_shell_equations(known_bilinear, shell, r1, r2, order):
     return rows, rhs
 
 
-def _record_shells(monkeypatch, *solve_args, **solve_kwargs):
-    """Run solve_phi and record every shell system with its exp count."""
+def _record_shells(monkeypatch, solve):
+    """Run solve() and record every shell system with its exp count.
+
+    solve returns whether the solve passed."""
     calls = []
     exp_count = [0]
-    shell_equations = phi_mod._shell_equations_sym
+    shell_equations = phi_mod._PairSeries.shell_equations
     series_exp = xs.exp
 
     def counting_exp(*args):
         exp_count[0] += 1
         return series_exp(*args)
 
-    def recording(known, shell, pair, order):
+    def recording(pair, known, shell, order):
         before = exp_count[0]
-        rows, rhs = shell_equations(known, shell, pair, order)
+        rows, rhs = shell_equations(pair, known, shell, order)
         calls.append((dict(known), list(shell), *pair.reps, order, rows, rhs, exp_count[0] - before))
         return rows, rhs
 
     monkeypatch.setattr(xs, "exp", counting_exp)
-    monkeypatch.setattr(phi_mod, "_shell_equations_sym", recording)
-    _, rep = solve_phi(*solve_args, **solve_kwargs)
-    assert rep.passed
+    monkeypatch.setattr(phi_mod._PairSeries, "shell_equations", recording)
+    assert solve()
     return calls
 
 
 @pytest.mark.parametrize(
-    "order, spins, include_f1, nshells",
+    "order, spins, f1_known, nshells",
     [
         (4, [(Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True, 10),
         (2, [(Fraction(1, 2), Fraction(1, 2))], False, 3),
     ],
 )
 def test_shell_equations_match_finite_differences(
-    monkeypatch, order, spins, include_f1, nshells
+    monkeypatch, order, spins, f1_known, nshells
 ):
     pairs = [(irrep(a), irrep(b)) for a, b in spins]
-    calls = _record_shells(monkeypatch, order, pairs, include_f1=include_f1)
+    if f1_known:
+        calls = _record_shells(monkeypatch, lambda: solve_phi(order, pairs)[1].passed)
+    else:
+        calls = _record_shells(monkeypatch, lambda: solve_without_f1(order, *pairs[0])[1])
     assert len(calls) == nshells
     for known, shell, r1, r2, xi_order, rows, rhs, _ in calls:
         assert (rows, rhs) == _finite_difference_shell_equations(
@@ -301,7 +376,8 @@ def test_shell_equations_match_finite_differences(
 
 def test_one_exponential_per_shell(monkeypatch):
     r32 = irrep(Fraction(3, 2))
-    calls = _record_shells(monkeypatch, 4, [(r32, irrep(1)), (r32, r32)])
+    pairs = [(r32, irrep(1)), (r32, r32)]
+    calls = _record_shells(monkeypatch, lambda: solve_phi(4, pairs)[1].passed)
     # shells 2..6 on each of the two pairs
     assert [c[-1] for c in calls] == [1] * 10
 
