@@ -6,9 +6,10 @@ entry (i, j) to the numerator of its coefficient, over one positive
 common denominator den.  Every function returns it canonical: no zero
 numerator, gcd(den, *nums) == 1, and den == 1 when nums is empty.  Two
 series are then equal exactly when their values are, and a product
-multiplies integers and reduces once.  Fraction appears only in
-from_matrix, coefficient and the weights of exp; no series is turned
-back into a matrix.
+multiplies integers and reduces once.  A GradedMatrix is held the same
+way, so from_matrix only relabels its terms; Fraction appears only in
+coefficient and the weights of exp, and no series is turned back into a
+matrix.
 
 A pair is truthy even when the series is zero, so emptiness goes through
 is_zero; canonical pairs compare by value with ==.  One product gives
@@ -50,15 +51,16 @@ def coefficient(a, key):
 
 
 def from_matrix(m, order):
-    """m through xi**order; an entry with s or theta raises MatrixError."""
-    coeffs = {}
-    for i, j, v in m.entries():
-        if any(es or eth for es, eth, _ in v.terms):
-            raise MatrixError("entry (%d, %d) is not rational in xi: %s" % (i + 1, j + 1, v))
-        coeffs.update(((k, i, j), c) for (_, _, k), c in v.terms.items() if k <= order)
-    # canonical as built: the lcm of reduced denominators shares no factor with all numerators
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
+    """m through xi**order; an entry with s or theta raises MatrixError.
+
+    The series keeps m's numerators and denominator under (k, i, j) keys
+    and drops the terms above the order, which may leave a common factor.
+    """
+    bad = min(((i, j) for i, j, es, eth, _ in m.terms if es or eth), default=None)
+    if bad is not None:
+        i, j = bad
+        raise MatrixError("entry (%d, %d) is not rational in xi: %s" % (i + 1, j + 1, m[i, j]))
+    return _canonical({(k, i, j): v for (i, j, _, _, k), v in m.terms.items() if k <= order}, m.den)
 
 
 def linear_combination(terms):

@@ -1,17 +1,26 @@
 """Parity-aware linear algebra over the exact scalar ring.
 
 A GradedMatrix is square, carries a parity vector (one Z2 bit per basis
-vector) and stores only its nonzero entries, in one private map
-{(i, j): Scalar} with 0-based indices.  No zero is ever stored, so
-every operation -- sums, products, Kronecker products, flips,
-inversion, exponentials -- walks the nonzeros alone; the product groups
-the right factor's nonzeros by row.  Every sum is one call to
-linear_combination, which adds all its terms into one map in a single
-pass: A + B and A - B are its two-term cases, and the finite series of
-inverse, exp_nilpotent and log_unipotent collect their terms first.
-Matrices are immutable: operations return new matrices, ``m[i, j]``
-reads an entry (ZERO where none is stored) and ``entries()`` yields the
-nonzeros in row-major order.
+vector) and stores only its nonzero entries, as two public read-only
+slots: terms, one sparse map {(i, j, e_s, e_theta, e_xi): int} from an
+entry (0-based) and a monomial s**e_s theta**e_theta xi**e_xi to the
+integer numerator of its coefficient, and den, one positive common
+denominator.  The pair is kept canonical: no zero numerator,
+gcd(den, *numerators) == 1, and den == 1 when terms is empty, so two
+matrices are equal exactly when their values are.  Every operation --
+sums, products, Kronecker products, flips, inversion, exponentials --
+walks the terms alone, multiplies and adds integers, adds exponents in
+the key and reduces once; the product groups the right factor's terms
+by row.  Every sum is one call to linear_combination, which brings all
+its terms to the lcm of their denominators and adds them into one map
+in a single pass, a rational coefficient folded into the integer
+multiplier: A + B and A - B are its two-term cases, and the finite
+series of inverse, exp_nilpotent and log_unipotent collect their terms
+first.  Matrices are immutable: operations return new matrices.
+Scalars are made only where an entry is read: ``m[i, j]`` (zero where
+none is stored), ``entries()`` (the nonzeros in row-major order) and
+what reads through them -- map_entries, repr, the JSON form and the
+first entries a residual_check reports.
 
 Graded Kronecker products insert Koszul signs; the sign convention used
 throughout the package is
@@ -54,28 +63,52 @@ import math
 from fractions import Fraction
 
 from .report import Check
-from .scalar import ONE, ZERO, format_scalar, parse_scalar, rational, substitute
+from .scalar import Scalar, format_scalar, parse_scalar, substitute
 
 
 class MatrixError(ArithmeticError):
     pass
 
 
-class GradedMatrix:
-    """Immutable square graded matrix holding only its nonzero entries.
+def _stored(num, den):
+    """num/den as a Scalar coefficient: an int when integral, else a Fraction."""
+    if den == 1:
+        return num
+    c = Fraction(num, den)
+    return c.numerator if c.denominator == 1 else c
 
-    Build one with from_entries, identity or linear_combination.  The
-    constructor itself trusts its map: nonzero Scalars under in-range
-    (i, j) keys.
+
+def _canonical(parity, terms, den):
+    """The matrix of terms over den, without zero numerators and the common factor."""
+    if 0 in terms.values():
+        terms = {key: v for key, v in terms.items() if v}
+    if not terms:
+        return GradedMatrix(parity, {})
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {key: v // g for key, v in terms.items()}
+            den //= g
+    return GradedMatrix(parity, terms, den)
+
+
+class GradedMatrix:
+    """Immutable square graded matrix: integer numerators over one denominator.
+
+    terms maps (i, j, e_s, e_theta, e_xi) to a nonzero int, and den is
+    the positive common denominator.  Build one with from_entries,
+    identity or linear_combination.  The constructor itself trusts its
+    arguments: a canonical pair under in-range keys.
     """
 
-    __slots__ = ("dim", "parity", "_nz")
+    __slots__ = ("dim", "parity", "terms", "den")
 
-    def __init__(self, parity, nz):
+    def __init__(self, parity, terms, den=1):
         parity = tuple(parity)
         object.__setattr__(self, "dim", len(parity))
         object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "_nz", nz)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMatrix is immutable")
@@ -87,56 +120,58 @@ class GradedMatrix:
 
     @staticmethod
     def identity(parity):
-        return GradedMatrix(parity, {(i, i): ONE for i in range(len(parity))})
+        return GradedMatrix(parity, {(i, i, 0, 0, 0): 1 for i in range(len(parity))})
 
     @staticmethod
     def linear_combination(parity, terms):
         """The sum of c * m over the (c, m) terms, added into one map in one pass.
 
-        Every m must have the given parity; a c of 1 or -1 is not scaled.
+        Every m must have the given parity.  A rational c (an int, a
+        Fraction or a constant Scalar) is folded into the integer
+        multiplier of m's numerators over the lcm of the denominators;
+        only a c with s, theta or xi goes through scale.
         """
         parity = tuple(parity)
-        out = {}
-        get = out.get
+        parts = []
         for c, m in terms:
             if m.parity != parity:
                 raise MatrixError("dimension or parity mismatch")
-            if c == 1:
-                items = m._nz.items()
-            elif c == -1:
-                items = ((k, -v) for k, v in m._nz.items())
-            else:
-                items = m.scale(c)._nz.items()
-            for k, b in items:
-                a = get(k)
-                if a is None:
-                    out[k] = b
+            if isinstance(c, Scalar):
+                if c.is_rational():
+                    c = c.as_fraction()
                 else:
-                    s = a + b
-                    if s.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = s
-        return GradedMatrix(parity, out)
+                    m, c = m.scale(c), 1
+            if c and m.terms:
+                parts.append((c.numerator, c.denominator * m.den, m.terms))
+        den = math.lcm(*(d for _, d, _ in parts))
+        out = {}
+        get = out.get
+        for num, d, nums in parts:
+            f = den // d * num
+            for key, v in nums.items():
+                out[key] = get(key, 0) + v * f
+        return _canonical(parity, out, den)
 
     @staticmethod
     def from_entries(parity, entries):
         """entries: {(i, j): Scalar} with 0-based indices; zeros are dropped."""
         n = len(parity)
-        nz = {}
-        for (i, j), v in entries.items():
+        for i, j in entries:
             if not (0 <= i < n and 0 <= j < n):
                 raise MatrixError("entry (%r, %r) outside a %dx%d matrix" % (i, j, n, n))
-            if not v.is_zero():
-                nz[(i, j)] = v
-        return GradedMatrix(parity, nz)
+        coeffs = [((i, j) + e, c) for (i, j), v in entries.items() for e, c in v.terms.items()]
+        # canonical as built: the lcm of reduced denominators shares no factor with all numerators
+        den = math.lcm(*(c.denominator for _, c in coeffs))
+        terms = {k: c.numerator * (den // c.denominator) for k, c in coeffs}
+        return GradedMatrix(parity, terms, den)
 
     def __getitem__(self, key):
         i, j = key
         n = self.dim
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError("entry (%r, %r) outside a %dx%d matrix" % (i, j, n, n))
-        return self._nz.get(key, ZERO)
+        den = self.den
+        return Scalar({k[2:]: _stored(c, den) for k, c in self.terms.items() if k[:2] == key})
 
     # -- ring operations -----------------------------------------------------
 
@@ -149,38 +184,40 @@ class GradedMatrix:
     def __mul__(self, other):
         if self.parity != other.parity:
             raise MatrixError("dimension or parity mismatch")
-        brows = {}
-        for (k, j), b in other._nz.items():
-            brows.setdefault(k, []).append((j, b))
+        rows = {}
+        for (k, j, s, t, x), b in other.terms.items():
+            rows.setdefault(k, []).append((j, s, t, x, b))
         out = {}
         get = out.get
-        for (i, k), a in self._nz.items():
-            brow = brows.get(k)
-            if brow is None:
-                continue
-            for j, b in brow:
-                key = (i, j)
-                c = get(key)
-                out[key] = a * b if c is None else c + a * b
-        return GradedMatrix(self.parity, {k: v for k, v in out.items() if not v.is_zero()})
+        for (i, k, s1, t1, x1), a in self.terms.items():
+            for j, s2, t2, x2, b in rows.get(k, ()):
+                key = (i, j, s1 + s2, t1 + t2, x1 + x2)
+                out[key] = get(key, 0) + a * b
+        return _canonical(self.parity, out, self.den * other.den)
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = rational(c)
-        if c.is_zero():
-            return GradedMatrix(self.parity, {})
-        # a product of nonzero scalars is nonzero
-        return GradedMatrix(self.parity, {k: v * c for k, v in self._nz.items()})
+        """self times c: an int, a Fraction or a Scalar."""
+        cterms = c.terms if isinstance(c, Scalar) else {(0, 0, 0): c} if c else {}
+        cden = math.lcm(*(v.denominator for v in cterms.values()))
+        cnums = [(e, v.numerator * (cden // v.denominator)) for e, v in cterms.items()]
+        out = {}
+        get = out.get
+        for (i, j, s1, t1, x1), a in self.terms.items():
+            for (s2, t2, x2), b in cnums:
+                key = (i, j, s1 + s2, t1 + t2, x1 + x2)
+                out[key] = get(key, 0) + a * b
+        return _canonical(self.parity, out, self.den * cden)
 
     def __eq__(self, other):
         return (
             isinstance(other, GradedMatrix)
             and self.parity == other.parity
-            and self._nz == other._nz
+            and self.den == other.den
+            and self.terms == other.terms
         )
 
     def is_zero(self):
-        return not self._nz
+        return not self.terms
 
     def is_identity(self):
         return self == GradedMatrix.identity(self.parity)
@@ -189,20 +226,20 @@ class GradedMatrix:
 
     def entries(self):
         """(i, j, value) for every nonzero entry, in row-major order."""
-        for (i, j), v in sorted(self._nz.items(), key=lambda kv: kv[0]):
-            yield i, j, v
+        grouped = {}
+        for (i, j, s, t, x), c in self.terms.items():
+            grouped.setdefault((i, j), {})[s, t, x] = c
+        den = self.den
+        for i, j in sorted(grouped):
+            yield i, j, Scalar({e: _stored(c, den) for e, c in grouped[i, j].items()})
 
     def nonzero_count(self):
-        return len(self._nz)
+        """The number of nonzero entries; an entry of several terms counts once."""
+        return len({key[:2] for key in self.terms})
 
     def map_entries(self, fn):
         """Apply fn to every nonzero entry; fn must send zero to zero."""
-        out = {}
-        for k, v in self._nz.items():
-            w = fn(v)
-            if not w.is_zero():
-                out[k] = w
-        return GradedMatrix(self.parity, out)
+        return GradedMatrix.from_entries(self.parity, {(i, j): fn(v) for i, j, v in self.entries()})
 
     def substitute(self, bindings):
         return self.map_entries(lambda a: substitute(a, bindings))
@@ -226,16 +263,17 @@ def gkron(a, b):
     """Graded Kronecker product; composite index (i,x) -> i*dim(b) + x."""
     n2 = b.dim
     p1, p2 = a.parity, b.parity
-    bitems = [(x, y, (p2[x] + p2[y]) % 2, bv) for (x, y), bv in b._nz.items()]
+    bitems = [(x, y, s, t, e, p2[x] != p2[y], bv) for (x, y, s, t, e), bv in b.terms.items()]
     out = {}
-    for (i, j), av in a._nz.items():
+    get = out.get
+    for (i, j, s1, t1, e1), av in a.terms.items():
         odd_col = p1[j]
         ri, cj = i * n2, j * n2
-        for x, y, odd_entry, bv in bitems:
-            # Scalars are immutable, so a factor ONE lets the other be shared
-            v = bv if av is ONE else av if bv is ONE else av * bv
-            out[(ri + x, cj + y)] = -v if odd_col and odd_entry else v
-    return GradedMatrix(kron_parity(p1, p2), out)
+        for x, y, s2, t2, e2, odd_entry, bv in bitems:
+            key = (ri + x, cj + y, s1 + s2, t1 + t2, e1 + e2)
+            v = av * bv
+            out[key] = get(key, 0) + (-v if odd_col and odd_entry else v)
+    return _canonical(kron_parity(p1, p2), out, a.den * b.den)
 
 
 def flip_legs(m, v, w=(0,)):
@@ -252,11 +290,11 @@ def flip_legs(m, v, w=(0,)):
     legs = itertools.product(range(n), range(n), range(k))
     to = [((b * n + a) * k + c, v[a] & v[b]) for a, b, c in legs]
     out = {}
-    for (i, j), x in m._nz.items():
+    for (i, j, s, t, x), c in m.terms.items():
         ki, odd_i = to[i]
         kj, odd_j = to[j]
-        out[(ki, kj)] = -x if odd_i != odd_j else x
-    return GradedMatrix(m.parity, out)
+        out[(ki, kj, s, t, x)] = -c if odd_i != odd_j else c
+    return GradedMatrix(m.parity, out, m.den)
 
 
 def rll_residual(r, x, v, w):

@@ -33,7 +33,8 @@ from qosp.gmatrix import (
     to_json_dict,
 )
 from koszul_rules import gflip, gkron_rule
-from xi_oracle import xi_coefficient
+import matrix_oracle as oracle
+from xi_oracle import assert_canonical, xi_coefficient
 from qosp.matrices import f_jordanian, f_super_fund, kr_rmatrix, m_matrix
 from qosp.reps import fundamental_rep
 from qosp.scalar import ONE, ZERO, rational
@@ -505,7 +506,7 @@ def test_matrices_are_immutable():
     assert not hasattr(r, "rows")
     with pytest.raises(TypeError):
         r[0, 0] = ONE
-    for name in ("dim", "parity", "rows", "_nz"):
+    for name in ("dim", "parity", "rows", "terms", "den"):
         with pytest.raises(AttributeError):
             setattr(r, name, None)
     with pytest.raises(AttributeError):
@@ -615,3 +616,77 @@ def test_sparse_operations_match_dense_reference(data):
         spaces[1] = spaces[0]
     x = data.draw(_graded_matrices(kron_parity(spaces[legs[0]], spaces[legs[1]])))
     _assert_matches(_place_two_leg(x, legs, spaces), _dense_place_two_leg(x, legs, spaces))
+
+
+_MIXED_COEFFS = st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+_MONOMIALS = st.tuples(st.integers(-2, 1), st.integers(0, 1), st.integers(0, 2))
+
+
+@st.composite
+def _mixed_scalars(draw):
+    """0 to 2 terms c * s**a theta**b xi**e, with int and Fraction c and a < 0 allowed."""
+    total = ZERO
+    for (es, eth, exi), c in draw(st.lists(st.tuples(_MONOMIALS, _MIXED_COEFFS), max_size=2)):
+        theta = sc.theta_var() if eth else ONE
+        total = total + (sc.s_var(es) * theta * sc.xi_var(exi)).scale(c)
+    return total
+
+
+@st.composite
+def _mixed_matrices(draw, parity):
+    """A matrix of drawn mixed entries, whose entries() read back the drawn nonzeros."""
+    n = len(parity)
+    drawn = {(i, j): draw(_mixed_scalars()) for i in range(n) for j in range(n)}
+    m = GradedMatrix.from_entries(parity, drawn)
+    assert oracle.entry_map(m) == {k: v for k, v in drawn.items() if not v.is_zero()}
+    return m
+
+
+def _assert_canonical(m):
+    """m is a canonical numerator map over its denominator, under in-range keys."""
+    assert_canonical((m.terms, m.den))
+    assert all(
+        0 <= i < m.dim and 0 <= j < m.dim and eth >= 0 and exi >= 0
+        for i, j, _, eth, exi in m.terms
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_kernels_match_the_scalar_reference(data):
+    """Products, sums, scaling, gkron and flip_legs equal the {(i, j): Scalar} kernels."""
+    parity = data.draw(_PARITIES)
+    a, b = data.draw(_mixed_matrices(parity)), data.draw(_mixed_matrices(parity))
+    coeffs = st.one_of(
+        st.sampled_from([0, 1, -1, 2, Fraction(-3, 2)]),
+        st.sampled_from([sc.rational(Fraction(2, 3)), sc.rational(0)]),
+        _mixed_scalars(),
+    )
+    terms = data.draw(st.lists(st.tuples(coeffs, st.sampled_from([a, b])), max_size=4))
+    c = data.draw(coeffs)
+    d = data.draw(_PARITIES.flatmap(_mixed_matrices))
+    v, w = (data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=2).map(tuple)) for _ in "vw")
+    x = data.draw(_mixed_matrices(kron_parity(kron_parity(v, v), w)))
+    results = [
+        (a * b, oracle.mul(a, b)),
+        (a + b, oracle.linear_combination([(1, a), (1, b)])),
+        (a - b, oracle.linear_combination([(1, a), (-1, b)])),
+        (GradedMatrix.linear_combination(parity, terms), oracle.linear_combination(terms)),
+        (a.scale(c), oracle.linear_combination([(c, a)])),
+        (gkron(a, d), oracle.gkron(a, d)),
+        (flip_legs(x, v, w), oracle.flip_legs(x, v, w)),
+    ]
+    for got, want in [(a, oracle.entry_map(a)), (x, oracle.entry_map(x))] + results:
+        assert oracle.entry_map(got) == want
+        _assert_canonical(got)
+        assert got.nonzero_count() == len(want)
+        assert got == GradedMatrix.from_entries(got.parity, want)
+
+
+def test_nonzero_count_counts_an_entry_of_several_terms_once():
+    xi = sc.xi_var()
+    two = ONE + xi + sc.s_var(-1)
+    m = GradedMatrix.from_entries(FUND, {(0, 1): two, (2, 2): xi.scale(Fraction(1, 3))})
+    assert len(m.terms) == 4 and m.den == 3
+    assert m.nonzero_count() == 2
+    assert m[0, 1] == two and m[1, 0] == ZERO

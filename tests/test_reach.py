@@ -23,6 +23,7 @@ NEVER_CALLED = {
     "gmatrix.GradedMatrix.__delattr__": "immutability guard: runs only on a forbidden deletion",
     "gmatrix.GradedMatrix.__repr__": "for debugging",
     "reps.Representation.__repr__": "for debugging",
+    "scalar.Scalar.__eq__": "used only by tests: matrices compare their integer terms",
     "scalar.Scalar.__hash__": "used only by tests",
 }
 

@@ -276,15 +276,19 @@ def test_defined_atoms_match_the_written_out_atoms(module):
 
 
 def test_word_sum_scales_only_other_coefficients(monkeypatch):
-    """A coefficient of 1 or -1 adds or subtracts the cached image without scale."""
+    """A rational coefficient is folded into the integer sum; only one with xi calls scale."""
     r = irrep(1)
     x, vv = r.image("X+"), r.image(("v+", "v+"))
+    xi = sc.xi_var()
     diff, mixed = x - vv, vv.scale(Fraction(-7, 2))
+    with_xi = vv.map_entries(lambda a: a * xi) - x
     scaled = []
     plain_scale = GradedMatrix.scale
     monkeypatch.setattr(GradedMatrix, "scale", lambda m, c: scaled.append(c) or plain_scale(m, c))
     assert r.word_sum([(1, "X+"), (-1, ("v+", "v+"))]) == diff
-    assert scaled == []
     assert r.word_sum([(-1, "X+"), (Fraction(1, 2), ("v+", "v+"))]) == mixed
-    assert scaled == [Fraction(1, 2)]
+    assert r.word_sum([(rational(-1), "X+"), (rational(Fraction(1, 2)), ("v+", "v+"))]) == mixed
+    assert scaled == []
+    assert r.word_sum([(-1, "X+"), (xi, ("v+", "v+"))]) == with_xi
+    assert scaled == [xi]
     assert r.word_sum([]) == GradedMatrix.from_entries(r.parity, {})
