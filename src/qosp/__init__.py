@@ -4,11 +4,11 @@ Modules:
 
 * scalar     -- the ring Q[s, s^-1][theta, xi] (q = s**2) and the contraction
 * report     -- Check and Report, the results every suite returns
-* gmatrix    -- graded matrices, Koszul-signed tensor products, YBE checks
+* gmatrix    -- graded matrices, Koszul-signed tensor products, YBE checks,
+                products and slices through an xi order
 * reps       -- spin-j modules of osp(1|2), sigma and the FRT generators
 * matrices   -- the explicit 9x9 R-matrices and twist factors
 * coproducts -- coproduct maps, twist conjugation, Hopf-level checks
-* _xiseries  -- rational xi series through an order, phi's private kernel
 * phi        -- order-by-order solver for the odd twist series
 * cli        -- command-line front end
 """

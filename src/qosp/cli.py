@@ -6,8 +6,6 @@ malformed golden fixture).  All variable bindings are exact rationals;
 output is deterministic for identical invocations.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

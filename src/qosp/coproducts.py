@@ -20,8 +20,6 @@ for legs 1 and 3, which also gives Delta^op = P Delta P.  Every Koszul
 sign is decided in gmatrix.gkron and gmatrix.flip_legs.
 """
 
-from __future__ import annotations
-
 from . import scalar as sc
 from .gmatrix import (
     GradedMatrix,

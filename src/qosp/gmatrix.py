@@ -17,6 +17,15 @@ in a single pass, a rational coefficient folded into the integer
 multiplier: A + B and A - B are its two-term cases, and the finite
 series of inverse, exp_nilpotent and log_unipotent collect their terms
 first.  Matrices are immutable: operations return new matrices.
+
+An xi power is part of every key, so a truncated series in xi is a
+matrix too.  mul_through(b, order, low) is the product cut to the
+terms with low <= e_xi <= order: each row of b is sorted by xi power,
+so its walk starts at the first power that reaches low and stops past
+the order.  through(order, low) is the same cut of one matrix, and
+through(k, k) is its xi**k slice.  powers yields I, N, N**2, ... up to
+the last nonzero power, each through an order when one is given; the
+series above and the odd twist of phi.py sum from that one loop.
 Scalars are made only where an entry is read: ``m[i, j]`` (zero where
 none is stored), ``entries()`` (the nonzeros in row-major order) and
 what reads through them -- map_entries, repr, the JSON form and the
@@ -56,8 +65,7 @@ literally zero; residual_check turns one into a Check whose data lists
 the residual's first ten nonzero entries (check_gybe is one call to it).
 """
 
-from __future__ import annotations
-
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -195,6 +203,39 @@ class GradedMatrix:
                 out[key] = get(key, 0) + a * b
         return _canonical(self.parity, out, self.den * other.den)
 
+    def mul_through(self, other, order, low=0):
+        """The terms of self * other with low <= e_xi <= order.
+
+        other's terms are grouped by row and sorted by xi power, so each
+        row's walk starts at the first power that reaches low and stops
+        past the order; __mul__ is the untruncated product.
+        """
+        if self.parity != other.parity:
+            raise MatrixError("dimension or parity mismatch")
+        rows = {}
+        for (k, j, s, t, x), b in other.terms.items():
+            rows.setdefault(k, []).append((x, j, s, t, b))
+        for row in rows.values():
+            row.sort()
+        out = {}
+        get = out.get
+        for (i, k, s1, t1, x1), a in self.terms.items():
+            row = rows.get(k, ())
+            if low > x1:  # every e_xi is >= 0, so only a low above x1 skips a power
+                row = row[bisect.bisect_left(row, (low - x1,)):]
+            for x2, j, s2, t2, b in row:
+                x = x1 + x2
+                if x > order:
+                    break
+                key = (i, j, s1 + s2, t1 + t2, x)
+                out[key] = get(key, 0) + a * b
+        return _canonical(self.parity, out, self.den * other.den)
+
+    def through(self, order, low=0):
+        """The terms of self with low <= e_xi <= order."""
+        terms = {key: v for key, v in self.terms.items() if low <= key[4] <= order}
+        return _canonical(self.parity, terms, self.den)
+
     def scale(self, c):
         """self times c: an int, a Fraction or a Scalar."""
         cterms = c.terms if isinstance(c, Scalar) else {(0, 0, 0): c} if c else {}
@@ -218,6 +259,19 @@ class GradedMatrix:
 
     def is_zero(self):
         return not self.terms
+
+    def powers(self, order=None):
+        """I, self, self**2, ... up to the last nonzero power, through xi**order if given.
+
+        The walk ends at the first power that vanishes: for a nilpotent
+        matrix, or by the order for one that starts at xi**1.  Any other
+        caller bounds it.
+        """
+        yield GradedMatrix.identity(self.parity)
+        power = self if order is None else self.through(order)
+        while not power.is_zero():
+            yield power
+            power = power * self if order is None else power.mul_through(self, order)
 
     def is_identity(self):
         return self == GradedMatrix.identity(self.parity)
@@ -343,12 +397,11 @@ def check_gybe(r, v, name):
 
 def _nilpotent_series(n, coeff, kind):
     """sum_k coeff(k) N**k for nilpotent N; MatrixError naming kind unless N**dim == 0."""
-    terms, power = [(coeff(0), GradedMatrix.identity(n.parity))], n
-    while not power.is_zero():
-        if len(terms) >= n.dim:
+    terms = []
+    for k, power in enumerate(n.powers()):
+        if k == n.dim:
             raise MatrixError("matrix is not %s" % kind)
-        terms.append((coeff(len(terms)), power))
-        power = power * n
+        terms.append((coeff(k), power))
     return GradedMatrix.linear_combination(n.parity, terms)
 
 

@@ -17,8 +17,6 @@ fixtures entry by entry.  The parameterless builders are memoized (a
 GradedMatrix is immutable, so one build serves all callers).
 """
 
-from __future__ import annotations
-
 import json
 import os
 from functools import cache

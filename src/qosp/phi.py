@@ -45,22 +45,23 @@ _PairSeries is the solver on one module pair: its solve finds the
 unknowns of each shell in turn from its shell_equations, and its check
 decides whether R(F) of a table vanishes through an xi order, for
 solve_phi's residuals and check_intertwining_s alike.  Every computation
-through an xi order runs on the integer series of _xiseries.  F and
-F^-1 = exp(-T) are summed from one pass over the powers of T and checked
-by F F^-1 = I.  Each unit exponent B is built once per pair, as the
-series of exponent_from_bilinear on that one coefficient.
+through an xi order is a GradedMatrix product or slice cut at that order
+(mul_through, through); none of the pair's matrices carries s or theta,
+which _PairSeries checks once, so a coefficient is the Fraction of one
+numerator over the matrix's denominator.  F and F^-1 = exp(-T) are
+summed from one pass over the powers of T and checked by F F^-1 = I.
+Each unit exponent B is built once per pair, as exponent_from_bilinear
+on that one coefficient.
 F Delta0(v-) F^-1, exact in xi on a module pair, is not built here:
 coproducts.check_twist_produces states what it satisfies.
 """
 
-from __future__ import annotations
-
+import math
 from fractions import Fraction
 
-from . import _xiseries as xs
 from . import scalar as sc
 from .coproducts import JORDANIAN, SUPER_JORDANIAN, evaluate_terms
-from .gmatrix import MatrixError, exp_nilpotent
+from .gmatrix import GradedMatrix, MatrixError, exp_nilpotent
 from .report import Check, Report
 from .reps import spin_text
 
@@ -140,11 +141,23 @@ def build_f_super(table, r1, r2):
     return exp_nilpotent(exponent_from_bilinear(table, r1, r2))
 
 
-def _order_check(name, residual, order):
-    """Check that residual vanishes through xi**order, naming the first failing order."""
-    bad = min((k for k, _, _ in residual[0] if k <= order), default=None)
+def _order_check(name, residual):
+    """Check that a residual through an xi order vanishes, naming the first failing order."""
+    bad = min((key[4] for key in residual.terms), default=None)
     detail = "" if bad is None else "first failing xi order %d" % bad
     return Check(name, bad is None, detail, data={"first_failing_order": bad})
+
+
+def _exp_pair(t, order):
+    """exp(t) and exp(-t) through xi**order; t starts at xi**1.
+
+    Both are finite sums over the same powers t**k, which are formed
+    once: exp(t) weighs t**k by 1/k!, and exp(-t) by (-1)**k/k!.
+    """
+    terms = [(Fraction(1, math.factorial(k)), p) for k, p in enumerate(t.powers(order))]
+    f = GradedMatrix.linear_combination(t.parity, terms)
+    signed = (((-1) ** k * c, p) for k, (c, p) in enumerate(terms))
+    return f, GradedMatrix.linear_combination(t.parity, signed)
 
 
 class _PairSeries:
@@ -156,9 +169,16 @@ class _PairSeries:
     """
 
     def __init__(self, r1, r2, order):
-        self.reps, self.dim, self._units = (r1, r2), r1.dim * r2.dim, {}
-        self.dj = xs.from_matrix(evaluate_terms(JORDANIAN.rules["v+"], r1, r2), order)
-        self.target = xs.from_matrix(evaluate_terms(SUPER_JORDANIAN.rules["v+"], r1, r2), order)
+        self.reps, self._units = (r1, r2), {}
+        dj, target = (evaluate_terms(cp.rules["v+"], r1, r2) for cp in (JORDANIAN, SUPER_JORDANIAN))
+        # the shell rows read coefficients as rationals, so no entry may carry s or theta
+        for m in (dj, target):
+            bad = min(((i, j) for i, j, es, eth, _ in m.terms if es or eth), default=None)
+            if bad is not None:
+                i, j = bad
+                text = "entry (%d, %d) is not rational in xi: %s"
+                raise MatrixError(text % (i + 1, j + 1, m[i, j]))
+        self.dj, self.target = dj.through(order), target.through(order)
 
     def exponent(self, table, order):
         """exponent_from_bilinear through xi**order, from units cached per (m, n)."""
@@ -166,27 +186,25 @@ class _PairSeries:
         for (m, n), c in table.items():
             if c and m + n < order:
                 if (m, n) not in self._units:
-                    unit = exponent_from_bilinear({(m, n): 1}, *self.reps)
-                    self._units[m, n] = xs.from_matrix(unit, m + n + 1)
+                    self._units[m, n] = exponent_from_bilinear({(m, n): 1}, *self.reps)
                 terms.append((c, self._units[m, n]))
-        return xs.linear_combination(terms)
+        return GradedMatrix.linear_combination(self.dj.parity, terms)
 
     def residual(self, f, order, low=0):
         """R(F) = F Dj(v+) - Dsj(v+) F from xi**low through xi**order."""
-        fdj, target_f = xs.mul(f, self.dj, order, low), xs.mul(self.target, f, order, low)
-        return xs.linear_combination(((1, fdj), (-1, target_f)))
+        return f.mul_through(self.dj, order, low) - self.target.mul_through(f, order, low)
 
     def twist(self, table, order):
         """F = exp(T) and F^-1 = exp(-T) through xi**order, checked by F F^-1 = I."""
-        f, f_inv = xs.exp(self.exponent(table, order), self.dim, order)
-        if xs.mul(f, f_inv, order) != xs.identity(self.dim):
+        f, f_inv = _exp_pair(self.exponent(table, order), order)
+        if not f.mul_through(f_inv, order).is_identity():
             raise MatrixError("inverse verification failed")
         return f, f_inv
 
     def check(self, name, table, order):
         """The check that R(F) of the table vanishes through xi**order, and F^-1."""
         f, f_inv = self.twist(table, order)
-        return _order_check(name, self.residual(f, order), order), f_inv
+        return _order_check(name, self.residual(f, order)), f_inv
 
     def shell_equations(self, known, shell, order):
         """Shell equations with (m,n) and (n,m) tied to one unknown.
@@ -196,15 +214,15 @@ class _PairSeries:
         of (m, n) that of the unit exponent B on (m, n) and (n, m) (module
         docstring).
         """
-        base = self.residual(xs.exp(self.exponent(known, order), self.dim, order)[0], order, order)
+        base = self.residual(_exp_pair(self.exponent(known, order), order)[0], order, order)
         columns = [
             self.residual(self.exponent({(m, n): 1, (n, m): 1}, order), order, order)
             for m, n in shell
         ]
         # one equation per entry that is nonzero in base or any column, row-major
-        positions = sorted({key for col in (base, *columns) for key in col[0]})
-        rows = [[xs.coefficient(col, key) for col in columns] for key in positions]
-        rhs = [-xs.coefficient(base, key) for key in positions]
+        positions = sorted({key for col in (base, *columns) for key in col.terms})
+        rows = [[Fraction(col.terms.get(key, 0), col.den) for col in columns] for key in positions]
+        rhs = [-Fraction(base.terms.get(key, 0), base.den) for key in positions]
         return rows, rhs
 
     def solve(self, known, shells):
@@ -244,9 +262,8 @@ def check_intertwining_s(table, r1, r2, order):
     """
     pair = _PairSeries(r1, r2, order)
     main, f_inv = pair.check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", table, order)
-    lhs = xs.mul(pair.dj, xs.mul(f_inv, f_inv, order), order)
-    aux_residual = xs.linear_combination(((1, lhs), (-1, pair.target)))
-    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", aux_residual, order)
+    lhs = pair.dj.mul_through(f_inv.mul_through(f_inv, order), order)
+    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", lhs - pair.target)
     name = "odd-twist intertwining %s through xi^%d" % (spin_text((r1.spin, r2.spin)), order)
     return Report(name, [main, aux])
 

@@ -36,8 +36,6 @@ relations OSP_RELATIONS and LT_RELATIONS (check_relations checks each
 entry) and the atoms X+, H, V and W (DEFINED_ATOMS).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cache
 

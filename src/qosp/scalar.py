@@ -25,8 +25,6 @@ powers of s into a denominator s**k (``format_scalar``), so it is the
 reduced fraction of polynomials.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import factorial
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qosp import _xiseries as xs
 from qosp import cli
+from qosp import gmatrix as gmatrix_mod
 from qosp import phi as phi_mod
 from qosp import scalar as sc
 from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, check_twist_produces
@@ -26,7 +26,7 @@ from qosp.phi import (
 )
 from qosp.reps import Representation, RepresentationError, fundamental_rep, irrep
 from phi_oracle import closed_form_table, solve_without_f1
-from xi_oracle import assert_canonical, drop_xi_above, series_values, xi_coefficient
+from xi_oracle import assert_canonical, drop_xi_above, xi_coefficient
 
 
 @pytest.fixture(scope="module")
@@ -334,11 +334,11 @@ def _record_shells(monkeypatch, solve):
     calls = []
     exp_count = [0]
     shell_equations = phi_mod._PairSeries.shell_equations
-    series_exp = xs.exp
+    exp_pair = phi_mod._exp_pair
 
     def counting_exp(*args):
         exp_count[0] += 1
-        return series_exp(*args)
+        return exp_pair(*args)
 
     def recording(pair, known, shell, order):
         before = exp_count[0]
@@ -346,7 +346,7 @@ def _record_shells(monkeypatch, solve):
         calls.append((dict(known), list(shell), *pair.reps, order, rows, rhs, exp_count[0] - before))
         return rows, rhs
 
-    monkeypatch.setattr(xs, "exp", counting_exp)
+    monkeypatch.setattr(phi_mod, "_exp_pair", counting_exp)
     monkeypatch.setattr(phi_mod._PairSeries, "shell_equations", recording)
     assert solve()
     return calls
@@ -517,6 +517,14 @@ def test_dsj_vminus_order_one_structure(fund):
 
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _WEIGHT = st.one_of(st.sampled_from([0, 1, -1]), _COEFF)
+_S_THETA = st.sampled_from(
+    [sc.ONE, sc.s_var(), sc.s_var(-1), sc.theta_var(), sc.s_var(-1) * sc.theta_var()]
+)
+
+
+def _xi_range(m, low, order):
+    """The terms of m from xi**low through xi**order, by the xi_oracle truncation."""
+    return drop_xi_above(m, order) - drop_xi_above(m, low - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -524,70 +532,94 @@ _WEIGHT = st.one_of(st.sampled_from([0, 1, -1]), _COEFF)
 def test_series_kernel_matches_truncated_graded_matrices(data):
     """Truncated product, slice, sum, exp and inverse equal GradedMatrix results truncated.
 
-    a and b are any matrices polynomial in xi over the rationals; t is
-    strictly upper triangular after a random relabelling of the basis and
-    starts at xi**1, like the exponent of the twist, so F = exp(t) is
-    unipotent and its inverse is exp(-t).  Every entry of t above the
-    diagonal is nonzero, so its powers reach t**(dim-1).
+    a and b are any matrices polynomial in xi whose coefficients mix s,
+    s**-1 and theta, each lowest in xi at a drawn power, so the order
+    may lie below every power of a product; low may exceed 0.  t is
+    strictly upper triangular after a random relabelling of the basis
+    and starts at xi**1, like the exponent of the twist, so F = exp(t)
+    is unipotent and its inverse is exp(-t).  Every entry of t above
+    the diagonal is nonzero, so its powers reach t**(dim-1).
     """
     dim = data.draw(st.integers(1, 5))
     parity = data.draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
     label = data.draw(st.permutations(range(dim)))
     order = data.draw(st.integers(0, 5))
+    low = data.draw(st.integers(0, order + 1))
 
     def matrix(lowest, strictly_upper):
         entries = {}
         for i in range(dim):
             for j in range(i + 1 if strictly_upper else 0, dim):
                 nonzero = _COEFF.filter(bool) if strictly_upper else _COEFF
-                coeffs = data.draw(st.lists(nonzero, min_size=int(strictly_upper), max_size=3))
-                terms = [sc.xi_var(lowest + k).scale(c) for k, c in enumerate(coeffs)]
+                drawn = st.lists(st.tuples(nonzero, _S_THETA), min_size=int(strictly_upper), max_size=3)
+                coeffs = data.draw(drawn)
+                terms = [(sc.xi_var(lowest + k) * u).scale(c) for k, (c, u) in enumerate(coeffs)]
                 entries[label[i], label[j]] = sum(terms, sc.ZERO)
         return GradedMatrix.from_entries(parity, entries)
 
-    def series(m):
-        return assert_canonical(xs.from_matrix(m, order))
+    def canonical(m):
+        assert_canonical((m.terms, m.den))
+        return m
 
-    a, b, t = matrix(0, False), matrix(0, False), matrix(1, True)
-    product = assert_canonical(xs.mul(series(a), series(b), order))
-    assert series_values(product) == series_values(series(drop_xi_above(a * b, order)))
-    top = assert_canonical(xs.mul(series(a), series(b), order, order))
-    top_slice = series_values(series(xi_coefficient(a * b, order)))
-    assert series_values(top) == {(order, i, j): v for (_, i, j), v in top_slice.items()}
+    a, b = (matrix(data.draw(st.integers(0, 3)), False) for _ in "ab")
+    t = matrix(1, True)
+    product = a * b
+    assert canonical(a.mul_through(b, order)) == drop_xi_above(product, order)
+    assert canonical(a.mul_through(b, order, low)) == _xi_range(product, low, order)
+    top = canonical(a.mul_through(b, order, order))
+    assert top == xi_coefficient(product, order).scale(sc.xi_var(order))
+    assert canonical(a.through(order, low)) == _xi_range(a, low, order)
+    assert canonical(a.through(order, order)) == xi_coefficient(a, order).scale(sc.xi_var(order))
     terms = data.draw(st.lists(st.tuples(_WEIGHT, st.sampled_from([a, b, t])), max_size=4))
     if len(terms) > 1 and data.draw(st.booleans()):  # the last term cancels the first
         terms[-1] = (-terms[0][0], terms[0][1])
-    total = assert_canonical(xs.linear_combination((w, series(m)) for w, m in terms))
-    assert series_values(total) == series_values(
-        series(GradedMatrix.linear_combination(parity, terms))
-    )
-    assert xs.linear_combination([]) == ({}, 1)
-    f, f_inv = map(assert_canonical, xs.exp(series(t), dim, order))
-    assert series_values(f) == series_values(series(exp_nilpotent(t)))
-    assert series_values(f_inv) == series_values(series(inverse(exp_nilpotent(t))))
+    total = GradedMatrix.linear_combination(parity, ((w, m.through(order)) for w, m in terms))
+    assert canonical(total) == drop_xi_above(GradedMatrix.linear_combination(parity, terms), order)
+    empty = GradedMatrix.linear_combination(parity, [])
+    assert (empty.terms, empty.den) == ({}, 1)
+    f, f_inv = map(canonical, phi_mod._exp_pair(t, order))
+    assert f == drop_xi_above(exp_nilpotent(t), order)
+    assert f_inv == drop_xi_above(inverse(exp_nilpotent(t)), order)
+
+
+def test_truncated_product_from_a_low_power_and_below_every_power():
+    """mul_through and through keep only low <= e_xi <= order, s and theta untouched."""
+    xi, s, theta = sc.xi_var(), sc.s_var(), sc.theta_var()
+    a = GradedMatrix.from_entries((0, 1), {(0, 0): xi * s, (0, 1): theta + xi * xi})
+    b = GradedMatrix.from_entries((0, 1), {(0, 1): sc.s_var(-1).scale(Fraction(1, 2)), (1, 1): xi})
+    # a b = [[0, xi/2 + theta xi + xi**3], [0, 0]]
+    assert a.mul_through(b, 0).is_zero()
+    assert a.mul_through(b, 3, 2) == GradedMatrix.from_entries((0, 1), {(0, 1): xi * xi * xi})
+    half_xi = xi.scale(Fraction(1, 2))
+    assert a.mul_through(b, 1, 1) == GradedMatrix.from_entries((0, 1), {(0, 1): half_xi + theta * xi})
+    assert a.mul_through(b, 5, 4).is_zero()
+    assert a.through(1, 1) == GradedMatrix.from_entries((0, 1), {(0, 0): xi * s})
+    assert a.through(0) == GradedMatrix.from_entries((0, 1), {(0, 1): theta})
+    assert a.through(5, 3).is_zero()
 
 
 def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
     """exp forms t**2, t**3 = 0 and stops, whatever the order: the number
     of products is bounded by the nilpotency index of t, not by the order."""
     calls = []
-    mul = xs.mul
+    mul_through = GradedMatrix.mul_through
 
     def counted(*args):
         calls.append(args)
         assert len(calls) <= 2, "exp kept multiplying after t**3 = 0"
-        return mul(*args)
+        return mul_through(*args)
 
-    monkeypatch.setattr(xs, "mul", counted)
-    t = ({(1, 0, 1): 1, (1, 1, 2): 2}, 1)
-    f, f_inv = xs.exp(t, 3, 10**4)
+    monkeypatch.setattr(GradedMatrix, "mul_through", counted)
+    t = GradedMatrix((0, 0, 0), {(0, 1, 0, 0, 1): 1, (1, 2, 0, 0, 1): 2})
+    f, f_inv = phi_mod._exp_pair(t, 10**4)
     assert len(calls) == 2
-    assert series_values(f) == {
-        (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): 1, (1, 1, 2): 2, (2, 0, 2): 1,
-    }
-    assert series_values(f_inv) == {
-        (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): -1, (1, 1, 2): -2, (2, 0, 2): 1,
-    }
+    diagonal = {(0, 0, 0, 0, 0): 1, (1, 1, 0, 0, 0): 1, (2, 2, 0, 0, 0): 1}
+    assert f == GradedMatrix(
+        (0, 0, 0), {**diagonal, (0, 1, 0, 0, 1): 1, (1, 2, 0, 0, 1): 2, (0, 2, 0, 0, 2): 1}
+    )
+    assert f_inv == GradedMatrix(
+        (0, 0, 0), {**diagonal, (0, 1, 0, 0, 1): -1, (1, 2, 0, 0, 1): -2, (0, 2, 0, 0, 2): 1}
+    )
 
 
 def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
@@ -597,18 +629,18 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
     bilinear = f1_table(4)
     t = pair.exponent(bilinear, 5)
     powers, power = 0, t
-    while not xs.is_zero(power):
+    while not power.is_zero():
         powers += 1
-        power = xs.mul(power, t, 5)
+        power = power.mul_through(t, 5)
     assert powers > 2
     calls = []
-    mul = xs.mul
+    mul_through = GradedMatrix.mul_through
 
     def counted(*args):
         calls.append(args)
-        return mul(*args)
+        return mul_through(*args)
 
-    monkeypatch.setattr(xs, "mul", counted)
+    monkeypatch.setattr(GradedMatrix, "mul_through", counted)
     pair.twist(bilinear, 5)
     assert len(calls) == powers + 1
 
@@ -622,16 +654,16 @@ def test_exponent_reduces_its_sum_once(monkeypatch):
     pair.exponent(bilinear, 5)
     assert len(pair._units) == len(below) > 2
     calls = []
-    canonical = xs._canonical
+    canonical = gmatrix_mod._canonical
 
     def counted(*args):
         calls.append(args)
         return canonical(*args)
 
-    monkeypatch.setattr(xs, "_canonical", counted)
+    monkeypatch.setattr(gmatrix_mod, "_canonical", counted)
     t = pair.exponent(bilinear, 5)
     assert len(calls) == 1
-    assert t == xs.from_matrix(exponent_from_bilinear(below, r32, r32), 5)
+    assert t == exponent_from_bilinear(below, r32, r32).through(5)
 
 
 @pytest.mark.parametrize(
@@ -644,7 +676,9 @@ def test_exponent_reduces_its_sum_once(monkeypatch):
         sc.xi_var() + sc.q_var(-1),
     ],
 )
-def test_series_conversion_rejects_s_theta_and_denominators(entry):
+def test_series_conversion_rejects_s_theta_and_denominators(monkeypatch, fund, entry):
+    """A pair whose Dj(v+) has an entry with s or theta is refused before any shell is read."""
     m = GradedMatrix.from_entries((0, 1), {(0, 0): sc.ONE, (0, 1): entry})
+    monkeypatch.setattr(phi_mod, "evaluate_terms", lambda rules, r1, r2: m)
     with pytest.raises(MatrixError, match="entry \\(1, 2\\) is not rational in xi"):
-        xs.from_matrix(m, 3)
+        phi_mod._PairSeries(fund, fund, 3)

@@ -1,13 +1,13 @@
-"""xi truncation of Scalars and GradedMatrices, the reference for the solver kernel.
+"""xi truncation of Scalars and GradedMatrices, the reference for the truncated kernels.
 
-qosp.phi computes on truncated xi series of rational slices.  These
-helpers truncate the symbolic objects instead, so the tests can compare
-the kernel with GradedMatrix arithmetic followed by truncation.
-series_values and assert_canonical read the kernel's own (nums, den) form.
+qosp.phi computes on GradedMatrix products and slices cut at an xi
+order (mul_through, through).  These helpers truncate the symbolic
+objects entry by entry instead, so the tests can compare the kernels
+with GradedMatrix arithmetic followed by truncation.  assert_canonical
+reads a (numerators, denominator) pair, the form a GradedMatrix keeps.
 """
 
 import math
-from fractions import Fraction
 
 from qosp.gmatrix import GradedMatrix
 from qosp.scalar import Scalar
@@ -27,15 +27,9 @@ def drop_xi_above(x, n):
     return Scalar({k: v for k, v in x.terms.items() if k[2] <= n})
 
 
-def series_values(a):
-    """The coefficients of a kernel series (nums, den) as {(k, i, j): Fraction}."""
-    nums, den = a
-    return {key: Fraction(v, den) for key, v in nums.items()}
-
-
 def assert_canonical(a):
-    """a is a canonical kernel series: integer numerators, none zero, over a positive
-    denominator coprime to them, which is 1 for the empty series.  Returns a."""
+    """a = (nums, den) is canonical: integer numerators, none zero, over a positive
+    denominator coprime to them, which is 1 when there are none.  Returns a."""
     nums, den = a
     assert type(den) is int and den > 0, a
     assert all(type(v) is int and v for v in nums.values()), a
