@@ -11,12 +11,14 @@ matrices are equal exactly when their values are.  Every operation --
 sums, products, Kronecker products, flips, inversion, exponentials --
 walks the terms alone, multiplies and adds integers, adds exponents in
 the key and reduces once; the product groups the right factor's terms
-by row.  Every sum is one call to linear_combination, which brings all
-its terms to the lcm of their denominators and adds them into one map
-in a single pass, a rational coefficient folded into the integer
-multiplier: A + B and A - B are its two-term cases, and the finite
-series of inverse, exp_nilpotent and log_unipotent collect their terms
-first.  Matrices are immutable: operations return new matrices.
+by row.  Every weighted sum is one call to linear_combination, which
+brings all its terms to the lcm of their denominators and adds them into
+one map in a single pass: each monomial of a weight folds its rational
+coefficient into the integer multiplier and adds its exponents to the
+keys, so no scaled copy is built.  A + B and A - B are its two-term
+cases, scale its one-term case, and the finite series of inverse,
+exp_nilpotent and log_unipotent collect their terms first.  Matrices
+are immutable: operations return new matrices.
 
 An xi power is part of every key, so a truncated series in xi is a
 matrix too.  mul_through(b, order, low) is the product cut to the
@@ -25,7 +27,8 @@ so its walk starts at the first power that reaches low and stops past
 the order.  through(order, low) is the same cut of one matrix, and
 through(k, k) is its xi**k slice.  powers yields I, N, N**2, ... up to
 the last nonzero power, each through an order when one is given; the
-series above and the odd twist of phi.py sum from that one loop.
+series above and the odd twist of phi.py sum from that one loop, and
+exp_nilpotent(n, order) is the exponential through xi**order.
 Scalars are made only where an entry is read: ``m[i, j]`` (zero where
 none is stored), ``entries()`` (the nonzeros in row-major order) and
 what reads through them -- map_entries, repr, the JSON form and the
@@ -76,6 +79,9 @@ from .scalar import Scalar, format_scalar, parse_scalar, substitute
 
 class MatrixError(ArithmeticError):
     pass
+
+
+_K0 = (0, 0, 0)  # the exponents of a rational weight
 
 
 def _stored(num, den):
@@ -134,29 +140,35 @@ class GradedMatrix:
     def linear_combination(parity, terms):
         """The sum of c * m over the (c, m) terms, added into one map in one pass.
 
-        Every m must have the given parity.  A rational c (an int, a
-        Fraction or a constant Scalar) is folded into the integer
-        multiplier of m's numerators over the lcm of the denominators;
-        only a c with s, theta or xi goes through scale.
+        Every m must have the given parity.  Each monomial
+        c_e s**a theta**b xi**k of a weight c (an int, a Fraction or a
+        Scalar) is a part of its own: its rational coefficient is folded
+        into the integer multiplier of m's numerators over the lcm of all
+        denominators, and (a, b, k) is added to the exponents of each key
+        in the same pass.  A rational c has the one monomial 1, so its
+        keys are taken as they are.
         """
         parity = tuple(parity)
         parts = []
         for c, m in terms:
             if m.parity != parity:
                 raise MatrixError("dimension or parity mismatch")
-            if isinstance(c, Scalar):
-                if c.is_rational():
-                    c = c.as_fraction()
-                else:
-                    m, c = m.scale(c), 1
-            if c and m.terms:
-                parts.append((c.numerator, c.denominator * m.den, m.terms))
-        den = math.lcm(*(d for _, d, _ in parts))
+            monomials = c.terms.items() if isinstance(c, Scalar) else [(_K0, c)]
+            if m.terms:
+                parts.extend((e, v.numerator, v.denominator * m.den, m.terms)
+                             for e, v in monomials if v)
+        den = math.lcm(*(d for _, _, d, _ in parts))
         out = {}
         get = out.get
-        for num, d, nums in parts:
+        for e, num, d, nums in parts:
             f = den // d * num
-            for key, v in nums.items():
+            if e == _K0:
+                for key, v in nums.items():
+                    out[key] = get(key, 0) + v * f
+                continue
+            es, et, ex = e
+            for (i, j, s, t, x), v in nums.items():
+                key = (i, j, s + es, t + et, x + ex)
                 out[key] = get(key, 0) + v * f
         return _canonical(parity, out, den)
 
@@ -237,17 +249,8 @@ class GradedMatrix:
         return _canonical(self.parity, terms, self.den)
 
     def scale(self, c):
-        """self times c: an int, a Fraction or a Scalar."""
-        cterms = c.terms if isinstance(c, Scalar) else {(0, 0, 0): c} if c else {}
-        cden = math.lcm(*(v.denominator for v in cterms.values()))
-        cnums = [(e, v.numerator * (cden // v.denominator)) for e, v in cterms.items()]
-        out = {}
-        get = out.get
-        for (i, j, s1, t1, x1), a in self.terms.items():
-            for (s2, t2, x2), b in cnums:
-                key = (i, j, s1 + s2, t1 + t2, x1 + x2)
-                out[key] = get(key, 0) + a * b
-        return _canonical(self.parity, out, self.den * cden)
+        """self times c: an int, a Fraction or a Scalar; linear_combination's one-term case."""
+        return GradedMatrix.linear_combination(self.parity, ((c, self),))
 
     def __eq__(self, other):
         return (
@@ -395,10 +398,13 @@ def check_gybe(r, v, name):
 # inverse, exp and log as one finite series
 
 
-def _nilpotent_series(n, coeff, kind):
-    """sum_k coeff(k) N**k for nilpotent N; MatrixError naming kind unless N**dim == 0."""
+def _nilpotent_series(n, coeff, kind, order=None):
+    """sum_k coeff(k) N**k for nilpotent N, through xi**order if given.
+
+    MatrixError naming kind unless N**dim == 0.
+    """
     terms = []
-    for k, power in enumerate(n.powers()):
+    for k, power in enumerate(n.powers(order)):
         if k == n.dim:
             raise MatrixError("matrix is not %s" % kind)
         terms.append((coeff(k), power))
@@ -418,9 +424,9 @@ def inverse(a):
     return result
 
 
-def exp_nilpotent(n):
-    """exp of a nilpotent matrix, as a finite exact sum."""
-    return _nilpotent_series(n, lambda k: Fraction(1, math.factorial(k)), "nilpotent")
+def exp_nilpotent(n, order=None):
+    """exp of a nilpotent matrix, as a finite exact sum, through xi**order if given."""
+    return _nilpotent_series(n, lambda k: Fraction(1, math.factorial(k)), "nilpotent", order)
 
 
 def log_unipotent(u):

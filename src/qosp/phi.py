@@ -36,9 +36,10 @@ linear in F, so its slice is
 
     R(exp(T))[xi**(t+1)] + sum_d d R(B)[xi**(t+1)],
 
-one exponential per shell for the constant part and one closed-form
-column R(B)[xi**(t+1)] per unknown.  Known terms with m + n > t start above the slice
-and are left out of T.  B is homogeneous of degree t + 1, so only the
+one exponential per shell for the constant part, exp_nilpotent through
+the matched order with no inverse, and one closed-form column
+R(B)[xi**(t+1)] per unknown.  Known terms with m + n > t start above
+the slice and are left out of T.  B is homogeneous of degree t + 1, so only the
 xi**0 slices of Dj(v+) and Dsj(v+) reach its column.
 
 _PairSeries is the solver on one module pair: its solve finds the
@@ -48,8 +49,9 @@ solve_phi's residuals and check_intertwining_s alike.  Every computation
 through an xi order is a GradedMatrix product or slice cut at that order
 (mul_through, through); none of the pair's matrices carries s or theta,
 which _PairSeries checks once, so a coefficient is the Fraction of one
-numerator over the matrix's denominator.  F and F^-1 = exp(-T) are
-summed from one pass over the powers of T and checked by F F^-1 = I.
+numerator over the matrix's denominator.  For a check, F and
+F^-1 = exp(-T) are summed from one pass over the powers of T and
+checked by F F^-1 = I.
 Each unit exponent B is built once per pair, as exponent_from_bilinear
 on that one coefficient.
 F Delta0(v-) F^-1, exact in xi on a module pair, is not built here:
@@ -210,11 +212,12 @@ class _PairSeries:
         """Shell equations with (m,n) and (n,m) tied to one unknown.
 
         order is the matched xi power t + 1.  The base is the xi**order slice
-        of the residual of exp(known terms below the slice), and the column
+        of the residual of exp(known terms below the slice), the exponential
+        taken through that order, and the column
         of (m, n) that of the unit exponent B on (m, n) and (n, m) (module
         docstring).
         """
-        base = self.residual(_exp_pair(self.exponent(known, order), order)[0], order, order)
+        base = self.residual(exp_nilpotent(self.exponent(known, order), order), order, order)
         columns = [
             self.residual(self.exponent({(m, n): 1, (n, m): 1}, order), order, order)
             for m, n in shell

@@ -86,10 +86,6 @@ class Scalar:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
         out = dict(self.terms)
         for k, c in other.terms.items():
             _add_into(out, k, c)
@@ -102,25 +98,10 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return ZERO
-        # Scalars are immutable, so a factor equal to one lets the other
-        # be shared, whether or not it is the ONE singleton
-        if self.terms == _ONE_TERMS:
-            return other
-        if other.terms == _ONE_TERMS:
-            return self
         out = {}
         for (a1, b1, c1), u in self.terms.items():
             for (a2, b2, c2), v in other.terms.items():
-                k = (a1 + a2, b1 + b2, c1 + c2)
-                w = u * v  # nonzero: u and v are
-                if k in out:
-                    w += out[k]
-                    if not w:
-                        del out[k]
-                        continue
-                out[k] = _coeff(w)
+                _add_into(out, (a1 + a2, b1 + b2, c1 + c2), u * v)
         return Scalar(out)
 
     def scale(self, c):
@@ -134,10 +115,8 @@ class Scalar:
         return format_scalar(self)
 
 
-_ONE_TERMS = {_K0: 1}
-
 ZERO = Scalar({})
-ONE = Scalar(_ONE_TERMS)
+ONE = Scalar({_K0: 1})
 
 
 def rational(c):
@@ -188,7 +167,6 @@ def substitute(a, bindings):
     if not bindings:
         return a
     values = [bindings[name].as_fraction() if name in bindings else None for name in VARS]
-    powers = {}
     out = {}
     for key, c in a.terms.items():
         kept = list(key)
@@ -196,14 +174,10 @@ def substitute(a, bindings):
             if value is None:
                 continue
             e, kept[idx] = key[idx], 0
-            if e:
-                if (idx, e) not in powers:
-                    if not value and e < 0:
-                        raise ScalarError("division by zero")
-                    powers[idx, e] = value**e
-                c = c * powers[idx, e]
-        if c:
-            _add_into(out, tuple(kept), c)
+            if e < 0 and not value:
+                raise ScalarError("division by zero")
+            c = c * value**e
+        _add_into(out, tuple(kept), c)
     return Scalar(out)
 
 
@@ -290,8 +264,6 @@ def format_scalar(a):
 def parse_poly(text):
     """A Scalar from the text of a polynomial, as _format_terms writes one."""
     text = text.strip()
-    if text == "0":
-        return ZERO
     out = {}
     # normalize " - " separators into signed chunks
     for piece in text.replace(" - ", " + -").split(" + "):
@@ -319,8 +291,7 @@ def parse_poly(text):
                 raise ScalarError("malformed factor %r in %r" % (factor, text))
         if exps["theta"] < 0 or exps["xi"] < 0:
             raise ScalarError("negative power of theta or xi in %r" % text)
-        if coeff:
-            _add_into(out, (exps["s"], exps["theta"], exps["xi"]), -coeff if negate else coeff)
+        _add_into(out, (exps["s"], exps["theta"], exps["xi"]), -coeff if negate else coeff)
     return Scalar(out)
 
 

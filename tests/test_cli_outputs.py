@@ -31,6 +31,10 @@ COMMANDS = {
     "emit_transformed_latex": ["emit", "--matrix", "transformed", "--format", "latex"],
     "emit_sjr_csv_xi_third": ["emit", "--matrix", "sjr", "--format", "csv", "--set", "xi=1/3"],
     "emit_kr_exponent_usage_error": ["emit", "--matrix", "kr", "--set", "s=1e5000"],
+    "emit_transformed_csv_s_neg2_theta": [
+        "emit", "--matrix", "transformed", "--format", "csv", "--set", "s=-2", "--set", "theta=3/5"
+    ],
+    "solve_phi_order3_three_pairs": ["solve-phi", "--order", "3", "--pairs", "1/2:1/2,1:1,3/2:3/2"],
 }
 
 

@@ -328,25 +328,33 @@ def _finite_difference_shell_equations(known_bilinear, shell, r1, r2, order):
 
 
 def _record_shells(monkeypatch, solve):
-    """Run solve() and record every shell system with its exp count.
+    """Run solve() and record every shell system with its exponentials.
 
-    solve returns whether the solve passed."""
+    Each record ends with the shell's count of exp_nilpotent calls through
+    an order and of _exp_pair calls.  solve returns whether the solve
+    passed."""
     calls = []
-    exp_count = [0]
+    counts = {"exp_through": 0, "exp_pair": 0}
     shell_equations = phi_mod._PairSeries.shell_equations
-    exp_pair = phi_mod._exp_pair
+    exp_through, exp_pair = phi_mod.exp_nilpotent, phi_mod._exp_pair
 
-    def counting_exp(*args):
-        exp_count[0] += 1
+    def counting_exp_through(n, order=None):
+        counts["exp_through"] += order is not None
+        return exp_through(n, order)
+
+    def counting_exp_pair(*args):
+        counts["exp_pair"] += 1
         return exp_pair(*args)
 
     def recording(pair, known, shell, order):
-        before = exp_count[0]
+        before = dict(counts)
         rows, rhs = shell_equations(pair, known, shell, order)
-        calls.append((dict(known), list(shell), *pair.reps, order, rows, rhs, exp_count[0] - before))
+        made = tuple(counts[k] - before[k] for k in ("exp_through", "exp_pair"))
+        calls.append((dict(known), list(shell), *pair.reps, order, rows, rhs, made))
         return rows, rhs
 
-    monkeypatch.setattr(phi_mod, "_exp_pair", counting_exp)
+    monkeypatch.setattr(phi_mod, "exp_nilpotent", counting_exp_through)
+    monkeypatch.setattr(phi_mod, "_exp_pair", counting_exp_pair)
     monkeypatch.setattr(phi_mod._PairSeries, "shell_equations", recording)
     assert solve()
     return calls
@@ -378,8 +386,8 @@ def test_one_exponential_per_shell(monkeypatch):
     r32 = irrep(Fraction(3, 2))
     pairs = [(r32, irrep(1)), (r32, r32)]
     calls = _record_shells(monkeypatch, lambda: solve_phi(4, pairs)[1].passed)
-    # shells 2..6 on each of the two pairs
-    assert [c[-1] for c in calls] == [1] * 10
+    # shells 2..6 on each of the two pairs: one exp through the order, no exp(-T)
+    assert [c[-1] for c in calls] == [(1, 0)] * 10
 
 
 def test_solver_evidence_in_check_data(spin1):
@@ -579,6 +587,7 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     assert (empty.terms, empty.den) == ({}, 1)
     f, f_inv = map(canonical, phi_mod._exp_pair(t, order))
     assert f == drop_xi_above(exp_nilpotent(t), order)
+    assert canonical(exp_nilpotent(t, order)) == f
     assert f_inv == drop_xi_above(inverse(exp_nilpotent(t)), order)
 
 
@@ -600,7 +609,8 @@ def test_truncated_product_from_a_low_power_and_below_every_power():
 
 def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
     """exp forms t**2, t**3 = 0 and stops, whatever the order: the number
-    of products is bounded by the nilpotency index of t, not by the order."""
+    of products is bounded by the nilpotency index of t, not by the order.
+    So does exp_nilpotent through an order."""
     calls = []
     mul_through = GradedMatrix.mul_through
 
@@ -620,6 +630,9 @@ def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
     assert f_inv == GradedMatrix(
         (0, 0, 0), {**diagonal, (0, 1, 0, 0, 1): -1, (1, 2, 0, 0, 1): -2, (0, 2, 0, 0, 2): 1}
     )
+    calls.clear()
+    assert exp_nilpotent(t, 10**4) == f
+    assert len(calls) == 2
 
 
 def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):

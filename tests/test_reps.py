@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qosp import gmatrix
 from qosp import scalar as sc
 from qosp.gmatrix import GradedMatrix, exp_nilpotent, inverse
 from qosp.reps import (
@@ -275,8 +276,8 @@ def test_defined_atoms_match_the_written_out_atoms(module):
         assert m.image(atom) == value, atom
 
 
-def test_word_sum_scales_only_other_coefficients(monkeypatch):
-    """A rational coefficient is folded into the integer sum; only one with xi calls scale."""
+def test_word_sum_calls_scale_for_no_weight(monkeypatch):
+    """Every weight, rational or with xi, is folded into the one integer sum; none calls scale."""
     r = irrep(1)
     x, vv = r.image("X+"), r.image(("v+", "v+"))
     xi = sc.xi_var()
@@ -288,7 +289,24 @@ def test_word_sum_scales_only_other_coefficients(monkeypatch):
     assert r.word_sum([(1, "X+"), (-1, ("v+", "v+"))]) == diff
     assert r.word_sum([(-1, "X+"), (Fraction(1, 2), ("v+", "v+"))]) == mixed
     assert r.word_sum([(rational(-1), "X+"), (rational(Fraction(1, 2)), ("v+", "v+"))]) == mixed
-    assert scaled == []
     assert r.word_sum([(-1, "X+"), (xi, ("v+", "v+"))]) == with_xi
-    assert scaled == [xi]
+    assert scaled == []
     assert r.word_sum([]) == GradedMatrix.from_entries(r.parity, {})
+
+
+def test_word_sum_with_xi_weights_reduces_once(monkeypatch):
+    """H = xi (h E^1) - 2 xi^2 (v+ v+ E^-1) is one sum with one reduction, no scaled copies."""
+    r = irrep(1)
+    h = r.image("H")
+    for _, word in DEFINED_ATOMS["H"]:
+        r.image(word)
+    reductions = []
+    canonical = gmatrix._canonical
+
+    def counted(*args):
+        reductions.append(args)
+        return canonical(*args)
+
+    monkeypatch.setattr(gmatrix, "_canonical", counted)
+    assert r.word_sum(DEFINED_ATOMS["H"]) == h
+    assert len(reductions) == 1

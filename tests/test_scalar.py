@@ -268,14 +268,14 @@ def test_canonical_text_matches_polynomial_reduction(num, k):
     assert sc.parse_scalar(text) == a
 
 
-def test_a_factor_equal_to_one_is_shared():
-    """Times a one that is not the ONE singleton, the other factor comes back itself."""
+def test_a_factor_equal_to_one_returns_the_other():
+    """Times a one that is not the ONE singleton, the other factor comes back unchanged."""
     one = rational(3) * rational(Fraction(1, 3))
     assert one == ONE and one is not ONE
     a = sc.omega() * sc.theta_var()
-    assert one * a is a and a * one is a
+    assert one * a == a and a * one == a
     b = sc.s_var(-1) + sc.xi_var()
-    assert one * b is b and b * one is b
+    assert one * b == b and b * one == b
 
 
 def test_as_fraction_and_const_value_are_fractions():
