@@ -10,25 +10,28 @@ gcd(den, *numerators) == 1, and den == 1 when terms is empty, so two
 matrices are equal exactly when their values are.  Every operation --
 sums, products, Kronecker products, flips, inversion, exponentials --
 walks the terms alone, multiplies and adds integers, adds exponents in
-the key and reduces once; the product groups the right factor's terms
-by row.  Every weighted sum is one call to linear_combination, which
-brings all its terms to the lcm of their denominators and adds them into
-one map in a single pass: each monomial of a weight folds its rational
-coefficient into the integer multiplier and adds its exponents to the
-keys, so no scaled copy is built.  A + B and A - B are its two-term
-cases, scale its one-term case, and the finite series of inverse,
-exp_nilpotent and log_unipotent collect their terms first.  Matrices
-are immutable: operations return new matrices.
+the key and reduces once; the one product loop, mul_through, groups
+the right factor's terms by row.  Every weighted sum is one call to
+linear_combination, which brings all its terms to the lcm of their
+denominators and adds them into one map in a single pass: each monomial
+of a weight folds its rational coefficient into the integer multiplier
+and adds its exponents to the keys, so no scaled copy is built.
+A + B and A - B are its two-term cases, scale its one-term case, and
+the finite series of inverse, exp_nilpotent and log_unipotent collect
+their terms first.  Matrices are immutable: operations return new
+matrices.
 
 An xi power is part of every key, so a truncated series in xi is a
 matrix too.  mul_through(b, order, low) is the product cut to the
-terms with low <= e_xi <= order: each row of b is sorted by xi power,
-so its walk starts at the first power that reaches low and stops past
-the order.  through(order, low) is the same cut of one matrix, and
-through(k, k) is its xi**k slice.  powers yields I, N, N**2, ... up to
-the last nonzero power, each through an order when one is given; the
-series above and the odd twist of phi.py sum from that one loop, and
-exp_nilpotent(n, order) is the exponential through xi**order.
+terms with low <= e_xi <= order, and a * b is its uncut case
+(order = math.inf, low = 0).  Only a cut sorts each row of b by xi
+power, so a row's walk starts at the first power that reaches low and
+stops past the order.  through(order, low) is the same cut of one
+matrix, and through(k, k) is its xi**k slice.  powers(order) yields
+I, N, N**2, ... up to the last nonzero power, each through the order
+(uncut by default); the series above and the odd twist of phi.py sum
+from that one loop, and exp_nilpotent(n, order) is the exponential
+through xi**order.
 Scalars are made only where an entry is read: ``m[i, j]`` (zero where
 none is stored), ``entries()`` (the nonzeros in row-major order) and
 what reads through them -- map_entries, repr, the JSON form and the
@@ -202,33 +205,23 @@ class GradedMatrix:
         return GradedMatrix.linear_combination(self.parity, ((1, self), (-1, other)))
 
     def __mul__(self, other):
-        if self.parity != other.parity:
-            raise MatrixError("dimension or parity mismatch")
-        rows = {}
-        for (k, j, s, t, x), b in other.terms.items():
-            rows.setdefault(k, []).append((j, s, t, x, b))
-        out = {}
-        get = out.get
-        for (i, k, s1, t1, x1), a in self.terms.items():
-            for j, s2, t2, x2, b in rows.get(k, ()):
-                key = (i, j, s1 + s2, t1 + t2, x1 + x2)
-                out[key] = get(key, 0) + a * b
-        return _canonical(self.parity, out, self.den * other.den)
+        return self.mul_through(other)
 
-    def mul_through(self, other, order, low=0):
-        """The terms of self * other with low <= e_xi <= order.
+    def mul_through(self, other, order=math.inf, low=0):
+        """The terms of self * other with low <= e_xi <= order; uncut by default.
 
-        other's terms are grouped by row and sorted by xi power, so each
-        row's walk starts at the first power that reaches low and stops
-        past the order; __mul__ is the untruncated product.
+        other's terms are grouped by row.  For a cut each row is sorted by
+        xi power, so its walk starts at the first power that reaches low
+        and stops past the order; the uncut product leaves rows unsorted.
         """
         if self.parity != other.parity:
             raise MatrixError("dimension or parity mismatch")
         rows = {}
         for (k, j, s, t, x), b in other.terms.items():
             rows.setdefault(k, []).append((x, j, s, t, b))
-        for row in rows.values():
-            row.sort()
+        if low or order < math.inf:
+            for row in rows.values():
+                row.sort()
         out = {}
         get = out.get
         for (i, k, s1, t1, x1), a in self.terms.items():
@@ -263,18 +256,18 @@ class GradedMatrix:
     def is_zero(self):
         return not self.terms
 
-    def powers(self, order=None):
-        """I, self, self**2, ... up to the last nonzero power, through xi**order if given.
+    def powers(self, order=math.inf):
+        """I, self, self**2, ... up to the last nonzero power, through xi**order.
 
         The walk ends at the first power that vanishes: for a nilpotent
-        matrix, or by the order for one that starts at xi**1.  Any other
-        caller bounds it.
+        matrix, or by a finite order for one that starts at xi**1.  Any
+        other caller bounds it.
         """
         yield GradedMatrix.identity(self.parity)
-        power = self if order is None else self.through(order)
+        power = self.through(order)
         while not power.is_zero():
             yield power
-            power = power * self if order is None else power.mul_through(self, order)
+            power = power.mul_through(self, order)
 
     def is_identity(self):
         return self == GradedMatrix.identity(self.parity)
@@ -398,8 +391,8 @@ def check_gybe(r, v, name):
 # inverse, exp and log as one finite series
 
 
-def _nilpotent_series(n, coeff, kind, order=None):
-    """sum_k coeff(k) N**k for nilpotent N, through xi**order if given.
+def _nilpotent_series(n, coeff, kind, order=math.inf):
+    """sum_k coeff(k) N**k for nilpotent N, through xi**order.
 
     MatrixError naming kind unless N**dim == 0.
     """
@@ -424,8 +417,8 @@ def inverse(a):
     return result
 
 
-def exp_nilpotent(n, order=None):
-    """exp of a nilpotent matrix, as a finite exact sum, through xi**order if given."""
+def exp_nilpotent(n, order=math.inf):
+    """exp of a nilpotent matrix, as a finite exact sum, through xi**order."""
     return _nilpotent_series(n, lambda k: Fraction(1, math.factorial(k)), "nilpotent", order)
 
 

@@ -45,20 +45,19 @@ xi**0 slices of Dj(v+) and Dsj(v+) reach its column.
 _PairSeries is the solver on one module pair: its solve finds the
 unknowns of each shell in turn from its shell_equations, and its check
 decides whether R(F) of a table vanishes through an xi order, for
-solve_phi's residuals and check_intertwining_s alike.  Every computation
-through an xi order is a GradedMatrix product or slice cut at that order
-(mul_through, through); none of the pair's matrices carries s or theta,
-which _PairSeries checks once, so a coefficient is the Fraction of one
-numerator over the matrix's denominator.  For a check, F and
-F^-1 = exp(-T) are summed from one pass over the powers of T and
-checked by F F^-1 = I.
+solve_phi's residuals and check_intertwining_s alike.  Both read
+twist_residual, R(exp(T)) from xi**low through xi**order with the one
+exponential exp_nilpotent(T, order); no F^-1 is built.  Every
+computation through an xi order is a GradedMatrix product or slice cut
+at that order (mul_through, through); none of the pair's matrices
+carries s or theta, which _PairSeries checks once, so a coefficient is
+the Fraction of one numerator over the matrix's denominator.
 Each unit exponent B is built once per pair, as exponent_from_bilinear
 on that one coefficient.
 F Delta0(v-) F^-1, exact in xi on a module pair, is not built here:
 coproducts.check_twist_produces states what it satisfies.
 """
 
-import math
 from fractions import Fraction
 
 from . import scalar as sc
@@ -150,24 +149,13 @@ def _order_check(name, residual):
     return Check(name, bad is None, detail, data={"first_failing_order": bad})
 
 
-def _exp_pair(t, order):
-    """exp(t) and exp(-t) through xi**order; t starts at xi**1.
-
-    Both are finite sums over the same powers t**k, which are formed
-    once: exp(t) weighs t**k by 1/k!, and exp(-t) by (-1)**k/k!.
-    """
-    terms = [(Fraction(1, math.factorial(k)), p) for k, p in enumerate(t.powers(order))]
-    f = GradedMatrix.linear_combination(t.parity, terms)
-    signed = (((-1) ** k * c, p) for k, (c, p) in enumerate(terms))
-    return f, GradedMatrix.linear_combination(t.parity, signed)
-
-
 class _PairSeries:
     """The odd-twist solver on one module pair, through xi**order.
 
     Holds Dj(v+), Dsj(v+) and the unit exponents of the pair.  solve
     finds the shell unknowns from the shell equations, and check decides
-    whether the twist of a table intertwines through an xi order.
+    whether the twist of a table intertwines through an xi order; both
+    read twist_residual.
     """
 
     def __init__(self, r1, r2, order):
@@ -196,28 +184,23 @@ class _PairSeries:
         """R(F) = F Dj(v+) - Dsj(v+) F from xi**low through xi**order."""
         return f.mul_through(self.dj, order, low) - self.target.mul_through(f, order, low)
 
-    def twist(self, table, order):
-        """F = exp(T) and F^-1 = exp(-T) through xi**order, checked by F F^-1 = I."""
-        f, f_inv = _exp_pair(self.exponent(table, order), order)
-        if not f.mul_through(f_inv, order).is_identity():
-            raise MatrixError("inverse verification failed")
-        return f, f_inv
+    def twist_residual(self, table, order, low=0):
+        """R(F) from xi**low through xi**order, F = exp(T) of the table through xi**order."""
+        return self.residual(exp_nilpotent(self.exponent(table, order), order), order, low)
 
     def check(self, name, table, order):
-        """The check that R(F) of the table vanishes through xi**order, and F^-1."""
-        f, f_inv = self.twist(table, order)
-        return _order_check(name, self.residual(f, order)), f_inv
+        """The check that R(F) of the table vanishes through xi**order."""
+        return _order_check(name, self.twist_residual(table, order))
 
     def shell_equations(self, known, shell, order):
         """Shell equations with (m,n) and (n,m) tied to one unknown.
 
-        order is the matched xi power t + 1.  The base is the xi**order slice
-        of the residual of exp(known terms below the slice), the exponential
-        taken through that order, and the column
+        order is the matched xi power t + 1.  The base is twist_residual's
+        xi**order slice for the known terms below the slice, and the column
         of (m, n) that of the unit exponent B on (m, n) and (n, m) (module
         docstring).
         """
-        base = self.residual(exp_nilpotent(self.exponent(known, order), order), order, order)
+        base = self.twist_residual(known, order, order)
         columns = [
             self.residual(self.exponent({(m, n): 1, (n, m): 1}, order), order, order)
             for m, n in shell
@@ -261,11 +244,14 @@ def check_intertwining_s(table, r1, r2, order):
     """Both forms of the intertwining identity, modulo xi**(order+1).
 
     The main form is R(F) = (F Dj(v+) F^-1 - Dsj(v+)) F = 0; as F = 1 + O(xi)
-    it first fails at the order where F Dj(v+) F^-1 = Dsj(v+) does.
+    it first fails at the order where F Dj(v+) F^-1 = Dsj(v+) does.  The
+    second form reads F^-2 as exp(-2 T) through the order, exact because
+    the exponent T starts at xi**1.
     """
     pair = _PairSeries(r1, r2, order)
-    main, f_inv = pair.check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", table, order)
-    lhs = pair.dj.mul_through(f_inv.mul_through(f_inv, order), order)
+    main = pair.check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", table, order)
+    t = pair.exponent(table, order)
+    lhs = pair.dj.mul_through(exp_nilpotent(t.scale(-2), order), order)
     aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", lhs - pair.target)
     name = "odd-twist intertwining %s through xi^%d" % (spin_text((r1.spin, r2.spin)), order)
     return Report(name, [main, aux])
@@ -380,7 +366,7 @@ def solve_phi(order, pairs):
     table = {key: val for key, val in pooled.items() if val}
     for pair, pair_spins in zip(pair_series, spins):
         name = "residual zero on %s through xi^%d" % (spin_text(pair_spins), xi_order)
-        rep.add(pair.check(name, table, xi_order)[0])
+        rep.add(pair.check(name, table, xi_order))
     return table, rep
 
 

@@ -58,5 +58,5 @@ def solve_without_f1(order, r1, r2):
     for key, val in found.items():
         _add_symmetric(table, key, val)
     table = {key: c for key, c in table.items() if c}
-    check, _ = pair.check("residual zero", table, xi_order)
+    check = pair.check("residual zero", table, xi_order)
     return table, consistent and check.passed

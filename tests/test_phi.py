@@ -1,6 +1,7 @@
 """The odd twist series: closed-form leading term, solver, the twisted Delta(v-)."""
 
 import ast
+import math
 import re
 from fractions import Fraction
 
@@ -126,6 +127,7 @@ def test_f1_only_fails_on_spin_one_at_order_three(spin1):
     rep = check_intertwining_s(f1_table(), spin1, spin1, 4)
     assert not rep.passed
     assert rep.checks[0].data["first_failing_order"] == 3
+    assert rep.checks[1].data["first_failing_order"] == 3
 
 
 def test_solve_order_one_recovers_f1(fund, spin1):
@@ -330,31 +332,25 @@ def _finite_difference_shell_equations(known_bilinear, shell, r1, r2, order):
 def _record_shells(monkeypatch, solve):
     """Run solve() and record every shell system with its exponentials.
 
-    Each record ends with the shell's count of exp_nilpotent calls through
-    an order and of _exp_pair calls.  solve returns whether the solve
+    Each record ends with the orders of the shell's exp_nilpotent calls,
+    the only exponential phi.py takes.  solve returns whether the solve
     passed."""
     calls = []
-    counts = {"exp_through": 0, "exp_pair": 0}
+    orders = []
     shell_equations = phi_mod._PairSeries.shell_equations
-    exp_through, exp_pair = phi_mod.exp_nilpotent, phi_mod._exp_pair
+    exp_nilpotent = phi_mod.exp_nilpotent
 
-    def counting_exp_through(n, order=None):
-        counts["exp_through"] += order is not None
-        return exp_through(n, order)
-
-    def counting_exp_pair(*args):
-        counts["exp_pair"] += 1
-        return exp_pair(*args)
+    def counting_exp_nilpotent(n, order=math.inf):
+        orders.append(order)
+        return exp_nilpotent(n, order)
 
     def recording(pair, known, shell, order):
-        before = dict(counts)
+        orders.clear()
         rows, rhs = shell_equations(pair, known, shell, order)
-        made = tuple(counts[k] - before[k] for k in ("exp_through", "exp_pair"))
-        calls.append((dict(known), list(shell), *pair.reps, order, rows, rhs, made))
+        calls.append((dict(known), list(shell), *pair.reps, order, rows, rhs, list(orders)))
         return rows, rhs
 
-    monkeypatch.setattr(phi_mod, "exp_nilpotent", counting_exp_through)
-    monkeypatch.setattr(phi_mod, "_exp_pair", counting_exp_pair)
+    monkeypatch.setattr(phi_mod, "exp_nilpotent", counting_exp_nilpotent)
     monkeypatch.setattr(phi_mod._PairSeries, "shell_equations", recording)
     assert solve()
     return calls
@@ -386,8 +382,9 @@ def test_one_exponential_per_shell(monkeypatch):
     r32 = irrep(Fraction(3, 2))
     pairs = [(r32, irrep(1)), (r32, r32)]
     calls = _record_shells(monkeypatch, lambda: solve_phi(4, pairs)[1].passed)
-    # shells 2..6 on each of the two pairs: one exp through the order, no exp(-T)
-    assert [c[-1] for c in calls] == [(1, 0)] * 10
+    # shells 2..6 on each of the two pairs: one exp, through the matched order
+    assert len(calls) == 10
+    assert [c[-1] for c in calls] == [[c[4]] for c in calls]
 
 
 def test_solver_evidence_in_check_data(spin1):
@@ -436,14 +433,30 @@ def test_closed_form_equals_every_determined_coefficient(spins, determined):
         assert table[key] == closed[key], key
 
 
+def _closed_form_raised_d11():
+    """The closed form with D[1, 1] raised by 1; D[1, 1] first enters at xi**3."""
+    table = closed_form_table(8)
+    table[1, 1] += 1
+    return table
+
+
 @pytest.mark.parametrize(
-    "spins", [(1, 1), (Fraction(3, 2), 1), (2, 2)], ids=["1-1", "3half-1", "2-2"]
+    "spins, order, failing",
+    [
+        ((1, 1), 8, f1_table),
+        ((Fraction(3, 2), 1), 8, f1_table),
+        ((2, 2), 8, f1_table),
+        ((2, Fraction(3, 2)), 7, _closed_form_raised_d11),
+    ],
+    ids=["1-1", "3half-1", "2-2", "2-3half-raised-d11"],
 )
-def test_closed_form_intertwines_where_f1_fails(spins):
+def test_closed_form_intertwines_where_f1_fails(spins, order, failing):
+    """The closed form passes; f_1 (x) f_1, or the closed form with D[1, 1]
+    raised, fails both forms first at xi**3."""
     a, b = (irrep(j) for j in spins)
-    assert check_intertwining_s(closed_form_table(8), a, b, 8).passed
-    f1_only = check_intertwining_s(f1_table(), a, b, 8)
-    assert f1_only.checks[0].data["first_failing_order"] == 3
+    assert check_intertwining_s(closed_form_table(8), a, b, order).passed
+    rep = check_intertwining_s(failing(), a, b, order)
+    assert [c.data["first_failing_order"] for c in rep.checks] == [3, 3]
 
 
 # (table, spins, passes): the twist F_s F_j with that table on that pair
@@ -574,6 +587,7 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     product = a * b
     assert canonical(a.mul_through(b, order)) == drop_xi_above(product, order)
     assert canonical(a.mul_through(b, order, low)) == _xi_range(product, low, order)
+    assert canonical(a.mul_through(b, low=low)) == product - drop_xi_above(product, low - 1)
     top = canonical(a.mul_through(b, order, order))
     assert top == xi_coefficient(product, order).scale(sc.xi_var(order))
     assert canonical(a.through(order, low)) == _xi_range(a, low, order)
@@ -585,10 +599,9 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     assert canonical(total) == drop_xi_above(GradedMatrix.linear_combination(parity, terms), order)
     empty = GradedMatrix.linear_combination(parity, [])
     assert (empty.terms, empty.den) == ({}, 1)
-    f, f_inv = map(canonical, phi_mod._exp_pair(t, order))
-    assert f == drop_xi_above(exp_nilpotent(t), order)
-    assert canonical(exp_nilpotent(t, order)) == f
-    assert f_inv == drop_xi_above(inverse(exp_nilpotent(t)), order)
+    assert canonical(exp_nilpotent(t, order)) == drop_xi_above(exp_nilpotent(t), order)
+    f_inv = inverse(exp_nilpotent(t))
+    assert canonical(exp_nilpotent(t.scale(-2), order)) == drop_xi_above(f_inv * f_inv, order)
 
 
 def test_truncated_product_from_a_low_power_and_below_every_power():
@@ -608,9 +621,9 @@ def test_truncated_product_from_a_low_power_and_below_every_power():
 
 
 def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
-    """exp forms t**2, t**3 = 0 and stops, whatever the order: the number
-    of products is bounded by the nilpotency index of t, not by the order.
-    So does exp_nilpotent through an order."""
+    """exp through an order forms t**2, t**3 = 0 and stops, whatever the
+    order: the number of products is bounded by the nilpotency index of t,
+    not by the order.  So does exp(-t), the inverse."""
     calls = []
     mul_through = GradedMatrix.mul_through
 
@@ -621,22 +634,23 @@ def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
 
     monkeypatch.setattr(GradedMatrix, "mul_through", counted)
     t = GradedMatrix((0, 0, 0), {(0, 1, 0, 0, 1): 1, (1, 2, 0, 0, 1): 2})
-    f, f_inv = phi_mod._exp_pair(t, 10**4)
+    f = exp_nilpotent(t, 10**4)
     assert len(calls) == 2
     diagonal = {(0, 0, 0, 0, 0): 1, (1, 1, 0, 0, 0): 1, (2, 2, 0, 0, 0): 1}
     assert f == GradedMatrix(
         (0, 0, 0), {**diagonal, (0, 1, 0, 0, 1): 1, (1, 2, 0, 0, 1): 2, (0, 2, 0, 0, 2): 1}
     )
+    calls.clear()
+    f_inv = exp_nilpotent(t.scale(-1), 10**4)
+    assert len(calls) == 2
     assert f_inv == GradedMatrix(
         (0, 0, 0), {**diagonal, (0, 1, 0, 0, 1): -1, (1, 2, 0, 0, 1): -2, (0, 2, 0, 0, 2): 1}
     )
-    calls.clear()
-    assert exp_nilpotent(t, 10**4) == f
-    assert len(calls) == 2
 
 
 def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
-    """F and F^-1 share the powers of T: one product per power of T, plus F F^-1."""
+    """check forms F = exp(T) once: one product per nonzero power of T, plus
+    the two products of the residual, and no F^-1."""
     r32 = irrep(Fraction(3, 2))
     pair = phi_mod._PairSeries(r32, r32, 5)
     bilinear = f1_table(4)
@@ -654,8 +668,8 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
         return mul_through(*args)
 
     monkeypatch.setattr(GradedMatrix, "mul_through", counted)
-    pair.twist(bilinear, 5)
-    assert len(calls) == powers + 1
+    pair.check("residual zero", bilinear, 5)
+    assert len(calls) == powers + 2
 
 
 def test_exponent_reduces_its_sum_once(monkeypatch):
