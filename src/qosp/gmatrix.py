@@ -19,7 +19,7 @@ and adds its exponents to the keys, so no scaled copy is built.
 A + B and A - B are its two-term cases, scale its one-term case, and
 the finite series of inverse, exp_nilpotent and log_unipotent collect
 their terms first.  Matrices are immutable: operations return new
-matrices.
+matrices, or an operand they leave unchanged.
 
 An xi power is part of every key, so a truncated series in xi is a
 matrix too.  mul_through(b, order, low) is the product cut to the
@@ -27,11 +27,11 @@ terms with low <= e_xi <= order, and a * b is its uncut case
 (order = math.inf, low = 0).  Only a cut sorts each row of b by xi
 power, so a row's walk starts at the first power that reaches low and
 stops past the order.  through(order, low) is the same cut of one
-matrix, and through(k, k) is its xi**k slice.  powers(order) yields
-I, N, N**2, ... up to the last nonzero power, each through the order
-(uncut by default); the series above and the odd twist of phi.py sum
-from that one loop, and exp_nilpotent(n, order) is the exponential
-through xi**order.
+matrix (the matrix itself when nothing is cut), and through(k, k) is
+its xi**k slice.  powers(order) yields I, N, N**2, ... up to the last
+nonzero power, each through the order (uncut by default); the series
+above and the odd twist of phi.py sum from that one loop, and
+exp_nilpotent(n, order) is the exponential through xi**order.
 Scalars are made only where an entry is read: ``m[i, j]`` (zero where
 none is stored), ``entries()`` (the nonzeros in row-major order) and
 what reads through them -- map_entries, repr, the JSON form and the
@@ -237,9 +237,9 @@ class GradedMatrix:
         return _canonical(self.parity, out, self.den * other.den)
 
     def through(self, order, low=0):
-        """The terms of self with low <= e_xi <= order."""
+        """The terms of self with low <= e_xi <= order; self itself when none is cut."""
         terms = {key: v for key, v in self.terms.items() if low <= key[4] <= order}
-        return _canonical(self.parity, terms, self.den)
+        return self if len(terms) == len(self.terms) else _canonical(self.parity, terms, self.den)
 
     def scale(self, c):
         """self times c: an int, a Fraction or a Scalar; linear_combination's one-term case."""
@@ -407,14 +407,14 @@ def _nilpotent_series(n, coeff, kind, order=math.inf):
 def inverse(a):
     """Inverse of a unipotent a = I + N as the finite series sum_k (-N)**k.
 
-    Every matrix the package inverts is unipotent (the twists, E = e^sigma,
-    M = I + theta X+); any other matrix, singular or not, raises MatrixError.
+    The series ends only at the first vanishing power N**K, so
+    (I + N) sum_{k<K} (-N)**k = I - (-N)**K = I exactly and no product
+    checks it.  Every matrix the package inverts is unipotent (the twists,
+    E = e^sigma, M = I + theta X+); any other matrix, singular or not,
+    raises MatrixError.
     """
     n = a - GradedMatrix.identity(a.parity)
-    result = _nilpotent_series(n, lambda k: (-1) ** k, "unipotent")
-    if not (a * result).is_identity():
-        raise MatrixError("inverse verification failed")
-    return result
+    return _nilpotent_series(n, lambda k: (-1) ** k, "unipotent")
 
 
 def exp_nilpotent(n, order=math.inf):

@@ -43,15 +43,16 @@ the slice and are left out of T.  B is homogeneous of degree t + 1, so only the
 xi**0 slices of Dj(v+) and Dsj(v+) reach its column.
 
 _PairSeries is the solver on one module pair: its solve finds the
-unknowns of each shell in turn from its shell_equations, and its check
-decides whether R(F) of a table vanishes through an xi order, for
-solve_phi's residuals and check_intertwining_s alike.  Both read
+unknowns of each shell in turn from its shell_equations, which read
 twist_residual, R(exp(T)) from xi**low through xi**order with the one
-exponential exp_nilpotent(T, order); no F^-1 is built.  Every
-computation through an xi order is a GradedMatrix product or slice cut
-at that order (mul_through, through); none of the pair's matrices
-carries s or theta, which _PairSeries checks once, so a coefficient is
-the Fraction of one numerator over the matrix's denominator.
+exponential exp_nilpotent(T, order); no F^-1 is built.  solve_phi's
+residual on a pair is _order_check of the same twist_residual, and
+check_intertwining_s forms T once and reads both of its forms from
+it, exp(T) and exp(-2 T).  Every computation through an xi order is a
+GradedMatrix product or slice cut at that order (mul_through,
+through); none of the pair's matrices carries s or theta, which
+_PairSeries checks once, so a coefficient is the Fraction of one
+numerator over the matrix's denominator.
 Each unit exponent B is built once per pair, as exponent_from_bilinear
 on that one coefficient.
 F Delta0(v-) F^-1, exact in xi on a module pair, is not built here:
@@ -153,9 +154,8 @@ class _PairSeries:
     """The odd-twist solver on one module pair, through xi**order.
 
     Holds Dj(v+), Dsj(v+) and the unit exponents of the pair.  solve
-    finds the shell unknowns from the shell equations, and check decides
-    whether the twist of a table intertwines through an xi order; both
-    read twist_residual.
+    finds the shell unknowns from the shell equations, which read
+    twist_residual.
     """
 
     def __init__(self, r1, r2, order):
@@ -187,10 +187,6 @@ class _PairSeries:
     def twist_residual(self, table, order, low=0):
         """R(F) from xi**low through xi**order, F = exp(T) of the table through xi**order."""
         return self.residual(exp_nilpotent(self.exponent(table, order), order), order, low)
-
-    def check(self, name, table, order):
-        """The check that R(F) of the table vanishes through xi**order."""
-        return _order_check(name, self.twist_residual(table, order))
 
     def shell_equations(self, known, shell, order):
         """Shell equations with (m,n) and (n,m) tied to one unknown.
@@ -243,14 +239,16 @@ class _PairSeries:
 def check_intertwining_s(table, r1, r2, order):
     """Both forms of the intertwining identity, modulo xi**(order+1).
 
-    The main form is R(F) = (F Dj(v+) F^-1 - Dsj(v+)) F = 0; as F = 1 + O(xi)
-    it first fails at the order where F Dj(v+) F^-1 = Dsj(v+) does.  The
-    second form reads F^-2 as exp(-2 T) through the order, exact because
-    the exponent T starts at xi**1.
+    Both forms read the one exponent T of the table.  The main form is
+    R(F) = (F Dj(v+) F^-1 - Dsj(v+)) F = 0 with F = exp(T); as
+    F = 1 + O(xi) it first fails at the order where F Dj(v+) F^-1 = Dsj(v+)
+    does.  The second form reads F^-2 as exp(-2 T) through the order,
+    exact because T starts at xi**1.
     """
     pair = _PairSeries(r1, r2, order)
-    main = pair.check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", table, order)
     t = pair.exponent(table, order)
+    f = exp_nilpotent(t, order)
+    main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", pair.residual(f, order))
     lhs = pair.dj.mul_through(exp_nilpotent(t.scale(-2), order), order)
     aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", lhs - pair.target)
     name = "odd-twist intertwining %s through xi^%d" % (spin_text((r1.spin, r2.spin)), order)
@@ -312,8 +310,8 @@ def solve_phi(order, pairs):
     each pair.  Returns the pooled table of Phi (f_1 (x) f_1 plus each
     coefficient as the first pair to determine it found it, zero entries
     dropped) and a report with one check per pair, the cross-pair
-    consistency and, from _PairSeries.check, the residual on every pair
-    through xi**(2*order - 1).
+    consistency and the residual R(F) of the pooled table on every pair
+    through xi**(2*order - 1), _order_check of its twist_residual.
 
     Evidence in the check data: each pair check lists under "pinned"
     the unknowns it left undetermined (held at 0 from then on), and the
@@ -322,6 +320,8 @@ def solve_phi(order, pairs):
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError("series order must be between 1 and %d" % MAX_ORDER)
+    if not pairs:
+        raise ValueError("no module pair to solve on")
     spins = [(r1.spin, r2.spin) for r1, r2 in pairs]
     for k, pair in enumerate(spins):
         if pair in spins[:k]:
@@ -366,7 +366,7 @@ def solve_phi(order, pairs):
     table = {key: val for key, val in pooled.items() if val}
     for pair, pair_spins in zip(pair_series, spins):
         name = "residual zero on %s through xi^%d" % (spin_text(pair_spins), xi_order)
-        rep.add(pair.check(name, table, xi_order))
+        rep.add(_order_check(name, pair.twist_residual(table, xi_order)))
     return table, rep
 
 

@@ -48,3 +48,10 @@ def test_cli_output_matches_recording(name):
     assert proc.stdout == (RECORDED / (name + ".stdout")).read_bytes()
     assert proc.stderr == (RECORDED / (name + ".stderr")).read_bytes()
     assert proc.returncode == int((RECORDED / (name + ".exit_code")).read_text())
+
+
+def test_every_recording_belongs_to_a_command():
+    """Each command has its three files, and no file is left without a command."""
+    suffixes = (".stdout", ".stderr", ".exit_code")
+    expected = {name + suffix for name in COMMANDS for suffix in suffixes}
+    assert {p.name for p in RECORDED.iterdir()} == expected

@@ -9,6 +9,7 @@ is the one that reproduces the fixed matrices.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -315,9 +316,17 @@ def test_inverse_rejects_non_unipotent():
             inverse(m)
 
 
-def test_inverse_random_unipotent():
+def test_inverse_random_unipotent(monkeypatch):
+    """inverse(u) is the series alone: with N**K the first vanishing power of
+    N = u - I, it makes the K - 1 products N**2 .. N**K and none to verify."""
+    calls = []
+    mul_through = GradedMatrix.mul_through
+    monkeypatch.setattr(
+        GradedMatrix, "mul_through", lambda *args: calls.append(1) or mul_through(*args)
+    )
     rng = random.Random(17)
     xi = sc.xi_var()
+    seen = set()
     for _ in range(25):
         parity = FUND
         n = len(parity)
@@ -327,9 +336,38 @@ def test_inverse_random_unipotent():
                 if rng.random() < 0.7:
                     entries[(i, j)] = xi.scale(rng.randint(-3, 3))
         u = GradedMatrix.from_entries(parity, entries)
+        nil = u - GradedMatrix.identity(parity)
+        vanishing, power = 0, GradedMatrix.identity(parity)
+        while not power.is_zero():
+            vanishing, power = vanishing + 1, power * nil
+        seen.add(vanishing)
+        calls.clear()
         u_inv = inverse(u)
+        assert len(calls) == vanishing - 1
         assert (u * u_inv).is_identity()
         assert (u_inv * u).is_identity()
+    assert seen >= {2, 3}
+
+
+def test_through_returns_the_matrix_when_nothing_is_cut():
+    """An uncut through is the matrix itself; a cut is a new canonical matrix."""
+    xi = sc.xi_var()
+    m = GradedMatrix.from_entries(
+        FUND, {(0, 0): rational(Fraction(1, 2)), (0, 2): xi.scale(3), (1, 2): xi * xi}
+    )
+    assert m.through(math.inf) is m
+    assert m.through(2) is m
+    cut = m.through(1)
+    assert cut is not m
+    assert cut == GradedMatrix.from_entries(
+        FUND, {(0, 0): rational(Fraction(1, 2)), (0, 2): xi.scale(3)}
+    )
+    assert_canonical((cut.terms, cut.den))
+    # a cut that leaves only integers reduces the common denominator
+    top = m.through(2, 1)
+    assert top == GradedMatrix.from_entries(FUND, {(0, 2): xi.scale(3), (1, 2): xi * xi})
+    assert top.den == 1
+    assert_canonical((top.terms, top.den))
 
 
 def test_exp_log_round_trip():

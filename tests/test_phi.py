@@ -220,6 +220,13 @@ def test_solve_phi_rejects_repeated_pair(fund, spin1):
         solve_phi(1, [(spin1, spin1), (fund, spin1), (irrep(1), irrep(1))])
 
 
+def test_solve_phi_rejects_no_pairs():
+    """With no pair there is nothing to solve or check, so no report passes."""
+    for order in (1, 2):
+        with pytest.raises(ValueError, match="no module pair"):
+            solve_phi(order, [])
+
+
 def test_solver_reports_inconsistency(spin1):
     """A deliberately corrupted known part makes the shells unsolvable.
 
@@ -450,13 +457,23 @@ def _closed_form_raised_d11():
     ],
     ids=["1-1", "3half-1", "2-2", "2-3half-raised-d11"],
 )
-def test_closed_form_intertwines_where_f1_fails(spins, order, failing):
+def test_closed_form_intertwines_where_f1_fails(spins, order, failing, monkeypatch):
     """The closed form passes; f_1 (x) f_1, or the closed form with D[1, 1]
-    raised, fails both forms first at xi**3."""
+    raised, fails both forms first at xi**3.  Each check forms T once."""
+    calls = []
+    exponent = phi_mod._PairSeries.exponent
+
+    def counted(*args):
+        calls.append(args)
+        return exponent(*args)
+
+    monkeypatch.setattr(phi_mod._PairSeries, "exponent", counted)
     a, b = (irrep(j) for j in spins)
     assert check_intertwining_s(closed_form_table(8), a, b, order).passed
+    assert len(calls) == 1
     rep = check_intertwining_s(failing(), a, b, order)
     assert [c.data["first_failing_order"] for c in rep.checks] == [3, 3]
+    assert len(calls) == 2
 
 
 # (table, spins, passes): the twist F_s F_j with that table on that pair
@@ -649,8 +666,8 @@ def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
 
 
 def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
-    """check forms F = exp(T) once: one product per nonzero power of T, plus
-    the two products of the residual, and no F^-1."""
+    """The residual check forms F = exp(T) once: one product per nonzero
+    power of T, plus the two products of the residual, and no F^-1."""
     r32 = irrep(Fraction(3, 2))
     pair = phi_mod._PairSeries(r32, r32, 5)
     bilinear = f1_table(4)
@@ -668,7 +685,7 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
         return mul_through(*args)
 
     monkeypatch.setattr(GradedMatrix, "mul_through", counted)
-    pair.check("residual zero", bilinear, 5)
+    phi_mod._order_check("residual zero", pair.twist_residual(bilinear, 5))
     assert len(calls) == powers + 2
 
 
