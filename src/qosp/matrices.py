@@ -151,7 +151,7 @@ def load_fixture(name):
     try:
         with open(path) as fh:
             return from_json_dict(json.load(fh))
-    except (OSError, ValueError, MatrixError, sc.ScalarError) as exc:
+    except (OSError, ValueError, RecursionError, MatrixError, sc.ScalarError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         error = FixtureError("cannot load golden fixture %s: %s" % (path, reason))
         error.path = path

@@ -50,20 +50,22 @@ residual on a pair is _order_check of the same twist_residual, and
 check_intertwining_s forms T once and reads both of its forms from
 it, exp(T) and exp(-2 T).  Every computation through an xi order is a
 GradedMatrix product or slice cut at that order (mul_through,
-through); none of the pair's matrices carries s or theta, which
-_PairSeries checks once, so a coefficient is the Fraction of one
-numerator over the matrix's denominator.
-Each unit exponent B is built once per pair, as exponent_from_bilinear
-on that one coefficient.
+through).  A shell row is read at each full key (i, j, e_s, e_theta,
+e_xi) of the slice, one equation per key, so the rows are exact for
+any Laurent coefficient of Dj(v+) and Dsj(v+).
+exponent_from_bilinear is the one way a table becomes an exponent T:
+it sums the cached unit exponent of each (m, n) it keeps.
 F Delta0(v-) F^-1, exact in xi on a module pair, is not built here:
 coproducts.check_twist_produces states what it satisfies.
 """
 
+import math
 from fractions import Fraction
+from functools import cache
 
 from . import scalar as sc
 from .coproducts import JORDANIAN, SUPER_JORDANIAN, evaluate_terms
-from .gmatrix import GradedMatrix, MatrixError, exp_nilpotent
+from .gmatrix import GradedMatrix, exp_nilpotent, kron_parity
 from .report import Check, Report
 from .reps import spin_text
 
@@ -126,16 +128,22 @@ def rank_one_terms(table):
 # evaluation on a module pair
 
 
-def exponent_from_bilinear(table, r1, r2):
-    """-2 xi sum D[m,n] (v u**m) (x) (v u**n) as one graded matrix, u = xi X+.
+@cache
+def _unit(r1, r2, m, n):
+    """-2 xi**(m+n+1) (v+ X+^m) (x) (v+ X+^n) on a module pair, built once."""
+    term = (sc.xi_var(m + n + 1).scale(-2), ("v+",) + ("X+",) * m, ("v+",) + ("X+",) * n)
+    return evaluate_terms([term], r1, r2)
 
-    v u**m is xi**m times the module's cached image of the word v+ X+^m.
+
+def exponent_from_bilinear(table, r1, r2, order=math.inf):
+    """-2 xi sum D[m,n] (v u**m) (x) (v u**n) through xi**order, u = xi X+.
+
+    The entry (m, n) is D[m, n] times its unit, homogeneous of degree
+    m + n + 1 in xi, so the sum keeps the nonzero entries with
+    m + n < order and adds them in one linear_combination.
     """
-    terms = [
-        (sc.xi_var(m + n + 1).scale(-2 * c), ("v+",) + ("X+",) * m, ("v+",) + ("X+",) * n)
-        for (m, n), c in table.items()
-    ]
-    return evaluate_terms(terms, r1, r2)
+    terms = [(c, _unit(r1, r2, m, n)) for (m, n), c in table.items() if c and m + n < order]
+    return GradedMatrix.linear_combination(kron_parity(r1.parity, r2.parity), terms)
 
 
 def build_f_super(table, r1, r2):
@@ -151,34 +159,16 @@ def _order_check(name, residual):
 
 
 class _PairSeries:
-    """The odd-twist solver on one module pair, through xi**order.
+    """The odd-twist solver on one module pair.
 
-    Holds Dj(v+), Dsj(v+) and the unit exponents of the pair.  solve
-    finds the shell unknowns from the shell equations, which read
-    twist_residual.
+    Holds the pair, Dj(v+) and Dsj(v+).  solve finds the shell unknowns
+    from the shell equations, which read twist_residual; every method
+    cuts its products at the xi order it is given.
     """
 
-    def __init__(self, r1, r2, order):
-        self.reps, self._units = (r1, r2), {}
-        dj, target = (evaluate_terms(cp.rules["v+"], r1, r2) for cp in (JORDANIAN, SUPER_JORDANIAN))
-        # the shell rows read coefficients as rationals, so no entry may carry s or theta
-        for m in (dj, target):
-            bad = min(((i, j) for i, j, es, eth, _ in m.terms if es or eth), default=None)
-            if bad is not None:
-                i, j = bad
-                text = "entry (%d, %d) is not rational in xi: %s"
-                raise MatrixError(text % (i + 1, j + 1, m[i, j]))
-        self.dj, self.target = dj.through(order), target.through(order)
-
-    def exponent(self, table, order):
-        """exponent_from_bilinear through xi**order, from units cached per (m, n)."""
-        terms = []
-        for (m, n), c in table.items():
-            if c and m + n < order:
-                if (m, n) not in self._units:
-                    self._units[m, n] = exponent_from_bilinear({(m, n): 1}, *self.reps)
-                terms.append((c, self._units[m, n]))
-        return GradedMatrix.linear_combination(self.dj.parity, terms)
+    def __init__(self, r1, r2):
+        self.reps = (r1, r2)
+        self.dj, self.target = (evaluate_terms(cp.rules["v+"], r1, r2) for cp in (JORDANIAN, SUPER_JORDANIAN))
 
     def residual(self, f, order, low=0):
         """R(F) = F Dj(v+) - Dsj(v+) F from xi**low through xi**order."""
@@ -186,7 +176,8 @@ class _PairSeries:
 
     def twist_residual(self, table, order, low=0):
         """R(F) from xi**low through xi**order, F = exp(T) of the table through xi**order."""
-        return self.residual(exp_nilpotent(self.exponent(table, order), order), order, low)
+        t = exponent_from_bilinear(table, *self.reps, order)
+        return self.residual(exp_nilpotent(t, order), order, low)
 
     def shell_equations(self, known, shell, order):
         """Shell equations with (m,n) and (n,m) tied to one unknown.
@@ -197,10 +188,8 @@ class _PairSeries:
         docstring).
         """
         base = self.twist_residual(known, order, order)
-        columns = [
-            self.residual(self.exponent({(m, n): 1, (n, m): 1}, order), order, order)
-            for m, n in shell
-        ]
+        units = (exponent_from_bilinear({(m, n): 1, (n, m): 1}, *self.reps, order) for m, n in shell)
+        columns = [self.residual(b, order, order) for b in units]
         # one equation per entry that is nonzero in base or any column, row-major
         positions = sorted({key for col in (base, *columns) for key in col.terms})
         rows = [[Fraction(col.terms.get(key, 0), col.den) for col in columns] for key in positions]
@@ -245,12 +234,12 @@ def check_intertwining_s(table, r1, r2, order):
     does.  The second form reads F^-2 as exp(-2 T) through the order,
     exact because T starts at xi**1.
     """
-    pair = _PairSeries(r1, r2, order)
-    t = pair.exponent(table, order)
+    pair = _PairSeries(r1, r2)
+    t = exponent_from_bilinear(table, r1, r2, order)
     f = exp_nilpotent(t, order)
     main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", pair.residual(f, order))
     lhs = pair.dj.mul_through(exp_nilpotent(t.scale(-2), order), order)
-    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", lhs - pair.target)
+    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", lhs - pair.target.through(order))
     name = "odd-twist intertwining %s through xi^%d" % (spin_text((r1.spin, r2.spin)), order)
     return Report(name, [main, aux])
 
@@ -330,7 +319,7 @@ def solve_phi(order, pairs):
     known = f1_table(max(2 * (order - 1), 2))
     xi_order = 2 * order - 1
     shells = [[(m, t - m) for m in range(1, t // 2 + 1)] for t in range(2, xi_order)]
-    pair_series = [_PairSeries(r1, r2, xi_order) for r1, r2 in pairs]
+    pair_series = [_PairSeries(r1, r2) for r1, r2 in pairs]
     reference = {}  # each coefficient as the first pair to determine it found it
     determined_by = {}
     consistent = True

@@ -51,7 +51,7 @@ def solve_without_f1(order, r1, r2):
     and whether every shell was consistent and R(F) of the table vanishes.
     """
     xi_order = 2 * order - 1
-    pair = _PairSeries(r1, r2, xi_order)
+    pair = _PairSeries(r1, r2)
     shells = [[(m, t - m) for m in range(t // 2 + 1)] for t in range(xi_order)]
     found, _, _, consistent = pair.solve({}, shells)
     table = {}

@@ -536,6 +536,21 @@ def test_fixture_with_a_non_unit_denominator_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
 
 
+def test_deeply_nested_fixture_is_usage_error(tmp_path):
+    """json.load raises RecursionError on a deeply nested file; that is a bad fixture too."""
+    for name in FIXTURE_NAMES:
+        write_fixture(name, named_matrix(name), directory=str(tmp_path))
+    path = tmp_path / "kr.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qosp.cli", "verify", "--suite", "matrix"],
+        capture_output=True, text=True, env=_child_env(QOSP_FIXTURES=str(tmp_path)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot load golden fixture %s: " % path)
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
 def _recorded_scalar_texts():
     """Every scalar text of the five fixtures and of the recorded JSON and CSV outputs."""
     texts = []

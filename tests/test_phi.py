@@ -14,7 +14,7 @@ from qosp import gmatrix as gmatrix_mod
 from qosp import phi as phi_mod
 from qosp import scalar as sc
 from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, check_twist_produces
-from qosp.gmatrix import GradedMatrix, MatrixError, exp_nilpotent, gkron, inverse
+from qosp.gmatrix import GradedMatrix, exp_nilpotent, gkron, inverse
 from qosp.matrices import f_jordanian, f_super_fund
 from qosp.phi import (
     build_f_super,
@@ -238,7 +238,7 @@ def test_solver_reports_inconsistency(spin1):
 
     bad_known = f1_table(2)
     bad_known[(0, 1)] += Fraction(1, 3)  # break the symmetry of the known part
-    pair = phi_mod._PairSeries(spin1, spin1, 3)
+    pair = phi_mod._PairSeries(spin1, spin1)
     rows, rhs = pair.shell_equations(bad_known, [(1, 1)], 3)
     solution, free, inconsistent = solve_linear_system(rows, rhs, ncols=1)
     assert inconsistent
@@ -461,13 +461,13 @@ def test_closed_form_intertwines_where_f1_fails(spins, order, failing, monkeypat
     """The closed form passes; f_1 (x) f_1, or the closed form with D[1, 1]
     raised, fails both forms first at xi**3.  Each check forms T once."""
     calls = []
-    exponent = phi_mod._PairSeries.exponent
+    exponent = phi_mod.exponent_from_bilinear
 
     def counted(*args):
         calls.append(args)
         return exponent(*args)
 
-    monkeypatch.setattr(phi_mod._PairSeries, "exponent", counted)
+    monkeypatch.setattr(phi_mod, "exponent_from_bilinear", counted)
     a, b = (irrep(j) for j in spins)
     assert check_intertwining_s(closed_form_table(8), a, b, order).passed
     assert len(calls) == 1
@@ -669,9 +669,9 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
     """The residual check forms F = exp(T) once: one product per nonzero
     power of T, plus the two products of the residual, and no F^-1."""
     r32 = irrep(Fraction(3, 2))
-    pair = phi_mod._PairSeries(r32, r32, 5)
+    pair = phi_mod._PairSeries(r32, r32)
     bilinear = f1_table(4)
-    t = pair.exponent(bilinear, 5)
+    t = exponent_from_bilinear(bilinear, r32, r32, 5)
     powers, power = 0, t
     while not power.is_zero():
         powers += 1
@@ -692,11 +692,11 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
 def test_exponent_reduces_its_sum_once(monkeypatch):
     """With every unit cached, the exponent over n units is one pass: one reduction."""
     r32 = irrep(Fraction(3, 2))
-    pair = phi_mod._PairSeries(r32, r32, 5)
     bilinear = f1_table(4)
     below = {(m, n): c for (m, n), c in bilinear.items() if m + n < 5}
-    pair.exponent(bilinear, 5)
-    assert len(pair._units) == len(below) > 2
+    phi_mod._unit.cache_clear()
+    exponent_from_bilinear(bilinear, r32, r32, 5)
+    assert phi_mod._unit.cache_info().misses == len(below) > 2
     calls = []
     canonical = gmatrix_mod._canonical
 
@@ -705,24 +705,49 @@ def test_exponent_reduces_its_sum_once(monkeypatch):
         return canonical(*args)
 
     monkeypatch.setattr(gmatrix_mod, "_canonical", counted)
-    t = pair.exponent(bilinear, 5)
+    t = exponent_from_bilinear(bilinear, r32, r32, 5)
     assert len(calls) == 1
     assert t == exponent_from_bilinear(below, r32, r32).through(5)
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        sc.s_var(),
-        sc.s_var(-1),
-        sc.theta_var(),
-        sc.xi_var() * sc.theta_var(),
-        sc.xi_var() + sc.q_var(-1),
-    ],
-)
-def test_series_conversion_rejects_s_theta_and_denominators(monkeypatch, fund, entry):
-    """A pair whose Dj(v+) has an entry with s or theta is refused before any shell is read."""
-    m = GradedMatrix.from_entries((0, 1), {(0, 0): sc.ONE, (0, 1): entry})
-    monkeypatch.setattr(phi_mod, "evaluate_terms", lambda rules, r1, r2: m)
-    with pytest.raises(MatrixError, match="entry \\(1, 2\\) is not rational in xi"):
-        phi_mod._PairSeries(fund, fund, 3)
+def test_every_exponent_shares_the_unit_cache():
+    """The solver, the intertwining check and the twist on one pair build each unit once."""
+    r32 = irrep(Fraction(3, 2))
+    phi_mod._unit.cache_clear()
+    table, rep = solve_phi(2, [(r32, r32)])
+    assert rep.passed
+    below = [key for key in table if sum(key) < 3]
+    assert phi_mod._unit.cache_info().misses == len(below) < len(table)
+    assert check_intertwining_s(table, r32, r32, 3).passed
+    assert phi_mod._unit.cache_info().misses == len(below)
+    build_f_super(table, r32, r32)
+    assert phi_mod._unit.cache_info().misses == len(table)
+
+
+def test_shell_rows_are_exact_for_laurent_coefficients(monkeypatch):
+    """Dj(v+) and Dsj(v+) scaled by the central s^-1 + theta scale both sides of
+    R(F) = F Dj(v+) - Dsj(v+) F alike: the solve finds the same table and checks.
+
+    Only the two v+ rule images are scaled, matched by identity; the unit
+    exponents stay as they are, so the shared unit cache keeps its values."""
+    r32 = irrep(Fraction(3, 2))
+    pairs = [(r32, irrep(1)), (r32, r32)]
+    table, rep = solve_phi(4, pairs)
+    factor = sc.s_var(-1) + sc.theta_var()
+    rules = (JORDANIAN.rules["v+"], SUPER_JORDANIAN.rules["v+"])
+    evaluate_terms = phi_mod.evaluate_terms
+
+    def scaled(terms, r1, r2):
+        m = evaluate_terms(terms, r1, r2)
+        return m.scale(factor) if any(terms is rule for rule in rules) else m
+
+    monkeypatch.setattr(phi_mod, "evaluate_terms", scaled)
+    scaled_table, scaled_rep = solve_phi(4, pairs)
+    dj = phi_mod._PairSeries(r32, r32).dj
+    assert {(es, eth) for _, _, es, eth, _ in dj.terms} == {(-1, 0), (0, 1)}
+
+    def summary(report):
+        return [(c.name, c.passed, c.detail, c.data) for c in report.checks]
+
+    assert scaled_table == table
+    assert summary(scaled_rep) == summary(rep)
