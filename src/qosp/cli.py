@@ -121,24 +121,23 @@ def _substitute(m, bindings, pairs):
         raise UsageError("cannot evaluate at --set %s: %s" % (_echo(" ".join(pairs), "%s"), exc))
 
 
+def _cell_texts(m):
+    """The text of every cell of m, row by row, formatted once from its nonzero entries."""
+    rows = [["0"] * m.dim for _ in range(m.dim)]
+    for i, j, v in m.entries():
+        rows[i][j] = format_scalar(v)
+    return rows
+
+
 def _matrix_csv(m):
-    lines = []
-    for i in range(m.dim):
-        lines.append(",".join('"%s"' % format_scalar(m[i, j]) for j in range(m.dim)))
-    return "\n".join(lines) + "\n"
-
-
-def _latex_scalar(v):
-    text = format_scalar(v)
-    text = text.replace("theta", r"\theta").replace("xi", r"\xi").replace("*", " ")
-    return text
+    return "".join(",".join('"%s"' % text for text in row) + "\n" for row in _cell_texts(m))
 
 
 def _matrix_latex(m):
-    cols = "c" * m.dim
-    lines = [r"\left(\begin{array}{%s}" % cols]
-    for i in range(m.dim):
-        lines.append(" & ".join(_latex_scalar(m[i, j]) for j in range(m.dim)) + r" \\")
+    lines = [r"\left(\begin{array}{%s}" % ("c" * m.dim)]
+    for row in _cell_texts(m):
+        cells = (t.replace("theta", r"\theta").replace("xi", r"\xi").replace("*", " ") for t in row)
+        lines.append(" & ".join(cells) + r" \\")
     lines.append(r"\end{array}\right)")
     return "\n".join(lines) + "\n"
 

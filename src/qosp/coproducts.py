@@ -2,7 +2,7 @@
 
 A coproduct rule assigns to each generator a list of tensor terms
 (coeff, left word, right word); evaluate_terms sums c * gkron(left,
-right) of the words' images on a pair of modules.
+right) of the words' images on a pair of modules in one tensor_sum.
 No sign is chosen here: gkron images multiply by the graded rule
 
     gkron(a, b) gkron(c, d) = (-1)**(p(b)p(c)) gkron(ac, bd),
@@ -17,18 +17,18 @@ generators H, E, V, W among them, when F Delta0(x) F^-1 equals each
 rule (check_twist_produces).  Leg placements on triple products are
 gkron with an identity, conjugated by the graded flip gmatrix.flip_legs
 for legs 1 and 3, which also gives Delta^op = P Delta P.  Every Koszul
-sign is decided in gmatrix.gkron and gmatrix.flip_legs.
+sign is decided in gmatrix.tensor_sum and gmatrix.flip_legs.
 """
 
 from . import scalar as sc
 from .gmatrix import (
-    GradedMatrix,
     flip_legs,
     gkron,
     inverse,
     kron_parity,
     residual_check,
     rll_residual,
+    tensor_sum,
 )
 from .matrices import contract_r, f_jordanian
 from .report import Check, Report
@@ -43,11 +43,11 @@ from .reps import (
 
 
 def evaluate_terms(terms, r1, r2):
-    """The sum of c * gkron(r1.image(left), r2.image(right)) over (c, left, right) terms."""
-    return GradedMatrix.linear_combination(
-        kron_parity(r1.parity, r2.parity),
-        ((c, gkron(r1.image(left), r2.image(right))) for c, left, right in terms),
-    )
+    """The sum of c * gkron(r1.image(left), r2.image(right)) over (c, left, right) terms.
+
+    One tensor_sum: every term is folded into one pass and reduced once.
+    """
+    return tensor_sum(r1.parity, r2.parity, [(c, r1.image(a), r2.image(b)) for c, a, b in terms])
 
 
 class CoproductMap:

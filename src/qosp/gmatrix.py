@@ -11,14 +11,16 @@ matrices are equal exactly when their values are.  Every operation --
 sums, products, Kronecker products, flips, inversion, exponentials --
 walks the terms alone, multiplies and adds integers, adds exponents in
 the key and reduces once; the one product loop, mul_through, groups
-the right factor's terms by row.  Every weighted sum is one call to
-linear_combination, which brings all its terms to the lcm of their
-denominators and adds them into one map in a single pass: each monomial
-of a weight folds its rational coefficient into the integer multiplier
-and adds its exponents to the keys, so no scaled copy is built.
-A + B and A - B are its two-term cases, scale its one-term case, and
-the finite series of inverse, exp_nilpotent and log_unipotent collect
-their terms first.  Matrices are immutable: operations return new
+the right factor's terms by row.  Every weighted sum is one pass over
+its terms, with one fold of the weights (_fold): all terms are brought
+to the lcm of their denominators, each monomial of a weight folds its
+rational coefficient into an integer multiplier and adds its exponents
+to the keys, so no scaled copy is built, and the sum is reduced once.
+A sum of matrices on one space is linear_combination: A + B and A - B
+are its two-term cases, scale its one-term case, and the finite series
+of inverse, exp_nilpotent and log_unipotent collect their terms first.
+A sum of two-leg tensors, sum c * gkron(a, b), is tensor_sum, and gkron
+is its one-term case.  Matrices are immutable: operations return new
 matrices, or an operand they leave unchanged.
 
 An xi power is part of every key, so a truncated series in xi is a
@@ -53,7 +55,7 @@ and parity vectors against the fixed 9x9 matrices to show this is the
 only combination that reproduces them; it takes each parity vector's
 YBE residual from rll_residual, which places R13 with flip_legs.
 
-gkron and flip_legs are the only code in the package that picks a
+tensor_sum and flip_legs are the only code in the package that picks a
 Koszul sign.  An operator on two adjacent legs of a triple product is
 gkron with an identity; on legs 1 and 3 it is the legs-2-3 placement
 conjugated by the graded flip of the two equal first legs, which
@@ -61,8 +63,9 @@ flip_legs does by relabelling indices, with signs read from the parity
 v of the module V it swaps.  So R21 is flip_legs(R, v), and check_gybe,
 like rll_residual, takes v: the parity of V (x) V fixes v only up to a
 global flip.
-Coproduct words are products of gkron images (coproducts.py), so their
-signs come from the same rule.  The brackets checked on one module or
+Coproduct words are products of gkron images, and every rule table is
+evaluated as one tensor_sum (coproducts.py), so their signs come from
+the same rule.  The brackets checked on one module or
 one coproduct image all have the even h as first operand, so they are
 plain commutators and pick no sign either.
 
@@ -109,6 +112,22 @@ def _canonical(parity, terms, den):
     return GradedMatrix(parity, terms, den)
 
 
+def _fold(weighted):
+    """Every weight's monomials as integer multipliers over one denominator.
+
+    weighted yields (c, d, payload): a weight c (an int, a Fraction or a
+    Scalar) on integer numerators over d.  Returns (den, parts), den the
+    lcm of every d times a coefficient's denominator, with one
+    (e, f, payload) per nonzero monomial c_e s**a theta**b xi**k of a
+    weight: e = (a, b, k) and f = c_e den / d, an integer.  A rational c
+    is the one monomial with e = (0, 0, 0).
+    """
+    parts = [(e, v.numerator, v.denominator * d, payload) for c, d, payload in weighted
+             for e, v in (c.terms.items() if isinstance(c, Scalar) else [(_K0, c)]) if v]
+    den = math.lcm(*(d for _, _, d, _ in parts))
+    return den, [(e, den // d * num, payload) for e, num, d, payload in parts]
+
+
 class GradedMatrix:
     """Immutable square graded matrix: integer numerators over one denominator.
 
@@ -143,28 +162,23 @@ class GradedMatrix:
     def linear_combination(parity, terms):
         """The sum of c * m over the (c, m) terms, added into one map in one pass.
 
-        Every m must have the given parity.  Each monomial
-        c_e s**a theta**b xi**k of a weight c (an int, a Fraction or a
-        Scalar) is a part of its own: its rational coefficient is folded
-        into the integer multiplier of m's numerators over the lcm of all
-        denominators, and (a, b, k) is added to the exponents of each key
-        in the same pass.  A rational c has the one monomial 1, so its
-        keys are taken as they are.
+        Every m must have the given parity.  The weights fold as in _fold:
+        each monomial c_e s**a theta**b xi**k of a weight scales m's
+        numerators by one integer over the common denominator, and
+        (a, b, k) is added to the exponents of each key in the same pass;
+        a rational weight keeps m's keys as they are.
         """
         parity = tuple(parity)
-        parts = []
+        weighted = []
         for c, m in terms:
             if m.parity != parity:
                 raise MatrixError("dimension or parity mismatch")
-            monomials = c.terms.items() if isinstance(c, Scalar) else [(_K0, c)]
             if m.terms:
-                parts.extend((e, v.numerator, v.denominator * m.den, m.terms)
-                             for e, v in monomials if v)
-        den = math.lcm(*(d for _, _, d, _ in parts))
+                weighted.append((c, m.den, m.terms))
+        den, parts = _fold(weighted)
         out = {}
         get = out.get
-        for e, num, d, nums in parts:
-            f = den // d * num
+        for e, f, nums in parts:
             if e == _K0:
                 for key, v in nums.items():
                     out[key] = get(key, 0) + v * f
@@ -309,21 +323,40 @@ def kron_parity(p1, p2):
     return tuple((a + b) % 2 for a in p1 for b in p2)
 
 
-def gkron(a, b):
-    """Graded Kronecker product; composite index (i,x) -> i*dim(b) + x."""
-    n2 = b.dim
-    p1, p2 = a.parity, b.parity
-    bitems = [(x, y, s, t, e, p2[x] != p2[y], bv) for (x, y, s, t, e), bv in b.terms.items()]
+def tensor_sum(p1, p2, terms):
+    """The sum of c * gkron(a, b) over the (c, a, b) terms, in one pass.
+
+    Every a has parity p1 and every b parity p2.  The weights fold as in
+    linear_combination (_fold), each entry takes gkron's Koszul sign, and
+    the sum is reduced once; a term with a zero leg costs no work.
+    """
+    p1, p2 = tuple(p1), tuple(p2)
+    n2 = len(p2)
+    weighted = []
+    for c, a, b in terms:
+        if a.parity != p1 or b.parity != p2:
+            raise MatrixError("dimension or parity mismatch")
+        if a.terms and b.terms:
+            bitems = [(x, y, s, t, e, p2[x] != p2[y], v) for (x, y, s, t, e), v in b.terms.items()]
+            weighted.append((c, a.den * b.den, (a.terms, bitems)))
+    den, parts = _fold(weighted)
     out = {}
     get = out.get
-    for (i, j, s1, t1, e1), av in a.terms.items():
-        odd_col = p1[j]
-        ri, cj = i * n2, j * n2
-        for x, y, s2, t2, e2, odd_entry, bv in bitems:
-            key = (ri + x, cj + y, s1 + s2, t1 + t2, e1 + e2)
-            v = av * bv
-            out[key] = get(key, 0) + (-v if odd_col and odd_entry else v)
-    return _canonical(kron_parity(p1, p2), out, a.den * b.den)
+    for (es, et, ex), f, (anums, bitems) in parts:
+        for (i, j, s1, t1, e1), av in anums.items():
+            odd_col = p1[j]
+            ri, cj = i * n2, j * n2
+            s1, t1, e1, av = s1 + es, t1 + et, e1 + ex, av * f
+            for x, y, s2, t2, e2, odd_entry, bv in bitems:
+                key = (ri + x, cj + y, s1 + s2, t1 + t2, e1 + e2)
+                v = av * bv
+                out[key] = get(key, 0) + (-v if odd_col and odd_entry else v)
+    return _canonical(kron_parity(p1, p2), out, den)
+
+
+def gkron(a, b):
+    """Graded Kronecker product; composite index (i,x) -> i*dim(b) + x; tensor_sum's one-term case."""
+    return tensor_sum(a.parity, b.parity, ((1, a, b),))
 
 
 def flip_legs(m, v, w=(0,)):

@@ -20,8 +20,11 @@ f_k for output only.  The coefficients make the intertwining identity
 linear in the unknowns at each xi order: the D entries with
 m + n = t - 1 first contribute at xi**t, and lower shells are already
 known when shell t is processed.  Solutions are reported per module
-pair; agreement across pairs is the strongest consistency statement
-available, since no closed form beyond f_1 is known.
+pair, and agreement across pairs is their consistency statement.  Beyond
+f_1 only a conjectured closed form is known,
+Phi = sum_k (-1)**k/(2k+1) g_k (x) g_k with g_k = f_1 tanh(sigma/2)**k;
+the tests compare every coefficient the solver determines with it
+(tests/phi_oracle.closed_form_table).
 
 The shell residual is affine in the shell unknowns, exactly.  Shell t
 is matched at xi**(t+1).  Its unknown d = D[m, n] = D[n, m] enters the
@@ -54,18 +57,20 @@ through).  A shell row is read at each full key (i, j, e_s, e_theta,
 e_xi) of the slice, one equation per key, so the rows are exact for
 any Laurent coefficient of Dj(v+) and Dsj(v+).
 exponent_from_bilinear is the one way a table becomes an exponent T:
-it sums the cached unit exponent of each (m, n) it keeps.
+it reads the table as rule terms (-2 D[m, n] xi**(m+n+1), v+ X+^m,
+v+ X+^n), which coproducts.evaluate_terms sums in one tensor_sum, as it
+does a coproduct rule; nothing is cached beyond the modules' own word
+images.
 F Delta0(v-) F^-1, exact in xi on a module pair, is not built here:
 coproducts.check_twist_produces states what it satisfies.
 """
 
 import math
 from fractions import Fraction
-from functools import cache
 
 from . import scalar as sc
 from .coproducts import JORDANIAN, SUPER_JORDANIAN, evaluate_terms
-from .gmatrix import GradedMatrix, exp_nilpotent, kron_parity
+from .gmatrix import exp_nilpotent
 from .report import Check, Report
 from .reps import spin_text
 
@@ -128,22 +133,20 @@ def rank_one_terms(table):
 # evaluation on a module pair
 
 
-@cache
-def _unit(r1, r2, m, n):
-    """-2 xi**(m+n+1) (v+ X+^m) (x) (v+ X+^n) on a module pair, built once."""
-    term = (sc.xi_var(m + n + 1).scale(-2), ("v+",) + ("X+",) * m, ("v+",) + ("X+",) * n)
-    return evaluate_terms([term], r1, r2)
-
-
 def exponent_from_bilinear(table, r1, r2, order=math.inf):
     """-2 xi sum D[m,n] (v u**m) (x) (v u**n) through xi**order, u = xi X+.
 
-    The entry (m, n) is D[m, n] times its unit, homogeneous of degree
-    m + n + 1 in xi, so the sum keeps the nonzero entries with
-    m + n < order and adds them in one linear_combination.
+    The entry (m, n) is the rule term (-2 D[m, n] xi**(m+n+1), v+ X+^m,
+    v+ X+^n), homogeneous of degree m + n + 1 in xi, so the table keeps
+    the nonzero entries with m + n < order and evaluate_terms sums them
+    in one tensor_sum.
     """
-    terms = [(c, _unit(r1, r2, m, n)) for (m, n), c in table.items() if c and m + n < order]
-    return GradedMatrix.linear_combination(kron_parity(r1.parity, r2.parity), terms)
+    words = [(m + n + 1, c, ("v+",) + ("X+",) * m, ("v+",) + ("X+",) * n)
+             for (m, n), c in table.items() if c and m + n < order]
+    # a zero leg image adds nothing, so its term is dropped before a weight is built
+    terms = [(sc.xi_var(k).scale(-2 * c), a, b)
+             for k, c, a, b in words if r1.image(a).terms and r2.image(b).terms]
+    return evaluate_terms(terms, r1, r2)
 
 
 def build_f_super(table, r1, r2):

@@ -10,7 +10,7 @@ and the even elements X+- = +-4 v+-**2 complete the sl(2) triple;
 2 v+**2) and is not checked separately.
 Every bracket checked on a module has the even h as its first operand,
 so it is the plain commutator h a - a h, and {v+, v-} is written out as
-v+ v- + v- v+; no Koszul sign is picked here (gmatrix.gkron and
+v+ v- + v- v+; no Koszul sign is picked here (gmatrix.tensor_sum and
 gmatrix.flip_legs are the only code that does).
 
 The spin-j module has dimension 4j + 1; h acts diagonally with the

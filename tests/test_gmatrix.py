@@ -31,6 +31,7 @@ from qosp.gmatrix import (
     log_unipotent,
     residual_check,
     rll_residual,
+    tensor_sum,
     to_json_dict,
 )
 from koszul_rules import gflip, gkron_rule
@@ -719,6 +720,43 @@ def test_integer_kernels_match_the_scalar_reference(data):
         _assert_canonical(got)
         assert got.nonzero_count() == len(want)
         assert got == GradedMatrix.from_entries(got.parity, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_sum_matches_the_sum_of_reference_kronecker_products(data):
+    """tensor_sum equals sum c * gkron(a, b) of the {(i, j): Scalar} kernels, for
+    int, Fraction and Scalar weights (s^-k, theta, xi), zero weights and legs."""
+    p1, p2 = data.draw(_PARITIES), data.draw(_PARITIES)
+    weights = st.one_of(
+        st.sampled_from([0, 1, -1, 2, Fraction(-3, 2)]),
+        st.sampled_from([sc.rational(Fraction(2, 3)), sc.rational(0)]),
+        _mixed_scalars(),
+    )
+    terms = data.draw(
+        st.lists(st.tuples(weights, _mixed_matrices(p1), _mixed_matrices(p2)), max_size=4)
+    )
+    parity = kron_parity(p1, p2)
+    want = oracle.linear_combination(
+        [(c, GradedMatrix.from_entries(parity, oracle.gkron(a, b))) for c, a, b in terms]
+    )
+    got = tensor_sum(list(p1), list(p2), terms)
+    assert got.parity == parity
+    assert oracle.entry_map(got) == want
+    _assert_canonical(got)
+    assert got == GradedMatrix.from_entries(parity, want)
+
+
+def test_tensor_sum_of_no_terms_and_mismatched_legs():
+    """The empty sum is the zero matrix on kron_parity(p1, p2); a leg of the
+    wrong parity in any term raises MatrixError."""
+    i3, i2 = GradedMatrix.identity(FUND), GradedMatrix.identity((1, 0))
+    empty = tensor_sum(FUND, (1, 0), [])
+    assert empty.parity == kron_parity(FUND, (1, 0)) and empty.is_zero()
+    assert tensor_sum(FUND, (1, 0), [(1, i3, i2)]) == gkron(i3, i2)
+    for bad in ([(1, i2, i2)], [(1, i3, i3)], [(1, i3, i2), (Fraction(1, 2), i3, i3)]):
+        with pytest.raises(MatrixError, match="dimension or parity mismatch"):
+            tensor_sum(FUND, (1, 0), bad)
 
 
 def test_nonzero_count_counts_an_entry_of_several_terms_once():

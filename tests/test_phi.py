@@ -1,8 +1,10 @@
 """The odd twist series: closed-form leading term, solver, the twisted Delta(v-)."""
 
 import ast
+import gc
 import math
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -690,13 +692,12 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
 
 
 def test_exponent_reduces_its_sum_once(monkeypatch):
-    """With every unit cached, the exponent over n units is one pass: one reduction."""
+    """With the pair's word images built, the exponent over n entries is one pass: one reduction."""
     r32 = irrep(Fraction(3, 2))
     bilinear = f1_table(4)
     below = {(m, n): c for (m, n), c in bilinear.items() if m + n < 5}
-    phi_mod._unit.cache_clear()
+    assert len(below) > 2
     exponent_from_bilinear(bilinear, r32, r32, 5)
-    assert phi_mod._unit.cache_info().misses == len(below) > 2
     calls = []
     canonical = gmatrix_mod._canonical
 
@@ -710,26 +711,40 @@ def test_exponent_reduces_its_sum_once(monkeypatch):
     assert t == exponent_from_bilinear(below, r32, r32).through(5)
 
 
-def test_every_exponent_shares_the_unit_cache():
-    """The solver, the intertwining check and the twist on one pair build each unit once."""
-    r32 = irrep(Fraction(3, 2))
-    phi_mod._unit.cache_clear()
-    table, rep = solve_phi(2, [(r32, r32)])
-    assert rep.passed
-    below = [key for key in table if sum(key) < 3]
-    assert phi_mod._unit.cache_info().misses == len(below) < len(table)
-    assert check_intertwining_s(table, r32, r32, 3).passed
-    assert phi_mod._unit.cache_info().misses == len(below)
-    build_f_super(table, r32, r32)
-    assert phi_mod._unit.cache_info().misses == len(table)
+@pytest.mark.parametrize("spins", [(2, Fraction(3, 2)), (2, 2)])
+def test_unit_exponents_commute_on_a_pair(spins):
+    """The unit exponents of every two visible (m, n) commute, as the
+    incremental twist needs: exp of a sum is then the product of exps."""
+    r1, r2 = irrep(spins[0]), irrep(spins[1])
+    units = [exponent_from_bilinear({(m, n): 1}, r1, r2) for m in range(r1.dim) for n in range(r2.dim)]
+    units = [u for u in units if not u.is_zero()]
+    assert len(units) > 4
+    for k, a in enumerate(units):
+        for b in units[k + 1:]:
+            assert a * b == b * a
+
+
+def test_no_exponent_keeps_a_module_alive(fund):
+    """An exponent on a fresh tensor module leaves nothing that refers to it,
+    and on the fundamental pair only the (0, 0) entry of f_1 (x) f_1 is seen."""
+    table = f1_table(3)
+    refs = []
+    for _ in range(20):
+        module = CLASSICAL.module(fund, fund)
+        build_f_super(table, module, fund)
+        refs.append(weakref.ref(module))
+    del module
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 20
+    assert exponent_from_bilinear(f1_table(), fund, fund) == exponent_from_bilinear({(0, 0): 1}, fund, fund)
 
 
 def test_shell_rows_are_exact_for_laurent_coefficients(monkeypatch):
     """Dj(v+) and Dsj(v+) scaled by the central s^-1 + theta scale both sides of
     R(F) = F Dj(v+) - Dsj(v+) F alike: the solve finds the same table and checks.
 
-    Only the two v+ rule images are scaled, matched by identity; the unit
-    exponents stay as they are, so the shared unit cache keeps its values."""
+    Only the two v+ rule images are scaled, matched by identity; the
+    exponents' rule terms are a new list on every call, so they stay as they are."""
     r32 = irrep(Fraction(3, 2))
     pairs = [(r32, irrep(1)), (r32, r32)]
     table, rep = solve_phi(4, pairs)
