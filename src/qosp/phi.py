@@ -39,28 +39,35 @@ linear in F, so its slice is
 
     R(exp(T))[xi**(t+1)] + sum_d d R(B)[xi**(t+1)],
 
-one exponential per shell for the constant part, exp_nilpotent through
-the matched order with no inverse, and one closed-form column
-R(B)[xi**(t+1)] per unknown.  Known terms with m + n > t start above
-the slice and are left out of T.  B is homogeneous of degree t + 1, so only the
-xi**0 slices of Dj(v+) and Dsj(v+) reach its column.
+the slice of the twist of the known terms for the constant part, and
+one closed-form column R(B)[xi**(t+1)] per unknown.  B is homogeneous of
+degree t + 1, so only the xi**0 slices of Dj(v+) and Dsj(v+) reach its
+column.
 
-_PairSeries is the solver on one module pair: its solve finds the
-unknowns of each shell in turn from its shell_equations, which read
-twist_residual, R(exp(T)) from xi**low through xi**order with the one
-exponential exp_nilpotent(T, order); no F^-1 is built.  solve_phi's
-residual on a pair is _order_check of the same twist_residual, and
-check_intertwining_s forms T once and reads both of its forms from
-it, exp(T) and exp(-2 T).  Every computation through an xi order is a
+The twist is formed once per pair and grown.  Every unit exponent is
+c (v u**m) (x) (v u**n), odd (x) odd; two such terms commute, since both
+orders carry the Koszul sign -1 and the powers of v+ commute.  So
+exp(T + T_t) = exp(T) exp(T_t) through any order, where T_t is shell t's
+part of the exponent.  _PairSeries.solve forms F = build_f_super of the
+known table once, through the last shell's matched power, reads each
+shell's constant part from F, and after a shell that solved a nonzero
+value multiplies in that shell's own twist.  Known terms with m + n > t
+start above the slice xi**(t+1), so holding them in F from the start
+leaves the slice unchanged.  No F^-1 is built.  solve_phi's residual on
+a pair is _order_check of R of a fresh twist of the pooled table, never
+the grown F, so it witnesses the solve independently.
+check_intertwining_s forms T once and reads both of its forms from it,
+exp(T) and exp(-2 T).  Every computation through an xi order is a
 GradedMatrix product or slice cut at that order (mul_through,
 through).  A shell row is read at each full key (i, j, e_s, e_theta,
 e_xi) of the slice, one equation per key, so the rows are exact for
 any Laurent coefficient of Dj(v+) and Dsj(v+).
-exponent_from_bilinear is the one way a table becomes an exponent T:
-it reads the table as rule terms (-2 D[m, n] xi**(m+n+1), v+ X+^m,
-v+ X+^n), which coproducts.evaluate_terms sums in one tensor_sum, as it
-does a coproduct rule; nothing is cached beyond the modules' own word
-images.
+build_f_super is the one way a table becomes a twist, exp_nilpotent of
+its exponent through an xi order, and exponent_from_bilinear the one
+way a table becomes an exponent T: it reads the table as rule terms
+(-2 D[m, n] xi**(m+n+1), v+ X+^m, v+ X+^n), which
+coproducts.evaluate_terms sums in one tensor_sum, as it does a coproduct
+rule; nothing is cached beyond the modules' own word images.
 F Delta0(v-) F^-1, exact in xi on a module pair, is not built here:
 coproducts.check_twist_produces states what it satisfies.
 """
@@ -149,9 +156,9 @@ def exponent_from_bilinear(table, r1, r2, order=math.inf):
     return evaluate_terms(terms, r1, r2)
 
 
-def build_f_super(table, r1, r2):
-    """The odd twist factor on a module pair."""
-    return exp_nilpotent(exponent_from_bilinear(table, r1, r2))
+def build_f_super(table, r1, r2, order=math.inf):
+    """The odd twist factor exp(T) of a table on a module pair, through xi**order."""
+    return exp_nilpotent(exponent_from_bilinear(table, r1, r2, order), order)
 
 
 def _order_check(name, residual):
@@ -164,9 +171,10 @@ def _order_check(name, residual):
 class _PairSeries:
     """The odd-twist solver on one module pair.
 
-    Holds the pair, Dj(v+) and Dsj(v+).  solve finds the shell unknowns
-    from the shell equations, which read twist_residual; every method
-    cuts its products at the xi order it is given.
+    Holds the pair, Dj(v+) and Dsj(v+).  solve forms the twist of the
+    known table once and multiplies in each solved shell; the shell
+    equations read the twist they are given.  Every method cuts its
+    products at the xi order it is given.
     """
 
     def __init__(self, r1, r2):
@@ -177,20 +185,15 @@ class _PairSeries:
         """R(F) = F Dj(v+) - Dsj(v+) F from xi**low through xi**order."""
         return f.mul_through(self.dj, order, low) - self.target.mul_through(f, order, low)
 
-    def twist_residual(self, table, order, low=0):
-        """R(F) from xi**low through xi**order, F = exp(T) of the table through xi**order."""
-        t = exponent_from_bilinear(table, *self.reps, order)
-        return self.residual(exp_nilpotent(t, order), order, low)
-
-    def shell_equations(self, known, shell, order):
+    def shell_equations(self, f, shell, order):
         """Shell equations with (m,n) and (n,m) tied to one unknown.
 
-        order is the matched xi power t + 1.  The base is twist_residual's
-        xi**order slice for the known terms below the slice, and the column
-        of (m, n) that of the unit exponent B on (m, n) and (n, m) (module
-        docstring).
+        order is the matched xi power t + 1 and f the twist of every
+        value known so far; the terms of f above the slice do not reach it.
+        The base is the xi**order slice of R(f), and the column of (m, n)
+        that of the unit exponent B on (m, n) and (n, m) (module docstring).
         """
-        base = self.twist_residual(known, order, order)
+        base = self.residual(f, order, order)
         units = (exponent_from_bilinear({(m, n): 1, (n, m): 1}, *self.reps, order) for m, n in shell)
         columns = [self.residual(b, order, order) for b in units]
         # one equation per entry that is nonzero in base or any column, row-major
@@ -204,25 +207,32 @@ class _PairSeries:
 
         Each shell is the list of its unknown keys (m, n), m <= n, all with
         m + n = t; it is matched at xi**(t+1), on the known table plus every
-        value found below it.  Returns the found values {(m, n): Fraction},
+        value found below it.  The twist of the known table is formed once,
+        through the last shell's matched power, and each shell's values are
+        multiplied into it.  Returns the found values {(m, n): Fraction},
         the pinned keys (left undetermined and held at 0 from then on), one
         note per shell and whether every shell was consistent.  Solving stops
         at the first inconsistent shell.
         """
-        solved, found, pinned, notes = dict(known), {}, [], []
+        order = sum(shells[-1][0]) + 1 if shells else 0
+        f = build_f_super(known, *self.reps, order)
+        found, pinned, notes = {}, [], []
         for shell in shells:
             t = sum(shell[0])
-            rows, rhs = self.shell_equations(solved, shell, t + 1)
+            rows, rhs = self.shell_equations(f, shell, t + 1)
             solution, free, inconsistent = solve_linear_system(rows, rhs, len(shell))
             if inconsistent:
                 notes.append("shell %d inconsistent %s" % (t, inconsistent))
                 return found, pinned, notes, False
+            step = {}
             for idx, key in enumerate(shell):
                 if idx in solution:
-                    _add_symmetric(solved, key, solution[idx])
+                    _add_symmetric(step, key, solution[idx])
                     found[key] = solution[idx]
                 else:
                     pinned.append(key)
+            if any(step.values()):
+                f = f.mul_through(build_f_super(step, *self.reps, order), order)
             state = "underdetermined %s" % [shell[c] for c in free] if free else "unique"
             notes.append("shell %d %s" % (t, state))
         return found, pinned, notes, True
@@ -303,7 +313,8 @@ def solve_phi(order, pairs):
     coefficient as the first pair to determine it found it, zero entries
     dropped) and a report with one check per pair, the cross-pair
     consistency and the residual R(F) of the pooled table on every pair
-    through xi**(2*order - 1), _order_check of its twist_residual.
+    through xi**(2*order - 1), _order_check of R of a fresh twist of the
+    table, not of the twist each solve grew.
 
     Evidence in the check data: each pair check lists under "pinned"
     the unknowns it left undetermined (held at 0 from then on), and the
@@ -358,7 +369,7 @@ def solve_phi(order, pairs):
     table = {key: val for key, val in pooled.items() if val}
     for pair, pair_spins in zip(pair_series, spins):
         name = "residual zero on %s through xi^%d" % (spin_text(pair_spins), xi_order)
-        rep.add(_order_check(name, pair.twist_residual(table, xi_order)))
+        rep.add(_order_check(name, pair.residual(build_f_super(table, *pair.reps, xi_order), xi_order)))
     return table, rep
 
 

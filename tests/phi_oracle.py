@@ -16,7 +16,7 @@ f_1 expansion on one pair.
 
 from fractions import Fraction
 
-from qosp.phi import _add_symmetric, _order_check, _PairSeries, f1_series_coeffs
+from qosp.phi import _add_symmetric, _order_check, _PairSeries, build_f_super, f1_series_coeffs
 
 
 def _series_mul(a, b, order):
@@ -58,5 +58,5 @@ def solve_without_f1(order, r1, r2):
     for key, val in found.items():
         _add_symmetric(table, key, val)
     table = {key: c for key, c in table.items() if c}
-    check = _order_check("residual zero", pair.twist_residual(table, xi_order))
+    check = _order_check("residual zero", pair.residual(build_f_super(table, r1, r2, xi_order), xi_order))
     return table, consistent and check.passed

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qosp import cli
 from qosp import gmatrix as gmatrix_mod
 from qosp import phi as phi_mod
+from qosp import reps as reps_mod
 from qosp import scalar as sc
 from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, check_twist_produces
 from qosp.gmatrix import GradedMatrix, exp_nilpotent, gkron, inverse
@@ -241,7 +242,8 @@ def test_solver_reports_inconsistency(spin1):
     bad_known = f1_table(2)
     bad_known[(0, 1)] += Fraction(1, 3)  # break the symmetry of the known part
     pair = phi_mod._PairSeries(spin1, spin1)
-    rows, rhs = pair.shell_equations(bad_known, [(1, 1)], 3)
+    f = build_f_super(bad_known, spin1, spin1, 3)
+    rows, rhs = pair.shell_equations(f, [(1, 1)], 3)
     solution, free, inconsistent = solve_linear_system(rows, rhs, ncols=1)
     assert inconsistent
 
@@ -278,8 +280,8 @@ def test_cross_pair_disagreement_fails(monkeypatch, spin1):
     r32 = irrep(Fraction(3, 2))
     shell_equations = phi_mod._PairSeries.shell_equations
 
-    def shifted(pair, known, shell, order):
-        rows, rhs = shell_equations(pair, known, shell, order)
+    def shifted(pair, f, shell, order):
+        rows, rhs = shell_equations(pair, f, shell, order)
         if pair.reps[0] is r32:  # the solution moves by 1 in the first unknown
             rhs = [b + row[0] for row, b in zip(rows, rhs)]
         return rows, rhs
@@ -339,30 +341,57 @@ def _finite_difference_shell_equations(known_bilinear, shell, r1, r2, order):
 
 
 def _record_shells(monkeypatch, solve):
-    """Run solve() and record every shell system with its exponentials.
+    """Run solve() and record every shell system and every pair solve.
 
-    Each record ends with the orders of the shell's exp_nilpotent calls,
-    the only exponential phi.py takes.  solve returns whether the solve
-    passed."""
-    calls = []
-    orders = []
+    A shell record holds the pair, the shell, its matched order, the
+    twist f it read, its rows and rhs, the exp_nilpotent calls it made
+    (the only exponential phi.py takes) and, once its pair's solve has
+    returned, the table as the solver has it at that shell: the known
+    table plus every value found below the shell.  A solve record holds
+    the pair, its known table, the values it found and the exponents and
+    orders of every exp_nilpotent call it made.  solve returns whether the
+    solve passed."""
+    calls, solves, exps = [], [], []
     shell_equations = phi_mod._PairSeries.shell_equations
+    pair_solve = phi_mod._PairSeries.solve
     exp_nilpotent = phi_mod.exp_nilpotent
 
     def counting_exp_nilpotent(n, order=math.inf):
-        orders.append(order)
+        exps.append((n, order))
         return exp_nilpotent(n, order)
 
-    def recording(pair, known, shell, order):
-        orders.clear()
-        rows, rhs = shell_equations(pair, known, shell, order)
-        calls.append((dict(known), list(shell), *pair.reps, order, rows, rhs, list(orders)))
+    def recording(pair, f, shell, order):
+        start = len(exps)
+        rows, rhs = shell_equations(pair, f, shell, order)
+        calls.append({"reps": pair.reps, "shell": list(shell), "order": order, "f": f,
+                      "rows": rows, "rhs": rhs, "exps": exps[start:]})
         return rows, rhs
+
+    def recording_solve(pair, known, shells):
+        first, start = len(calls), len(exps)
+        result = pair_solve(pair, known, shells)
+        found = result[0]
+        for call in calls[first:]:
+            call["table"] = dict(known)
+            for key, val in found.items():
+                if sum(key) < sum(call["shell"][0]):
+                    phi_mod._add_symmetric(call["table"], key, val)
+        solves.append({"reps": pair.reps, "known": dict(known), "found": found, "exps": exps[start:]})
+        return result
 
     monkeypatch.setattr(phi_mod, "exp_nilpotent", counting_exp_nilpotent)
     monkeypatch.setattr(phi_mod._PairSeries, "shell_equations", recording)
+    monkeypatch.setattr(phi_mod._PairSeries, "solve", recording_solve)
     assert solve()
-    return calls
+    return calls, solves
+
+
+def _run_solver(monkeypatch, order, spins, f1_known):
+    """_record_shells of solve_phi on the pairs, or of solve_without_f1 on the one pair."""
+    pairs = [(irrep(a), irrep(b)) for a, b in spins]
+    if f1_known:
+        return _record_shells(monkeypatch, lambda: solve_phi(order, pairs)[1].passed)
+    return _record_shells(monkeypatch, lambda: solve_without_f1(order, *pairs[0])[1])
 
 
 @pytest.mark.parametrize(
@@ -375,25 +404,53 @@ def _record_shells(monkeypatch, solve):
 def test_shell_equations_match_finite_differences(
     monkeypatch, order, spins, f1_known, nshells
 ):
-    pairs = [(irrep(a), irrep(b)) for a, b in spins]
-    if f1_known:
-        calls = _record_shells(monkeypatch, lambda: solve_phi(order, pairs)[1].passed)
-    else:
-        calls = _record_shells(monkeypatch, lambda: solve_without_f1(order, *pairs[0])[1])
+    calls, _ = _run_solver(monkeypatch, order, spins, f1_known)
     assert len(calls) == nshells
-    for known, shell, r1, r2, xi_order, rows, rhs, _ in calls:
-        assert (rows, rhs) == _finite_difference_shell_equations(
-            known, shell, r1, r2, xi_order
-        ), (shell, r1.spin, r2.spin)
+    for call in calls:
+        r1, r2 = call["reps"]
+        assert (call["rows"], call["rhs"]) == _finite_difference_shell_equations(
+            call["table"], call["shell"], r1, r2, call["order"]
+        ), (call["shell"], r1.spin, r2.spin)
 
 
-def test_one_exponential_per_shell(monkeypatch):
+@pytest.mark.parametrize(
+    "order, spins, f1_known, nshells",
+    [
+        (4, [(Fraction(3, 2), 1), (Fraction(3, 2), Fraction(3, 2))], True, 10),
+        (4, [(1, Fraction(1, 2)), (1, 1), (2, Fraction(3, 2))], True, 15),
+        (2, [(Fraction(1, 2), Fraction(1, 2))], False, 3),
+    ],
+)
+def test_grown_twist_equals_a_fresh_one(monkeypatch, order, spins, f1_known, nshells):
+    """At every shell the twist the solver grew by multiplying in each solved
+    shell equals a fresh twist of the known table plus every value found
+    below the shell, through the last matched power xi**(2*order - 1)."""
+    calls, _ = _run_solver(monkeypatch, order, spins, f1_known)
+    assert len(calls) == nshells
+    for call in calls:
+        fresh = build_f_super(call["table"], *call["reps"], 2 * order - 1)
+        assert call["f"] == fresh, (call["shell"], *(r.spin for r in call["reps"]))
+
+
+def test_shell_equations_form_no_exponential(monkeypatch):
+    """Each pair's solve takes one exponential of the known table, then one of
+    each shell that solved a nonzero value, all through xi**7; its shell
+    equations take none."""
     r32 = irrep(Fraction(3, 2))
     pairs = [(r32, irrep(1)), (r32, r32)]
-    calls = _record_shells(monkeypatch, lambda: solve_phi(4, pairs)[1].passed)
-    # shells 2..6 on each of the two pairs: one exp, through the matched order
+    calls, solves = _record_shells(monkeypatch, lambda: solve_phi(4, pairs)[1].passed)
     assert len(calls) == 10
-    assert [c[-1] for c in calls] == [[c[4]] for c in calls]
+    assert [call["exps"] for call in calls] == [[]] * 10
+    assert len(solves) == 2
+    for solve in solves:
+        steps = {}
+        for key, val in solve["found"].items():
+            if val:
+                phi_mod._add_symmetric(steps.setdefault(sum(key), {}), key, val)
+        tables = [solve["known"]] + [steps[t] for t in sorted(steps)]
+        expected = [(exponent_from_bilinear(table, *solve["reps"], 7), 7) for table in tables]
+        assert solve["exps"] == expected
+    assert [len(solve["exps"]) for solve in solves] == [3, 4]
 
 
 def test_solver_evidence_in_check_data(spin1):
@@ -438,6 +495,33 @@ def test_closed_form_equals_every_determined_coefficient(spins, determined):
     by_name = {check.name: check.data for check in rep.checks}
     keys = [ast.literal_eval(k) for k in by_name["cross-pair consistency"]["determined_by"]]
     assert len(keys) == determined
+    for key in keys:
+        assert table[key] == closed[key], key
+
+
+@pytest.fixture
+def widened_spins(monkeypatch):
+    """Spins up to 3 and series orders up to 6, past the CLI's limits.
+
+    irrep's cache is cleared on both sides, so no module of a widened
+    spin outlives the test."""
+    monkeypatch.setattr(reps_mod, "SUPPORTED_SPINS", tuple(Fraction(k, 2) for k in range(1, 7)))
+    monkeypatch.setattr(phi_mod, "MAX_ORDER", 6)
+    irrep.cache_clear()
+    yield
+    irrep.cache_clear()
+
+
+def test_deeper_solve_on_widened_spins(widened_spins):
+    """solve_phi(6) on (3, 5/2), (3, 3) passes every check, and each of the 15
+    coefficients it determines equals the closed form in the returned table."""
+    r3 = irrep(3)
+    table, rep = solve_phi(6, [(r3, irrep(Fraction(5, 2))), (r3, r3)])
+    assert rep.passed
+    closed = closed_form_table(10)
+    by_name = {check.name: check.data for check in rep.checks}
+    keys = [ast.literal_eval(k) for k in by_name["cross-pair consistency"]["determined_by"]]
+    assert len(keys) == 15
     for key in keys:
         assert table[key] == closed[key], key
 
@@ -668,7 +752,7 @@ def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
 
 
 def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
-    """The residual check forms F = exp(T) once: one product per nonzero
+    """The residual of a twist forms F = exp(T) once: one product per nonzero
     power of T, plus the two products of the residual, and no F^-1."""
     r32 = irrep(Fraction(3, 2))
     pair = phi_mod._PairSeries(r32, r32)
@@ -687,7 +771,7 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
         return mul_through(*args)
 
     monkeypatch.setattr(GradedMatrix, "mul_through", counted)
-    phi_mod._order_check("residual zero", pair.twist_residual(bilinear, 5))
+    phi_mod._order_check("residual zero", pair.residual(build_f_super(bilinear, r32, r32, 5), 5))
     assert len(calls) == powers + 2
 
 
