@@ -56,12 +56,14 @@ start above the slice xi**(t+1), so holding them in F from the start
 leaves the slice unchanged.  No F^-1 is built.  solve_phi's residual on
 a pair is _order_check of R of a fresh twist of the pooled table, never
 the grown F, so it witnesses the solve independently.
-check_intertwining_s forms T once and reads both of its forms from it,
-exp(T) and exp(-2 T).  Every computation through an xi order is a
-GradedMatrix product or slice cut at that order (mul_through,
-through).  A shell row is read at each full key (i, j, e_s, e_theta,
-e_xi) of the slice, one equation per key, so the rows are exact for
-any Laurent coefficient of Dj(v+) and Dsj(v+).
+check_intertwining_s forms one exponential F and one product
+G = Dsj(v+) F and reads both of its forms from them: R(F) = F Dj(v+) - G,
+and Dj(v+) - G F = (Dj(v+) F^-2 - Dsj(v+)) F^2.  Every computation
+through an xi order is a GradedMatrix product or slice cut at that order
+(mul_through, through).  A shell row is read at each full key (i, j,
+e_s, e_theta, e_xi) of the slice, so the rows are exact for any Laurent
+coefficient of Dj(v+) and Dsj(v+); each distinct equation is kept once,
+which changes no pivot, value or consistency of the solve.
 build_f_super is the one way a table becomes a twist, exp_nilpotent of
 its exponent through an xi order, and exponent_from_bilinear the one
 way a table becomes an exponent T: it reads the table as rule terms
@@ -192,15 +194,15 @@ class _PairSeries:
         value known so far; the terms of f above the slice do not reach it.
         The base is the xi**order slice of R(f), and the column of (m, n)
         that of the unit exponent B on (m, n) and (n, m) (module docstring).
+        A key of the slice gives one equation; the keys are read row-major
+        and each distinct equation is kept once, at its first key.
         """
         base = self.residual(f, order, order)
         units = (exponent_from_bilinear({(m, n): 1, (n, m): 1}, *self.reps, order) for m, n in shell)
-        columns = [self.residual(b, order, order) for b in units]
-        # one equation per entry that is nonzero in base or any column, row-major
-        positions = sorted({key for col in (base, *columns) for key in col.terms})
-        rows = [[Fraction(col.terms.get(key, 0), col.den) for col in columns] for key in positions]
-        rhs = [-Fraction(base.terms.get(key, 0), base.den) for key in positions]
-        return rows, rhs
+        cols = [self.residual(b, order, order) for b in units] + [base]
+        keys = sorted({key for col in cols for key in col.terms})
+        equations = dict.fromkeys(tuple(Fraction(col.terms.get(k, 0), col.den) for col in cols) for k in keys)
+        return [list(eq[:-1]) for eq in equations], [-eq[-1] for eq in equations]
 
     def solve(self, known, shells):
         """Solve the shells in turn on top of the known table.
@@ -241,18 +243,18 @@ class _PairSeries:
 def check_intertwining_s(table, r1, r2, order):
     """Both forms of the intertwining identity, modulo xi**(order+1).
 
-    Both forms read the one exponent T of the table.  The main form is
-    R(F) = (F Dj(v+) F^-1 - Dsj(v+)) F = 0 with F = exp(T); as
+    Both forms read the one twist F = exp(T) of the table and the one
+    product G = Dsj(v+) F.  The main form is
+    R(F) = F Dj(v+) - G = (F Dj(v+) F^-1 - Dsj(v+)) F = 0; as
     F = 1 + O(xi) it first fails at the order where F Dj(v+) F^-1 = Dsj(v+)
-    does.  The second form reads F^-2 as exp(-2 T) through the order,
-    exact because T starts at xi**1.
+    does.  The second form is Dj(v+) - G F = (Dj(v+) F^-2 - Dsj(v+)) F^2,
+    which for the same reason first fails where Dj(v+) F^-2 = Dsj(v+) does.
     """
     pair = _PairSeries(r1, r2)
-    t = exponent_from_bilinear(table, r1, r2, order)
-    f = exp_nilpotent(t, order)
-    main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", pair.residual(f, order))
-    lhs = pair.dj.mul_through(exp_nilpotent(t.scale(-2), order), order)
-    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", lhs - pair.target.through(order))
+    f = build_f_super(table, r1, r2, order)
+    g = pair.target.mul_through(f, order)
+    main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", f.mul_through(pair.dj, order) - g)
+    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", pair.dj.through(order) - g.mul_through(f, order))
     name = "odd-twist intertwining %s through xi^%d" % (spin_text((r1.spin, r2.spin)), order)
     return Report(name, [main, aux])
 

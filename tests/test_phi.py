@@ -404,13 +404,36 @@ def _run_solver(monkeypatch, order, spins, f1_known):
 def test_shell_equations_match_finite_differences(
     monkeypatch, order, spins, f1_known, nshells
 ):
+    """The solver's rows are the reference's distinct equations, each at its
+    first row-major occurrence; the reference repeats some of them."""
     calls, _ = _run_solver(monkeypatch, order, spins, f1_known)
     assert len(calls) == nshells
+    repeats = 0
     for call in calls:
         r1, r2 = call["reps"]
-        assert (call["rows"], call["rhs"]) == _finite_difference_shell_equations(
-            call["table"], call["shell"], r1, r2, call["order"]
-        ), (call["shell"], r1.spin, r2.spin)
+        rows, rhs = _finite_difference_shell_equations(call["table"], call["shell"], r1, r2, call["order"])
+        distinct = _distinct_equations(rows, rhs)
+        repeats += len(rows) - len(distinct[0])
+        assert (call["rows"], call["rhs"]) == distinct, (call["shell"], r1.spin, r2.spin)
+    assert repeats
+
+
+def _distinct_equations(rows, rhs):
+    """rows and rhs with each repeated equation kept once, at its first occurrence."""
+    equations = dict.fromkeys((*row, b) for row, b in zip(rows, rhs))
+    return [list(eq[:-1]) for eq in equations], [eq[-1] for eq in equations]
+
+
+def test_no_shell_system_repeats_an_equation(monkeypatch):
+    """solve_phi(4) on (3/2, 1), (3/2, 3/2) writes each distinct equation of
+    each shell once: 10 rows in all over its 10 shell systems."""
+    r32 = irrep(Fraction(3, 2))
+    calls, _ = _record_shells(monkeypatch, lambda: solve_phi(4, [(r32, irrep(1)), (r32, r32)])[1].passed)
+    assert len(calls) == 10
+    for call in calls:
+        equations = [(*row, b) for row, b in zip(call["rows"], call["rhs"])]
+        assert len(set(equations)) == len(equations), call["shell"]
+    assert sum(len(call["rows"]) for call in calls) == 10
 
 
 @pytest.mark.parametrize(
@@ -501,11 +524,11 @@ def test_closed_form_equals_every_determined_coefficient(spins, determined):
 
 @pytest.fixture
 def widened_spins(monkeypatch):
-    """Spins up to 3 and series orders up to 6, past the CLI's limits.
+    """Spins up to 9/2 and series orders up to 6, past the CLI's limits.
 
     irrep's cache is cleared on both sides, so no module of a widened
     spin outlives the test."""
-    monkeypatch.setattr(reps_mod, "SUPPORTED_SPINS", tuple(Fraction(k, 2) for k in range(1, 7)))
+    monkeypatch.setattr(reps_mod, "SUPPORTED_SPINS", tuple(Fraction(k, 2) for k in range(1, 10)))
     monkeypatch.setattr(phi_mod, "MAX_ORDER", 6)
     irrep.cache_clear()
     yield
@@ -526,40 +549,58 @@ def test_deeper_solve_on_widened_spins(widened_spins):
         assert table[key] == closed[key], key
 
 
-def _closed_form_raised_d11():
-    """The closed form with D[1, 1] raised by 1; D[1, 1] first enters at xi**3."""
-    table = closed_form_table(8)
-    table[1, 1] += 1
+def _closed_form_raised(*keys):
+    """The closed form with each D[m, n] of keys raised by 1."""
+    def table():
+        raised = closed_form_table(8)
+        for key in keys:
+            raised[key] += 1
+        return raised
     return table
 
 
 @pytest.mark.parametrize(
-    "spins, order, failing",
+    "spins, order, failing, first",
     [
-        ((1, 1), 8, f1_table),
-        ((Fraction(3, 2), 1), 8, f1_table),
-        ((2, 2), 8, f1_table),
-        ((2, Fraction(3, 2)), 7, _closed_form_raised_d11),
+        ((1, 1), 8, f1_table, 3),
+        ((Fraction(3, 2), 1), 8, f1_table, 3),
+        ((2, 2), 8, f1_table, 3),
+        ((2, Fraction(3, 2)), 7, _closed_form_raised((1, 1)), 3),
+        ((2, Fraction(3, 2)), 7, _closed_form_raised((1, 2), (2, 1)), 4),
+        ((2, 2), 7, _closed_form_raised((2, 2)), 5),
     ],
-    ids=["1-1", "3half-1", "2-2", "2-3half-raised-d11"],
+    ids=["1-1", "3half-1", "2-2", "2-3half-raised-d11", "2-3half-raised-d12", "2-2-raised-d22"],
 )
-def test_closed_form_intertwines_where_f1_fails(spins, order, failing, monkeypatch):
-    """The closed form passes; f_1 (x) f_1, or the closed form with D[1, 1]
-    raised, fails both forms first at xi**3.  Each check forms T once."""
-    calls = []
-    exponent = phi_mod.exponent_from_bilinear
+def test_closed_form_intertwines_where_f1_fails(spins, order, failing, first, monkeypatch):
+    """The closed form passes; f_1 (x) f_1, or the closed form with D[m, n]
+    raised, fails both forms first at xi**(m+n+1).  Each check forms T and
+    its exponential once, and reads F^2 for the second form from them."""
+    calls, exps = [], []
+    exponent, exp_nilpotent = phi_mod.exponent_from_bilinear, phi_mod.exp_nilpotent
 
     def counted(*args):
         calls.append(args)
         return exponent(*args)
 
+    def counted_exp(*args):
+        exps.append(args)
+        return exp_nilpotent(*args)
+
     monkeypatch.setattr(phi_mod, "exponent_from_bilinear", counted)
+    monkeypatch.setattr(phi_mod, "exp_nilpotent", counted_exp)
     a, b = (irrep(j) for j in spins)
     assert check_intertwining_s(closed_form_table(8), a, b, order).passed
-    assert len(calls) == 1
+    assert (len(calls), len(exps)) == (1, 1)
     rep = check_intertwining_s(failing(), a, b, order)
-    assert [c.data["first_failing_order"] for c in rep.checks] == [3, 3]
-    assert len(calls) == 2
+    assert [c.data["first_failing_order"] for c in rep.checks] == [first, first]
+    assert (len(calls), len(exps)) == (2, 2)
+
+
+def test_heavy_intertwining_check_on_widened_spins(widened_spins):
+    """The closed form through xi**30 intertwines on (9/2, 9/2), the heaviest
+    check the odd-twist kernel is timed on."""
+    r = irrep(Fraction(9, 2))
+    assert check_intertwining_s(closed_form_table(30), r, r, 30).passed
 
 
 # (table, spins, passes): the twist F_s F_j with that table on that pair
