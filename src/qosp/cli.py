@@ -41,7 +41,6 @@ from .matrices import (
     ybe_suite,
 )
 from .phi import (
-    MAX_ORDER,
     build_f_super,
     check_intertwining_s,
     f1_table,
@@ -49,7 +48,7 @@ from .phi import (
     solve_phi,
 )
 from .report import Report
-from .reps import SUPPORTED_SPINS, check_lt_relations, fundamental_rep, irrep
+from .reps import check_lt_relations, fundamental_rep, irrep
 from .scalar import ScalarError, format_scalar, rational
 
 
@@ -74,6 +73,11 @@ def _fraction(text, what, bad):
         if limit and digits > limit:
             bad = "%s has a %d-digit integer, past Python's %d-digit limit" % (what, digits, limit)
         raise UsageError(bad)
+
+
+# what the command line serves: these spins, and solve-phi orders 1 .. MAX_SOLVE_ORDER
+SUPPORTED_SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+MAX_SOLVE_ORDER = 4
 
 
 def _parse_spin(text):
@@ -340,7 +344,7 @@ def build_parser():
         "--order",
         type=int,
         default=2,
-        choices=range(1, MAX_ORDER + 1),
+        choices=range(1, MAX_SOLVE_ORDER + 1),
         help="max series term index",
     )
     p_solve.add_argument("--pairs", default="1:1/2,1:1", help="spin pairs a:b,c:d, default %(default)s")

@@ -84,9 +84,6 @@ from .report import Check, Report
 from .reps import spin_text
 
 
-MAX_ORDER = 4  # highest series term index solve_phi accepts
-
-
 def f1_series_coeffs(order):
     """Taylor coefficients of 2/(1 + sqrt(1 + 2u)) up to u**order.
 
@@ -308,10 +305,10 @@ def solve_linear_system(rows, rhs, ncols):
 def solve_phi(order, pairs):
     """Solve the bilinear coefficients shell by shell on each pair.
 
-    order is the maximal term index k.  The closed form of f_1 is known,
-    so the unknowns are the D[m, n] with m, n >= 1, in the shells
-    m + n = t for t = 2 .. 2*order - 2; _PairSeries.solve solves them on
-    each pair.  Returns the pooled table of Phi (f_1 (x) f_1 plus each
+    order is the maximal term index k, any k >= 1.  The closed form of
+    f_1 is known, so the unknowns are the D[m, n] with m, n >= 1, in the
+    shells m + n = t for t = 2 .. 2*order - 2; _PairSeries.solve solves
+    them on each pair.  Returns the pooled table of Phi (f_1 (x) f_1 plus each
     coefficient as the first pair to determine it found it, zero entries
     dropped) and a report with one check per pair, the cross-pair
     consistency and the residual R(F) of the pooled table on every pair
@@ -323,8 +320,8 @@ def solve_phi(order, pairs):
     cross-pair check lists under "determined_by" the pairs that
     determined each coefficient.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError("series order must be between 1 and %d" % MAX_ORDER)
+    if order < 1:
+        raise ValueError("series order must be 1 or more, got %d" % order)
     if not pairs:
         raise ValueError("no module pair to solve on")
     spins = [(r1.spin, r2.spin) for r1, r2 in pairs]

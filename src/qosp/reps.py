@@ -13,10 +13,10 @@ so it is the plain commutator h a - a h, and {v+, v-} is written out as
 v+ v- + v- v+; no Koszul sign is picked here (gmatrix.tensor_sum and
 gmatrix.flip_legs are the only code that does).
 
-The spin-j module has dimension 4j + 1; h acts diagonally with the
-integer string 2j, 2j-1, ..., -2j, v+ shifts one step up the string
-and v- one step down.  Parities alternate along the string starting
-even at the highest weight.
+The spin-j module, for any positive half-integer j, has dimension
+4j + 1; h acts diagonally with the integer string 2j, 2j-1, ..., -2j,
+v+ shifts one step up the string and v- one step down.  Parities
+alternate along the string starting even at the highest weight.
 
 Note the h eigenvalues here are integers (2j down to -2j): the single
 superdiagonal v+ must raise the h weight by exactly 1, and q**(h/2)
@@ -42,8 +42,6 @@ from functools import cache
 from . import scalar as sc
 from .gmatrix import GradedMatrix, exp_nilpotent, kron_parity, log_unipotent, residual_check
 from .report import Report
-
-SUPPORTED_SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
 XI = sc.xi_var()
 
@@ -179,7 +177,7 @@ class Representation:
 
 @cache
 def irrep(spin):
-    """The spin-j module for j in {1/2, 1, 3/2, 2}, built and verified once per spin.
+    """The spin-j module for any positive half-integer j, built and verified once per spin.
 
     Every caller shares its cached word images, atoms among them:
     h, v+ and v- are immutable, every cached element is a function of
@@ -188,8 +186,8 @@ def irrep(spin):
     """
     if not isinstance(spin, Fraction):
         return irrep(Fraction(spin))
-    if spin not in SUPPORTED_SPINS:
-        raise RepresentationError("unsupported spin %s" % spin)
+    if spin <= 0 or (2 * spin).denominator != 1:
+        raise RepresentationError("spin %s is not a positive half-integer" % spin)
     n = int(4 * spin + 1)
     parity = tuple(k % 2 for k in range(n))
     two_j = int(2 * spin)

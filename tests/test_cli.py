@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fixture_files import write_fixture
-from qosp.cli import SUITES, build_parser, main
+from qosp.cli import SUITES, SUPPORTED_SPINS, build_parser, main
 from qosp.gmatrix import from_json_dict
 from qosp.matrices import (
     FIXTURE_NAMES,
@@ -22,7 +22,7 @@ from qosp.matrices import (
     named_matrix,
     transform_r,
 )
-from qosp.reps import SUPPORTED_SPINS, Representation, irrep
+from qosp.reps import Representation, irrep
 from qosp.scalar import format_scalar, parse_scalar
 from scalar_oracle import stored_form
 from test_cli_outputs import RECORDED, SRC
@@ -344,16 +344,19 @@ def test_solve_phi_order_out_of_range(order, capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["solve-phi", "--pairs", "7/3:1"],
-        ["verify", "--suite", "frt", "--spins", "1/2,7/3"],
-        ["emit", "--rep", "7/3"],
+        (["solve-phi", "--pairs", "7/3:1"], "7/3"),
+        (["verify", "--suite", "frt", "--spins", "1/2,7/3"], "7/3"),
+        (["emit", "--rep", "7/3"], "7/3"),
+        (["verify", "--suite", "frt", "--spins", "1/2,5/2"], "5/2"),
     ],
 )
 def test_unsupported_spin_is_usage_error(args, capsys):
-    rc, out, err = run_cli(args, capsys)
+    """A spin off the command line's list is refused, 5/2 too, which irrep builds."""
+    argv, spin = args
+    rc, out, err = run_cli(argv, capsys)
     assert rc == 2
     assert out == ""
-    assert err.startswith("error:") and "7/3" in err
+    assert err.startswith("error:") and spin in err
 
 
 @pytest.mark.parametrize(

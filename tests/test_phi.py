@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from qosp import cli
 from qosp import gmatrix as gmatrix_mod
 from qosp import phi as phi_mod
-from qosp import reps as reps_mod
 from qosp import scalar as sc
 from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, check_twist_produces
 from qosp.gmatrix import GradedMatrix, exp_nilpotent, gkron, inverse
@@ -221,6 +220,12 @@ def test_rank_one_terms_rejects_an_asymmetric_table():
 def test_solve_phi_rejects_repeated_pair(fund, spin1):
     with pytest.raises(ValueError, match="repeated module pair 1:1"):
         solve_phi(1, [(spin1, spin1), (fund, spin1), (irrep(1), irrep(1))])
+
+
+def test_solve_phi_rejects_order_zero(spin1):
+    """Order 0 has no shell to solve and would check through xi^-1 only."""
+    with pytest.raises(ValueError, match="series order must be 1 or more"):
+        solve_phi(0, [(spin1, spin1)])
 
 
 def test_solve_phi_rejects_no_pairs():
@@ -522,20 +527,7 @@ def test_closed_form_equals_every_determined_coefficient(spins, determined):
         assert table[key] == closed[key], key
 
 
-@pytest.fixture
-def widened_spins(monkeypatch):
-    """Spins up to 9/2 and series orders up to 6, past the CLI's limits.
-
-    irrep's cache is cleared on both sides, so no module of a widened
-    spin outlives the test."""
-    monkeypatch.setattr(reps_mod, "SUPPORTED_SPINS", tuple(Fraction(k, 2) for k in range(1, 10)))
-    monkeypatch.setattr(phi_mod, "MAX_ORDER", 6)
-    irrep.cache_clear()
-    yield
-    irrep.cache_clear()
-
-
-def test_deeper_solve_on_widened_spins(widened_spins):
+def test_deeper_solve_past_the_command_line_limits():
     """solve_phi(6) on (3, 5/2), (3, 3) passes every check, and each of the 15
     coefficients it determines equals the closed form in the returned table."""
     r3 = irrep(3)
@@ -596,11 +588,36 @@ def test_closed_form_intertwines_where_f1_fails(spins, order, failing, first, mo
     assert (len(calls), len(exps)) == (2, 2)
 
 
-def test_heavy_intertwining_check_on_widened_spins(widened_spins):
+def test_heavy_intertwining_check_past_the_command_line_spins():
     """The closed form through xi**30 intertwines on (9/2, 9/2), the heaviest
     check the odd-twist kernel is timed on."""
     r = irrep(Fraction(9, 2))
     assert check_intertwining_s(closed_form_table(30), r, r, 30).passed
+
+
+@pytest.mark.parametrize(
+    "spins, top",
+    [
+        ((Fraction(1, 2), Fraction(1, 2)), 1),
+        ((1, Fraction(1, 2)), 2),
+        ((Fraction(3, 2), 1), 4),
+        ((Fraction(3, 2), Fraction(3, 2)), 5),
+        ((2, 2), 7),
+        ((Fraction(5, 2), 2), 8),
+    ],
+    ids=["half-half", "1-half", "3half-1", "3half-3half", "2-2", "5half-2"],
+)
+def test_residual_stops_below_the_weight_bound(spins, top):
+    """Each power of xi in F, Dj(v+) and Dsj(v+) raises the h weight by 2
+    (xi X+, or xi v+ (x) v+ in F), and v+ raises it by 1; the weights on
+    (j1, j2) span 4(j1 + j2), so R(F) of any table has no term above
+    xi^(2(j1+j2)-1).  With every closed-form coefficient raised by 1,
+    R(F) through xi^40 reaches that power exactly."""
+    r1, r2 = (irrep(j) for j in spins)
+    raised = {key: c + 1 for key, c in closed_form_table(14).items()}
+    residual = phi_mod._PairSeries(r1, r2).residual(build_f_super(raised, r1, r2, 40), 40)
+    assert top == 2 * (r1.spin + r2.spin) - 1
+    assert max(key[4] for key in residual.terms) == top
 
 
 # (table, spins, passes): the twist F_s F_j with that table on that pair

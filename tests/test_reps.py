@@ -52,9 +52,20 @@ def test_irrep_dimensions_and_parities():
     assert irrep(2).dim == 9
 
 
-def test_unsupported_spin_rejected():
-    with pytest.raises(RepresentationError):
-        irrep(Fraction(5, 2))
+@pytest.mark.parametrize(
+    "spin", [0, Fraction(-1, 2), Fraction(1, 3), Fraction(7, 3), Fraction(5, 4)], ids=str
+)
+def test_spin_that_is_not_a_positive_half_integer_rejected(spin):
+    with pytest.raises(RepresentationError, match="is not a positive half-integer"):
+        irrep(spin)
+
+
+@pytest.mark.parametrize("spin, dim", [(Fraction(5, 2), 11), (3, 13)], ids=["5half", "3"])
+def test_irrep_past_the_command_line_spins(spin, dim):
+    """irrep builds and verifies a module at any positive half-integer spin."""
+    r = irrep(spin)
+    assert (r.spin, r.dim) == (spin, dim)
+    r.verify()
 
 
 def test_verify_names_the_first_failing_relation():
