@@ -7,9 +7,11 @@ Modules:
 * gmatrix    -- graded matrices, Koszul-signed tensor products, YBE checks,
                 products and slices through an xi order
 * reps       -- spin-j modules of osp(1|2), sigma and the FRT generators
-* matrices   -- the explicit 9x9 R-matrices and twist factors
-* coproducts -- coproduct maps, twist conjugation, Hopf-level checks
+* coproducts -- coproduct maps, the even twist, twist conjugation,
+                Hopf-level checks
 * phi        -- order-by-order solver for the odd twist series
+* matrices   -- the explicit 9x9 R-matrices and twist factors, built on
+                the modules above
 * cli        -- command-line front end
 """
 

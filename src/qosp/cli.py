@@ -24,7 +24,6 @@ from .coproducts import (
     check_qcoproduct_xplus,
     check_r_intertwines,
     check_twist_produces,
-    frt_check,
 )
 from .gmatrix import residual_check, to_json_dict
 from .matrices import (
@@ -32,8 +31,9 @@ from .matrices import (
     FixtureError,
     check_factorization,
     contract_r,
-    f_jordanian,
+    f_jordanian_fund,
     f_super_fund,
+    frt_check,
     kr_rmatrix,
     matrix_suite,
     named_matrix,
@@ -213,7 +213,7 @@ def _hopf(spins, order):
             yield check_homomorphism(cp, a, b)
     yield check_r_intertwines(kr_rmatrix(), Q_DEFORMED, f)
     yield check_r_intertwines(contract_r(), SUPER_JORDANIAN, f)
-    k = f_super_fund() * f_jordanian(f, f)
+    k = f_super_fund() * f_jordanian_fund()
     yield Report("coproducts of the FRT generators", check_twist_produces(k, FRT_COPRODUCTS, f, f))
     yield check_qcoproduct_xplus(f, f)
 

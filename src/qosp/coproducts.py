@@ -14,7 +14,8 @@ cp.module(cp.module(r1, r2), r3) carries (Delta (x) id) Delta, which
 check_coassociativity compares with (id (x) Delta) Delta.  A twist F
 carries CLASSICAL to a table of rules, FRT_COPRODUCTS for the FRT
 generators H, E, V, W among them, when F Delta0(x) F^-1 equals each
-rule (check_twist_produces).  Leg placements on triple products are
+rule (check_twist_produces); f_jordanian is the even twist
+exp(h (x) sigma) on any pair.  Leg placements on triple products are
 gkron with an identity, conjugated by the graded flip gmatrix.flip_legs
 for legs 1 and 3, which also gives Delta^op = P Delta P.  Every Koszul
 sign is decided in gmatrix.tensor_sum and gmatrix.flip_legs.
@@ -22,22 +23,19 @@ sign is decided in gmatrix.tensor_sum and gmatrix.flip_legs.
 
 from . import scalar as sc
 from .gmatrix import (
+    exp_nilpotent,
     flip_legs,
     gkron,
     inverse,
     kron_parity,
     residual_check,
-    rll_residual,
     tensor_sum,
 )
-from .matrices import contract_r, f_jordanian
 from .report import Check, Report
 from .reps import (
     OSP_RELATIONS,
     Representation,
     check_relations,
-    fundamental_rep,
-    lplus_matrix,
     spin_text,
 )
 
@@ -169,7 +167,12 @@ def check_twist_produces(f, rules, r1, r2):
 
 
 # ---------------------------------------------------------------------------
-# cocycle equation and coassociativity for the even twist
+# the even twist, its cocycle equation, and coassociativity
+
+
+def f_jordanian(r1, r2):
+    """Even twist matrix exp(h (x) sigma) on a pair of modules."""
+    return exp_nilpotent(gkron(r1.h, r2.image("sigma")))
 
 
 def check_cocycle_jordanian(r1, r2, r3):
@@ -196,17 +199,6 @@ def check_coassociativity(cp, r1, r2, r3):
     left = cp.module(cp.module(r1, r2), r3)
     right = cp.module(r1, cp.module(r2, r3))
     return [residual_check("generator %s" % g, left.image(g) - right.image(g)) for g in cp.rules]
-
-
-# ---------------------------------------------------------------------------
-# FRT relation in an arbitrary module
-
-
-def frt_check(r):
-    """R L1 L2 = L2 L1 R on C3 (x) C3 (x) V: the RLL residual with X = L+."""
-    name = "FRT relation in spin %s (%d scalar identities)" % (spin_text(r.spin), (9 * r.dim) ** 2)
-    f = fundamental_rep()
-    return residual_check(name, rll_residual(contract_r(), lplus_matrix(r), f.parity, r.parity))
 
 
 # ---------------------------------------------------------------------------

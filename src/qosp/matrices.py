@@ -9,9 +9,10 @@ Everything is built over the exact scalar ring with q = s**2:
 * the block-diagonal even twist matrix exp(h (x) sigma),
 * the odd twist matrix exp(-2 xi v+ (x) v+) with its flip-inverse property,
 
-together with the triangularity and twist-factorization checks.  M and
-the twist matrices are built from the fundamental module's elements, read
-as Representation.image words (X+, sigma, v+).  Each named matrix
+together with the triangularity, twist-factorization and FRT checks.  M
+is built from the fundamental module's X+; the twist matrices are the
+general builders on the fundamental pair, coproducts.f_jordanian and
+phi.build_f_super of the table Phi = 1.  Each named matrix
 is also frozen as a JSON fixture; constructions are diffed against the
 fixtures entry by entry.  The parameterless builders are memoized (a
 GradedMatrix is immutable, so one build serves all callers).
@@ -22,20 +23,22 @@ import os
 from functools import cache
 
 from . import scalar as sc
+from .coproducts import f_jordanian
 from .gmatrix import (
     GradedMatrix,
     MatrixError,
     check_gybe,
-    exp_nilpotent,
     flip_legs,
     from_json_dict,
     gkron,
     inverse,
     kron_parity,
     residual_check,
+    rll_residual,
 )
+from .phi import build_f_super
 from .report import Check, Report
-from .reps import fundamental_rep, lplus_matrix
+from .reps import fundamental_rep, lplus_matrix, spin_text
 from .scalar import ONE, ZERO, substitute
 
 
@@ -93,25 +96,23 @@ def contract_r():
     return transform_r().map_entries(sc.contract)
 
 
-def f_jordanian(r1=None, r2=None):
-    """Even twist matrix exp(h (x) sigma) on a pair of modules."""
-    if r1 is None:
-        r1 = fundamental_rep()
-    if r2 is None:
-        r2 = r1
-    return exp_nilpotent(gkron(r1.h, r2.image("sigma")))
+@cache
+def f_jordanian_fund():
+    """The even twist matrix exp(h (x) sigma) on the fundamental pair."""
+    f = fundamental_rep()
+    return f_jordanian(f, f)
 
 
 @cache
 def f_super_fund():
     """The odd twist matrix exp(-2 xi (v+ (x) v+)(f1 (x) f1)) on the fundamental pair.
 
-    f1 = 2/(e^sigma + 1) = 1 - (xi/2) X+ there and v+ X+ = 0, so v+ f1 = v+
-    and the exponent is -2 xi v+ (x) v+; F21, flip_legs of F by the
-    fundamental's parity, is inverse(F).
+    f1 = 2/(e^sigma + 1) = 1 - (xi/2) X+ there and v+ X+ = 0, so v+ f1 = v+:
+    it is the odd twist of the table Phi = 1, with exponent -2 xi v+ (x) v+.
+    F21, flip_legs of F by the fundamental's parity, is inverse(F).
     """
-    v = fundamental_rep().v_plus
-    return exp_nilpotent(gkron(v, v).scale(sc.xi_var().scale(-2)))
+    f = fundamental_rep()
+    return build_f_super({(0, 0): 1}, f, f)
 
 
 # fixture name -> builder; this order is that of --matrix and matrix_suite
@@ -119,7 +120,7 @@ _BUILDERS = {
     "kr": kr_rmatrix,
     "transformed": transform_r,
     "sjr": contract_r,
-    "fj": f_jordanian,
+    "fj": f_jordanian_fund,
     "fs": f_super_fund,
 }
 FIXTURE_NAMES = tuple(_BUILDERS)
@@ -181,7 +182,7 @@ def check_factorization():
     rep = Report("twist factorization")
     v = fundamental_rep().parity
     f_s = f_super_fund()
-    f_j = f_jordanian()
+    f_j = f_jordanian_fund()
     f_s21 = flip_legs(f_s, v)
     f_j21 = flip_legs(f_j, v)
     f_s_inv = inverse(f_s)
@@ -213,6 +214,13 @@ def check_new_entries_proportional():
     if not all(substitute(v, {"s": ONE}).is_zero() for v in entries):
         return Check(name, False, "quotient has a pole at s = 1")
     return Check(name, True, "")
+
+
+def frt_check(r):
+    """R L1 L2 = L2 L1 R on C3 (x) C3 (x) V: the RLL residual with X = L+."""
+    name = "FRT relation in spin %s (%d scalar identities)" % (spin_text(r.spin), (9 * r.dim) ** 2)
+    f = fundamental_rep()
+    return residual_check(name, rll_residual(contract_r(), lplus_matrix(r), f.parity, r.parity))
 
 
 def check_lplus_slices():

@@ -23,7 +23,6 @@ from qosp.coproducts import (
     check_cocycle_jordanian,
     check_homomorphism,
     check_r_intertwines,
-    frt_check,
 )
 from qosp.gmatrix import (
     GradedMatrix,
@@ -40,8 +39,8 @@ from qosp.matrices import (
     check_golden,
     check_triangular,
     contract_r,
-    f_jordanian,
     f_super_fund,
+    frt_check,
     kr_rmatrix,
     transform_r,
 )

@@ -30,6 +30,8 @@ COMMANDS = {
     "emit_rep2": ["emit", "--rep", "2"],
     "emit_rep1_xi_half": ["emit", "--rep", "1", "--set", "xi=1/2"],
     "emit_transformed_latex": ["emit", "--matrix", "transformed", "--format", "latex"],
+    "emit_fs_latex": ["emit", "--matrix", "fs", "--format", "latex"],
+    "emit_fj": ["emit", "--matrix", "fj"],
     "emit_sjr_csv_xi_third": ["emit", "--matrix", "sjr", "--format", "csv", "--set", "xi=1/3"],
     "emit_kr_exponent_usage_error": ["emit", "--matrix", "kr", "--set", "s=1e5000"],
     "emit_transformed_csv_s_neg2_theta": [

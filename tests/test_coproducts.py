@@ -19,10 +19,10 @@ from qosp.coproducts import (
     check_r_intertwines,
     check_twist_produces,
     evaluate_terms,
-    frt_check,
+    f_jordanian,
 )
 from qosp.gmatrix import GradedMatrix, flip_legs, gkron, inverse, kron_parity
-from qosp.matrices import contract_r, f_jordanian, f_super_fund, kr_rmatrix
+from qosp.matrices import contract_r, f_super_fund, frt_check, kr_rmatrix
 from qosp.phi import check_intertwining_s, f1_table
 from qosp.reps import (
     Representation,

@@ -10,13 +10,12 @@ from qosp.coproducts import (
     Q_DEFORMED,
     check_qcoproduct_xplus,
     check_twist_produces,
-    frt_check,
-    lplus_matrix,
+    f_jordanian,
 )
 from qosp.gmatrix import GradedMatrix, gkron
-from qosp.matrices import contract_r, f_jordanian, f_super_fund
+from qosp.matrices import contract_r, f_super_fund, frt_check
 from qosp.phi import build_f_super, f1_table, solve_phi
-from qosp.reps import fundamental_rep, irrep
+from qosp.reps import fundamental_rep, irrep, lplus_matrix
 from qosp.scalar import ZERO
 
 
@@ -34,13 +33,13 @@ def test_frt_spin_one():
 
 
 def test_frt_fails_on_a_perturbed_generator_matrix(monkeypatch):
-    import qosp.coproducts as coproducts_mod
+    import qosp.matrices as matrices_mod
 
     def perturbed(r):
         l_mat = lplus_matrix(r)
         return l_mat + GradedMatrix.from_entries(l_mat.parity, {(0, 1): sc.xi_var()})
 
-    monkeypatch.setattr(coproducts_mod, "lplus_matrix", perturbed)
+    monkeypatch.setattr(matrices_mod, "lplus_matrix", perturbed)
     assert not frt_check(fundamental_rep()).passed
     assert not frt_check(irrep(1)).passed
 

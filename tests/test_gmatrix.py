@@ -37,7 +37,7 @@ from qosp.gmatrix import (
 from koszul_rules import gflip, gkron_rule
 import matrix_oracle as oracle
 from xi_oracle import assert_canonical, xi_coefficient
-from qosp.matrices import f_jordanian, f_super_fund, kr_rmatrix, m_matrix
+from qosp.matrices import f_jordanian_fund, f_super_fund, kr_rmatrix, m_matrix
 from qosp.reps import fundamental_rep
 from qosp.scalar import ONE, ZERO, rational
 
@@ -295,7 +295,7 @@ def test_inverse_unipotent_and_diagonal():
 
 
 def test_inverse_jordanian_block_swap():
-    fj = f_jordanian()
+    fj = f_jordanian_fund()
     fj_inv = inverse(fj)
     xi = sc.xi_var()
     assert fj_inv[0, 2] == -xi
@@ -395,7 +395,13 @@ def test_exp_rejects_non_nilpotent():
 
 def test_exp_h_tensor_sigma_is_even_twist():
     f = fundamental_rep()
-    assert exp_nilpotent(gkron(f.h, f.image("sigma"))) == f_jordanian()
+    assert exp_nilpotent(gkron(f.h, f.image("sigma"))) == f_jordanian_fund()
+
+
+def test_exp_vplus_tensor_vplus_is_odd_twist():
+    """The closed form exp(-2 xi v+ (x) v+) is the odd twist built from the table Phi = 1."""
+    v = fundamental_rep().v_plus
+    assert exp_nilpotent(gkron(v, v).scale(sc.xi_var().scale(-2))) == f_super_fund()
 
 
 def test_json_round_trip():

@@ -12,9 +12,9 @@ LAYERS = (
     ("scalar", "report"),
     ("gmatrix",),
     ("reps",),
-    ("matrices",),
     ("coproducts",),
     ("phi",),
+    ("matrices",),
     ("cli",),
 )
 RANK = {name: k for k, layer in enumerate(LAYERS) for name in layer}
@@ -58,6 +58,22 @@ def test_relative_imports_point_down(name):
         if RANK[target] >= RANK[name]
     ]
     assert upward == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_absolute_import_of_the_package(name):
+    """Package modules import each other relatively, so the layer check reads every edge."""
+    absolute = [
+        (target, node.lineno)
+        for node in ast.walk(_tree(name))
+        for target in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+            else []
+        )
+        if target and target.split(".")[0] == "qosp"
+    ]
+    assert absolute == []
 
 
 @pytest.mark.parametrize("name", MODULES)

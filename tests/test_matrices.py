@@ -9,6 +9,7 @@ import pytest
 from fixture_files import write_fixture
 from koszul_rules import gkron_rule
 from qosp import scalar as sc
+from qosp.coproducts import f_jordanian
 from qosp.gmatrix import (
     GradedMatrix,
     check_gybe,
@@ -25,7 +26,7 @@ from qosp.matrices import (
     check_new_entries_proportional,
     check_triangular,
     contract_r,
-    f_jordanian,
+    f_jordanian_fund,
     f_super_fund,
     fixture_path,
     kr_rmatrix,
@@ -124,7 +125,7 @@ def test_contracted_matrix():
 
 
 def test_even_twist_matrix():
-    fj = f_jordanian()
+    fj = f_jordanian_fund()
     xi = sc.xi_var()
     assert fj[0, 2] == xi
     assert fj[6, 8] == -xi
@@ -234,9 +235,10 @@ def test_named_matrix_records():
 
 
 def test_parameterless_builders_are_memoized():
-    for build in (kr_rmatrix, transform_r, contract_r, f_super_fund):
+    for build in (kr_rmatrix, transform_r, contract_r, f_jordanian_fund, f_super_fund):
         assert build() is build()
     assert named_matrix("sjr") is contract_r()
+    assert named_matrix("fj") is f_jordanian_fund()
     # a module is built once per spin; module-keyed builds stay uncached
     assert irrep(1) is irrep(Fraction(1))
     assert fundamental_rep() is irrep(Fraction(1, 2))

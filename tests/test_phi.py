@@ -15,9 +15,9 @@ from qosp import cli
 from qosp import gmatrix as gmatrix_mod
 from qosp import phi as phi_mod
 from qosp import scalar as sc
-from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, check_twist_produces
+from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, check_twist_produces, f_jordanian
 from qosp.gmatrix import GradedMatrix, exp_nilpotent, gkron, inverse
-from qosp.matrices import f_jordanian, f_super_fund
+from qosp.matrices import f_super_fund
 from qosp.phi import (
     build_f_super,
     check_intertwining_s,
@@ -672,9 +672,10 @@ def test_twisted_vminus_module_agrees_with_twist_check(tables, table, spins, pas
 
 
 def test_dsj_vminus_exact_fundamental(fund):
-    """On the fundamental pair, F_s built from f1_table() is the closed-form
-    f_super_fund(), so F Delta0(v-) F^-1 is the same exact matrix either way
-    and completes the typed h and v+ to an osp(1|2) module."""
+    """On the fundamental pair, F_s built from f1_table() is f_super_fund(),
+    the twist of the one-entry table Phi = 1 (v+ X+ = 0 there), so
+    F Delta0(v-) F^-1 is the same exact matrix either way and completes the
+    typed h and v+ to an osp(1|2) module."""
     f = build_f_super(f1_table(), fund, fund) * f_jordanian(fund, fund)
     v_minus = f * CLASSICAL.module(fund, fund).image("v-") * inverse(f)
     k = f_super_fund() * f_jordanian(fund, fund)
