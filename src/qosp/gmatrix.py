@@ -30,10 +30,9 @@ terms with low <= e_xi <= order, and a * b is its uncut case
 power, so a row's walk starts at the first power that reaches low and
 stops past the order.  through(order, low) is the same cut of one
 matrix (the matrix itself when nothing is cut), and through(k, k) is
-its xi**k slice.  powers(order) yields I, N, N**2, ... up to the last
-nonzero power, each through the order (uncut by default); the series
-above and the odd twist of phi.py sum from that one loop, and
-exp_nilpotent(n, order) is the exponential through xi**order.
+its xi**k slice.  The finite series above take no order: each is
+exact, one walk N, N**2, ... with * up to the first vanishing power
+(_nilpotent_series), and exp_nilpotent(n) is the whole exponential.
 Scalars are made only where an entry is read: ``m[i, j]`` (zero where
 none is stored), ``entries()`` (the nonzeros in row-major order) and
 what reads through them -- map_entries, repr, the JSON form and the
@@ -270,19 +269,6 @@ class GradedMatrix:
     def is_zero(self):
         return not self.terms
 
-    def powers(self, order=math.inf):
-        """I, self, self**2, ... up to the last nonzero power, through xi**order.
-
-        The walk ends at the first power that vanishes: for a nilpotent
-        matrix, or by a finite order for one that starts at xi**1.  Any
-        other caller bounds it.
-        """
-        yield GradedMatrix.identity(self.parity)
-        power = self.through(order)
-        while not power.is_zero():
-            yield power
-            power = power.mul_through(self, order)
-
     def is_identity(self):
         return self == GradedMatrix.identity(self.parity)
 
@@ -424,16 +410,18 @@ def check_gybe(r, v, name):
 # inverse, exp and log as one finite series
 
 
-def _nilpotent_series(n, coeff, kind, order=math.inf):
-    """sum_k coeff(k) N**k for nilpotent N, through xi**order.
+def _nilpotent_series(n, coeff, kind):
+    """sum_k coeff(k) N**k for nilpotent N, exact.
 
+    One walk I, N, N**2, ... that ends at the first vanishing power;
     MatrixError naming kind unless N**dim == 0.
     """
-    terms = []
-    for k, power in enumerate(n.powers(order)):
-        if k == n.dim:
+    terms, power = [(coeff(0), GradedMatrix.identity(n.parity))], n
+    while not power.is_zero():
+        if len(terms) == n.dim:
             raise MatrixError("matrix is not %s" % kind)
-        terms.append((coeff(k), power))
+        terms.append((coeff(len(terms)), power))
+        power = power * n
     return GradedMatrix.linear_combination(n.parity, terms)
 
 
@@ -450,9 +438,9 @@ def inverse(a):
     return _nilpotent_series(n, lambda k: (-1) ** k, "unipotent")
 
 
-def exp_nilpotent(n, order=math.inf):
-    """exp of a nilpotent matrix, as a finite exact sum, through xi**order."""
-    return _nilpotent_series(n, lambda k: Fraction(1, math.factorial(k)), "nilpotent", order)
+def exp_nilpotent(n):
+    """exp of a nilpotent matrix, as a finite exact sum."""
+    return _nilpotent_series(n, lambda k: Fraction(1, math.factorial(k)), "nilpotent")
 
 
 def log_unipotent(u):

@@ -44,28 +44,30 @@ one closed-form column R(B)[xi**(t+1)] per unknown.  B is homogeneous of
 degree t + 1, so only the xi**0 slices of Dj(v+) and Dsj(v+) reach its
 column.
 
-The twist is formed once per pair and grown.  Every unit exponent is
+Every twist is exact on its module pair: the exponent is nilpotent
+there, so exp(T) is a finite sum and no xi order enters its build.  The
+twist is formed once per pair and grown.  Every unit exponent is
 c (v u**m) (x) (v u**n), odd (x) odd; two such terms commute, since both
 orders carry the Koszul sign -1 and the powers of v+ commute.  So
-exp(T + T_t) = exp(T) exp(T_t) through any order, where T_t is shell t's
-part of the exponent.  _PairSeries.solve forms F = build_f_super of the
-known table once, through the last shell's matched power, reads each
-shell's constant part from F, and after a shell that solved a nonzero
-value multiplies in that shell's own twist.  Known terms with m + n > t
-start above the slice xi**(t+1), so holding them in F from the start
-leaves the slice unchanged.  No F^-1 is built.  solve_phi's residual on
+exp(T + T_t) = exp(T) exp(T_t) exactly, where T_t is shell t's part of
+the exponent.  _PairSeries.solve forms F = build_f_super of the known
+table once, reads each shell's constant part from F, and after a shell
+that solved a nonzero value multiplies in that shell's own twist, so F
+is at every shell the exact twist of the table it has solved.  Known
+terms with m + n > t start above the slice xi**(t+1), so holding them
+in F from the start leaves the slice unchanged.  No F^-1 is built.  solve_phi's residual on
 a pair is _order_check of R of a fresh twist of the pooled table, never
 the grown F, so it witnesses the solve independently.
 check_intertwining_s forms one exponential F and one product
 G = Dsj(v+) F and reads both of its forms from them: R(F) = F Dj(v+) - G,
-and Dj(v+) - G F = (Dj(v+) F^-2 - Dsj(v+)) F^2.  Every computation
-through an xi order is a GradedMatrix product or slice cut at that order
-(mul_through, through).  A shell row is read at each full key (i, j,
+and Dj(v+) - G F = (Dj(v+) F^-2 - Dsj(v+)) F^2.  Only the residuals are
+cut: every computation through an xi order is a GradedMatrix product or
+slice cut at that order (mul_through, through).  A shell row is read at each full key (i, j,
 e_s, e_theta, e_xi) of the slice, so the rows are exact for any Laurent
 coefficient of Dj(v+) and Dsj(v+); each distinct equation is kept once,
 which changes no pivot, value or consistency of the solve.
 build_f_super is the one way a table becomes a twist, exp_nilpotent of
-its exponent through an xi order, and exponent_from_bilinear the one
+its exponent, and exponent_from_bilinear the one
 way a table becomes an exponent T: it reads the table as rule terms
 (-2 D[m, n] xi**(m+n+1), v+ X+^m, v+ X+^n), which
 coproducts.evaluate_terms sums in one tensor_sum, as it does a coproduct
@@ -74,7 +76,6 @@ F Delta0(v-) F^-1, exact in xi on a module pair, is not built here:
 coproducts.check_twist_produces states what it satisfies.
 """
 
-import math
 from fractions import Fraction
 
 from . import scalar as sc
@@ -139,25 +140,24 @@ def rank_one_terms(table):
 # evaluation on a module pair
 
 
-def exponent_from_bilinear(table, r1, r2, order=math.inf):
-    """-2 xi sum D[m,n] (v u**m) (x) (v u**n) through xi**order, u = xi X+.
+def exponent_from_bilinear(table, r1, r2):
+    """-2 xi sum D[m,n] (v u**m) (x) (v u**n) on a module pair, u = xi X+.
 
     The entry (m, n) is the rule term (-2 D[m, n] xi**(m+n+1), v+ X+^m,
-    v+ X+^n), homogeneous of degree m + n + 1 in xi, so the table keeps
-    the nonzero entries with m + n < order and evaluate_terms sums them
-    in one tensor_sum.
+    v+ X+^n); every nonzero entry whose two legs are visible on the pair
+    is a term, and evaluate_terms sums them in one tensor_sum.
     """
     words = [(m + n + 1, c, ("v+",) + ("X+",) * m, ("v+",) + ("X+",) * n)
-             for (m, n), c in table.items() if c and m + n < order]
+             for (m, n), c in table.items() if c]
     # a zero leg image adds nothing, so its term is dropped before a weight is built
     terms = [(sc.xi_var(k).scale(-2 * c), a, b)
              for k, c, a, b in words if r1.image(a).terms and r2.image(b).terms]
     return evaluate_terms(terms, r1, r2)
 
 
-def build_f_super(table, r1, r2, order=math.inf):
-    """The odd twist factor exp(T) of a table on a module pair, through xi**order."""
-    return exp_nilpotent(exponent_from_bilinear(table, r1, r2, order), order)
+def build_f_super(table, r1, r2):
+    """The odd twist factor exp(T) of a table on a module pair, exact."""
+    return exp_nilpotent(exponent_from_bilinear(table, r1, r2))
 
 
 def _order_check(name, residual):
@@ -172,8 +172,9 @@ class _PairSeries:
 
     Holds the pair, Dj(v+) and Dsj(v+).  solve forms the twist of the
     known table once and multiplies in each solved shell; the shell
-    equations read the twist they are given.  Every method cuts its
-    products at the xi order it is given.
+    equations read the twist they are given.  The twists are exact; the
+    residual and the shell equations cut their products at the xi order
+    they are given.
     """
 
     def __init__(self, r1, r2):
@@ -195,7 +196,7 @@ class _PairSeries:
         and each distinct equation is kept once, at its first key.
         """
         base = self.residual(f, order, order)
-        units = (exponent_from_bilinear({(m, n): 1, (n, m): 1}, *self.reps, order) for m, n in shell)
+        units = (exponent_from_bilinear({(m, n): 1, (n, m): 1}, *self.reps) for m, n in shell)
         cols = [self.residual(b, order, order) for b in units] + [base]
         keys = sorted({key for col in cols for key in col.terms})
         equations = dict.fromkeys(tuple(Fraction(col.terms.get(k, 0), col.den) for col in cols) for k in keys)
@@ -206,15 +207,14 @@ class _PairSeries:
 
         Each shell is the list of its unknown keys (m, n), m <= n, all with
         m + n = t; it is matched at xi**(t+1), on the known table plus every
-        value found below it.  The twist of the known table is formed once,
-        through the last shell's matched power, and each shell's values are
-        multiplied into it.  Returns the found values {(m, n): Fraction},
+        value found below it.  The exact twist of the known table is formed
+        once, and the exact twist of each shell's values is multiplied into
+        it.  Returns the found values {(m, n): Fraction},
         the pinned keys (left undetermined and held at 0 from then on), one
         note per shell and whether every shell was consistent.  Solving stops
         at the first inconsistent shell.
         """
-        order = sum(shells[-1][0]) + 1 if shells else 0
-        f = build_f_super(known, *self.reps, order)
+        f = build_f_super(known, *self.reps)
         found, pinned, notes = {}, [], []
         for shell in shells:
             t = sum(shell[0])
@@ -231,7 +231,7 @@ class _PairSeries:
                 else:
                     pinned.append(key)
             if any(step.values()):
-                f = f.mul_through(build_f_super(step, *self.reps, order), order)
+                f = f * build_f_super(step, *self.reps)
             state = "underdetermined %s" % [shell[c] for c in free] if free else "unique"
             notes.append("shell %d %s" % (t, state))
         return found, pinned, notes, True
@@ -248,7 +248,7 @@ def check_intertwining_s(table, r1, r2, order):
     which for the same reason first fails where Dj(v+) F^-2 = Dsj(v+) does.
     """
     pair = _PairSeries(r1, r2)
-    f = build_f_super(table, r1, r2, order)
+    f = build_f_super(table, r1, r2)
     g = pair.target.mul_through(f, order)
     main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", f.mul_through(pair.dj, order) - g)
     aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", pair.dj.through(order) - g.mul_through(f, order))
@@ -368,7 +368,7 @@ def solve_phi(order, pairs):
     table = {key: val for key, val in pooled.items() if val}
     for pair, pair_spins in zip(pair_series, spins):
         name = "residual zero on %s through xi^%d" % (spin_text(pair_spins), xi_order)
-        rep.add(_order_check(name, pair.residual(build_f_super(table, *pair.reps, xi_order), xi_order)))
+        rep.add(_order_check(name, pair.residual(build_f_super(table, *pair.reps), xi_order)))
     return table, rep
 
 

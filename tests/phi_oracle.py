@@ -58,5 +58,5 @@ def solve_without_f1(order, r1, r2):
     for key, val in found.items():
         _add_symmetric(table, key, val)
     table = {key: c for key, c in table.items() if c}
-    check = _order_check("residual zero", pair.residual(build_f_super(table, r1, r2, xi_order), xi_order))
+    check = _order_check("residual zero", pair.residual(build_f_super(table, r1, r2), xi_order))
     return table, consistent and check.passed

@@ -2,7 +2,7 @@
 
 import ast
 import gc
-import math
+import random
 import re
 import weakref
 from fractions import Fraction
@@ -247,7 +247,7 @@ def test_solver_reports_inconsistency(spin1):
     bad_known = f1_table(2)
     bad_known[(0, 1)] += Fraction(1, 3)  # break the symmetry of the known part
     pair = phi_mod._PairSeries(spin1, spin1)
-    f = build_f_super(bad_known, spin1, spin1, 3)
+    f = build_f_super(bad_known, spin1, spin1)
     rows, rhs = pair.shell_equations(f, [(1, 1)], 3)
     solution, free, inconsistent = solve_linear_system(rows, rhs, ncols=1)
     assert inconsistent
@@ -353,17 +353,17 @@ def _record_shells(monkeypatch, solve):
     (the only exponential phi.py takes) and, once its pair's solve has
     returned, the table as the solver has it at that shell: the known
     table plus every value found below the shell.  A solve record holds
-    the pair, its known table, the values it found and the exponents and
-    orders of every exp_nilpotent call it made.  solve returns whether the
+    the pair, its known table, the values it found and the exponent of
+    every exp_nilpotent call it made.  solve returns whether the
     solve passed."""
     calls, solves, exps = [], [], []
     shell_equations = phi_mod._PairSeries.shell_equations
     pair_solve = phi_mod._PairSeries.solve
     exp_nilpotent = phi_mod.exp_nilpotent
 
-    def counting_exp_nilpotent(n, order=math.inf):
-        exps.append((n, order))
-        return exp_nilpotent(n, order)
+    def counting_exp_nilpotent(n):
+        exps.append(n)
+        return exp_nilpotent(n)
 
     def recording(pair, f, shell, order):
         start = len(exps)
@@ -451,19 +451,19 @@ def test_no_shell_system_repeats_an_equation(monkeypatch):
 )
 def test_grown_twist_equals_a_fresh_one(monkeypatch, order, spins, f1_known, nshells):
     """At every shell the twist the solver grew by multiplying in each solved
-    shell equals a fresh twist of the known table plus every value found
-    below the shell, through the last matched power xi**(2*order - 1)."""
+    shell equals the exact fresh twist of the known table plus every value
+    found below the shell, at every xi power: the unit exponents commute."""
     calls, _ = _run_solver(monkeypatch, order, spins, f1_known)
     assert len(calls) == nshells
     for call in calls:
-        fresh = build_f_super(call["table"], *call["reps"], 2 * order - 1)
+        fresh = build_f_super(call["table"], *call["reps"])
         assert call["f"] == fresh, (call["shell"], *(r.spin for r in call["reps"]))
 
 
 def test_shell_equations_form_no_exponential(monkeypatch):
-    """Each pair's solve takes one exponential of the known table, then one of
-    each shell that solved a nonzero value, all through xi**7; its shell
-    equations take none."""
+    """Each pair's solve takes one exact exponential of the known table, then
+    one of each shell that solved a nonzero value; its shell equations take
+    none."""
     r32 = irrep(Fraction(3, 2))
     pairs = [(r32, irrep(1)), (r32, r32)]
     calls, solves = _record_shells(monkeypatch, lambda: solve_phi(4, pairs)[1].passed)
@@ -476,7 +476,7 @@ def test_shell_equations_form_no_exponential(monkeypatch):
             if val:
                 phi_mod._add_symmetric(steps.setdefault(sum(key), {}), key, val)
         tables = [solve["known"]] + [steps[t] for t in sorted(steps)]
-        expected = [(exponent_from_bilinear(table, *solve["reps"], 7), 7) for table in tables]
+        expected = [exponent_from_bilinear(table, *solve["reps"]) for table in tables]
         assert solve["exps"] == expected
     assert [len(solve["exps"]) for solve in solves] == [3, 4]
 
@@ -610,14 +610,37 @@ def test_heavy_intertwining_check_past_the_command_line_spins():
 def test_residual_stops_below_the_weight_bound(spins, top):
     """Each power of xi in F, Dj(v+) and Dsj(v+) raises the h weight by 2
     (xi X+, or xi v+ (x) v+ in F), and v+ raises it by 1; the weights on
-    (j1, j2) span 4(j1 + j2), so R(F) of any table has no term above
-    xi^(2(j1+j2)-1).  With every closed-form coefficient raised by 1,
-    R(F) through xi^40 reaches that power exactly."""
+    (j1, j2) span 4(j1 + j2), so F has no term above xi^(2(j1+j2)) and
+    R(F) of any table none above xi^(2(j1+j2)-1).  With every closed-form
+    coefficient raised by 1, the exact F reaches its bound and R(F)
+    through xi^40 reaches its own, exactly."""
     r1, r2 = (irrep(j) for j in spins)
     raised = {key: c + 1 for key, c in closed_form_table(14).items()}
-    residual = phi_mod._PairSeries(r1, r2).residual(build_f_super(raised, r1, r2, 40), 40)
+    f = build_f_super(raised, r1, r2)
+    residual = phi_mod._PairSeries(r1, r2).residual(f, 40)
     assert top == 2 * (r1.spin + r2.spin) - 1
     assert max(key[4] for key in residual.terms) == top
+    assert max(key[4] for key in f.terms) == top + 1
+
+
+def _random_table(seed):
+    """A non-symmetric table of small rationals on every (m, n) below 5, zeros included."""
+    rng = random.Random(seed)
+    return {(m, n): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for m in range(5) for n in range(5)}
+
+
+@pytest.mark.parametrize("spins", [(Fraction(3, 2), 1), (2, Fraction(3, 2))], ids=["3half-1", "2-3half"])
+@pytest.mark.parametrize("table", ["closed", "random"])
+def test_exact_twists_invert_and_add(spins, table):
+    """Uncut on a pair, the twist of -D is the inverse of the twist of D,
+    and F(D) F(D) = F(2D): the F^2 of check_intertwining_s's second form.
+    Both hold exactly because the unit exponents commute."""
+    r1, r2 = (irrep(j) for j in spins)
+    d = closed_form_table(8) if table == "closed" else _random_table(41)
+    f = build_f_super(d, r1, r2)
+    assert not f.is_identity()
+    assert (f * build_f_super({k: -c for k, c in d.items()}, r1, r2)).is_identity()
+    assert f * f == build_f_super({k: 2 * c for k, c in d.items()}, r1, r2)
 
 
 # (table, spins, passes): the twist F_s F_j with that table on that pair
@@ -713,7 +736,8 @@ def _xi_range(m, low, order):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_series_kernel_matches_truncated_graded_matrices(data):
-    """Truncated product, slice, sum, exp and inverse equal GradedMatrix results truncated.
+    """Truncated product, slice and sum equal GradedMatrix results truncated;
+    exp and inverse are exact.
 
     a and b are any matrices polynomial in xi whose coefficients mix s,
     s**-1 and theta, each lowest in xi at a drawn power, so the order
@@ -761,9 +785,10 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     assert canonical(total) == drop_xi_above(GradedMatrix.linear_combination(parity, terms), order)
     empty = GradedMatrix.linear_combination(parity, [])
     assert (empty.terms, empty.den) == ({}, 1)
-    assert canonical(exp_nilpotent(t, order)) == drop_xi_above(exp_nilpotent(t), order)
-    f_inv = inverse(exp_nilpotent(t))
-    assert canonical(exp_nilpotent(t.scale(-2), order)) == drop_xi_above(f_inv * f_inv, order)
+    f, f_inv = exp_nilpotent(t), canonical(exp_nilpotent(t.scale(-1)))
+    assert (canonical(f) * f_inv).is_identity()
+    assert f_inv == inverse(f)
+    assert canonical(exp_nilpotent(t.scale(-2))) == f_inv * f_inv
 
 
 def test_truncated_product_from_a_low_power_and_below_every_power():
@@ -783,9 +808,8 @@ def test_truncated_product_from_a_low_power_and_below_every_power():
 
 
 def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
-    """exp through an order forms t**2, t**3 = 0 and stops, whatever the
-    order: the number of products is bounded by the nilpotency index of t,
-    not by the order.  So does exp(-t), the inverse."""
+    """exp forms t**2, t**3 = 0 and stops: the number of products is the
+    nilpotency index of t.  So does exp(-t), the inverse."""
     calls = []
     mul_through = GradedMatrix.mul_through
 
@@ -796,14 +820,14 @@ def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
 
     monkeypatch.setattr(GradedMatrix, "mul_through", counted)
     t = GradedMatrix((0, 0, 0), {(0, 1, 0, 0, 1): 1, (1, 2, 0, 0, 1): 2})
-    f = exp_nilpotent(t, 10**4)
+    f = exp_nilpotent(t)
     assert len(calls) == 2
     diagonal = {(0, 0, 0, 0, 0): 1, (1, 1, 0, 0, 0): 1, (2, 2, 0, 0, 0): 1}
     assert f == GradedMatrix(
         (0, 0, 0), {**diagonal, (0, 1, 0, 0, 1): 1, (1, 2, 0, 0, 1): 2, (0, 2, 0, 0, 2): 1}
     )
     calls.clear()
-    f_inv = exp_nilpotent(t.scale(-1), 10**4)
+    f_inv = exp_nilpotent(t.scale(-1))
     assert len(calls) == 2
     assert f_inv == GradedMatrix(
         (0, 0, 0), {**diagonal, (0, 1, 0, 0, 1): -1, (1, 2, 0, 0, 1): -2, (0, 2, 0, 0, 2): 1}
@@ -816,11 +840,11 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
     r32 = irrep(Fraction(3, 2))
     pair = phi_mod._PairSeries(r32, r32)
     bilinear = f1_table(4)
-    t = exponent_from_bilinear(bilinear, r32, r32, 5)
+    t = exponent_from_bilinear(bilinear, r32, r32)
     powers, power = 0, t
     while not power.is_zero():
         powers += 1
-        power = power.mul_through(t, 5)
+        power = power * t
     assert powers > 2
     calls = []
     mul_through = GradedMatrix.mul_through
@@ -830,7 +854,7 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
         return mul_through(*args)
 
     monkeypatch.setattr(GradedMatrix, "mul_through", counted)
-    phi_mod._order_check("residual zero", pair.residual(build_f_super(bilinear, r32, r32, 5), 5))
+    phi_mod._order_check("residual zero", pair.residual(build_f_super(bilinear, r32, r32), 5))
     assert len(calls) == powers + 2
 
 
@@ -838,9 +862,8 @@ def test_exponent_reduces_its_sum_once(monkeypatch):
     """With the pair's word images built, the exponent over n entries is one pass: one reduction."""
     r32 = irrep(Fraction(3, 2))
     bilinear = f1_table(4)
-    below = {(m, n): c for (m, n), c in bilinear.items() if m + n < 5}
-    assert len(below) > 2
-    exponent_from_bilinear(bilinear, r32, r32, 5)
+    assert len(bilinear) > 2
+    exponent_from_bilinear(bilinear, r32, r32)
     calls = []
     canonical = gmatrix_mod._canonical
 
@@ -849,9 +872,8 @@ def test_exponent_reduces_its_sum_once(monkeypatch):
         return canonical(*args)
 
     monkeypatch.setattr(gmatrix_mod, "_canonical", counted)
-    t = exponent_from_bilinear(bilinear, r32, r32, 5)
+    exponent_from_bilinear(bilinear, r32, r32)
     assert len(calls) == 1
-    assert t == exponent_from_bilinear(below, r32, r32).through(5)
 
 
 @pytest.mark.parametrize("spins", [(2, Fraction(3, 2)), (2, 2)])
