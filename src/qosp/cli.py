@@ -92,16 +92,6 @@ def _parse_spin(text):
     return spin
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer, got %d" % value)
-    return value
-
-
 def _parse_bindings(pairs):
     bindings = {}
     for item in pairs or []:
@@ -183,14 +173,14 @@ def cmd_emit(args):
     return 0
 
 
-def _frt(spins, order):
+def _frt(spins):
     for spin in spins:
         r = irrep(spin)
         yield check_lt_relations(r)
         yield Report("FRT relation spin %s" % spin, [frt_check(r)])
 
 
-def _cocycle(spins, order):
+def _cocycle(spins):
     f = fundamental_rep()
     yield Report(
         "cocycle of the even twist",
@@ -200,7 +190,7 @@ def _cocycle(spins, order):
     yield Report("coassociativity of the deformed coproduct", checks)
 
 
-def _hopf(spins, order):
+def _hopf(spins):
     f = fundamental_rep()
     r1 = irrep(1)
     for cp, pairs in (
@@ -218,10 +208,10 @@ def _hopf(spins, order):
     yield check_qcoproduct_xplus(f, f)
 
 
-def _intertwine(spins, order):
+def _intertwine(spins):
     f = fundamental_rep()
     table = f1_table()
-    yield check_intertwining_s(table, f, f, order)
+    yield check_intertwining_s(table, f, f)
     residual = build_f_super(table, f, f) - f_super_fund()
     yield Report(
         "odd twist matrix from f1",
@@ -229,12 +219,12 @@ def _intertwine(spins, order):
     )
 
 
-# suite name -> (spins, order) -> reports; `all` runs every suite in this order
+# suite name -> spins -> reports; `all` runs every suite in this order
 SUITES = {
-    "ybe": lambda spins, order: [ybe_suite()],
-    "triangular": lambda spins, order: [triangular_suite()],
-    "factorization": lambda spins, order: [check_factorization()],
-    "matrix": lambda spins, order: [matrix_suite()],
+    "ybe": lambda spins: [ybe_suite()],
+    "triangular": lambda spins: [triangular_suite()],
+    "factorization": lambda spins: [check_factorization()],
+    "matrix": lambda spins: [matrix_suite()],
     "frt": _frt,
     "cocycle": _cocycle,
     "hopf": _hopf,
@@ -248,7 +238,7 @@ def cmd_verify(args):
         if spin in spins[:k]:
             raise UsageError("repeated spin %s" % spin)
     names = SUITES if args.suite == "all" else [args.suite]
-    reports = [rep for name in names for rep in SUITES[name](spins, args.order)]
+    reports = [rep for name in names for rep in SUITES[name](spins)]
     if args.json:
         text = json.dumps([rep.to_json() for rep in reports], indent=1) + "\n"
     else:
@@ -333,8 +323,9 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=("all", *SUITES), default="all")
-    p_verify.add_argument("--spins", default="1/2,1", help="comma-separated spins, default 1/2,1")
-    p_verify.add_argument("--order", type=_positive_int, default=3, help="xi truncation order")
+    p_verify.add_argument(
+        "--spins", default="1/2,1", help="comma-separated spins for the frt suite, default %(default)s"
+    )
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)

@@ -28,11 +28,11 @@ matrix too.  mul_through(b, order, low) is the product cut to the
 terms with low <= e_xi <= order, and a * b is its uncut case
 (order = math.inf, low = 0).  Only a cut sorts each row of b by xi
 power, so a row's walk starts at the first power that reaches low and
-stops past the order.  through(order, low) is the same cut of one
-matrix (the matrix itself when nothing is cut), and through(k, k) is
-its xi**k slice.  The finite series above take no order: each is
-exact, one walk N, N**2, ... with * up to the first vanishing power
-(_nilpotent_series), and exp_nilpotent(n) is the whole exponential.
+stops past the order, and mul_through(b, k, k) is the xi**k slice of
+the product.  Nothing else is cut: the finite series above take no
+order, each exact, one walk N, N**2, ... with * up to the first
+vanishing power (_nilpotent_series), and exp_nilpotent(n) is the whole
+exponential.
 Scalars are made only where an entry is read: ``m[i, j]`` (zero where
 none is stored), ``entries()`` (the nonzeros in row-major order) and
 what reads through them -- map_entries, repr, the JSON form and the
@@ -248,11 +248,6 @@ class GradedMatrix:
                 key = (i, j, s1 + s2, t1 + t2, x)
                 out[key] = get(key, 0) + a * b
         return _canonical(self.parity, out, self.den * other.den)
-
-    def through(self, order, low=0):
-        """The terms of self with low <= e_xi <= order; self itself when none is cut."""
-        terms = {key: v for key, v in self.terms.items() if low <= key[4] <= order}
-        return self if len(terms) == len(self.terms) else _canonical(self.parity, terms, self.den)
 
     def scale(self, c):
         """self times c: an int, a Fraction or a Scalar; linear_combination's one-term case."""

@@ -55,23 +55,28 @@ table once, reads each shell's constant part from F, and after a shell
 that solved a nonzero value multiplies in that shell's own twist, so F
 is at every shell the exact twist of the table it has solved.  Known
 terms with m + n > t start above the slice xi**(t+1), so holding them
-in F from the start leaves the slice unchanged.  No F^-1 is built.  solve_phi's residual on
-a pair is _order_check of R of a fresh twist of the pooled table, never
-the grown F, so it witnesses the solve independently.
-check_intertwining_s forms one exponential F and one product
-G = Dsj(v+) F and reads both of its forms from them: R(F) = F Dj(v+) - G,
-and Dj(v+) - G F = (Dj(v+) F^-2 - Dsj(v+)) F^2.  Only the residuals are
-cut: every computation through an xi order is a GradedMatrix product or
-slice cut at that order (mul_through, through).  A shell row is read at each full key (i, j,
-e_s, e_theta, e_xi) of the slice, so the rows are exact for any Laurent
-coefficient of Dj(v+) and Dsj(v+); each distinct equation is kept once,
-which changes no pivot, value or consistency of the solve.
+in F from the start leaves the slice unchanged.  No F^-1 is built.
+solve_phi's residual on a pair is _order_check of R of a fresh twist of
+the pooled table, never the grown F, so it witnesses the solve
+independently; it is cut at xi**(2*order - 1), as the pooled table is
+truncated there.  The residual and the shell slices are the only cuts,
+GradedMatrix products cut at an xi order (mul_through).  A shell row is
+read at each full key (i, j, e_s, e_theta, e_xi) of the slice, so the
+rows are exact for any Laurent coefficient of Dj(v+) and Dsj(v+); each
+distinct equation is kept once, which changes no pivot, value or
+consistency of the solve.
+check_intertwining_s is exact: it forms one exponential F and one
+product G = Dsj(v+) F and reads both of its forms from them uncut:
+R(F) = F Dj(v+) - G, and Dj(v+) - G F = (Dj(v+) F^-2 - Dsj(v+)) F^2.
 build_f_super is the one way a table becomes a twist, exp_nilpotent of
 its exponent, and exponent_from_bilinear the one
 way a table becomes an exponent T: it reads the table as rule terms
 (-2 D[m, n] xi**(m+n+1), v+ X+^m, v+ X+^n), which
 coproducts.evaluate_terms sums in one tensor_sum, as it does a coproduct
-rule; nothing is cached beyond the modules' own word images.
+rule; nothing is cached beyond the modules' own word images.  As
+X+ = 4 v+ v+ and v+ is nilpotent, v+ X+^m vanishes on a module of
+dimension d unless 2m + 1 < d, so an entry past that bound on either
+leg is not read and its word is never built.
 F Delta0(v-) F^-1, exact in xi on a module pair, is not built here:
 coproducts.check_twist_produces states what it satisfies.
 """
@@ -144,14 +149,12 @@ def exponent_from_bilinear(table, r1, r2):
     """-2 xi sum D[m,n] (v u**m) (x) (v u**n) on a module pair, u = xi X+.
 
     The entry (m, n) is the rule term (-2 D[m, n] xi**(m+n+1), v+ X+^m,
-    v+ X+^n); every nonzero entry whose two legs are visible on the pair
-    is a term, and evaluate_terms sums them in one tensor_sum.
+    v+ X+^n); every nonzero entry with 2m + 1 < dim r1 and 2n + 1 < dim r2
+    is a term, as v+ X+^m vanishes past that bound (module docstring),
+    and evaluate_terms sums them in one tensor_sum.
     """
-    words = [(m + n + 1, c, ("v+",) + ("X+",) * m, ("v+",) + ("X+",) * n)
-             for (m, n), c in table.items() if c]
-    # a zero leg image adds nothing, so its term is dropped before a weight is built
-    terms = [(sc.xi_var(k).scale(-2 * c), a, b)
-             for k, c, a, b in words if r1.image(a).terms and r2.image(b).terms]
+    terms = [(sc.xi_var(m + n + 1).scale(-2 * c), ("v+",) + ("X+",) * m, ("v+",) + ("X+",) * n)
+             for (m, n), c in table.items() if c and 2 * m + 1 < r1.dim and 2 * n + 1 < r2.dim]
     return evaluate_terms(terms, r1, r2)
 
 
@@ -161,7 +164,7 @@ def build_f_super(table, r1, r2):
 
 
 def _order_check(name, residual):
-    """Check that a residual through an xi order vanishes, naming the first failing order."""
+    """Check that a residual vanishes, naming its lowest xi power as the first failing order."""
     bad = min((key[4] for key in residual.terms), default=None)
     detail = "" if bad is None else "first failing xi order %d" % bad
     return Check(name, bad is None, detail, data={"first_failing_order": bad})
@@ -173,8 +176,8 @@ class _PairSeries:
     Holds the pair, Dj(v+) and Dsj(v+).  solve forms the twist of the
     known table once and multiplies in each solved shell; the shell
     equations read the twist they are given.  The twists are exact; the
-    residual and the shell equations cut their products at the xi order
-    they are given.
+    residual cuts its products at the xi order it is given, and a shell's
+    equations at its matched order.
     """
 
     def __init__(self, r1, r2):
@@ -185,16 +188,18 @@ class _PairSeries:
         """R(F) = F Dj(v+) - Dsj(v+) F from xi**low through xi**order."""
         return f.mul_through(self.dj, order, low) - self.target.mul_through(f, order, low)
 
-    def shell_equations(self, f, shell, order):
+    def shell_equations(self, f, shell):
         """Shell equations with (m,n) and (n,m) tied to one unknown.
 
-        order is the matched xi power t + 1 and f the twist of every
-        value known so far; the terms of f above the slice do not reach it.
-        The base is the xi**order slice of R(f), and the column of (m, n)
-        that of the unit exponent B on (m, n) and (n, m) (module docstring).
-        A key of the slice gives one equation; the keys are read row-major
-        and each distinct equation is kept once, at its first key.
+        The shell's keys all have m + n = t, matched at xi**(t+1); f is the
+        twist of every value known so far, and its terms above the slice do
+        not reach it.  The base is the xi**(t+1) slice of R(f), and the
+        column of (m, n) that of the unit exponent B on (m, n) and (n, m)
+        (module docstring).  A key of the slice gives one equation; the keys
+        are read row-major and each distinct equation is kept once, at its
+        first key.
         """
+        order = sum(shell[0]) + 1
         base = self.residual(f, order, order)
         units = (exponent_from_bilinear({(m, n): 1, (n, m): 1}, *self.reps) for m, n in shell)
         cols = [self.residual(b, order, order) for b in units] + [base]
@@ -218,7 +223,7 @@ class _PairSeries:
         found, pinned, notes = {}, [], []
         for shell in shells:
             t = sum(shell[0])
-            rows, rhs = self.shell_equations(f, shell, t + 1)
+            rows, rhs = self.shell_equations(f, shell)
             solution, free, inconsistent = solve_linear_system(rows, rhs, len(shell))
             if inconsistent:
                 notes.append("shell %d inconsistent %s" % (t, inconsistent))
@@ -237,11 +242,11 @@ class _PairSeries:
         return found, pinned, notes, True
 
 
-def check_intertwining_s(table, r1, r2, order):
-    """Both forms of the intertwining identity, modulo xi**(order+1).
+def check_intertwining_s(table, r1, r2):
+    """Both forms of the intertwining identity, exactly.
 
-    Both forms read the one twist F = exp(T) of the table and the one
-    product G = Dsj(v+) F.  The main form is
+    Both forms read the one exact twist F = exp(T) of the table and the
+    one product G = Dsj(v+) F, uncut.  The main form is
     R(F) = F Dj(v+) - G = (F Dj(v+) F^-1 - Dsj(v+)) F = 0; as
     F = 1 + O(xi) it first fails at the order where F Dj(v+) F^-1 = Dsj(v+)
     does.  The second form is Dj(v+) - G F = (Dj(v+) F^-2 - Dsj(v+)) F^2,
@@ -249,10 +254,10 @@ def check_intertwining_s(table, r1, r2, order):
     """
     pair = _PairSeries(r1, r2)
     f = build_f_super(table, r1, r2)
-    g = pair.target.mul_through(f, order)
-    main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", f.mul_through(pair.dj, order) - g)
-    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", pair.dj.through(order) - g.mul_through(f, order))
-    name = "odd-twist intertwining %s through xi^%d" % (spin_text((r1.spin, r2.spin)), order)
+    g = pair.target * f
+    main = _order_check("F Dj(v+) F^-1 = v+ (x) 1 + E (x) v+", f * pair.dj - g)
+    aux = _order_check("Dj(v+) F^-2 = v+ (x) 1 + E (x) v+", pair.dj - g * f)
+    name = "odd-twist intertwining %s, exact" % spin_text((r1.spin, r2.spin))
     return Report(name, [main, aux])
 
 

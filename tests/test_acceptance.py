@@ -143,7 +143,7 @@ def test_criterion_9_super_twist():
     fund = fundamental_rep()
     spin1 = irrep(1)
     table1 = f1_table()
-    ok = check_intertwining_s(table1, fund, fund, 8).passed
+    ok = check_intertwining_s(table1, fund, fund).passed
     ok = ok and build_f_super(table1, fund, fund) == f_super_fund()
     # order 1 recovers the leading expansion of the closed form
     table_a, passed_a = solve_without_f1(1, fund, fund)

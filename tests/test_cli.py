@@ -270,12 +270,25 @@ def test_verify_all_builds_each_matrix_once(capsys):
         assert named_matrix(name) == load_fixture(name)
 
 
-@pytest.mark.parametrize("order", ["0", "-1"])
-def test_verify_order_must_be_positive(order, capsys):
+def _assert_order_rejected(order, capsys):
     rc, out, err = run_cli(["verify", "--suite", "intertwine", "--order", order], capsys)
     assert rc == 2
     assert out == ""
-    assert "error:" in err and "--order" in err
+    assert err.splitlines()[-1] == "qosp: error: unrecognized arguments: --order %s" % order
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_verify_order_must_be_positive(order, capsys):
+    """A non-positive --order still exits 2 without a traceback, now because
+    verify takes no --order at all."""
+    _assert_order_rejected(order, capsys)
+
+
+def test_verify_has_no_order_option(capsys):
+    """The intertwining check is exact, so verify takes no xi order: argparse
+    rejects even a positive --order as an unrecognized argument."""
+    _assert_order_rejected("3", capsys)
 
 
 def test_solve_phi_repeated_pair(capsys):

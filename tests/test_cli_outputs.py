@@ -22,7 +22,7 @@ COMMANDS = {
     "verify_all_json": ["verify", "--suite", "all", "--json"],
     "verify_frt_spins_json": ["verify", "--suite", "frt", "--spins", "1/2,1,3/2,2", "--json"],
     "verify_frt_unserved_spin_usage_error": ["verify", "--suite", "frt", "--spins", "1/2,5/2"],
-    "verify_intertwine_order5000": ["verify", "--suite", "intertwine", "--order", "5000"],
+    "verify_intertwine": ["verify", "--suite", "intertwine"],
     "solve_phi_defaults": ["solve-phi"],
     "solve_phi_order1": ["solve-phi", "--order", "1"],
     "solve_phi_order4": ["solve-phi", "--order", "4", "--pairs", "3/2:1,3/2:3/2"],

@@ -335,11 +335,11 @@ def test_tensor_module_spins_print_as_fractions(fund):
         frt_check(module).name,
         check_homomorphism(CLASSICAL, module, fund).name,
         check_cocycle_jordanian(module, fund, fund).name,
-        check_intertwining_s(f1_table(), module, fund, 1).name,
+        check_intertwining_s(f1_table(), module, fund).name,
     ]
     assert names == [
         "FRT relation in spin (1/2, 1/2) (6561 scalar identities)",
         "homomorphism CLASSICAL on ((1/2, 1/2), 1/2)",
         "cocycle even twist on ((1/2, 1/2), 1/2, 1/2)",
-        "odd-twist intertwining ((1/2, 1/2), 1/2) through xi^1",
+        "odd-twist intertwining ((1/2, 1/2), 1/2), exact",
     ]

@@ -9,7 +9,6 @@ is the one that reproduces the fixed matrices.
 """
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -348,27 +347,6 @@ def test_inverse_random_unipotent(monkeypatch):
         assert (u * u_inv).is_identity()
         assert (u_inv * u).is_identity()
     assert seen >= {2, 3}
-
-
-def test_through_returns_the_matrix_when_nothing_is_cut():
-    """An uncut through is the matrix itself; a cut is a new canonical matrix."""
-    xi = sc.xi_var()
-    m = GradedMatrix.from_entries(
-        FUND, {(0, 0): rational(Fraction(1, 2)), (0, 2): xi.scale(3), (1, 2): xi * xi}
-    )
-    assert m.through(math.inf) is m
-    assert m.through(2) is m
-    cut = m.through(1)
-    assert cut is not m
-    assert cut == GradedMatrix.from_entries(
-        FUND, {(0, 0): rational(Fraction(1, 2)), (0, 2): xi.scale(3)}
-    )
-    assert_canonical((cut.terms, cut.den))
-    # a cut that leaves only integers reduces the common denominator
-    top = m.through(2, 1)
-    assert top == GradedMatrix.from_entries(FUND, {(0, 2): xi.scale(3), (1, 2): xi * xi})
-    assert top.den == 1
-    assert_canonical((top.terms, top.den))
 
 
 def test_exp_log_round_trip():

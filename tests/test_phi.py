@@ -60,13 +60,9 @@ def test_f1_reconstructs_odd_twist(fund):
 
 def test_intertwining_exact_on_fundamental(fund):
     table = f1_table()
-    rep = check_intertwining_s(table, fund, fund, 8)
+    rep = check_intertwining_s(table, fund, fund)
     assert rep.passed
-
-
-def test_zero_series_passes_at_order_zero(fund):
-    rep = check_intertwining_s({}, fund, fund, 0)
-    assert rep.passed
+    assert rep.name == "odd-twist intertwining (1/2, 1/2), exact"
 
 
 SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -114,19 +110,19 @@ def test_coproduct_tables_match_hand_written_formulas():
 def test_solver_reads_the_coproduct_table(monkeypatch, fund, spin1):
     """Dropping 1 (x) v+ from the JORDANIAN v+ rule reaches the solver and its check."""
     table = f1_table()
-    assert check_intertwining_s(table, fund, fund, 4).passed
+    assert check_intertwining_s(table, fund, fund).passed
     _, rep = solve_phi(2, [(spin1, spin1)])
     assert rep.passed
 
     monkeypatch.setitem(JORDANIAN.rules, "v+", JORDANIAN.rules["v+"][:1])
-    bad = check_intertwining_s(table, fund, fund, 4)
+    bad = check_intertwining_s(table, fund, fund)
     assert bad.checks[0].data["first_failing_order"] == 0
     _, rep = solve_phi(2, [(spin1, spin1)])
     assert not rep.passed
 
 
 def test_f1_only_fails_on_spin_one_at_order_three(spin1):
-    rep = check_intertwining_s(f1_table(), spin1, spin1, 4)
+    rep = check_intertwining_s(f1_table(), spin1, spin1)
     assert not rep.passed
     assert rep.checks[0].data["first_failing_order"] == 3
     assert rep.checks[1].data["first_failing_order"] == 3
@@ -248,7 +244,7 @@ def test_solver_reports_inconsistency(spin1):
     bad_known[(0, 1)] += Fraction(1, 3)  # break the symmetry of the known part
     pair = phi_mod._PairSeries(spin1, spin1)
     f = build_f_super(bad_known, spin1, spin1)
-    rows, rhs = pair.shell_equations(f, [(1, 1)], 3)
+    rows, rhs = pair.shell_equations(f, [(1, 1)])
     solution, free, inconsistent = solve_linear_system(rows, rhs, ncols=1)
     assert inconsistent
 
@@ -285,8 +281,8 @@ def test_cross_pair_disagreement_fails(monkeypatch, spin1):
     r32 = irrep(Fraction(3, 2))
     shell_equations = phi_mod._PairSeries.shell_equations
 
-    def shifted(pair, f, shell, order):
-        rows, rhs = shell_equations(pair, f, shell, order)
+    def shifted(pair, f, shell):
+        rows, rhs = shell_equations(pair, f, shell)
         if pair.reps[0] is r32:  # the solution moves by 1 in the first unknown
             rhs = [b + row[0] for row, b in zip(rows, rhs)]
         return rows, rhs
@@ -365,10 +361,10 @@ def _record_shells(monkeypatch, solve):
         exps.append(n)
         return exp_nilpotent(n)
 
-    def recording(pair, f, shell, order):
+    def recording(pair, f, shell):
         start = len(exps)
-        rows, rhs = shell_equations(pair, f, shell, order)
-        calls.append({"reps": pair.reps, "shell": list(shell), "order": order, "f": f,
+        rows, rhs = shell_equations(pair, f, shell)
+        calls.append({"reps": pair.reps, "shell": list(shell), "order": sum(shell[0]) + 1, "f": f,
                       "rows": rows, "rhs": rhs, "exps": exps[start:]})
         return rows, rhs
 
@@ -552,20 +548,22 @@ def _closed_form_raised(*keys):
 
 
 @pytest.mark.parametrize(
-    "spins, order, failing, first",
+    "spins, failing, first",
     [
-        ((1, 1), 8, f1_table, 3),
-        ((Fraction(3, 2), 1), 8, f1_table, 3),
-        ((2, 2), 8, f1_table, 3),
-        ((2, Fraction(3, 2)), 7, _closed_form_raised((1, 1)), 3),
-        ((2, Fraction(3, 2)), 7, _closed_form_raised((1, 2), (2, 1)), 4),
-        ((2, 2), 7, _closed_form_raised((2, 2)), 5),
+        ((1, 1), f1_table, 3),
+        ((Fraction(3, 2), 1), f1_table, 3),
+        ((2, 2), f1_table, 3),
+        ((2, Fraction(3, 2)), _closed_form_raised((1, 1)), 3),
+        ((2, Fraction(3, 2)), _closed_form_raised((1, 2), (2, 1)), 4),
+        ((2, 2), _closed_form_raised((2, 2)), 5),
+        ((Fraction(1, 2), Fraction(1, 2)), dict, 1),
     ],
-    ids=["1-1", "3half-1", "2-2", "2-3half-raised-d11", "2-3half-raised-d12", "2-2-raised-d22"],
+    ids=["1-1", "3half-1", "2-2", "2-3half-raised-d11", "2-3half-raised-d12", "2-2-raised-d22", "half-half-empty"],
 )
-def test_closed_form_intertwines_where_f1_fails(spins, order, failing, first, monkeypatch):
+def test_closed_form_intertwines_where_f1_fails(spins, failing, first, monkeypatch):
     """The closed form passes; f_1 (x) f_1, or the closed form with D[m, n]
-    raised, fails both forms first at xi**(m+n+1).  Each check forms T and
+    raised, fails both forms first at xi**(m+n+1), and the empty table,
+    no twist at all, at xi**1.  Each check forms T and
     its exponential once, and reads F^2 for the second form from them."""
     calls, exps = [], []
     exponent, exp_nilpotent = phi_mod.exponent_from_bilinear, phi_mod.exp_nilpotent
@@ -581,18 +579,18 @@ def test_closed_form_intertwines_where_f1_fails(spins, order, failing, first, mo
     monkeypatch.setattr(phi_mod, "exponent_from_bilinear", counted)
     monkeypatch.setattr(phi_mod, "exp_nilpotent", counted_exp)
     a, b = (irrep(j) for j in spins)
-    assert check_intertwining_s(closed_form_table(8), a, b, order).passed
+    assert check_intertwining_s(closed_form_table(8), a, b).passed
     assert (len(calls), len(exps)) == (1, 1)
-    rep = check_intertwining_s(failing(), a, b, order)
+    rep = check_intertwining_s(failing(), a, b)
     assert [c.data["first_failing_order"] for c in rep.checks] == [first, first]
     assert (len(calls), len(exps)) == (2, 2)
 
 
 def test_heavy_intertwining_check_past_the_command_line_spins():
-    """The closed form through xi**30 intertwines on (9/2, 9/2), the heaviest
-    check the odd-twist kernel is timed on."""
+    """The closed form through u**30 intertwines exactly on (9/2, 9/2), the
+    heaviest check the odd-twist kernel is timed on."""
     r = irrep(Fraction(9, 2))
-    assert check_intertwining_s(closed_form_table(30), r, r, 30).passed
+    assert check_intertwining_s(closed_form_table(30), r, r).passed
 
 
 @pytest.mark.parametrize(
@@ -610,16 +608,18 @@ def test_heavy_intertwining_check_past_the_command_line_spins():
 def test_residual_stops_below_the_weight_bound(spins, top):
     """Each power of xi in F, Dj(v+) and Dsj(v+) raises the h weight by 2
     (xi X+, or xi v+ (x) v+ in F), and v+ raises it by 1; the weights on
-    (j1, j2) span 4(j1 + j2), so F has no term above xi^(2(j1+j2)) and
-    R(F) of any table none above xi^(2(j1+j2)-1).  With every closed-form
-    coefficient raised by 1, the exact F reaches its bound and R(F)
-    through xi^40 reaches its own, exactly."""
+    (j1, j2) span 4(j1 + j2), so F has no term above xi^(2(j1+j2)), and
+    neither form of check_intertwining_s, R(F) = F Dj(v+) - Dsj(v+) F and
+    Dj(v+) - Dsj(v+) F^2, has one above xi^(2(j1+j2)-1) for any table:
+    the exact check sees every order.  With every closed-form coefficient
+    raised by 1, F and both forms reach their bounds, exactly."""
     r1, r2 = (irrep(j) for j in spins)
     raised = {key: c + 1 for key, c in closed_form_table(14).items()}
     f = build_f_super(raised, r1, r2)
-    residual = phi_mod._PairSeries(r1, r2).residual(f, 40)
+    pair = phi_mod._PairSeries(r1, r2)
+    forms = [f * pair.dj - pair.target * f, pair.dj - pair.target * f * f]
     assert top == 2 * (r1.spin + r2.spin) - 1
-    assert max(key[4] for key in residual.terms) == top
+    assert [max(key[4] for key in form.terms) for form in forms] == [top, top]
     assert max(key[4] for key in f.terms) == top + 1
 
 
@@ -736,8 +736,8 @@ def _xi_range(m, low, order):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_series_kernel_matches_truncated_graded_matrices(data):
-    """Truncated product, slice and sum equal GradedMatrix results truncated;
-    exp and inverse are exact.
+    """A truncated product and its slice, and a sum of truncated terms,
+    equal GradedMatrix results truncated; exp and inverse are exact.
 
     a and b are any matrices polynomial in xi whose coefficients mix s,
     s**-1 and theta, each lowest in xi at a drawn power, so the order
@@ -776,12 +776,10 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     assert canonical(a.mul_through(b, low=low)) == product - drop_xi_above(product, low - 1)
     top = canonical(a.mul_through(b, order, order))
     assert top == xi_coefficient(product, order).scale(sc.xi_var(order))
-    assert canonical(a.through(order, low)) == _xi_range(a, low, order)
-    assert canonical(a.through(order, order)) == xi_coefficient(a, order).scale(sc.xi_var(order))
     terms = data.draw(st.lists(st.tuples(_WEIGHT, st.sampled_from([a, b, t])), max_size=4))
     if len(terms) > 1 and data.draw(st.booleans()):  # the last term cancels the first
         terms[-1] = (-terms[0][0], terms[0][1])
-    total = GradedMatrix.linear_combination(parity, ((w, m.through(order)) for w, m in terms))
+    total = GradedMatrix.linear_combination(parity, ((w, drop_xi_above(m, order)) for w, m in terms))
     assert canonical(total) == drop_xi_above(GradedMatrix.linear_combination(parity, terms), order)
     empty = GradedMatrix.linear_combination(parity, [])
     assert (empty.terms, empty.den) == ({}, 1)
@@ -792,7 +790,7 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
 
 
 def test_truncated_product_from_a_low_power_and_below_every_power():
-    """mul_through and through keep only low <= e_xi <= order, s and theta untouched."""
+    """mul_through keeps only low <= e_xi <= order, s and theta untouched."""
     xi, s, theta = sc.xi_var(), sc.s_var(), sc.theta_var()
     a = GradedMatrix.from_entries((0, 1), {(0, 0): xi * s, (0, 1): theta + xi * xi})
     b = GradedMatrix.from_entries((0, 1), {(0, 1): sc.s_var(-1).scale(Fraction(1, 2)), (1, 1): xi})
@@ -802,9 +800,6 @@ def test_truncated_product_from_a_low_power_and_below_every_power():
     half_xi = xi.scale(Fraction(1, 2))
     assert a.mul_through(b, 1, 1) == GradedMatrix.from_entries((0, 1), {(0, 1): half_xi + theta * xi})
     assert a.mul_through(b, 5, 4).is_zero()
-    assert a.through(1, 1) == GradedMatrix.from_entries((0, 1), {(0, 0): xi * s})
-    assert a.through(0) == GradedMatrix.from_entries((0, 1), {(0, 1): theta})
-    assert a.through(5, 3).is_zero()
 
 
 def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
@@ -902,6 +897,19 @@ def test_no_exponent_keeps_a_module_alive(fund):
     gc.collect()
     assert [ref() for ref in refs] == [None] * 20
     assert exponent_from_bilinear(f1_table(), fund, fund) == exponent_from_bilinear({(0, 0): 1}, fund, fund)
+
+
+def test_exponent_builds_no_word_past_the_dimension_bound():
+    """v+ X+^m vanishes on a module of dimension d unless 2m + 1 < d, so on a
+    fresh spin-9/2 module (d = 19) the twist of a table through u**30 builds
+    the words up to v+ X+^8 and no longer one.  The bound is tight there:
+    v+ X+^8 is nonzero and v+ X+^9 vanishes."""
+    r = irrep(Fraction(9, 2))
+    fresh = Representation(r.spin, r.h, r.v_plus, r.v_minus, r.parity)
+    build_f_super(closed_form_table(30), fresh, fresh)
+    assert max(word.count("X+") for word in fresh._cache) == 8
+    assert not fresh.image(("v+",) + ("X+",) * 8).is_zero()
+    assert fresh.image(("v+",) + ("X+",) * 9).is_zero()
 
 
 def test_shell_rows_are_exact_for_laurent_coefficients(monkeypatch):

@@ -1,7 +1,7 @@
 """xi truncation of Scalars and GradedMatrices, the reference for the truncated kernels.
 
-qosp.phi computes on GradedMatrix products and slices cut at an xi
-order (mul_through, through).  These helpers truncate the symbolic
+qosp.phi's solver computes on GradedMatrix products and slices cut at
+an xi order (mul_through).  These helpers truncate the symbolic
 objects entry by entry instead, so the tests can compare the kernels
 with GradedMatrix arithmetic followed by truncation.  assert_canonical
 reads a (numerators, denominator) pair, the form a GradedMatrix keeps.
