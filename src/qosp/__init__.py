@@ -5,7 +5,7 @@ Modules:
 * scalar     -- the ring Q[s, s^-1][theta, xi] (q = s**2) and the contraction
 * report     -- Check and Report, the results every suite returns
 * gmatrix    -- graded matrices, Koszul-signed tensor products, YBE checks,
-                products and slices through an xi order
+                products and their xi**k slices
 * reps       -- spin-j modules of osp(1|2), sigma and the FRT generators
 * coproducts -- coproduct maps, the even twist, twist conjugation,
                 Hopf-level checks

@@ -25,7 +25,7 @@ from .coproducts import (
     check_r_intertwines,
     check_twist_produces,
 )
-from .gmatrix import residual_check, to_json_dict
+from .gmatrix import exp_nilpotent, gkron, residual_check, to_json_dict
 from .matrices import (
     FIXTURE_NAMES,
     FixtureError,
@@ -49,7 +49,7 @@ from .phi import (
 )
 from .report import Report
 from .reps import check_lt_relations, fundamental_rep, irrep
-from .scalar import ScalarError, format_scalar, rational
+from .scalar import ScalarError, format_scalar, rational, xi_var
 
 
 class UsageError(Exception):
@@ -212,7 +212,9 @@ def _intertwine(spins):
     f = fundamental_rep()
     table = f1_table()
     yield check_intertwining_s(table, f, f)
-    residual = build_f_super(table, f, f) - f_super_fund()
+    # the paper's exp(-2 xi v+ (x) v+), formed without the twist builder
+    paper = exp_nilpotent(gkron(f.v_plus, f.v_plus).scale(xi_var().scale(-2)))
+    residual = build_f_super(table, f, f) - paper
     yield Report(
         "odd twist matrix from f1",
         [residual_check("f1 alone reconstructs the odd twist matrix", residual)],

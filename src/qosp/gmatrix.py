@@ -10,7 +10,7 @@ gcd(den, *numerators) == 1, and den == 1 when terms is empty, so two
 matrices are equal exactly when their values are.  Every operation --
 sums, products, Kronecker products, flips, inversion, exponentials --
 walks the terms alone, multiplies and adds integers, adds exponents in
-the key and reduces once; the one product loop, mul_through, groups
+the key and reduces once; the one product loop, product, groups
 the right factor's terms by row.  Every weighted sum is one pass over
 its terms, with one fold of the weights (_fold): all terms are brought
 to the lcm of their denominators, each monomial of a weight folds its
@@ -23,16 +23,14 @@ A sum of two-leg tensors, sum c * gkron(a, b), is tensor_sum, and gkron
 is its one-term case.  Matrices are immutable: operations return new
 matrices, or an operand they leave unchanged.
 
-An xi power is part of every key, so a truncated series in xi is a
-matrix too.  mul_through(b, order, low) is the product cut to the
-terms with low <= e_xi <= order, and a * b is its uncut case
-(order = math.inf, low = 0).  Only a cut sorts each row of b by xi
-power, so a row's walk starts at the first power that reaches low and
-stops past the order, and mul_through(b, k, k) is the xi**k slice of
-the product.  Nothing else is cut: the finite series above take no
-order, each exact, one walk N, N**2, ... with * up to the first
-vanishing power (_nilpotent_series), and exp_nilpotent(n) is the whole
-exponential.
+An xi power is part of every key, so a polynomial in xi is a matrix
+too, and the one cut is a slice: product(b, k) is the xi**k part of
+the product, and a * b is its whole case, product(b).  A slice groups
+b's terms by row and xi power, so each term of a reads only the group
+at k minus its own power.  Nothing else is cut: the finite series
+above take no order, each exact, one walk N, N**2, ... with * up to
+the first vanishing power (_nilpotent_series), and exp_nilpotent(n) is
+the whole exponential.
 Scalars are made only where an entry is read: ``m[i, j]`` (zero where
 none is stored), ``entries()`` (the nonzeros in row-major order) and
 what reads through them -- map_entries, repr, the JSON form and the
@@ -73,7 +71,6 @@ literally zero; residual_check turns one into a Check whose data lists
 the residual's first ten nonzero entries (check_gybe is one call to it).
 """
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -218,34 +215,25 @@ class GradedMatrix:
         return GradedMatrix.linear_combination(self.parity, ((1, self), (-1, other)))
 
     def __mul__(self, other):
-        return self.mul_through(other)
+        return self.product(other)
 
-    def mul_through(self, other, order=math.inf, low=0):
-        """The terms of self * other with low <= e_xi <= order; uncut by default.
+    def product(self, other, k=None):
+        """self * other, or with k given only its xi**k slice, the terms with e_xi == k.
 
-        other's terms are grouped by row.  For a cut each row is sorted by
-        xi power, so its walk starts at the first power that reaches low
-        and stops past the order; the uncut product leaves rows unsorted.
+        other's terms are grouped by row, for a slice by row and xi power,
+        so each term of self reads only the group that completes its xi
+        power to k.
         """
         if self.parity != other.parity:
             raise MatrixError("dimension or parity mismatch")
-        rows = {}
-        for (k, j, s, t, x), b in other.terms.items():
-            rows.setdefault(k, []).append((x, j, s, t, b))
-        if low or order < math.inf:
-            for row in rows.values():
-                row.sort()
+        groups = {}
+        for (r, j, s, t, x), b in other.terms.items():
+            groups.setdefault(r if k is None else (r, x), []).append((j, s, t, x, b))
         out = {}
         get = out.get
-        for (i, k, s1, t1, x1), a in self.terms.items():
-            row = rows.get(k, ())
-            if low > x1:  # every e_xi is >= 0, so only a low above x1 skips a power
-                row = row[bisect.bisect_left(row, (low - x1,)):]
-            for x2, j, s2, t2, b in row:
-                x = x1 + x2
-                if x > order:
-                    break
-                key = (i, j, s1 + s2, t1 + t2, x)
+        for (i, r, s1, t1, x1), a in self.terms.items():
+            for j, s2, t2, x2, b in groups.get(r if k is None else (r, k - x1), ()):
+                key = (i, j, s1 + s2, t1 + t2, x1 + x2)
                 out[key] = get(key, 0) + a * b
         return _canonical(self.parity, out, self.den * other.den)
 

@@ -56,15 +56,15 @@ that solved a nonzero value multiplies in that shell's own twist, so F
 is at every shell the exact twist of the table it has solved.  Known
 terms with m + n > t start above the slice xi**(t+1), so holding them
 in F from the start leaves the slice unchanged.  No F^-1 is built.
-solve_phi's residual on a pair is _order_check of R of a fresh twist of
-the pooled table, never the grown F, so it witnesses the solve
-independently; it is cut at xi**(2*order - 1), as the pooled table is
-truncated there.  The residual and the shell slices are the only cuts,
-GradedMatrix products cut at an xi order (mul_through).  A shell row is
-read at each full key (i, j, e_s, e_theta, e_xi) of the slice, so the
-rows are exact for any Laurent coefficient of Dj(v+) and Dsj(v+); each
-distinct equation is kept once, which changes no pivot, value or
-consistency of the solve.
+solve_phi's residual on a pair is _order_check of the exact R of a fresh
+twist of the pooled table, never the grown F, so it witnesses the solve
+independently; the check reads it through xi**(2*order - 1), as the
+pooled table is truncated there.  The shell slices are the only cut,
+the xi**(t+1) slice of a GradedMatrix product (product(b, k)).  A shell
+row is read at each full key (i, j, e_s, e_theta, e_xi) of the slice,
+so the rows are exact for any Laurent coefficient of Dj(v+) and
+Dsj(v+); each distinct equation is kept once, which changes no pivot,
+value or consistency of the solve.
 check_intertwining_s is exact: it forms one exponential F and one
 product G = Dsj(v+) F and reads both of its forms from them uncut:
 R(F) = F Dj(v+) - G, and Dj(v+) - G F = (Dj(v+) F^-2 - Dsj(v+)) F^2.
@@ -163,9 +163,13 @@ def build_f_super(table, r1, r2):
     return exp_nilpotent(exponent_from_bilinear(table, r1, r2))
 
 
-def _order_check(name, residual):
-    """Check that a residual vanishes, naming its lowest xi power as the first failing order."""
-    bad = min((key[4] for key in residual.terms), default=None)
+def _order_check(name, residual, through=None):
+    """Check that a residual vanishes through xi**through, or at every power by default.
+
+    Powers above through are not read; the lowest power read is named as
+    the first failing order.
+    """
+    bad = min((x for *_, x in residual.terms if through is None or x <= through), default=None)
     detail = "" if bad is None else "first failing xi order %d" % bad
     return Check(name, bad is None, detail, data={"first_failing_order": bad})
 
@@ -175,18 +179,18 @@ class _PairSeries:
 
     Holds the pair, Dj(v+) and Dsj(v+).  solve forms the twist of the
     known table once and multiplies in each solved shell; the shell
-    equations read the twist they are given.  The twists are exact; the
-    residual cuts its products at the xi order it is given, and a shell's
-    equations at its matched order.
+    equations read the twist they are given.  The twists and the residual
+    are exact; a shell's equations read only the residual's slice at the
+    shell's matched power.
     """
 
     def __init__(self, r1, r2):
         self.reps = (r1, r2)
         self.dj, self.target = (evaluate_terms(cp.rules["v+"], r1, r2) for cp in (JORDANIAN, SUPER_JORDANIAN))
 
-    def residual(self, f, order, low=0):
-        """R(F) = F Dj(v+) - Dsj(v+) F from xi**low through xi**order."""
-        return f.mul_through(self.dj, order, low) - self.target.mul_through(f, order, low)
+    def residual(self, f, k=None):
+        """R(F) = F Dj(v+) - Dsj(v+) F, or with k given only its xi**k slice."""
+        return f.product(self.dj, k) - self.target.product(f, k)
 
     def shell_equations(self, f, shell):
         """Shell equations with (m,n) and (n,m) tied to one unknown.
@@ -199,10 +203,10 @@ class _PairSeries:
         are read row-major and each distinct equation is kept once, at its
         first key.
         """
-        order = sum(shell[0]) + 1
-        base = self.residual(f, order, order)
+        t = sum(shell[0])
+        base = self.residual(f, t + 1)
         units = (exponent_from_bilinear({(m, n): 1, (n, m): 1}, *self.reps) for m, n in shell)
-        cols = [self.residual(b, order, order) for b in units] + [base]
+        cols = [self.residual(b, t + 1) for b in units] + [base]
         keys = sorted({key for col in cols for key in col.terms})
         equations = dict.fromkeys(tuple(Fraction(col.terms.get(k, 0), col.den) for col in cols) for k in keys)
         return [list(eq[:-1]) for eq in equations], [-eq[-1] for eq in equations]
@@ -317,8 +321,8 @@ def solve_phi(order, pairs):
     coefficient as the first pair to determine it found it, zero entries
     dropped) and a report with one check per pair, the cross-pair
     consistency and the residual R(F) of the pooled table on every pair
-    through xi**(2*order - 1), _order_check of R of a fresh twist of the
-    table, not of the twist each solve grew.
+    through xi**(2*order - 1), _order_check of the exact R of a fresh twist
+    of the table, not of the twist each solve grew.
 
     Evidence in the check data: each pair check lists under "pinned"
     the unknowns it left undetermined (held at 0 from then on), and the
@@ -373,7 +377,7 @@ def solve_phi(order, pairs):
     table = {key: val for key, val in pooled.items() if val}
     for pair, pair_spins in zip(pair_series, spins):
         name = "residual zero on %s through xi^%d" % (spin_text(pair_spins), xi_order)
-        rep.add(_order_check(name, pair.residual(build_f_super(table, *pair.reps), xi_order)))
+        rep.add(_order_check(name, pair.residual(build_f_super(table, *pair.reps)), xi_order))
     return table, rep
 
 

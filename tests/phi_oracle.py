@@ -46,9 +46,10 @@ def solve_without_f1(order, r1, r2):
     """The table one pair solves with no f_1 known, and whether it holds.
 
     The shells run from t = 0 with m >= 0, through the order solve_phi
-    reaches; the table is checked through xi**(2*order - 1), where
-    solve_phi checks its own.  Returns the table, zero entries dropped,
-    and whether every shell was consistent and R(F) of the table vanishes.
+    reaches; the exact residual of the table is checked through
+    xi**(2*order - 1), where solve_phi checks its own.  Returns the table,
+    zero entries dropped, and whether every shell was consistent and R(F)
+    of the table vanishes.
     """
     xi_order = 2 * order - 1
     pair = _PairSeries(r1, r2)
@@ -58,5 +59,5 @@ def solve_without_f1(order, r1, r2):
     for key, val in found.items():
         _add_symmetric(table, key, val)
     table = {key: c for key, c in table.items() if c}
-    check = _order_check("residual zero", pair.residual(build_f_super(table, r1, r2), xi_order))
+    check = _order_check("residual zero", pair.residual(build_f_super(table, r1, r2)), xi_order)
     return table, consistent and check.passed

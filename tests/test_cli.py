@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fixture_files import write_fixture
+from qosp import phi as phi_mod
 from qosp.cli import SUITES, SUPPORTED_SPINS, build_parser, main
 from qosp.gmatrix import from_json_dict
 from qosp.matrices import (
@@ -24,7 +25,7 @@ from qosp.matrices import (
     transform_r,
 )
 from qosp.reps import Representation, irrep
-from qosp.scalar import format_scalar, parse_scalar
+from qosp.scalar import format_scalar, parse_scalar, xi_var
 from scalar_oracle import stored_form
 from test_cli_outputs import RECORDED, SRC
 
@@ -268,6 +269,25 @@ def test_verify_all_builds_each_matrix_once(capsys):
     # nothing a run does may alter the shared matrices
     for name in FIXTURE_NAMES:
         assert named_matrix(name) == load_fixture(name)
+
+
+def test_intertwine_suite_fails_a_twist_at_the_wrong_xi_power(monkeypatch):
+    """The f1 check compares the twist builder with the paper's
+    exp(-2 xi v+ (x) v+), formed directly, so an exponent one xi power too
+    high fails it.  The cached fs builder is cleared before and after, so it
+    neither hides the fault nor keeps the faulty matrix."""
+    exponent = phi_mod.exponent_from_bilinear
+    monkeypatch.setattr(
+        phi_mod, "exponent_from_bilinear", lambda *args: exponent(*args).scale(xi_var())
+    )
+    f_super_fund.cache_clear()
+    try:
+        reports = {rep.name: rep for rep in SUITES["intertwine"]([])}
+    finally:
+        f_super_fund.cache_clear()
+    check = reports["odd twist matrix from f1"].checks[0]
+    assert check.name == "f1 alone reconstructs the odd twist matrix"
+    assert not check.passed
 
 
 def _assert_order_rejected(order, capsys):

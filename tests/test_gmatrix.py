@@ -320,10 +320,8 @@ def test_inverse_random_unipotent(monkeypatch):
     """inverse(u) is the series alone: with N**K the first vanishing power of
     N = u - I, it makes the K - 1 products N**2 .. N**K and none to verify."""
     calls = []
-    mul_through = GradedMatrix.mul_through
-    monkeypatch.setattr(
-        GradedMatrix, "mul_through", lambda *args: calls.append(1) or mul_through(*args)
-    )
+    product = GradedMatrix.product
+    monkeypatch.setattr(GradedMatrix, "product", lambda *args: calls.append(1) or product(*args))
     rng = random.Random(17)
     xi = sc.xi_var()
     seen = set()

@@ -523,16 +523,23 @@ def test_closed_form_equals_every_determined_coefficient(spins, determined):
         assert table[key] == closed[key], key
 
 
-def test_deeper_solve_past_the_command_line_limits():
-    """solve_phi(6) on (3, 5/2), (3, 3) passes every check, and each of the 15
-    coefficients it determines equals the closed form in the returned table."""
-    r3 = irrep(3)
-    table, rep = solve_phi(6, [(r3, irrep(Fraction(5, 2))), (r3, r3)])
+@pytest.mark.parametrize(
+    "order, spins, determined",
+    [(6, (3, Fraction(5, 2)), 15), (8, (4, Fraction(7, 2)), 28)],
+    ids=["6-3-5half", "8-4-7half"],
+)
+def test_deeper_solve_past_the_command_line_limits(order, spins, determined):
+    """solve_phi(order) on (j1, j2), (j1, j1) passes every check, and each
+    coefficient it determines equals the closed form in the returned table:
+    15 at order 6 on (3, 5/2), (3, 3), and 28 at order 8 on (4, 7/2), (4, 4),
+    where the twist reaches xi^16 past the residual check's xi^15."""
+    r1, r2 = (irrep(j) for j in spins)
+    table, rep = solve_phi(order, [(r1, r2), (r1, r1)])
     assert rep.passed
-    closed = closed_form_table(10)
+    closed = closed_form_table(2 * order - 2)
     by_name = {check.name: check.data for check in rep.checks}
     keys = [ast.literal_eval(k) for k in by_name["cross-pair consistency"]["determined_by"]]
-    assert len(keys) == 15
+    assert len(keys) == determined
     for key in keys:
         assert table[key] == closed[key], key
 
@@ -728,20 +735,15 @@ _S_THETA = st.sampled_from(
 )
 
 
-def _xi_range(m, low, order):
-    """The terms of m from xi**low through xi**order, by the xi_oracle truncation."""
-    return drop_xi_above(m, order) - drop_xi_above(m, low - 1)
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_series_kernel_matches_truncated_graded_matrices(data):
-    """A truncated product and its slice, and a sum of truncated terms,
-    equal GradedMatrix results truncated; exp and inverse are exact.
+    """A product's xi**k slice, and a sum of truncated terms, equal
+    GradedMatrix results truncated; exp and inverse are exact.
 
     a and b are any matrices polynomial in xi whose coefficients mix s,
-    s**-1 and theta, each lowest in xi at a drawn power, so the order
-    may lie below every power of a product; low may exceed 0.  t is
+    s**-1 and theta, each lowest in xi at a drawn power, so the slice's
+    power may lie below every power of a product or above its top.  t is
     strictly upper triangular after a random relabelling of the basis
     and starts at xi**1, like the exponent of the twist, so F = exp(t)
     is unipotent and its inverse is exp(-t).  Every entry of t above
@@ -751,7 +753,7 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     parity = data.draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
     label = data.draw(st.permutations(range(dim)))
     order = data.draw(st.integers(0, 5))
-    low = data.draw(st.integers(0, order + 1))
+    power = data.draw(st.integers(0, 11))  # a product's powers lie in 0..10
 
     def matrix(lowest, strictly_upper):
         entries = {}
@@ -771,11 +773,7 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     a, b = (matrix(data.draw(st.integers(0, 3)), False) for _ in "ab")
     t = matrix(1, True)
     product = a * b
-    assert canonical(a.mul_through(b, order)) == drop_xi_above(product, order)
-    assert canonical(a.mul_through(b, order, low)) == _xi_range(product, low, order)
-    assert canonical(a.mul_through(b, low=low)) == product - drop_xi_above(product, low - 1)
-    top = canonical(a.mul_through(b, order, order))
-    assert top == xi_coefficient(product, order).scale(sc.xi_var(order))
+    assert canonical(a.product(b, power)) == xi_coefficient(product, power).scale(sc.xi_var(power))
     terms = data.draw(st.lists(st.tuples(_WEIGHT, st.sampled_from([a, b, t])), max_size=4))
     if len(terms) > 1 and data.draw(st.booleans()):  # the last term cancels the first
         terms[-1] = (-terms[0][0], terms[0][1])
@@ -789,31 +787,34 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     assert canonical(exp_nilpotent(t.scale(-2))) == f_inv * f_inv
 
 
-def test_truncated_product_from_a_low_power_and_below_every_power():
-    """mul_through keeps only low <= e_xi <= order, s and theta untouched."""
+def test_product_slices_sum_to_the_product():
+    """product(b, k) keeps only e_xi == k, s and theta untouched: zero below
+    every power and above the top, and a * b is the sum of its slices."""
     xi, s, theta = sc.xi_var(), sc.s_var(), sc.theta_var()
     a = GradedMatrix.from_entries((0, 1), {(0, 0): xi * s, (0, 1): theta + xi * xi})
     b = GradedMatrix.from_entries((0, 1), {(0, 1): sc.s_var(-1).scale(Fraction(1, 2)), (1, 1): xi})
     # a b = [[0, xi/2 + theta xi + xi**3], [0, 0]]
-    assert a.mul_through(b, 0).is_zero()
-    assert a.mul_through(b, 3, 2) == GradedMatrix.from_entries((0, 1), {(0, 1): xi * xi * xi})
+    assert a.product(b, 0).is_zero()
     half_xi = xi.scale(Fraction(1, 2))
-    assert a.mul_through(b, 1, 1) == GradedMatrix.from_entries((0, 1), {(0, 1): half_xi + theta * xi})
-    assert a.mul_through(b, 5, 4).is_zero()
+    assert a.product(b, 1) == GradedMatrix.from_entries((0, 1), {(0, 1): half_xi + theta * xi})
+    assert a.product(b, 3) == GradedMatrix.from_entries((0, 1), {(0, 1): xi * xi * xi})
+    assert a.product(b, 4).is_zero()
+    slices = [(1, a.product(b, k)) for k in range(5)]
+    assert a * b == GradedMatrix.linear_combination((0, 1), slices)
 
 
 def test_series_exp_stops_when_the_power_vanishes(monkeypatch):
     """exp forms t**2, t**3 = 0 and stops: the number of products is the
     nilpotency index of t.  So does exp(-t), the inverse."""
     calls = []
-    mul_through = GradedMatrix.mul_through
+    product = GradedMatrix.product
 
     def counted(*args):
         calls.append(args)
         assert len(calls) <= 2, "exp kept multiplying after t**3 = 0"
-        return mul_through(*args)
+        return product(*args)
 
-    monkeypatch.setattr(GradedMatrix, "mul_through", counted)
+    monkeypatch.setattr(GradedMatrix, "product", counted)
     t = GradedMatrix((0, 0, 0), {(0, 1, 0, 0, 1): 1, (1, 2, 0, 0, 1): 2})
     f = exp_nilpotent(t)
     assert len(calls) == 2
@@ -842,15 +843,30 @@ def test_twist_forms_each_power_of_the_exponent_once(monkeypatch):
         power = power * t
     assert powers > 2
     calls = []
-    mul_through = GradedMatrix.mul_through
+    product = GradedMatrix.product
 
     def counted(*args):
         calls.append(args)
-        return mul_through(*args)
+        return product(*args)
 
-    monkeypatch.setattr(GradedMatrix, "mul_through", counted)
-    phi_mod._order_check("residual zero", pair.residual(build_f_super(bilinear, r32, r32), 5))
+    monkeypatch.setattr(GradedMatrix, "product", counted)
+    phi_mod._order_check("residual zero", pair.residual(build_f_super(bilinear, r32, r32)), 5)
     assert len(calls) == powers + 2
+
+
+@pytest.mark.parametrize(
+    "powers, through, first",
+    [((), None, None), ((5,), 4, None), ((4,), 4, 4), ((6, 4), None, 4), ((6, 5, 2), 5, 2)],
+    ids=["empty", "above-through", "at-through", "every-power", "lowest-of-several"],
+)
+def test_order_check_reads_through_its_bound(powers, through, first):
+    """_order_check ignores the powers above through, every power by
+    default, and names the lowest power it reads as the first failing order."""
+    residual = GradedMatrix((0, 1), {(0, 1, 0, 0, x): 1 for x in powers})
+    check = phi_mod._order_check("residual zero", residual, through)
+    assert check.passed == (first is None)
+    assert check.data == {"first_failing_order": first}
+    assert check.detail == ("" if first is None else "first failing xi order %d" % first)
 
 
 def test_exponent_reduces_its_sum_once(monkeypatch):

@@ -1,9 +1,9 @@
-"""xi truncation of Scalars and GradedMatrices, the reference for the truncated kernels.
+"""xi slices and truncations of Scalars and GradedMatrices, the reference for the kernels.
 
-qosp.phi's solver computes on GradedMatrix products and slices cut at
-an xi order (mul_through).  These helpers truncate the symbolic
-objects entry by entry instead, so the tests can compare the kernels
-with GradedMatrix arithmetic followed by truncation.  assert_canonical
+qosp.phi's solver reads the xi**k slice of GradedMatrix products
+(GradedMatrix.product(b, k)).  These helpers read a coefficient of xi,
+or truncate, the symbolic objects entry by entry instead, so the tests
+can compare the kernels with whole GradedMatrix arithmetic.  assert_canonical
 reads a (numerators, denominator) pair, the form a GradedMatrix keeps.
 """
 
