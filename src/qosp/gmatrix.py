@@ -87,11 +87,8 @@ _K0 = (0, 0, 0)  # the exponents of a rational weight
 
 
 def _stored(num, den):
-    """num/den as a Scalar coefficient: an int when integral, else a Fraction."""
-    if den == 1:
-        return num
-    c = Fraction(num, den)
-    return c.numerator if c.denominator == 1 else c
+    """num/den as a Scalar coefficient: num itself when den is 1, else Fraction(num, den)."""
+    return num if den == 1 else Fraction(num, den)
 
 
 def _canonical(parity, terms, den):

@@ -8,10 +8,9 @@ Ground rules for every value handled by this package:
   xi over the rationals, stored as its terms {(e_s, e_theta, e_xi): c}
   with no zero c -- a power of s, negative or not, is a monomial, and
   there is no denominator;
-* a stored coefficient is an ``int`` when it is integral and a
-  ``Fraction`` (denominator > 1) only when it is not, so the mostly
-  integral arithmetic of the checks runs on ints; ``int`` and
-  ``Fraction`` compare, hash and print alike, and no float is stored;
+* a coefficient is the ``int`` or ``Fraction`` its arithmetic returns,
+  never converted: an ``int`` and the equal ``Fraction`` compare, hash
+  and print alike, and no float is stored;
 * the units of the ring are the c * s**k, and inv inverts those alone.
 
 Two scalars are equal exactly when their term maps are.  q, q**-1 and
@@ -37,20 +36,11 @@ VARS = ("s", "theta", "xi")
 _K0 = (0, 0, 0)
 
 
-def _coeff(c):
-    """c in stored form: an int when integral, else a Fraction."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _add_into(out, key, c):
     """out[key] += c, dropping the key when the sum is zero."""
     v = out.get(key, 0) + c
     if v:
-        out[key] = _coeff(v)
+        out[key] = v
     else:
         out.pop(key, None)
 
@@ -58,7 +48,7 @@ def _add_into(out, key, c):
 class Scalar:
     """An immutable element of Q[s, s^-1][theta, xi], held as its terms map.
 
-    The constructor trusts its map: nonzero coefficients in stored form
+    The constructor trusts its map: nonzero int or Fraction coefficients
     under (e_s, e_theta, e_xi) keys with e_theta, e_xi >= 0.  Build one
     with rational, s_var, theta_var, xi_var, q_var or parse_scalar.
     """
@@ -106,10 +96,9 @@ class Scalar:
 
     def scale(self, c):
         """self times the rational c."""
-        c = _coeff(c)
         if not c:
             return ZERO
-        return Scalar({k: _coeff(v * c) for k, v in self.terms.items()})
+        return Scalar({k: v * c for k, v in self.terms.items()})
 
     def __repr__(self):
         return format_scalar(self)
@@ -120,7 +109,6 @@ ONE = Scalar({_K0: 1})
 
 
 def rational(c):
-    c = _coeff(c)
     return Scalar({_K0: c} if c else {})
 
 
@@ -156,7 +144,7 @@ def inv(a):
     ((es, eth, exi), c), *rest = a.terms.items()
     if rest or eth or exi:
         raise ScalarError("%s is not a unit c*s^k" % format_scalar(a))
-    return Scalar({(-es, 0, 0): _coeff(Fraction(1) / c)})
+    return Scalar({(-es, 0, 0): Fraction(1) / c})
 
 
 def substitute(a, bindings):
@@ -164,8 +152,6 @@ def substitute(a, bindings):
     for name in bindings:
         if name not in VARS:
             raise ScalarError("unknown variable %r" % name)
-    if not bindings:
-        return a
     values = [bindings[name].as_fraction() if name in bindings else None for name in VARS]
     out = {}
     for key, c in a.terms.items():
@@ -219,7 +205,7 @@ def contract(a):
         if any(taylor[:top]):
             raise ScalarError("limit does not exist: pole at s = 1")
         if taylor[top]:
-            out[(0, 0, exi)] = _coeff(Fraction(taylor[top], 4**top))
+            out[(0, 0, exi)] = Fraction(taylor[top], 4**top)
     return Scalar(out)
 
 

@@ -1,4 +1,4 @@
-"""Reference text of a scalar, and the stored form of its coefficients.
+"""Reference text of a scalar, and the exactness of its coefficients.
 
 qosp.scalar stores a Scalar as its Laurent terms {(e_s, e_theta, e_xi): c}
 and prints it as the reduced fraction of polynomials, clearing negative
@@ -6,7 +6,8 @@ powers of s into a denominator s**k.  format_fraction writes that text
 here on its own: it takes a polynomial numerator and the power of s
 below it, cancels their common power of s and prints every monomial
 itself.  The tests compare qosp.scalar.format_scalar against it, and
-check the stored form of every coefficient with stored_form.
+check with exact_coefficients that every coefficient is a nonzero int
+or Fraction, never a float, a bool or zero.
 """
 
 from fractions import Fraction
@@ -42,8 +43,6 @@ def format_fraction(num, k):
     return "(%s) / (%s)" % (_polynomial(num), _monomial((k - common, 0, 0), 1))
 
 
-def stored_form(a):
-    """True when every coefficient of the Scalar a is an int or a non-integral Fraction."""
-    return all(
-        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in a.terms.values()
-    )
+def exact_coefficients(a):
+    """True when every coefficient of the Scalar a is a nonzero int or Fraction."""
+    return all(type(c) in (int, Fraction) and c for c in a.terms.values())

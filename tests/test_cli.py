@@ -26,7 +26,7 @@ from qosp.matrices import (
 )
 from qosp.reps import Representation, irrep
 from qosp.scalar import format_scalar, parse_scalar, xi_var
-from scalar_oracle import stored_form
+from scalar_oracle import exact_coefficients
 from test_cli_outputs import RECORDED, SRC
 
 
@@ -614,9 +614,9 @@ def test_recorded_scalar_texts_parse_and_format_back():
         assert format_scalar(parse_scalar(text)) == text
 
 
-def test_every_kernel_entry_keeps_the_stored_coefficient_form(capsys):
-    """After the verify workloads, every cached module element and named matrix
-    stores an int or a non-integral Fraction in each coefficient, never a float."""
+def test_every_kernel_entry_has_exact_nonzero_coefficients(capsys):
+    """After the verify workloads, every coefficient of a cached module element or
+    named matrix is a nonzero int or Fraction, never a float, a bool or zero."""
     assert run_cli(["verify", "--suite", "all", "--json"], capsys)[0] == 0
     assert run_cli(["verify", "--suite", "frt", "--spins", "1/2,1,3/2,2"], capsys)[0] == 0
     matrices = [kr_rmatrix(), transform_r(), contract_r(), f_super_fund()]
@@ -625,4 +625,4 @@ def test_every_kernel_entry_keeps_the_stored_coefficient_form(capsys):
         matrices += [rep.h, rep.v_plus, rep.v_minus, *rep._cache.values()]
     entries = [v for m in matrices for _, _, v in m.entries()]
     assert len(matrices) > 50 and len(entries) > 1000
-    assert all(stored_form(v) for v in entries)
+    assert all(exact_coefficients(v) for v in entries)

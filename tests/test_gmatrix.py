@@ -1,4 +1,4 @@
-"""Graded tensor algebra: products, flips, embeddings, exp/log, inversion.
+"""Graded tensor algebra: products, flips, leg placements, exp/log, inversion.
 
 Includes the sign-convention enumeration: all four Koszul candidate
 rules and all eight parity vectors of the 3-dimensional space are run
@@ -94,14 +94,14 @@ def test_gflip_entries_and_involution():
     assert (p * p).is_identity()
 
 
-def test_conjugate_flip_involutive_and_identity():
+def test_flip_legs_is_an_involution():
     i9 = GradedMatrix.identity(kron_parity(FUND, FUND))
     assert flip_legs(i9, FUND) == i9
     r = kr_rmatrix()
     assert flip_legs(flip_legs(r, FUND), FUND) == r
 
 
-def test_conjugate_flip_of_odd_twist_is_inverse():
+def test_flip_legs_of_the_odd_twist_is_its_inverse():
     fs = f_super_fund()
     assert flip_legs(fs, FUND) == inverse(fs)
 
@@ -177,7 +177,7 @@ def _place13(r, parity):
     return r13
 
 
-def test_embed_identity_and_xi_zero():
+def test_placements_of_the_identity():
     i9 = GradedMatrix.identity(kron_parity(FUND, FUND))
     i3 = GradedMatrix.identity(FUND)
     for m in (gkron(i9, i3), _place13(i9, FUND), gkron(i3, i9)):
@@ -188,7 +188,7 @@ def test_embed_identity_and_xi_zero():
     assert gkron(r0, i3).is_identity()
 
 
-def test_embed_even_factor_placement():
+def test_leg_13_placement_of_an_even_product():
     # even (x) even splits as an ordinary placement on legs 1 and 3
     rng = random.Random(14)
     a = _rand_matrix(rng, FUND, homogeneous=0)
@@ -198,7 +198,7 @@ def test_embed_even_factor_placement():
     assert r13 == gkron(gkron(a, i3), b)
 
 
-def test_embed_matches_flip_conjugation():
+def test_leg_13_placement_matches_the_legs_23_flip():
     # independent construction of the (1,3) embedding through the flip of
     # legs 2 and 3, and the full YBE residual against check_gybe
     rng = random.Random(15)

@@ -1,4 +1,8 @@
-"""The package's import graph: module-level imports, each pointing down the layers."""
+"""The package's import graph: module-level imports, each pointing down the layers.
+
+The same parse also keeps floats out of the source: every number the
+package makes is an exact int or Fraction.
+"""
 
 import ast
 from pathlib import Path
@@ -19,6 +23,7 @@ LAYERS = (
 )
 RANK = {name: k for k, layer in enumerate(LAYERS) for name in layer}
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+SOURCES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
 def _tree(name):
@@ -108,3 +113,15 @@ def test_no_private_name_imported_across_modules(name):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_no_float_literal_or_conversion(name):
+    """No float literal and no float(...) call anywhere in the package."""
+    floats = [
+        node.lineno
+        for node in ast.walk(_tree(name))
+        if (isinstance(node, ast.Constant) and type(node.value) is float)
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+    ]
+    assert floats == []

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qosp import scalar as sc
+from qosp.gmatrix import GradedMatrix
 from qosp.scalar import ONE, ZERO, ScalarError, rational
-from scalar_oracle import format_fraction, stored_form
+from scalar_oracle import exact_coefficients, format_fraction
 from xi_oracle import drop_xi_above, xi_coefficient
 
 
@@ -158,8 +159,11 @@ def test_ring_laws_randomized():
 
 def test_canonical_form_idempotent():
     """The terms map is the canonical form: a scalar rebuilt from its terms in any
-    order, or parsed from its text over a denominator 3 s**4, equals it."""
+    order, or parsed from its text over a denominator 3 s**4, equals it.  An
+    integral coefficient held as an int or as the equal Fraction is the same
+    scalar: equal, hashed and printed alike, and the same GradedMatrix entry."""
     rng = random.Random(99)
+    integral = 0
     for _ in range(220):
         a = _random_scalar(rng)
         items = [(c, *key) for key, c in a.terms.items()]
@@ -169,6 +173,15 @@ def test_canonical_form_idempotent():
         assert sc.format_scalar(again) == sc.format_scalar(a)
         cleared = sc.format_scalar(a * sc.s_var(4).scale(3))
         assert sc.parse_scalar("(%s) / (3*s^4)" % cleared) == a
+        ints = sc.Scalar({k: c.numerator if c.denominator == 1 else c for k, c in a.terms.items()})
+        fractions = sc.Scalar({k: Fraction(c) for k, c in ints.terms.items()})
+        integral += sum(type(c) is int for c in ints.terms.values())
+        assert fractions == ints and hash(fractions) == hash(ints)
+        assert sc.format_scalar(fractions) == sc.format_scalar(ints)
+        m_ints = GradedMatrix.from_entries((0, 1), {(0, 1): ints})
+        m_fractions = GradedMatrix.from_entries((0, 1), {(0, 1): fractions})
+        assert m_fractions == m_ints and repr(m_fractions) == repr(m_ints)
+    assert integral > 100
 
 
 def test_limit_is_multiplicative_and_additive():
@@ -279,7 +292,7 @@ def test_a_factor_equal_to_one_returns_the_other():
 
 
 def test_as_fraction_and_const_value_are_fractions():
-    """Integral coefficients are stored as ints; as_fraction reads a rational,
+    """rational stores the int it is given; as_fraction reads a rational,
     zero included, as a Fraction."""
     assert rational(3).terms == {(0, 0, 0): 3}
     assert type(rational(3).terms[(0, 0, 0)]) is int
@@ -319,14 +332,14 @@ def _results(a, b, u, c):
 
 @settings(max_examples=150, deadline=None)
 @given(_LAURENT, _LAURENT, _UNITS, st.fractions(min_value=-4, max_value=4, max_denominator=6))
-def test_every_operation_keeps_the_stored_coefficient_form(a, b, u, c):
-    """Each coefficient is an int, or a Fraction with denominator > 1; never a float.
+def test_every_operation_keeps_exact_nonzero_coefficients(a, b, u, c):
+    """Each coefficient is a nonzero int or Fraction; never a float, a bool or zero.
 
-    Integral coefficients stored as ints print as their Fractions would,
-    so the text still matches the polynomial-reduction reference.
+    Whichever of the two an operation returns, the text matches the
+    polynomial-reduction reference.
     """
     for value in [a, b] + _results(a, b, u, c):
-        assert stored_form(value), value.terms
+        assert exact_coefficients(value), value.terms
         k = max([0] + [-es for es, _, _ in value.terms])
         num = {(es + k, eth, exi): v for (es, eth, exi), v in value.terms.items()}
         assert sc.format_scalar(value) == format_fraction(num, k)
