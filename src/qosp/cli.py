@@ -143,15 +143,12 @@ def cmd_emit(args):
         raise UsageError("--rep output is JSON only")
     bindings = _parse_bindings(args.set)
     if args.matrix:
-        m = named_matrix(args.matrix)
-        if bindings:
-            m = _substitute(m, bindings, args.set)
+        m = _substitute(named_matrix(args.matrix), bindings, args.set)
     else:
         r = irrep(_parse_spin(args.rep))
         atoms = ("h", "v+", "v-", "sigma", "E", "H", "V", "W")
         mats = {a.replace("+", "_plus").replace("-", "_minus"): r.image(a) for a in atoms}
-        if bindings:
-            mats = {k: _substitute(m, bindings, args.set) for k, m in mats.items()}
+        mats = {k: _substitute(m, bindings, args.set) for k, m in mats.items()}
     try:
         if args.rep:
             payload = {

@@ -85,7 +85,7 @@ _Q_TERMS = (
 Q_DEFORMED = CoproductMap(
     "Q_DEFORMED",
     {
-        "h": [(1, "h", "1"), (1, "1", "h")],
+        "h": CLASSICAL.rules["h"],
         "v+": [(1, "v+", "s^h"), (1, "s^-h", "v+")],
         "v-": [(1, "v-", "s^h"), (1, "s^-h", "v-")],
     },
@@ -219,16 +219,17 @@ def check_qcoproduct_xplus(r1, r2):
     squares = [(1, ("v+", "v+"), ("s^h", "s^h")), (1, ("s^-h", "s^-h"), ("v+", "v+"))]
     residual = square - evaluate_terms(squares, r1, r2)
     pattern = evaluate_terms([(1, ("v+", "s^-h"), ("v+", "s^h"))], r1, r2)
-    # pattern entries are units c*s^k, so the first one fixes the coefficient
-    first = next(pattern.entries(), None)
-    coeff = None if first is None else residual[first[0], first[1]] * sc.inv(first[2])
-    ok = coeff is not None and (residual - pattern.scale(coeff)).is_zero()
+    # pattern entries are units c*s^k, and v+ is nonzero on every module, so the first one
+    # exists and fixes the coefficient
+    i, j, unit = next(pattern.entries())
+    coeff = residual[i, j] * sc.inv(unit)
+    ok = (residual - pattern.scale(coeff)).is_zero()
     rep.add(
         Check(
             "residual is proportional to (v+ q^-h/2) (x) (v+ q^h/2)",
             ok,
             "coefficient %s" % coeff if ok else "no single coefficient",
-            data={"coefficient": str(coeff) if coeff is not None else None},
+            data={"coefficient": str(coeff)},
         )
     )
     if ok:

@@ -92,17 +92,16 @@ def _stored(num, den):
 
 
 def _canonical(parity, terms, den):
-    """The matrix of terms over den, without zero numerators and the common factor."""
+    """The matrix of terms over den, without zero numerators and the common factor.
+
+    With no terms the gcd is den itself, so an empty map gets den == 1.
+    """
     if 0 in terms.values():
         terms = {key: v for key, v in terms.items() if v}
-    if not terms:
-        return GradedMatrix(parity, {})
-    if den != 1:
-        g = math.gcd(den, *terms.values())
-        if g != 1:
-            terms = {key: v // g for key, v in terms.items()}
-            den //= g
-    return GradedMatrix(parity, terms, den)
+    g = math.gcd(den, *terms.values())
+    if g != 1:
+        terms = {key: v // g for key, v in terms.items()}
+    return GradedMatrix(parity, terms, den // g)
 
 
 def _fold(weighted):
@@ -158,25 +157,20 @@ class GradedMatrix:
         Every m must have the given parity.  The weights fold as in _fold:
         each monomial c_e s**a theta**b xi**k of a weight scales m's
         numerators by one integer over the common denominator, and
-        (a, b, k) is added to the exponents of each key in the same pass;
-        a rational weight keeps m's keys as they are.
+        (a, b, k) is added to the exponents of each key in the same pass.
+        A rational weight is the one monomial (0, 0, 0), and a zero weight
+        or an empty m adds nothing.
         """
         parity = tuple(parity)
         weighted = []
         for c, m in terms:
             if m.parity != parity:
                 raise MatrixError("dimension or parity mismatch")
-            if m.terms:
-                weighted.append((c, m.den, m.terms))
+            weighted.append((c, m.den, m.terms))
         den, parts = _fold(weighted)
         out = {}
         get = out.get
-        for e, f, nums in parts:
-            if e == _K0:
-                for key, v in nums.items():
-                    out[key] = get(key, 0) + v * f
-                continue
-            es, et, ex = e
+        for (es, et, ex), f, nums in parts:
             for (i, j, s, t, x), v in nums.items():
                 key = (i, j, s + es, t + et, x + ex)
                 out[key] = get(key, 0) + v * f
@@ -294,7 +288,7 @@ def tensor_sum(p1, p2, terms):
 
     Every a has parity p1 and every b parity p2.  The weights fold as in
     linear_combination (_fold), each entry takes gkron's Koszul sign, and
-    the sum is reduced once; a term with a zero leg costs no work.
+    the sum is reduced once; a term with a zero leg adds nothing.
     """
     p1, p2 = tuple(p1), tuple(p2)
     n2 = len(p2)
@@ -302,9 +296,8 @@ def tensor_sum(p1, p2, terms):
     for c, a, b in terms:
         if a.parity != p1 or b.parity != p2:
             raise MatrixError("dimension or parity mismatch")
-        if a.terms and b.terms:
-            bitems = [(x, y, s, t, e, p2[x] != p2[y], v) for (x, y, s, t, e), v in b.terms.items()]
-            weighted.append((c, a.den * b.den, (a.terms, bitems)))
+        bitems = [(x, y, s, t, e, p2[x] != p2[y], v) for (x, y, s, t, e), v in b.terms.items()]
+        weighted.append((c, a.den * b.den, (a.terms, bitems)))
     den, parts = _fold(weighted)
     out = {}
     get = out.get

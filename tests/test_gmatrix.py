@@ -509,6 +509,30 @@ def test_no_zero_entry_is_stored():
     assert partial[1, 1] == ZERO
 
 
+def test_every_kernel_returns_the_canonical_zero():
+    """A sum that cancels, a zero weight, a zero leg beside a fractional one
+    and a product with zero each give no terms over den == 1."""
+    third = sc.xi_var().scale(Fraction(1, 3))
+    a = GradedMatrix.from_entries(FUND, {(0, 1): rational(Fraction(1, 2)), (2, 2): third})
+    assert a.den == 6
+    zero, zero2 = GradedMatrix.from_entries(FUND, {}), GradedMatrix.from_entries((1, 0), {})
+    kernels = [
+        a - a,
+        GradedMatrix.linear_combination(FUND, [(0, a)]),
+        GradedMatrix.linear_combination(FUND, [(ZERO, a), (Fraction(1, 2), zero)]),
+        a.scale(0),
+        tensor_sum(FUND, (1, 0), [(1, a, zero2)]),
+        tensor_sum((1, 0), FUND, [(Fraction(1, 3), zero2, a)]),
+        gkron(a, zero2),
+        a * zero,
+        zero * a,
+        a.product(zero, 1),
+    ]
+    for m in kernels:
+        assert m.terms == {} and type(m.den) is int and m.den == 1, m
+        assert m == GradedMatrix.from_entries(m.parity, {})
+
+
 def test_linear_combination_checks_every_term_and_takes_a_list_parity():
     """A parity mismatch in any term raises, not only in the first; a list parity is a tuple."""
     i3 = GradedMatrix.identity(FUND)

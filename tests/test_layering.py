@@ -1,13 +1,16 @@
 """The package's import graph: module-level imports, each pointing down the layers.
 
 The same parse also keeps floats out of the source: every number the
-package makes is an exact int or Fraction.
+package makes is an exact int or Fraction.  The last test pins what
+tests/code_lines.py, the package's code-line counter, counts.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from code_lines import code_lines
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qosp"
 
@@ -125,3 +128,25 @@ def test_no_float_literal_or_conversion(name):
         or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
     ]
     assert floats == []
+
+
+def test_code_lines_count_tokens_outside_docstrings_and_comments():
+    """The counter behind the code-line figures: docstrings, comments and blank
+    lines do not count; each line of a multi-line string or expression does."""
+    source = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    def f(self, x):
+        """Method docstring."""
+        s = """a string
+        over two lines"""
+        return (x +
+                len(s))
+'''
+    assert code_lines(source) == 7

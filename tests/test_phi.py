@@ -28,7 +28,7 @@ from qosp.phi import (
     solve_phi,
 )
 from qosp.reps import Representation, RepresentationError, fundamental_rep, irrep
-from phi_oracle import closed_form_table, solve_without_f1
+from phi_oracle import closed_form_table, solve_without_f1, split_twist
 from xi_oracle import assert_canonical, drop_xi_above, xi_coefficient
 
 
@@ -648,6 +648,32 @@ def test_exact_twists_invert_and_add(spins, table):
     assert not f.is_identity()
     assert (f * build_f_super({k: -c for k, c in d.items()}, r1, r2)).is_identity()
     assert f * f == build_f_super({k: 2 * c for k, c in d.items()}, r1, r2)
+
+
+_SPLIT_CASES = {
+    "3half-1": (Fraction(3, 2), 1),
+    "2-3half": (2, Fraction(3, 2)),
+    "7half-3": (Fraction(7, 2), 3),
+}
+
+
+@pytest.mark.parametrize(
+    "spins, table",
+    [(spins, table) for spins in _SPLIT_CASES.values() for table in ("random", "closed")]
+    + [((Fraction(1, 2), Fraction(1, 2)), table) for table in ("empty", "one")],
+    ids=["%s-%s" % (name, table) for name in _SPLIT_CASES for table in ("random", "closed")]
+    + ["half-half-empty", "half-half-one"],
+)
+def test_twist_equals_the_split_with_no_exponential(spins, table):
+    """build_f_super(D) = exp(T) equals C(theta^2) - 2 xi (v+ (x) v+) P S(theta^2),
+    theta^2 = u1 u2 P^2 / 4 (phi_oracle.split_twist), exactly and for a
+    non-symmetric table too; on the fundamental pair the empty table gives
+    the identity and {(0, 0): 1} the paper's exp(-2 xi v+ (x) v+)."""
+    r1, r2 = (irrep(j) for j in spins)
+    d = {"random": _random_table(7), "closed": closed_form_table(8), "empty": {}, "one": {(0, 0): 1}}[table]
+    f = build_f_super(d, r1, r2)
+    assert f == split_twist(d, r1, r2)
+    assert f.is_identity() == (table == "empty")
 
 
 # (table, spins, passes): the twist F_s F_j with that table on that pair
