@@ -14,7 +14,8 @@ cp.module(cp.module(r1, r2), r3) carries (Delta (x) id) Delta, which
 check_coassociativity compares with (id (x) Delta) Delta.  A twist F
 carries CLASSICAL to a table of rules, FRT_COPRODUCTS for the FRT
 generators H, E, V, W among them, when F Delta0(x) F^-1 equals each
-rule (check_twist_produces); f_jordanian is the even twist
+rule, checked multiplied out as F Delta0(x) = rule(x) F with no F^-1
+built (check_twist_produces); f_jordanian is the even twist
 exp(h (x) sigma) on any pair.  Leg placements on triple products are
 gkron with an identity, conjugated by the graded flip gmatrix.flip_legs
 for legs 1 and 3, which also gives Delta^op = P Delta P.  Every Koszul
@@ -26,7 +27,6 @@ from .gmatrix import (
     exp_nilpotent,
     flip_legs,
     gkron,
-    inverse,
     kron_parity,
     residual_check,
     tensor_sum,
@@ -153,15 +153,18 @@ def check_twist_produces(f, rules, r1, r2):
     """F Delta0(x) F^-1 equals the evaluation of rules[x], one check per rule.
 
     Delta0 is CLASSICAL, and x is any atom of its module r1 (x) r2: a
-    generator, or one of the FRT generators H, E, V, W.  When every rule
+    generator, or one of the FRT generators H, E, V, W.  Each check reads
+    the residual F Delta0(x) - rules[x] F, with no F^-1: a twist is
+    unipotent, so invertible, and the residual is zero exactly when the
+    conjugate equals the rule.  When every rule
     of a coproduct map matches, the module with its images, and
     F Delta0(y) F^-1 for each generator y without a rule, is
     CLASSICAL.module(r1, r2) conjugated by F.
     """
-    primitive, f_inv = CLASSICAL.module(r1, r2), inverse(f)
+    primitive = CLASSICAL.module(r1, r2)
     checks = []
     for g, terms in rules.items():
-        residual = f * primitive.image(g) * f_inv - evaluate_terms(terms, r1, r2)
+        residual = f * primitive.image(g) - evaluate_terms(terms, r1, r2) * f
         checks.append(residual_check("Delta(%s) matches closed form" % g, residual))
     return checks
 

@@ -8,7 +8,7 @@ integer numerator of its coefficient, and den, one positive common
 denominator.  The pair is kept canonical: no zero numerator,
 gcd(den, *numerators) == 1, and den == 1 when terms is empty, so two
 matrices are equal exactly when their values are.  Every operation --
-sums, products, Kronecker products, flips, inversion, exponentials --
+sums, products, Kronecker products, flips, exponentials, logarithms --
 walks the terms alone, multiplies and adds integers, adds exponents in
 the key and reduces once; the one product loop, product, groups
 the right factor's terms by row.  Every weighted sum is one pass over
@@ -18,7 +18,7 @@ rational coefficient into an integer multiplier and adds its exponents
 to the keys, so no scaled copy is built, and the sum is reduced once.
 A sum of matrices on one space is linear_combination: A + B and A - B
 are its two-term cases, scale its one-term case, and the finite series
-of inverse, exp_nilpotent and log_unipotent collect their terms first.
+exp_nilpotent and log1p_nilpotent collect their terms first.
 A sum of two-leg tensors, sum c * gkron(a, b), is tensor_sum, and gkron
 is its one-term case.  Matrices are immutable: operations return new
 matrices, or an operand they leave unchanged.
@@ -29,8 +29,12 @@ the product, and a * b is its whole case, product(b).  A slice groups
 b's terms by row and xi power, so each term of a reads only the group
 at k minus its own power.  Nothing else is cut: the finite series
 above take no order, each exact, one walk N, N**2, ... with * up to
-the first vanishing power (_nilpotent_series), and exp_nilpotent(n) is
-the whole exponential.
+the first vanishing power (_nilpotent_series) of the nilpotent N each
+takes, so exp_nilpotent(n) is the whole exponential and
+log1p_nilpotent(n) the whole log(I + N).  No matrix is inverted: a
+twist identity is checked multiplied out (F A - B F, not F A F^-1 - B),
+and where an inverse is needed as a matrix it is exp(-N) of the
+nilpotent N whose exponential the matrix is.
 Scalars are made only where an entry is read: ``m[i, j]`` (zero where
 none is stored), ``entries()`` (the nonzeros in row-major order) and
 what reads through them -- map_entries, repr, the JSON form and the
@@ -96,12 +100,8 @@ def _canonical(parity, terms, den):
 
     With no terms the gcd is den itself, so an empty map gets den == 1.
     """
-    if 0 in terms.values():
-        terms = {key: v for key, v in terms.items() if v}
     g = math.gcd(den, *terms.values())
-    if g != 1:
-        terms = {key: v // g for key, v in terms.items()}
-    return GradedMatrix(parity, terms, den // g)
+    return GradedMatrix(parity, {key: v // g for key, v in terms.items() if v}, den // g)
 
 
 def _fold(weighted):
@@ -380,46 +380,36 @@ def check_gybe(r, v, name):
 
 
 # ---------------------------------------------------------------------------
-# inverse, exp and log as one finite series
+# exp and log as one finite series of a nilpotent
 
 
-def _nilpotent_series(n, coeff, kind):
+def _nilpotent_series(n, coeff):
     """sum_k coeff(k) N**k for nilpotent N, exact.
 
     One walk I, N, N**2, ... that ends at the first vanishing power;
-    MatrixError naming kind unless N**dim == 0.
+    MatrixError unless N**dim == 0.
     """
     terms, power = [(coeff(0), GradedMatrix.identity(n.parity))], n
     while not power.is_zero():
         if len(terms) == n.dim:
-            raise MatrixError("matrix is not %s" % kind)
+            raise MatrixError("matrix is not nilpotent")
         terms.append((coeff(len(terms)), power))
         power = power * n
     return GradedMatrix.linear_combination(n.parity, terms)
 
 
-def inverse(a):
-    """Inverse of a unipotent a = I + N as the finite series sum_k (-N)**k.
-
-    The series ends only at the first vanishing power N**K, so
-    (I + N) sum_{k<K} (-N)**k = I - (-N)**K = I exactly and no product
-    checks it.  Every matrix the package inverts is unipotent (the twists,
-    E = e^sigma, M = I + theta X+); any other matrix, singular or not,
-    raises MatrixError.
-    """
-    n = a - GradedMatrix.identity(a.parity)
-    return _nilpotent_series(n, lambda k: (-1) ** k, "unipotent")
-
-
 def exp_nilpotent(n):
-    """exp of a nilpotent matrix, as a finite exact sum."""
-    return _nilpotent_series(n, lambda k: Fraction(1, math.factorial(k)), "nilpotent")
+    """exp of a nilpotent matrix, as a finite exact sum.
+
+    exp(N) is unipotent and exp(-N) is its inverse, which is how the
+    package writes every inverse it needs; no matrix is inverted.
+    """
+    return _nilpotent_series(n, lambda k: Fraction(1, math.factorial(k)))
 
 
-def log_unipotent(u):
-    """log of I + N with N nilpotent; exp_nilpotent(log_unipotent(u)) == u."""
-    n = u - GradedMatrix.identity(u.parity)
-    return _nilpotent_series(n, lambda k: Fraction((-1) ** (k + 1), k) if k else 0, "unipotent")
+def log1p_nilpotent(n):
+    """log(I + N) of a nilpotent N; exp_nilpotent(log1p_nilpotent(n)) == I + N."""
+    return _nilpotent_series(n, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ Everything is built over the exact scalar ring with q = s**2:
 * the block-diagonal even twist matrix exp(h (x) sigma),
 * the odd twist matrix exp(-2 xi v+ (x) v+) with its flip-inverse property,
 
-together with the triangularity, twist-factorization and FRT checks.  M
+together with the triangularity, twist-factorization and FRT checks.  No
+matrix is inverted: an inverse needed as a matrix is the exponential of
+the negated nilpotent (M^-1 = exp(-theta X+), F(j)^-1 = exp(-h (x) sigma)),
+and an identity stated with F(s)^-1 is checked multiplied out.  M
 is built from the fundamental module's X+; the twist matrices are the
 general builders on the fundamental pair, coproducts.f_jordanian and
 phi.build_f_super of the table Phi = 1.  Each named matrix
@@ -28,10 +31,10 @@ from .gmatrix import (
     GradedMatrix,
     MatrixError,
     check_gybe,
+    exp_nilpotent,
     flip_legs,
     from_json_dict,
     gkron,
-    inverse,
     kron_parity,
     residual_check,
     rll_residual,
@@ -77,10 +80,13 @@ def m_matrix():
 def transform_r():
     """G R G^-1, the R-matrix conjugated by G = M (x) M.
 
-    This is the conjugation that reproduces the nine x-entries.
+    This is the conjugation that reproduces the nine x-entries.  X+ squares
+    to zero in the fundamental, so M = exp(theta X+) and G^-1 is
+    M^-1 (x) M^-1 with M^-1 = exp(-theta X+); M is even, so the graded
+    product rule gives G G^-1 = 1 with no sign, and no matrix is inverted.
     """
-    g = gkron(m_matrix(), m_matrix())
-    return g * kr_rmatrix() * inverse(g)
+    m_inv = exp_nilpotent(fundamental_rep().image("X+").scale(-sc.theta_var()))
+    return gkron(m_matrix(), m_matrix()) * kr_rmatrix() * gkron(m_inv, m_inv)
 
 
 @cache
@@ -109,7 +115,9 @@ def f_super_fund():
 
     f1 = 2/(e^sigma + 1) = 1 - (xi/2) X+ there and v+ X+ = 0, so v+ f1 = v+:
     it is the odd twist of the table Phi = 1, with exponent -2 xi v+ (x) v+.
-    F21, flip_legs of F by the fundamental's parity, is inverse(F).
+    F21, flip_legs of F by the fundamental's parity, is F^-1, the
+    exponential of the negated exponent; check_factorization checks it as
+    F21 F = 1, so F is never inverted.
     """
     f = fundamental_rep()
     return build_f_super({(0, 0): 1}, f, f)
@@ -178,20 +186,24 @@ def check_triangular(r, v, name):
 
 
 def check_factorization():
-    """R(sj) = F21(s) F21(j) (F(j))^-1 (F(s))^-1, plus F21(s) = F(s)^-1."""
+    """R(sj) = F21(s) F21(j) (F(j))^-1 (F(s))^-1, plus F21(s) = F(s)^-1.
+
+    Both are checked multiplied out, F21(s) F(s) = 1 and
+    F21(s) F21(j) = R(sj) F(s) F(j), so no twist is inverted; the even
+    sub-twist F21(j) F(j)^-1 takes F(j)^-1 = exp(-h (x) sigma).
+    """
     rep = Report("twist factorization")
-    v = fundamental_rep().parity
+    f = fundamental_rep()
+    v = f.parity
     f_s = f_super_fund()
     f_j = f_jordanian_fund()
     f_s21 = flip_legs(f_s, v)
     f_j21 = flip_legs(f_j, v)
-    f_s_inv = inverse(f_s)
-    f_j_inv = inverse(f_j)
-    rep.add(residual_check("F21(s) = F(s)^-1", f_s21 - f_s_inv))
-    product = f_s21 * f_j21 * f_j_inv * f_s_inv
+    rep.add(residual_check("F21(s) = F(s)^-1", f_s21 * f_s - GradedMatrix.identity(f_s.parity)))
     r_sj = contract_r()
-    rep.add(residual_check("F21(s) F21(j) F(j)^-1 F(s)^-1 = R(sj)", product - r_sj))
-    even_part = f_j21 * f_j_inv
+    residual = f_s21 * f_j21 - r_sj * f_s * f_j
+    rep.add(residual_check("F21(s) F21(j) F(j)^-1 F(s)^-1 = R(sj)", residual))
+    even_part = f_j21 * exp_nilpotent(gkron(f.h, f.image("sigma")).scale(-1))
     rep.add(Check("even sub-twist alone differs from R(sj)", even_part != r_sj))
     rep.add(check_triangular(even_part, v, "even sub-twist"))
     at_zero = even_part.substitute({"xi": ZERO}) - GradedMatrix.identity(even_part.parity)

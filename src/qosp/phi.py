@@ -239,8 +239,7 @@ class _PairSeries:
                     found[key] = solution[idx]
                 else:
                     pinned.append(key)
-            if any(step.values()):
-                f = f * build_f_super(step, *self.reps)
+            f = f * build_f_super(step, *self.reps)
             state = "underdetermined %s" % [shell[c] for c in free] if free else "unique"
             notes.append("shell %d %s" % (t, state))
         return found, pinned, notes, True

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import scalar as sc
-from .gmatrix import GradedMatrix, exp_nilpotent, kron_parity, log_unipotent, residual_check
+from .gmatrix import GradedMatrix, exp_nilpotent, kron_parity, log1p_nilpotent, residual_check
 from .report import Report
 
 XI = sc.xi_var()
@@ -153,8 +153,7 @@ class Representation:
         if atom in DEFINED_ATOMS:
             return self.word_sum(DEFINED_ATOMS[atom])
         if atom == "sigma":
-            u = self.identity + self.image("X+").scale(XI.scale(2))
-            return log_unipotent(u).scale(Fraction(1, 2))
+            return log1p_nilpotent(self.image("X+").scale(XI.scale(2))).scale(Fraction(1, 2))
         if atom == "E":
             return self.image("E^1")
         if atom.startswith("E^") and atom[2:].lstrip("-").isdigit():

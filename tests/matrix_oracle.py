@@ -6,12 +6,14 @@ product grouping the right factor's entries by row, a one-pass linear
 combination that scales every coefficient other than 1 and -1, the
 Koszul-signed Kronecker product and the relabelling flip of two equal
 legs.  Each takes GradedMatrices and returns the map of the result's
-nonzero entries, with 0-based indices.
+nonzero entries, with 0-based indices.  unipotent_inverse, the one
+inverse the tests form, is the exception: a GradedMatrix built from the
+kernel's own series, as qosp inverts no matrix.
 """
 
 import itertools
 
-from qosp.gmatrix import kron_parity
+from qosp.gmatrix import GradedMatrix, exp_nilpotent, kron_parity, log1p_nilpotent
 from qosp.scalar import ONE, Scalar, rational
 
 
@@ -93,3 +95,8 @@ def flip_legs(m, v, w=(0,)):
         kj, odd_j = to[j]
         out[(ki, kj)] = -x if odd_i != odd_j else x
     return out
+
+
+def unipotent_inverse(u):
+    """u**-1 = exp(-log u) for a unipotent u; MatrixError unless u - I is nilpotent."""
+    return exp_nilpotent(log1p_nilpotent(u - GradedMatrix.identity(u.parity)).scale(-1))

@@ -11,7 +11,7 @@ word-sum table.
 from fractions import Fraction
 
 from qosp import scalar as sc
-from qosp.gmatrix import exp_nilpotent, log_unipotent
+from qosp.gmatrix import exp_nilpotent, log1p_nilpotent
 
 
 def osp_residuals(m):
@@ -36,7 +36,7 @@ def defined_atoms(m):
     """X+ = 4 v+^2 and the FRT generators H, V, W, with E^k = (1 + 2 xi X+)^(k/2)."""
     xi = sc.xi_var()
     x_plus = (m.v_plus * m.v_plus).scale(4)
-    log_u = log_unipotent(m.identity + x_plus.scale(xi.scale(2)))
+    log_u = log1p_nilpotent(x_plus.scale(xi.scale(2)))
     e, e_inv = (exp_nilpotent(log_u.scale(Fraction(k, 2))) for k in (1, -1))
     return [
         ("X+", x_plus),
@@ -51,7 +51,7 @@ def lt_residuals(m):
     xi = sc.xi_var()
     atoms = dict(defined_atoms(m))
     cap_h, v, w, ident = atoms["H"], atoms["V"], atoms["W"], m.identity
-    log_u = log_unipotent(ident + atoms["X+"].scale(xi.scale(2)))
+    log_u = log1p_nilpotent(atoms["X+"].scale(xi.scale(2)))
     e, e_inv = (exp_nilpotent(log_u.scale(Fraction(k, 2))) for k in (1, -1))
     e2 = e * e
     e_inv2 = e_inv * e_inv

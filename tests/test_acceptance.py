@@ -30,7 +30,6 @@ from qosp.gmatrix import (
     flip_legs,
     from_json_dict,
     gkron,
-    inverse,
     kron_parity,
     to_json_dict,
 )

@@ -10,6 +10,7 @@ from koszul_rules import as_word, formal_delta_j_word, gflip, gkron_rule
 from qosp import scalar as sc
 from qosp.coproducts import (
     CLASSICAL,
+    FRT_COPRODUCTS,
     JORDANIAN,
     Q_DEFORMED,
     SUPER_JORDANIAN,
@@ -21,9 +22,9 @@ from qosp.coproducts import (
     evaluate_terms,
     f_jordanian,
 )
-from qosp.gmatrix import GradedMatrix, flip_legs, gkron, inverse, kron_parity
+from qosp.gmatrix import GradedMatrix, flip_legs, gkron, kron_parity
 from qosp.matrices import contract_r, f_super_fund, frt_check, kr_rmatrix
-from qosp.phi import check_intertwining_s, f1_table
+from qosp.phi import build_f_super, check_intertwining_s, f1_table
 from qosp.reps import (
     Representation,
     RepresentationError,
@@ -32,6 +33,7 @@ from qosp.reps import (
     irrep,
 )
 from qosp.scalar import ONE, ZERO, rational
+from matrix_oracle import unipotent_inverse
 from relation_oracle import osp_residuals, q_anticommutator_residual
 
 
@@ -124,6 +126,44 @@ def test_even_twist_produces_deformed_coproduct(fund, spin1):
         assert all(c.passed for c in checks)
 
 
+# (rule table, whether its twist carries F_s): the tables a twist is checked against
+_TWIST_RULES = {
+    "jordanian": (JORDANIAN.rules, False),
+    "super": (SUPER_JORDANIAN.rules, True),
+    "frt": (FRT_COPRODUCTS, True),
+    "frt-without-wv": (dict(FRT_COPRODUCTS, H=FRT_COPRODUCTS["H"][:2]), True),
+}
+
+
+@pytest.mark.parametrize("spins", [(Fraction(1, 2),) * 2, (Fraction(1, 2), 1), (1, 1)])
+@pytest.mark.parametrize("table", sorted(_TWIST_RULES))
+def test_multiplied_out_twist_check_agrees_with_the_conjugation(table, spins):
+    """Each check of check_twist_produces, read as F Delta0(x) - rule(x) F,
+    passes exactly when F Delta0(x) F^-1 = rule(x), with F^-1 formed here,
+    and a failing one counts the nonzero entries of (F Delta0(x) F^-1 - rule(x)) F.
+
+    F is F_j, or F_s F_j with F_s the twist of f_1 (x) f_1, which twists
+    (1, 1) wrongly, so failures show up beside passes.
+    """
+    rules, odd = _TWIST_RULES[table]
+    r1, r2 = irrep(spins[0]), irrep(spins[1])
+    f = f_jordanian(r1, r2)
+    if odd:
+        f = build_f_super(f1_table(), r1, r2) * f
+    f_inv = unipotent_inverse(f)
+    primitive = CLASSICAL.module(r1, r2)
+    checks = check_twist_produces(f, rules, r1, r2)
+    assert [c.name for c in checks] == ["Delta(%s) matches closed form" % g for g in rules]
+    for check, g in zip(checks, rules):
+        conjugated = f * primitive.image(g) * f_inv - evaluate_terms(rules[g], r1, r2)
+        assert check.passed == conjugated.is_zero(), g
+        if not check.passed:
+            count = (conjugated * f).nonzero_count()
+            assert check.detail == "residual has %d nonzero entries" % count, g
+    expect_all = table != "frt-without-wv" and (table == "jordanian" or spins != (1, 1))
+    assert all(c.passed for c in checks) == expect_all
+
+
 def test_composed_twist_produces_super_coproduct(fund):
     k = f_super_fund() * f_jordanian(fund, fund)
     checks = check_twist_produces(k, SUPER_JORDANIAN.rules, fund, fund)
@@ -136,11 +176,11 @@ def test_composed_twist_row_rule_fails_on_h(fund):
 
     With gkron built on the row rule, the 4 xi (v E^-1) (x) (v E^-2)
     term of the twisted coproduct of h flips sign, so the conjugation
-    check must fail; this pins the column rule.
+    check must fail; this pins the column rule.  K is invertible, so
+    K Delta0(h) K^-1 = rule exactly when K Delta0(h) = rule K.
     """
     k = f_super_fund() * f_jordanian(fund, fund)
-    k_inv = inverse(k)
-    dh = k * evaluate_terms(CLASSICAL.rules["h"], fund, fund) * k_inv
+    dh_k = k * evaluate_terms(CLASSICAL.rules["h"], fund, fund)
     xi = sc.xi_var()
     e_inv = fund.image("E^-1")
     e_inv2 = fund.image("E^-2")
@@ -152,7 +192,7 @@ def test_composed_twist_row_rule_fails_on_h(fund):
             .scale(4)
             .map_entries(lambda a: a * xi)
         )
-        assert (dh == rule) is expect_match, conv
+        assert (dh_k == rule * k) is expect_match, conv
 
 
 def test_r_intertwines_q_deformed(fund):
@@ -198,7 +238,7 @@ def test_conjugation_preserves_relations_meta(fund, spin1):
                 if rng.random() < 0.4:
                     entries[(i, j)] = xi.scale(rng.randint(-2, 2))
         f = GradedMatrix.from_entries(parity, entries)
-        f_inv = inverse(f)
+        f_inv = unipotent_inverse(f)
         module = CLASSICAL.module(fund, r2)
         dh, dvp, dvm = (f * module.image(g) * f_inv for g in ("h", "v+", "v-"))
         assert (dh * dvp - dvp * dh - dvp).is_zero()

@@ -69,25 +69,32 @@ def test_l_coproducts_on_mixed_pairs_with_f1(spins):
 
 
 def test_l_coproducts_spin_one_need_more_than_f1():
-    """On (1, 1), f_1 alone twists E right and V, W, H wrong; the solved table twists all four."""
+    """On (1, 1), f_1 alone twists E right and V, W, H wrong; the solved table twists all four.
+
+    Each residual is multiplied out, F Delta0(x) - rule(x) F.
+    """
     r = irrep(1)
     checks = _frt_coproduct_checks(f1_table(), r, r)
     assert [(c.passed, c.detail) for c in checks] == [(True, "")] + [
-        (False, "residual has 4 nonzero entries")
-    ] * 3
+        (False, "residual has %d nonzero entries" % n) for n in (4, 4, 5)
+    ]
     solved, rep = solve_phi(2, [(r, r)])
     assert rep.passed
     assert all(c.passed for c in _frt_coproduct_checks(solved, r, r))
 
 
 def test_l_coproducts_fail_without_the_wv_term():
-    """Dropping -W (x) V from the H rule fails Delta(H) alone, by exactly W (x) V."""
+    """Dropping -W (x) V from the H rule fails Delta(H) alone, by exactly (W (x) V) K.
+
+    The check reads K Delta0(H) - rule(H) K, and the rule lacks -W (x) V.
+    """
     f = fundamental_rep()
     rules = dict(FRT_COPRODUCTS, H=FRT_COPRODUCTS["H"][:2])
-    checks = check_twist_produces(f_super_fund() * f_jordanian(f, f), rules, f, f)
+    k = f_super_fund() * f_jordanian(f, f)
+    checks = check_twist_produces(k, rules, f, f)
     assert [c.passed for c in checks] == [True, True, True, False]
     v, w = f.image("V"), f.image("W")
-    count = len(list(gkron(w, v).entries()))
+    count = len(list((gkron(w, v) * k).entries()))
     assert count and checks[3].detail == "residual has %d nonzero entries" % count
 
 

@@ -25,9 +25,8 @@ from qosp.gmatrix import (
     flip_legs,
     from_json_dict,
     gkron,
-    inverse,
     kron_parity,
-    log_unipotent,
+    log1p_nilpotent,
     residual_check,
     rll_residual,
     tensor_sum,
@@ -103,7 +102,8 @@ def test_flip_legs_is_an_involution():
 
 def test_flip_legs_of_the_odd_twist_is_its_inverse():
     fs = f_super_fund()
-    assert flip_legs(fs, FUND) == inverse(fs)
+    fs21 = flip_legs(fs, FUND)
+    assert (fs21 * fs).is_identity() and (fs * fs21).is_identity()
 
 
 def test_flip_legs_is_the_product_with_the_explicit_flip():
@@ -284,18 +284,22 @@ def test_residual_check_lists_the_first_ten_nonzeros():
 
 
 def test_inverse_unipotent_and_diagonal():
+    """exp(-log u) inverts the unipotent M = I + theta X+ and fixes the identity."""
     m = m_matrix()
-    m_inv = inverse(m)
+    m_inv = oracle.unipotent_inverse(m)
     th = sc.theta_var()
     assert m_inv[0, 2] == -th
     assert (m * m_inv).is_identity()
     i9 = GradedMatrix.identity(kron_parity(FUND, FUND))
-    assert inverse(i9) == i9
+    assert oracle.unipotent_inverse(i9) == i9
 
 
 def test_inverse_jordanian_block_swap():
+    """F(j)^-1 = exp(-h (x) sigma) swaps the signs of the xi entries of F(j)."""
     fj = f_jordanian_fund()
-    fj_inv = inverse(fj)
+    f = fundamental_rep()
+    fj_inv = exp_nilpotent(gkron(f.h, f.image("sigma")).scale(-1))
+    assert fj_inv == oracle.unipotent_inverse(fj)
     xi = sc.xi_var()
     assert fj_inv[0, 2] == -xi
     assert fj_inv[6, 8] == xi
@@ -303,57 +307,30 @@ def test_inverse_jordanian_block_swap():
 
 
 def test_inverse_singular_raises():
+    """exp(-log u) of the singular zero matrix: -I is not nilpotent, so log raises."""
     z = GradedMatrix.from_entries(FUND, {})
     with pytest.raises(MatrixError):
-        inverse(z)
+        oracle.unipotent_inverse(z)
 
 
 def test_inverse_rejects_non_unipotent():
-    """inverse covers I + nilpotent only, even where a field inverse exists."""
+    """exp(-log u) covers I + nilpotent only, even where a field inverse exists:
+    log's series rejects u - I as not nilpotent."""
     two = GradedMatrix.identity(FUND).scale(2)
     for m in (two, kr_rmatrix()):
-        with pytest.raises(MatrixError, match="unipotent"):
-            inverse(m)
-
-
-def test_inverse_random_unipotent(monkeypatch):
-    """inverse(u) is the series alone: with N**K the first vanishing power of
-    N = u - I, it makes the K - 1 products N**2 .. N**K and none to verify."""
-    calls = []
-    product = GradedMatrix.product
-    monkeypatch.setattr(GradedMatrix, "product", lambda *args: calls.append(1) or product(*args))
-    rng = random.Random(17)
-    xi = sc.xi_var()
-    seen = set()
-    for _ in range(25):
-        parity = FUND
-        n = len(parity)
-        entries = {(i, i): ONE for i in range(n)}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.7:
-                    entries[(i, j)] = xi.scale(rng.randint(-3, 3))
-        u = GradedMatrix.from_entries(parity, entries)
-        nil = u - GradedMatrix.identity(parity)
-        vanishing, power = 0, GradedMatrix.identity(parity)
-        while not power.is_zero():
-            vanishing, power = vanishing + 1, power * nil
-        seen.add(vanishing)
-        calls.clear()
-        u_inv = inverse(u)
-        assert len(calls) == vanishing - 1
-        assert (u * u_inv).is_identity()
-        assert (u_inv * u).is_identity()
-    assert seen >= {2, 3}
+        with pytest.raises(MatrixError, match="not nilpotent"):
+            oracle.unipotent_inverse(m)
 
 
 def test_exp_log_round_trip():
+    """log1p_nilpotent takes the nilpotent N of I + N, as exp_nilpotent does,
+    and exp(-m) is the two-sided inverse of exp(m)."""
     z = GradedMatrix.from_entries(FUND, {})
-    assert exp_nilpotent(z).is_identity()
+    ident = GradedMatrix.identity(FUND)
+    assert exp_nilpotent(z).is_identity() and log1p_nilpotent(z).is_zero()
     xi = sc.xi_var()
     n = GradedMatrix.from_entries(FUND, {(0, 2): xi.scale(2)})
-    u = GradedMatrix.identity(FUND) + n
-    assert log_unipotent(u) == n
+    assert log1p_nilpotent(n) == n
     rng = random.Random(18)
     for _ in range(25):
         entries = {}
@@ -361,7 +338,9 @@ def test_exp_log_round_trip():
             for j in range(i + 1, 3):
                 entries[(i, j)] = xi.scale(rng.randint(-3, 3))
         m = GradedMatrix.from_entries(FUND, entries)
-        assert log_unipotent(exp_nilpotent(m)) == m
+        u, u_inv = exp_nilpotent(m), exp_nilpotent(m.scale(-1))
+        assert log1p_nilpotent(u - ident) == m
+        assert (u * u_inv).is_identity() and (u_inv * u).is_identity()
 
 
 def test_exp_rejects_non_nilpotent():

@@ -13,9 +13,9 @@ from qosp.coproducts import f_jordanian
 from qosp.gmatrix import (
     GradedMatrix,
     check_gybe,
+    exp_nilpotent,
     flip_legs,
     gkron,
-    inverse,
     to_json_dict,
 )
 from qosp.matrices import (
@@ -35,6 +35,7 @@ from qosp.matrices import (
     named_matrix,
     transform_r,
 )
+from qosp.phi import build_f_super
 from qosp.reps import fundamental_rep, irrep
 from qosp.scalar import ONE, ZERO, rational
 from x_entries import X_POSITIONS, x_entries
@@ -48,10 +49,15 @@ def test_kr_entries():
     assert r.substitute({"s": ONE}).is_identity()
 
 
+def _m_inverse():
+    """M^-1 = exp(-theta X+), the inverse transform_r conjugates with."""
+    return exp_nilpotent(fundamental_rep().image("X+").scale(-sc.theta_var()))
+
+
 def test_m_matrix_unipotent():
     m = m_matrix()
     assert m.substitute({"theta": ZERO}).is_identity()
-    assert (m * inverse(m)).is_identity()
+    assert (m * _m_inverse()).is_identity() and (_m_inverse() * m).is_identity()
     n = m - m.substitute({"theta": ZERO})
     assert (n * n).is_zero()
 
@@ -67,8 +73,9 @@ def test_transform_entries():
 
 def test_transform_reversed_conjugation_negative_control():
     # G^-1 R G, the other conjugation, does not give the x-entries
-    g = gkron(m_matrix(), m_matrix())
-    reversed_tr = inverse(g) * kr_rmatrix() * g
+    g, g_inv = gkron(m_matrix(), m_matrix()), gkron(_m_inverse(), _m_inverse())
+    assert (g * g_inv).is_identity()
+    reversed_tr = g_inv * kr_rmatrix() * g
     xs = x_entries()
     assert reversed_tr[0, 2] != xs["x1"]
     assert reversed_tr != transform_r()
@@ -188,6 +195,34 @@ def test_factorization_report():
     assert rep.passed
     names = [c.name for c in rep.checks]
     assert "F21(s) = F(s)^-1" in names
+
+
+_FACTORIZATION = ("F21(s) = F(s)^-1", "F21(s) F21(j) F(j)^-1 F(s)^-1 = R(sj)")
+
+
+def test_factorization_fails_on_a_doubled_odd_twist(monkeypatch):
+    """F(s) of the table {(0, 0): 2} breaks R(sj) = F21(s) F21(j) F(j)^-1 F(s)^-1.
+
+    Its flip is still its inverse: flip_legs negates v+ (x) v+ whatever its
+    coefficient, so F21(s) F(s) = 1 holds for the doubled exponent too.
+    """
+    import qosp.matrices as matrices_mod
+
+    f = fundamental_rep()
+    monkeypatch.setattr(matrices_mod, "f_super_fund", lambda: build_f_super({(0, 0): 2}, f, f))
+    checks = {c.name: c for c in check_factorization().checks}
+    assert checks[_FACTORIZATION[0]].passed
+    assert checks[_FACTORIZATION[1]].detail == "residual has 5 nonzero entries"
+
+
+def test_factorization_fails_where_the_flip_is_no_inverse(monkeypatch):
+    """With the even twist F(j) in the place of F(s), F21 F = 1 fails too:
+    F21(j) F(j)^-1 is the even sub-twist, not 1."""
+    import qosp.matrices as matrices_mod
+
+    monkeypatch.setattr(matrices_mod, "f_super_fund", f_jordanian_fund)
+    checks = {c.name: c for c in check_factorization().checks}
+    assert not any(checks[name].passed for name in _FACTORIZATION)
 
 
 def test_lplus_slices():

@@ -16,7 +16,7 @@ from qosp import gmatrix as gmatrix_mod
 from qosp import phi as phi_mod
 from qosp import scalar as sc
 from qosp.coproducts import CLASSICAL, JORDANIAN, SUPER_JORDANIAN, check_twist_produces, f_jordanian
-from qosp.gmatrix import GradedMatrix, exp_nilpotent, gkron, inverse
+from qosp.gmatrix import GradedMatrix, exp_nilpotent, gkron
 from qosp.matrices import f_super_fund
 from qosp.phi import (
     build_f_super,
@@ -28,6 +28,7 @@ from qosp.phi import (
     solve_phi,
 )
 from qosp.reps import Representation, RepresentationError, fundamental_rep, irrep
+from matrix_oracle import unipotent_inverse
 from phi_oracle import closed_form_table, solve_without_f1, split_twist
 from xi_oracle import assert_canonical, drop_xi_above, xi_coefficient
 
@@ -458,8 +459,8 @@ def test_grown_twist_equals_a_fresh_one(monkeypatch, order, spins, f1_known, nsh
 
 def test_shell_equations_form_no_exponential(monkeypatch):
     """Each pair's solve takes one exact exponential of the known table, then
-    one of each shell that solved a nonzero value; its shell equations take
-    none."""
+    one of each shell's values, the zero exponent where a shell solved only
+    zeros or pinned all its keys; its shell equations take none."""
     r32 = irrep(Fraction(3, 2))
     pairs = [(r32, irrep(1)), (r32, r32)]
     calls, solves = _record_shells(monkeypatch, lambda: solve_phi(4, pairs)[1].passed)
@@ -467,14 +468,17 @@ def test_shell_equations_form_no_exponential(monkeypatch):
     assert [call["exps"] for call in calls] == [[]] * 10
     assert len(solves) == 2
     for solve in solves:
-        steps = {}
-        for key, val in solve["found"].items():
-            if val:
-                phi_mod._add_symmetric(steps.setdefault(sum(key), {}), key, val)
-        tables = [solve["known"]] + [steps[t] for t in sorted(steps)]
+        tables = [solve["known"]]
+        for call in calls:
+            if call["reps"] == solve["reps"]:
+                tables.append({})
+                for key in call["shell"]:
+                    if key in solve["found"]:
+                        phi_mod._add_symmetric(tables[-1], key, solve["found"][key])
         expected = [exponent_from_bilinear(table, *solve["reps"]) for table in tables]
         assert solve["exps"] == expected
-    assert [len(solve["exps"]) for solve in solves] == [3, 4]
+        assert sum(not exp.is_zero() for exp in expected[1:]) == {5: 2, 7: 3}[solve["reps"][1].dim]
+    assert [len(solve["exps"]) for solve in solves] == [6, 6]
 
 
 def test_solver_evidence_in_check_data(spin1):
@@ -711,18 +715,19 @@ def test_twisted_vminus_module_agrees_with_twist_check(tables, table, spins, pas
     f = f_s * f_jordanian(r1, r2)
     twist = check_twist_produces(f, SUPER_JORDANIAN.rules, r1, r2)
     typed = SUPER_JORDANIAN.module(r1, r2)
-    v_minus = f * CLASSICAL.module(r1, r2).image("v-") * inverse(f)
+    v_minus = f * CLASSICAL.module(r1, r2).image("v-") * unipotent_inverse(f)
     module = Representation(typed.spin, typed.h, typed.v_plus, v_minus, typed.parity)
     if passes:
         module.verify()
     else:
         with pytest.raises(RepresentationError, match=re.escape("relation [h, v-] = -v- fails")):
             module.verify()
-        assert [c.detail for c in twist] == ["residual has 4 nonzero entries"] * 2
+        # the residuals F Delta0(x) - rule(x) F of h and v+
+        assert [c.detail for c in twist] == ["residual has %d nonzero entries" % n for n in (5, 4)]
     assert all(c.passed for c in twist) == passes
 
     dj_without = gkron(r1.v_minus, r2.image("E^-1")) + gkron(r1.identity, r2.v_minus)
-    diff = xi_coefficient(v_minus - f_s * dj_without * inverse(f_s), 1)
+    diff = xi_coefficient(v_minus - f_s * dj_without * unipotent_inverse(f_s), 1)
     assert diff == xi_coefficient(gkron(r1.h, r2.v_plus * r2.image("E^-2")), 0)
     assert v_minus.substitute({"xi": sc.ZERO}) == CLASSICAL.module(r1, r2).image("v-")
 
@@ -733,9 +738,9 @@ def test_dsj_vminus_exact_fundamental(fund):
     F Delta0(v-) F^-1 is the same exact matrix either way and completes the
     typed h and v+ to an osp(1|2) module."""
     f = build_f_super(f1_table(), fund, fund) * f_jordanian(fund, fund)
-    v_minus = f * CLASSICAL.module(fund, fund).image("v-") * inverse(f)
+    v_minus = f * CLASSICAL.module(fund, fund).image("v-") * unipotent_inverse(f)
     k = f_super_fund() * f_jordanian(fund, fund)
-    assert v_minus == k * CLASSICAL.module(fund, fund).image("v-") * inverse(k)
+    assert v_minus == k * CLASSICAL.module(fund, fund).image("v-") * unipotent_inverse(k)
     typed = SUPER_JORDANIAN.module(fund, fund)
     Representation(typed.spin, typed.h, typed.v_plus, v_minus, typed.parity).verify()
 
@@ -748,9 +753,9 @@ def test_dsj_vminus_order_one_structure(fund):
     """
     f_s = build_f_super(f1_table(), fund, fund)
     f = f_s * f_jordanian(fund, fund)
-    v_minus = f * CLASSICAL.module(fund, fund).image("v-") * inverse(f)
+    v_minus = f * CLASSICAL.module(fund, fund).image("v-") * unipotent_inverse(f)
     without = gkron(fund.v_minus, fund.image("E^-1")) + gkron(fund.identity, fund.v_minus)
-    diff = xi_coefficient(v_minus - f_s * without * inverse(f_s), 1)
+    diff = xi_coefficient(v_minus - f_s * without * unipotent_inverse(f_s), 1)
     assert diff == xi_coefficient(gkron(fund.h, fund.v_plus * fund.image("E^-2")), 0)
 
 
@@ -765,7 +770,7 @@ _S_THETA = st.sampled_from(
 @given(data=st.data())
 def test_series_kernel_matches_truncated_graded_matrices(data):
     """A product's xi**k slice, and a sum of truncated terms, equal
-    GradedMatrix results truncated; exp and inverse are exact.
+    GradedMatrix results truncated; exp(t) and its inverse exp(-t) are exact.
 
     a and b are any matrices polynomial in xi whose coefficients mix s,
     s**-1 and theta, each lowest in xi at a drawn power, so the slice's
@@ -809,7 +814,7 @@ def test_series_kernel_matches_truncated_graded_matrices(data):
     assert (empty.terms, empty.den) == ({}, 1)
     f, f_inv = exp_nilpotent(t), canonical(exp_nilpotent(t.scale(-1)))
     assert (canonical(f) * f_inv).is_identity()
-    assert f_inv == inverse(f)
+    assert (f_inv * f).is_identity()
     assert canonical(exp_nilpotent(t.scale(-2))) == f_inv * f_inv
 
 

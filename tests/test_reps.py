@@ -8,7 +8,7 @@ import pytest
 
 from qosp import gmatrix
 from qosp import scalar as sc
-from qosp.gmatrix import GradedMatrix, exp_nilpotent, inverse
+from qosp.gmatrix import GradedMatrix, exp_nilpotent
 from qosp.reps import (
     DEFINED_ATOMS,
     LT_RELATIONS,
@@ -156,8 +156,8 @@ def test_sigma_and_exponentials():
         e = r.image("E^1")
         rhs = r.identity + r.image("X+").scale(2).map_entries(lambda a: a * xi)
         assert e * e == rhs
-        assert r.image("E^-1") == inverse(e)
-        assert exp_nilpotent(r.image("sigma").scale(-1)) == inverse(e)
+        assert (r.image("E^-1") * e).is_identity() and (e * r.image("E^-1")).is_identity()
+        assert exp_nilpotent(r.image("sigma").scale(-1)) == r.image("E^-1")
         at_zero = r.image("sigma").substitute({"xi": ZERO})
         assert at_zero.is_zero()
         assert e.substitute({"xi": ZERO}).is_identity()
@@ -241,7 +241,7 @@ def test_e_inverse_two_ways():
     for spin in (Fraction(1, 2), 1, Fraction(3, 2)):
         r = irrep(spin)
         series = exp_nilpotent(r.image("sigma").scale(-1))
-        assert series == inverse(r.image("E^1"))
+        assert (series * r.image("E^1")).is_identity() and (r.image("E^1") * series).is_identity()
 
 
 def _stray(slot):
