@@ -27,7 +27,6 @@ from .gmatrix import (
     exp_nilpotent,
     flip_legs,
     gkron,
-    kron_parity,
     residual_check,
     tensor_sum,
 )
@@ -61,7 +60,7 @@ class CoproductMap:
         """
         gens = ("h", "v+", "v-")
         images = (evaluate_terms(self.rules[g], r1, r2) if g in self.rules else None for g in gens)
-        return Representation((r1.spin, r2.spin), *images, kron_parity(r1.parity, r2.parity))
+        return Representation((r1.spin, r2.spin), *images)
 
 
 CLASSICAL = CoproductMap(

@@ -93,12 +93,13 @@ class RepresentationError(ValueError):
 class Representation:
     """A module given by the images of h, v+ and v-; image(word) reads every element.
 
-    irrep() verifies the spin-j modules it builds.  CoproductMap.module
-    builds tensor modules, unverified, with the pair of spins as spin;
-    v_minus is None, and v- refused, when the coproduct has no image of
-    v-.  The atoms, each built once (X+, H, V, W from DEFINED_ATOMS):
+    The parity and dim are h's.  irrep() verifies the spin-j modules it
+    builds.  CoproductMap.module builds tensor modules, unverified, with
+    the pair of spins as spin; v_minus is None, and v- refused, when the
+    coproduct has no image of v-.  The atoms, each built once (X+, H, V,
+    W from DEFINED_ATOMS):
 
-        1, h, v+, v-     the identity and the module's data
+        1, h, v+, v-     the identity and the module's data, cached at the start
         X+               4 (v+ v+)
         sigma            (1/2) log(1 + 2 xi X+), exact as X+ is nilpotent
         E^k, E           exp(k sigma) for integer k; E is E^1
@@ -107,15 +108,18 @@ class Representation:
         s^h, s^-h        the diagonal s**(+-h), for a diagonal h
     """
 
-    def __init__(self, spin, h, v_plus, v_minus, parity):
+    def __init__(self, spin, h, v_plus, v_minus):
         self.spin = spin
-        self.dim = len(parity)
-        self.parity = tuple(parity)
+        self.parity = h.parity
+        self.dim = len(self.parity)
         self.h = h
         self.v_plus = v_plus
         self.v_minus = v_minus
         self.identity = GradedMatrix.identity(self.parity)
-        self._cache = {(): self.identity}  # word tuple -> its image
+        # word tuple -> its image, seeded with the module's data
+        self._cache = {(): self.identity, ("1",): self.identity, ("h",): h, ("v+",): v_plus}
+        if v_minus is not None:
+            self._cache[("v-",)] = v_minus
 
     def verify(self):
         """Raise RepresentationError naming the first relation this module breaks."""
@@ -143,13 +147,6 @@ class Representation:
         return GradedMatrix.linear_combination(self.parity, ((c, self.image(w)) for c, w in terms))
 
     def _atom(self, atom):
-        data = {"1": self.identity, "h": self.h, "v+": self.v_plus, "v-": self.v_minus}
-        if atom in data:
-            if data[atom] is None:
-                raise RepresentationError(
-                    "module %s has no image of %s" % (spin_text(self.spin), atom)
-                )
-            return data[atom]
         if atom in DEFINED_ATOMS:
             return self.word_sum(DEFINED_ATOMS[atom])
         if atom == "sigma":
@@ -168,6 +165,8 @@ class Representation:
             return GradedMatrix.from_entries(
                 self.parity, {(i, i): sc.s_var(int(e)) for i, e in enumerate(exps)}
             )
+        if atom == "v-":
+            raise RepresentationError("module %s has no image of v-" % spin_text(self.spin))
         raise RepresentationError("unknown atom %r" % (atom,))
 
     def __repr__(self):
@@ -205,7 +204,7 @@ def irrep(spin):
         entries[(k + 1, k)] = sc.rational(2 * u_k)  # d_k = u_k / c_k with c_k = 1/2
         u_prev = u_k
     v_minus = GradedMatrix.from_entries(parity, entries)
-    r = Representation(spin, h, v_plus, v_minus, parity)
+    r = Representation(spin, h, v_plus, v_minus)
     r.verify()
     return r
 

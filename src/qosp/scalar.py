@@ -21,7 +21,8 @@ pole test of matrices.check_new_entries_proportional evaluates at s = 1,
 and the contraction theta = xi/omega, s -> 1 is the Taylor-coefficient
 map ``contract``.  The printed form clears negative
 powers of s into a denominator s**k (``format_scalar``), so it is the
-reduced fraction of polynomials.
+reduced fraction of polynomials; ``parse_scalar`` reads that text back
+and no other spelling.
 """
 
 from fractions import Fraction
@@ -248,42 +249,33 @@ def format_scalar(a):
 
 
 def parse_poly(text):
-    """A Scalar from the text of a polynomial, as _format_terms writes one."""
-    text = text.strip()
+    """A Scalar from the text of a polynomial, exactly as _format_terms writes one.
+
+    Terms are joined by " + " or " - ", in _format_terms' order.  A
+    monomial is its coefficient as a Fraction prints (only the first one
+    may be negative), then *s^a, *theta^b and *xi^k in that order, each
+    at most once and with no ^ at the power 1, where b, k >= 0.  The
+    terms read are written back, and any other spelling raises
+    ScalarError.
+    """
     out = {}
-    # normalize " - " separators into signed chunks
-    for piece in text.replace(" - ", " + -").split(" + "):
-        piece = piece.strip()
-        if not piece:
-            raise ScalarError("malformed polynomial %r" % text)
-        negate = piece.startswith("-")
-        if negate:
-            piece = piece[1:]
-        coeff = Fraction(1)
-        exps = {"s": 0, "theta": 0, "xi": 0}
-        for factor in piece.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ScalarError("malformed monomial in %r" % text)
-            name, caret, e = factor.partition("^")
-            try:
-                if factor[0].isdigit():
-                    coeff *= Fraction(factor)
-                elif name in exps:
-                    exps[name] += int(e) if caret else 1
-                else:
-                    raise ScalarError("unknown variable %r in %r" % (name, text))
-            except (ValueError, ZeroDivisionError):
-                raise ScalarError("malformed factor %r in %r" % (factor, text))
-        if exps["theta"] < 0 or exps["xi"] < 0:
-            raise ScalarError("negative power of theta or xi in %r" % text)
-        _add_into(out, (exps["s"], exps["theta"], exps["xi"]), -coeff if negate else coeff)
+    try:
+        for piece in text.replace(" - ", " + -").split(" + "):
+            coeff, *factors = piece.split("*")
+            key = [0, 0, 0]
+            for factor in factors:
+                name, caret, e = factor.partition("^")
+                key[VARS.index(name)] = int(e) if caret else 1
+            _add_into(out, tuple(key), Fraction(coeff))
+    except (ValueError, ZeroDivisionError):
+        raise ScalarError("malformed polynomial %r" % text)
+    if any(eth < 0 or exi < 0 for _, eth, exi in out) or _format_terms(out) != text:
+        raise ScalarError("%r is not a polynomial as format_scalar writes one" % text)
     return Scalar(out)
 
 
 def parse_scalar(text):
     """A Scalar from format_scalar's text; a denominator must be a unit c*s^k."""
-    text = text.strip()
     if ") / (" in text:
         left, _, right = text.partition(") / (")
         if not left.startswith("(") or not right.endswith(")"):

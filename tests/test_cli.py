@@ -556,36 +556,49 @@ def test_full_standard_error_keeps_the_exit_code(args, code, unbuffered):
     assert proc.returncode == code
 
 
-def test_fixture_with_a_non_unit_denominator_is_usage_error(tmp_path):
-    """Scalars are Laurent polynomials in s: an entry over 1*s - 1 is a bad fixture."""
-    for name in FIXTURE_NAMES:
-        write_fixture(name, named_matrix(name), directory=str(tmp_path))
-    path = tmp_path / "kr.json"
-    kr = json.loads(path.read_text())
-    kr["entries"][0][2] = "(1) / (1*s - 1)"
-    path.write_text(json.dumps(kr))
+def _fixture_copy(tmp_path, name):
+    """Write the five fixtures into tmp_path; the path of the one named name."""
+    for fixture in FIXTURE_NAMES:
+        write_fixture(fixture, named_matrix(fixture), directory=str(tmp_path))
+    return tmp_path / (name + ".json")
+
+
+def _assert_bad_fixture(path):
+    """qosp verify --suite matrix on path's directory exits 2 with one error line naming path."""
     proc = subprocess.run(
         [sys.executable, "-m", "qosp.cli", "verify", "--suite", "matrix"],
-        capture_output=True, text=True, env=_child_env(QOSP_FIXTURES=str(tmp_path)),
+        capture_output=True, text=True, env=_child_env(QOSP_FIXTURES=str(path.parent)),
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: cannot load golden fixture %s: " % path)
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_fixture_with_a_non_unit_denominator_is_usage_error(tmp_path):
+    """Scalars are Laurent polynomials in s: an entry over 1*s - 1 is a bad fixture."""
+    path = _fixture_copy(tmp_path, "kr")
+    kr = json.loads(path.read_text())
+    kr["entries"][0][2] = "(1) / (1*s - 1)"
+    path.write_text(json.dumps(kr))
+    _assert_bad_fixture(path)
+
+
+@pytest.mark.parametrize("name", ["fj", "sjr"])
+def test_fixture_entry_in_another_spelling_is_usage_error(name, tmp_path):
+    """A fixture is read in format_scalar's spelling alone: xi for 1*xi is a bad fixture."""
+    path = _fixture_copy(tmp_path, name)
+    matrix = json.loads(path.read_text())
+    entry = next(entry for entry in matrix["entries"] if entry[2] == "1*xi")
+    entry[2] = "xi"
+    path.write_text(json.dumps(matrix))
+    _assert_bad_fixture(path)
 
 
 def test_deeply_nested_fixture_is_usage_error(tmp_path):
     """json.load raises RecursionError on a deeply nested file; that is a bad fixture too."""
-    for name in FIXTURE_NAMES:
-        write_fixture(name, named_matrix(name), directory=str(tmp_path))
-    path = tmp_path / "kr.json"
+    path = _fixture_copy(tmp_path, "kr")
     path.write_text("[" * 200000 + "]" * 200000)
-    proc = subprocess.run(
-        [sys.executable, "-m", "qosp.cli", "verify", "--suite", "matrix"],
-        capture_output=True, text=True, env=_child_env(QOSP_FIXTURES=str(tmp_path)),
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: cannot load golden fixture %s: " % path)
-    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    _assert_bad_fixture(path)
 
 
 def _recorded_scalar_texts():

@@ -350,7 +350,7 @@ def test_unknown_generator_atom_rejected(fund):
 def test_homomorphism_failure_names_its_entries(fund):
     """A stray even entry (1, 3) in v+: each check lists its residual's nonzeros."""
     stray = GradedMatrix.from_entries(fund.parity, {(0, 2): rational(3)})
-    bad = Representation(fund.spin, fund.h, fund.v_plus + stray, fund.v_minus, fund.parity)
+    bad = Representation(fund.spin, fund.h, fund.v_plus + stray, fund.v_minus)
     dh, dvp, dvm = map(CLASSICAL.module(bad, fund).image, ("h", "v+", "v-"))
     residuals = {
         "[h, v+] = v+": dh * dvp - dvp * dh - dvp,

@@ -1,8 +1,10 @@
 """The package's import graph: module-level imports, each pointing down the layers.
 
 The same parse also keeps floats out of the source: every number the
-package makes is an exact int or Fraction.  The last test pins what
-tests/code_lines.py, the package's code-line counter, counts.
+package makes is an exact int or Fraction, and it pins the standard
+library modules the package imports, which every CLI start loads.  The
+last test pins what tests/code_lines.py, the package's code-line
+counter, counts.
 """
 
 import ast
@@ -25,6 +27,8 @@ LAYERS = (
     ("cli",),
 )
 RANK = {name: k for k, layer in enumerate(LAYERS) for name in layer}
+# the standard library modules the package imports, each paid for at every CLI start
+STDLIB = ["argparse", "fractions", "functools", "itertools", "json", "math", "os", "sys"]
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 SOURCES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
@@ -68,20 +72,31 @@ def test_relative_imports_point_down(name):
     assert upward == []
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_no_absolute_import_of_the_package(name):
-    """Package modules import each other relatively, so the layer check reads every edge."""
-    absolute = [
-        (target, node.lineno)
+def _absolute_imports(name):
+    """(top-level module, line) for every absolute import statement of a module."""
+    return [
+        (target.split(".")[0], node.lineno)
         for node in ast.walk(_tree(name))
         for target in (
             [alias.name for alias in node.names] if isinstance(node, ast.Import)
             else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
             else []
         )
-        if target and target.split(".")[0] == "qosp"
     ]
-    assert absolute == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_absolute_import_of_the_package(name):
+    """Package modules import each other relatively, so the layer check reads every edge."""
+    assert [(target, line) for target, line in _absolute_imports(name) if target == "qosp"] == []
+
+
+def test_standard_library_imports_are_pinned():
+    """Every CLI start loads these modules and no others: a new one (dataclasses,
+    typing, re, ...) is start-up time on every command, and fails here until
+    it is added on purpose."""
+    imported = {target for name in SOURCES for target, _ in _absolute_imports(name)}
+    assert sorted(imported) == STDLIB
 
 
 @pytest.mark.parametrize("name", MODULES)

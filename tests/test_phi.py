@@ -716,7 +716,7 @@ def test_twisted_vminus_module_agrees_with_twist_check(tables, table, spins, pas
     twist = check_twist_produces(f, SUPER_JORDANIAN.rules, r1, r2)
     typed = SUPER_JORDANIAN.module(r1, r2)
     v_minus = f * CLASSICAL.module(r1, r2).image("v-") * unipotent_inverse(f)
-    module = Representation(typed.spin, typed.h, typed.v_plus, v_minus, typed.parity)
+    module = Representation(typed.spin, typed.h, typed.v_plus, v_minus)
     if passes:
         module.verify()
     else:
@@ -742,7 +742,7 @@ def test_dsj_vminus_exact_fundamental(fund):
     k = f_super_fund() * f_jordanian(fund, fund)
     assert v_minus == k * CLASSICAL.module(fund, fund).image("v-") * unipotent_inverse(k)
     typed = SUPER_JORDANIAN.module(fund, fund)
-    Representation(typed.spin, typed.h, typed.v_plus, v_minus, typed.parity).verify()
+    Representation(typed.spin, typed.h, typed.v_plus, v_minus).verify()
 
 
 def test_dsj_vminus_order_one_structure(fund):
@@ -952,7 +952,7 @@ def test_exponent_builds_no_word_past_the_dimension_bound():
     the words up to v+ X+^8 and no longer one.  The bound is tight there:
     v+ X+^8 is nonzero and v+ X+^9 vanishes."""
     r = irrep(Fraction(9, 2))
-    fresh = Representation(r.spin, r.h, r.v_plus, r.v_minus, r.parity)
+    fresh = Representation(r.spin, r.h, r.v_plus, r.v_minus)
     build_f_super(closed_form_table(30), fresh, fresh)
     assert max(word.count("X+") for word in fresh._cache) == 8
     assert not fresh.image(("v+",) + ("X+",) * 8).is_zero()

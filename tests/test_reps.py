@@ -72,7 +72,7 @@ def test_verify_names_the_first_failing_relation():
     """Doubling v- keeps [h, v-] = -v- and breaks the anticommutator."""
     f = fundamental_rep()
     f.verify()
-    bad = Representation(f.spin, f.h, f.v_plus, f.v_minus.scale(2), f.parity)
+    bad = Representation(f.spin, f.h, f.v_plus, f.v_minus.scale(2))
     with pytest.raises(RepresentationError, match=re.escape("relation {v+, v-} = -h/4 fails")):
         bad.verify()
 
@@ -144,7 +144,7 @@ def test_s_power_h_needs_integer_exponents():
     parity = (0, 1)
     half = rational(Fraction(1, 2))
     h = GradedMatrix.from_entries(parity, {(0, 0): half, (1, 1): -half})
-    odd = Representation(Fraction(1, 4), h, GradedMatrix.from_entries(parity, {}), None, parity)
+    odd = Representation(Fraction(1, 4), h, GradedMatrix.from_entries(parity, {}), None)
     with pytest.raises(RepresentationError, match=re.escape("s**h needs integer exponents")):
         odd.image("s^h")
 
@@ -208,7 +208,7 @@ def test_lt_relation_failure_names_its_entries():
     """A stray even entry (1, 3) in v+ breaks [H, V] at that entry alone."""
     f = fundamental_rep()
     stray = GradedMatrix.from_entries(f.parity, {(0, 2): rational(3)})
-    bad = Representation(f.spin, f.h, f.v_plus + stray, f.v_minus, f.parity)
+    bad = Representation(f.spin, f.h, f.v_plus + stray, f.v_minus)
     cap_h, e, v, w = map(bad.image, "HEVW")
     residual = cap_h * v - v * cap_h - (v * (bad.image("E^-1") - e) - w).scale(sc.xi_var())
     explicit = [(i + 1, j + 1, sc.format_scalar(x)) for i, j, x in residual.entries()]
@@ -224,9 +224,7 @@ def test_lt_relation_failure_names_its_entries():
 def rescaled(r, lam):
     """Gauge transform v+ -> v+/lam, v- -> lam v-; same module."""
     lam = Fraction(lam)
-    return Representation(
-        r.spin, r.h, r.v_plus.scale(1 / lam), r.v_minus.scale(lam), r.parity
-    )
+    return Representation(r.spin, r.h, r.v_plus.scale(1 / lam), r.v_minus.scale(lam))
 
 
 def test_lt_relations_gauge_independent():
@@ -252,7 +250,7 @@ def _stray(slot):
         v_plus = v_plus + GradedMatrix.from_entries(f.parity, {(0, 2): rational(3)})
     else:
         v_minus = v_minus + GradedMatrix.from_entries(f.parity, {(2, 0): rational(3)})
-    return Representation(f.spin, f.h, v_plus, v_minus, f.parity)
+    return Representation(f.spin, f.h, v_plus, v_minus)
 
 
 @pytest.mark.parametrize("slot", ["v+", "v-"])

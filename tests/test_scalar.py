@@ -242,6 +242,9 @@ def test_format_parse_round_trip():
     [
         "zeta+1", "2*zeta", "s^x", "2x*s",
         "(1) / (1*s - 1)", "(1) / (0)", "(1) / (1*theta)", "theta^-1",
+        # spellings format_scalar never writes
+        "xi", "-xi", "s^2", "1 * xi", "1*xi*s", "1*s*s", "2*3*s", "1*theta*s",
+        " 1", "2/4", "1.5", "1*s^1", "1*xi^0", "1 + 1*s", "1*s + 1*s", "1 + -1*s",
     ],
 )
 def test_parse_rejects_malformed_scalar(text):
